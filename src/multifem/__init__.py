@@ -16,13 +16,12 @@ from .fe import (MAX_DEGREE, MAX_QUADRATURE_DEGREE, QuadratureRule,
                  ReferenceElement, facet_embedding, geometry_jacobian,
                  geometry_map, make_element, make_quadrature,
                  reference_vertices)
-from .forms import (EVERYWHERE, Analytic, Argument, CellNormal, CellSequence,
-                    Coefficient, Constant, Expr, FacetNormal, Form,
-                    FormDiagnostic, FunctionSpace, Indexed, Integral, Measure,
-                    MeshSequence, MixedElement, SpatialCoordinate,
-                    TestFunction, TrialFunction, Zero, avg, derivative, div,
-                    form_key, grad, inner, jump, restrict, split,
-                    split_form_into_blocks, validate_form)
+from .forms import (EVERYWHERE, Analytic, Argument, Coefficient, Constant,
+                    Expr, FacetNormal, Form, FormDiagnostic, FunctionSpace,
+                    Indexed, Integral, Measure, MeshSequence, MixedElement,
+                    TestFunction, TrialFunction, Zero, avg, derivative, grad,
+                    inner, jump, restrict, split, split_form_into_blocks,
+                    validate_form)
 from .mesh import (BOUNDARY_MARKER, INTERFACE_MARKER, CellType, EntityMap,
                    Mesh, build_hybrid_unit_square, build_split_unit_square,
                    classify_facets, compose_maps, extract_codim0_submesh,

@@ -2,7 +2,7 @@
 
 Assembly iterates the entities of each integral's primal mesh, resolves the
 matching entity on every participating mesh by composing entity maps up to
-the common root mesh and hashed inverse lookups back down, packs dof values
+the common root mesh and inverse tables back down, packs dof values
 and geometry, executes the compiled kernel, and scatters the element tensor
 with add-accumulation.  Iteration is in ascending entity order, so results
 are bitwise reproducible.
@@ -11,7 +11,7 @@ are bitwise reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 from . import fe, forms
 from .compile import (Geometry, PackedInputs, SideGeom, compile_integral,
                       execute_kernel)
-from .mesh import CellType, compose_maps
+from .mesh import compose_maps
 
 BC_TOL = 1e-12
 SOLVE_TOL = 1e-10
@@ -42,9 +42,7 @@ class _Relations:
         self.root = root
         self._cell_root = {}
         self._facet_root = {}
-        self._inv_cell = {}
-        self._inv_facet = {}
-        self._inv_c1 = {}
+        self._from_root = {}
 
     def check(self, mesh):
         if mesh.root() is not self.root:
@@ -85,32 +83,21 @@ class _Relations:
             self._facet_root[mesh.id] = table
         return table
 
-    def root_cell_to(self, mesh, root_cell):
-        inv = self._inv_cell.get(mesh.id)
+    def from_root(self, mesh, role):
+        """Inverse of the map of this mesh's cells ('cell') or facets
+        ('facet') into the root: root entity -> mesh entity, -1 if none."""
+        inv = self._from_root.get((mesh.id, role))
         if inv is None:
-            kind, table = self.cell_to_root(mesh)
-            if kind != "cell":
-                raise ValueError("mesh does not map cells to root cells")
-            inv = {int(r): c for c, r in enumerate(table)}
-            self._inv_cell[mesh.id] = inv
-        return inv.get(int(root_cell))
-
-    def root_facet_to(self, mesh, root_facet):
-        inv = self._inv_facet.get(mesh.id)
-        if inv is None:
-            inv = {int(r): f for f, r in enumerate(self.facet_to_root(mesh))}
-            self._inv_facet[mesh.id] = inv
-        return inv.get(int(root_facet))
-
-    def root_facet_to_c1_cell(self, mesh, root_facet):
-        inv = self._inv_c1.get(mesh.id)
-        if inv is None:
-            kind, table = self.cell_to_root(mesh)
-            if kind != "facet":
-                raise ValueError("mesh does not map cells to root facets")
-            inv = {int(r): c for c, r in enumerate(table)}
-            self._inv_c1[mesh.id] = inv
-        return inv.get(int(root_facet))
+            if role == "cell":
+                kind, table = self.cell_to_root(mesh)
+            else:
+                kind, table = "facet", self.facet_to_root(mesh)
+            n_root = (self.root.num_cells if kind == "cell"
+                      else self.root.num_facets)
+            inv = np.full(n_root, -1)
+            inv[table] = np.arange(len(table))
+            self._from_root[(mesh.id, role)] = inv
+        return inv
 
 
 def _relations_for(meshes):
@@ -149,15 +136,12 @@ def _resolve_participant(participant, relations, root_kind, root_entity):
     """
     mesh, role = participant.mesh, participant.role
     if role == "cell":
-        if mesh.dim == 2:
-            if root_kind != "cell":
-                raise ValueError("codim-0 cell participant in a facet measure")
-            c = relations.root_cell_to(mesh, root_entity)
-            return None if c is None else ("cell", c)
-        c = relations.root_facet_to_c1_cell(mesh, root_entity)
-        return None if c is None else ("cell", c)
-    f = relations.root_facet_to(mesh, root_entity)
-    if f is None:
+        if mesh.dim == 2 and root_kind != "cell":
+            raise ValueError("codim-0 cell participant in a facet measure")
+        c = int(relations.from_root(mesh, "cell")[root_entity])
+        return None if c < 0 else ("cell", c)
+    f = int(relations.from_root(mesh, "facet")[root_entity])
+    if f < 0:
         return None
     exterior = len(mesh.facet_cells[f]) == 1
     if role == "exterior_facet" and not exterior:
@@ -232,10 +216,6 @@ def _side_geoms(participant, entity):
     mesh = participant.mesh
     kind, idx = entity
     if participant.role == "cell":
-        if mesh.dim == 1:
-            return [SideGeom(cell_type=CellType.INTERVAL,
-                             cell_vertices=mesh.cell_coords(idx),
-                             normal=mesh.per_cell_normal[idx])]
         return [SideGeom(cell_type=mesh.cell_types[idx],
                          cell_vertices=mesh.cell_coords(idx))]
     endpoints = mesh.facet_coords(idx)
@@ -396,7 +376,13 @@ def dirichlet_dofs(space, bcs):
     """
     fixed = {}
     for bc in bcs:
+        if not 0 <= bc.component < space.num_components:
+            raise ValueError(f"Dirichlet component {bc.component} out of range "
+                             f"for a space of {space.num_components}")
         mesh = space.meshes[bc.component]
+        if mesh.dim != 2:
+            raise ValueError(f"Dirichlet component {bc.component} lives on a "
+                             f"codim-1 mesh, which has no boundary facets")
         facets = np.nonzero(mesh.facet_markers == bc.marker)[0]
         if len(facets) == 0:
             raise ValueError(f"no entities matched marker {bc.marker!r}")
@@ -426,11 +412,15 @@ def dirichlet_dofs(space, bcs):
 
 def _jacobi_cg(A, b, tol=SOLVE_TOL):
     """Jacobi-preconditioned conjugate gradients for SPD systems."""
+    diag = A.diagonal()
+    if not np.all(np.isfinite(diag) & (diag > 0)):
+        raise ValueError("Jacobi-CG needs a positive finite diagonal; the "
+                         "matrix is not SPD")
     n = len(b)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n)
-    dinv = 1.0 / A.diagonal()
+    dinv = 1.0 / diag
     x = np.zeros(n)
     r = b.copy()
     z = dinv * r
@@ -480,14 +470,17 @@ class NewtonConfig:
     rel_tol: float = 1e-9
 
 
-def newton_solve(F, u, bcs=(), config=NewtonConfig(), spd=False):
+def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
     """Newton's method on the residual form F(u; v) = 0; returns the number
     of update steps taken.
 
     Boundary values are imposed on the first iterate, corrections are
     homogeneous.  The Jacobian is the Gateaux derivative of F with respect to
-    the whole Coefficient u.
+    the whole Coefficient u.  Each update is solve(A, b) on the constrained
+    Jacobian A and the negated residual b; the default is solve_linear
+    (sparse LU), looked up at call time.
     """
+    solve = solve or solve_linear
     dofs, values = (np.empty(0, dtype=int), np.empty(0))
     if bcs:
         dofs, values = dirichlet_dofs(u.space, bcs)
@@ -505,7 +498,7 @@ def newton_solve(F, u, bcs=(), config=NewtonConfig(), spd=False):
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
             return it
         A = assemble(J, bcs)
-        delta = solve_linear(A, -r, spd=spd)
+        delta = solve(A, -r)
         u.values += delta
         r, norm = residual_norm()
     if norm <= config.abs_tol or norm <= config.rel_tol * norm0:

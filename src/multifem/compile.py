@@ -11,7 +11,7 @@ its own cell geometry, which is what aligns integration across meshes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class SideGeom:
     cell_type: object = None
     cell_vertices: np.ndarray = None
     facet_endpoints: np.ndarray = None
-    normal: np.ndarray = None
 
 
 @dataclass
@@ -242,15 +241,10 @@ class _Builder:
         self._check_side(pidx, side, repr(func))
         if op != "val" and mesh.dim != 2:
             raise CompileError("gradients on codim-1 meshes are not supported")
-        if op == "div" and not element.value_shape:
-            raise CompileError("div needs a vector-valued function")
-        need_grad = op in ("grad", "div")
-        self._need_table(pidx, side, element, need_grad)
+        self._need_table(pidx, side, element, op == "grad")
         vshape = element.value_shape
         if op == "grad":
             vshape = vshape + (2,)
-        elif op == "div":
-            vshape = vshape[:-1]
         sidx = _side_index(side)
         if isinstance(func, forms.Argument):
             block = self._find_block(func.number, component, side)
@@ -269,9 +263,6 @@ class _Builder:
         if isinstance(expr, forms.Analytic):
             self._participant_of(expr.mesh)
             return self._push(("analytic", expr.fn), (), frozenset())
-        if isinstance(expr, forms.SpatialCoordinate):
-            self._participant_of(expr.mesh)
-            return self._push(("coord",), (2,), frozenset())
         if isinstance(expr, forms.FacetNormal):
             pidx = self._participant_of(expr.mesh)
             role = self.participants[pidx].role
@@ -281,12 +272,6 @@ class _Builder:
             self._check_side(pidx, side, "FacetNormal")
             return self._push(("normal", pidx, _side_index(side)), (2,),
                               frozenset())
-        if isinstance(expr, forms.CellNormal):
-            pidx = self._participant_of(expr.mesh)
-            if self.participants[pidx].role != "cell":
-                raise CompileError("CellNormal of a mesh not participating "
-                                   "through cells")
-            return self._push(("cellnormal", pidx), (2,), frozenset())
         if isinstance(expr, (forms.Indexed, forms._Function)):
             func, component, side = self._resolve_function(expr, side)
             return self._function_value(func, component, side, "val")
@@ -294,10 +279,6 @@ class _Builder:
             func, component, side = self._resolve_function(expr.operands[0],
                                                            side)
             return self._function_value(func, component, side, "grad")
-        if isinstance(expr, forms.Div):
-            func, component, side = self._resolve_function(expr.operands[0],
-                                                           side)
-            return self._function_value(func, component, side, "div")
         if isinstance(expr, forms.Restricted):
             return self.visit(expr.operands[0], expr.side)
         if isinstance(expr, forms.Sum):
@@ -514,8 +495,6 @@ def execute_kernel(kernel, inputs):
             val[...] = instr[1]
         elif op == "zero":
             val = np.zeros((1, 1, 1) + instr[1])
-        elif op == "coord":
-            val = X.reshape(nq, 1, 1, 2)
         elif op == "analytic":
             out = np.asarray(instr[1](X[:, 0], X[:, 1]), dtype=float)
             val = np.broadcast_to(out, (nq,)).reshape(nq, 1, 1)
@@ -527,11 +506,7 @@ def execute_kernel(kernel, inputs):
                 normals[(pidx, sidx)] = nrm
             val = np.empty((1, 1, 1, 2))
             val[...] = nrm
-        elif op == "cellnormal":
-            _, pidx = instr
-            val = np.empty((1, 1, 1, 2))
-            val[...] = g.participants[pidx][0].normal
-        elif op in ("cval", "cgrad", "cdiv"):
+        elif op in ("cval", "cgrad"):
             _, slot, pidx, sidx, element = instr
             w = inputs.w[slot]
             vals, grads = contexts[(pidx, sidx)].tables[element]
@@ -540,11 +515,9 @@ def execute_kernel(kernel, inputs):
             else:
                 jinv = contexts[(pidx, sidx)].jinv
                 phys = np.einsum("qn...r,qri->qn...i", grads, jinv)
-                if op == "cdiv":
-                    phys = np.trace(phys, axis1=-2, axis2=-1)
                 out = np.einsum("qn...,n->q...", phys, w)
             val = out.reshape((nq, 1, 1) + vshape)
-        elif op in ("aval", "agrad", "adiv"):
+        elif op in ("aval", "agrad"):
             _, number, block, pidx, sidx = instr
             vals, grads = contexts[(pidx, sidx)].tables[block.element]
             if op == "aval":
@@ -552,8 +525,6 @@ def execute_kernel(kernel, inputs):
             else:
                 jinv = contexts[(pidx, sidx)].jinv
                 table = np.einsum("qn...r,qri->qn...i", grads, jinv)
-                if op == "adiv":
-                    table = np.trace(table, axis1=-2, axis2=-1)
             av, au = arg_axes(number)
             size = av if number == 0 else au
             full = np.zeros((nq, size) + vshape)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fe
-from .mesh import CellType, Mesh
+from .mesh import Mesh
 
 _function_counter = itertools.count()
 
@@ -41,37 +41,14 @@ class MeshSequence:
     def __getitem__(self, k):
         return self.meshes[k]
 
-    def cell_sequence(self):
-        return CellSequence([m.cell_type for m in self.meshes])
-
-
-class CellSequence:
-    """The per-mesh cell types of a MeshSequence."""
-
-    def __init__(self, cells):
-        self.cells = tuple(CellType(c) for c in cells)
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __getitem__(self, k):
-        return self.cells[k]
-
-    def __eq__(self, other):
-        return isinstance(other, CellSequence) and self.cells == other.cells
-
-    def __hash__(self):
-        return hash(self.cells)
-
 
 class MixedElement:
-    """One element per component; the cell sequence is derived."""
+    """One element per component."""
 
     def __init__(self, sub_elements):
         self.sub_elements = tuple(sub_elements)
         if not self.sub_elements:
             raise ValueError("empty element list")
-        self.cell = CellSequence([e.cell for e in self.sub_elements])
 
     def __len__(self):
         return len(self.sub_elements)
@@ -187,11 +164,6 @@ def _number_dofs(mesh, element):
         dof_coords = np.repeat(np.asarray(coords, dtype=float), 2, axis=0)
         return blocked, dof_coords
     return scalar_map, np.asarray(coords, dtype=float)
-
-
-def function_space(domain, element):
-    """Build a FunctionSpace; accepts bare meshes/elements for M = 1."""
-    return FunctionSpace(domain, element)
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +329,6 @@ def split(function):
                  for k in range(function.space.num_components))
 
 
-class SpatialCoordinate(Expr):
-    shape = (2,)
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-
-    def _static_key(self):
-        return (self.mesh.id,)
-
-    def __repr__(self):
-        return f"x({self.mesh.id})"
-
-
 class FacetNormal(Expr):
     """Outward unit normal of a codim-0 mesh participating through its facets."""
 
@@ -383,23 +342,6 @@ class FacetNormal(Expr):
 
     def __repr__(self):
         return f"n({self.mesh.id})"
-
-
-class CellNormal(Expr):
-    """The stored per-cell normal of a codim-1 mesh."""
-
-    shape = (2,)
-
-    def __init__(self, mesh):
-        if mesh.dim != 1:
-            raise ValueError("CellNormal is defined on codim-1 meshes only")
-        self.mesh = mesh
-
-    def _static_key(self):
-        return (self.mesh.id,)
-
-    def __repr__(self):
-        return f"N({self.mesh.id})"
 
 
 class Analytic(Expr):
@@ -428,19 +370,6 @@ class Grad(Expr):
 
     def __repr__(self):
         return f"grad({self.operands[0]!r})"
-
-
-class Div(Expr):
-    """Divergence; removes the trailing shape axis."""
-
-    def __init__(self, operand):
-        if operand.shape is None or len(operand.shape) == 0:
-            raise ValueError("div needs a vector operand")
-        self.operands = (operand,)
-        self.shape = tuple(operand.shape[:-1])
-
-    def __repr__(self):
-        return f"div({self.operands[0]!r})"
 
 
 class Sum(Expr):
@@ -502,10 +431,6 @@ class Restricted(Expr):
 
 def grad(expr):
     return Grad(expr)
-
-
-def div(expr):
-    return Div(expr)
 
 
 def inner(a, b):
@@ -703,34 +628,6 @@ def walk(expr):
         stack.extend(node.operands)
 
 
-def canonical_key(expr):
-    """Order-insensitive structural key: commutative/associative nodes are
-    flattened and their children sorted, so trees that differ only by operand
-    order compare equal."""
-    name = type(expr).__name__
-    if isinstance(expr, (Sum, Product)):
-        children = []
-        stack = list(expr.operands)
-        while stack:
-            node = stack.pop()
-            if type(node) is type(expr):
-                stack.extend(node.operands)
-            else:
-                children.append(canonical_key(node))
-        return (name,) + tuple(sorted(children))
-    if isinstance(expr, Inner):
-        return (name,) + tuple(sorted(canonical_key(o)
-                                      for o in expr.operands))
-    return ((name,) + expr._static_key()
-            + tuple(canonical_key(o) for o in expr.operands))
-
-
-def form_key(form):
-    """Order-insensitive key for whole forms (tests use this for equality)."""
-    return tuple(sorted((itg.measure.key(), canonical_key(itg.integrand))
-                        for itg in form.integrals))
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -751,7 +648,7 @@ def _terminal_meshes(node):
         return [node.function.space.meshes[node.component]]
     if isinstance(node, (Coefficient, Argument)):
         return list(node.space.meshes)
-    if isinstance(node, (SpatialCoordinate, FacetNormal, CellNormal, Analytic)):
+    if isinstance(node, (FacetNormal, Analytic)):
         return [node.mesh]
     return []
 
@@ -774,9 +671,6 @@ def validate_form(form):
                   node.side, path + f"/Restricted[{node.side}]")
             return
         here = path + "/" + type(node).__name__
-        if isinstance(node, CellNormal) and node.mesh.dim != 1:
-            diagnostics.append(FormDiagnostic(
-                idx, here, "CellNormal requires a codim-1 mesh"))
         if isinstance(node, FacetNormal) and node.mesh.dim != 2:
             diagnostics.append(FormDiagnostic(
                 idx, here, "FacetNormal requires a codim-0 mesh"))
@@ -842,12 +736,6 @@ def _grad(e):
     return Grad(e)
 
 
-def _div(e):
-    if _is_zero(e):
-        return Zero(e.shape[:-1])
-    return Div(e)
-
-
 def _restricted(e, side):
     if _is_zero(e):
         return e
@@ -883,9 +771,6 @@ def _linearize(expr, coefficient, direction, component):
     if isinstance(expr, Grad):
         return _grad(_linearize(expr.operands[0], coefficient, direction,
                                 component))
-    if isinstance(expr, Div):
-        return _div(_linearize(expr.operands[0], coefficient, direction,
-                               component))
     if isinstance(expr, Restricted):
         return _restricted(_linearize(expr.operands[0], coefficient, direction,
                                       component), expr.side)
@@ -941,8 +826,6 @@ def _filter_components(expr, targets):
         return _inner(a, b)
     if isinstance(expr, Grad):
         return _grad(_filter_components(expr.operands[0], targets))
-    if isinstance(expr, Div):
-        return _div(_filter_components(expr.operands[0], targets))
     if isinstance(expr, Restricted):
         return _restricted(_filter_components(expr.operands[0], targets),
                            expr.side)

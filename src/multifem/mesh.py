@@ -147,20 +147,12 @@ class Mesh:
         return len(self.facet_vertices)
 
     @property
-    def is_hybrid(self):
-        return len(set(self.cell_types)) > 1
-
-    @property
     def cell_type(self):
         """The unique cell type; raises for hybrid meshes."""
         types = set(self.cell_types)
         if len(types) != 1:
             raise ValueError("mesh is hybrid, no unique cell type")
         return types.pop()
-
-    @property
-    def codim(self):
-        return self.gdim - self.dim
 
     def find_facet(self, vids):
         """Facet index for a vertex tuple (any order), or None."""
@@ -172,9 +164,6 @@ class Mesh:
 
     def facet_coords(self, f):
         return self.vertices[list(self.facet_vertices[f])]
-
-    def facet_midpoint(self, f):
-        return self.facet_coords(f).mean(axis=0)
 
     def cell_volume(self, c):
         """Length (dim 1) or area (dim 2) of cell c."""
@@ -471,32 +460,41 @@ def read_mesh(path):
     with open(path) as fh:
         tokens = [line.split() for line in fh if line.strip()]
     it = iter(tokens)
-    header = next(it)
-    if header != ["meshfmt", "1"]:
-        raise ValueError(f"unsupported mesh format header {' '.join(header)!r}")
-    dims = next(it)
-    if dims[0] != "dim" or dims[2] != "gdim" or dims[3] != "2":
-        raise ValueError("malformed dim/gdim line")
-    dim = int(dims[1])
-    nv = int(next(it)[1])
-    coords = []
-    for _ in range(nv):
-        row = next(it)
-        coords.append((float(row[0]), float(row[1])))
-    vertices = np.array(coords)
-    nc = int(next(it)[1])
-    cells = []
-    markers = []
-    for _ in range(nc):
-        row = next(it)
-        ctype = CellType(row[0])
-        k = ctype.num_vertices
-        cells.append((ctype, tuple(int(v) for v in row[1:1 + k])))
-        markers.append(int(row[1 + k]))
-    nf = int(next(it)[1])
-    facet_markers = {}
-    for _ in range(nf):
-        row = next(it)
-        facet_markers[tuple(int(v) for v in row[:-1])] = int(row[-1])
+    section = "header"
+    try:
+        header = next(it)
+        if header != ["meshfmt", "1"]:
+            raise ValueError(f"unsupported mesh format header "
+                             f"{' '.join(header)!r}")
+        dims = next(it)
+        if dims[0] != "dim" or dims[2] != "gdim" or dims[3] != "2":
+            raise ValueError("malformed dim/gdim line")
+        dim = int(dims[1])
+        section = "vertices"
+        nv = int(next(it)[1])
+        coords = []
+        for _ in range(nv):
+            row = next(it)
+            coords.append((float(row[0]), float(row[1])))
+        vertices = np.array(coords)
+        section = "cells"
+        nc = int(next(it)[1])
+        cells = []
+        markers = []
+        for _ in range(nc):
+            row = next(it)
+            ctype = CellType(row[0])
+            k = ctype.num_vertices
+            cells.append((ctype, tuple(int(v) for v in row[1:1 + k])))
+            markers.append(int(row[1 + k]))
+        section = "facet_markers"
+        nf = int(next(it)[1])
+        facet_markers = {}
+        for _ in range(nf):
+            row = next(it)
+            facet_markers[tuple(int(v) for v in row[:-1])] = int(row[-1])
+    except (StopIteration, IndexError) as exc:
+        raise ValueError(f"truncated mesh file: section {section!r} is "
+                         f"incomplete") from exc
     return Mesh(dim, vertices, cells, cell_markers=markers,
                 facet_markers=facet_markers)

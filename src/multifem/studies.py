@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms
-from .assemble import (ConvergenceError, DirichletBC, NewtonConfig, assemble,
-                       dirichlet_dofs, eliminate_component, error_norms,
-                       newton_solve, solve_linear)
+from .assemble import (DirichletBC, assemble, eliminate_component,
+                       error_norms, newton_solve, solve_linear)
 from .fe import make_element
 from .forms import (Analytic, Coefficient, Constant, FacetNormal,
                     FunctionSpace, Measure, MeshSequence, MixedElement,
@@ -188,40 +187,28 @@ def build_problem(problem, degree, level, penalty=DEFAULT_PENALTY):
 
 
 def solve_problem(problem, solver="lu"):
-    """Solve a Problem in place; returns the number of update steps."""
+    """Solve a Problem in place; returns the number of update steps.
+
+    'lu' solves each Newton update by sparse LU.  'cg-fieldsplit' uses
+    Jacobi-CG; when the problem has an auxiliary block, the update first
+    eliminates that block (Schur complement), runs CG on the symmetric
+    reduced system and back-substitutes.
+    """
     if solver == "lu":
-        return newton_solve(problem.residual, problem.u, problem.bcs)
-    if solver != "cg-fieldsplit":
+        solve = None
+    elif solver != "cg-fieldsplit":
         raise ValueError(f"unknown solver {solver!r}")
-    if problem.aux_component is None:
-        return newton_solve(problem.residual, problem.u, problem.bcs,
-                                spd=True)
-    return _solve_eliminated(problem)
-
-
-def _solve_eliminated(problem):
-    """One linear step: eliminate the auxiliary block, Jacobi-CG on the
-    (symmetric) reduced system, back-substitute."""
-    u = problem.u
-    dofs, values = dirichlet_dofs(u.space, problem.bcs)
-    u.values[dofs] = values
-    r = assemble(problem.residual)
-    r[dofs] = 0.0
-    norm0 = np.linalg.norm(r)
-    J = forms.derivative(problem.residual, u)
-    A = assemble(J, problem.bcs)
-    reduced = eliminate_component(A, u.space.offsets,
-                                      problem.aux_component, b=-r)
-    x_keep = solve_linear(reduced, reduced.rhs, spd=True)
-    u.values += reduced.expand(x_keep)
-    r = assemble(problem.residual)
-    r[dofs] = 0.0
-    cfg = NewtonConfig()
-    if not (np.linalg.norm(r) <= cfg.abs_tol
-            or np.linalg.norm(r) <= cfg.rel_tol * norm0):
-        raise ConvergenceError(
-            f"eliminated solve left residual {np.linalg.norm(r):.3e}")
-    return 1
+    elif problem.aux_component is None:
+        def solve(A, b):
+            return solve_linear(A, b, spd=True)
+    else:
+        def solve(A, b):
+            reduced = eliminate_component(A, problem.space.offsets,
+                                          problem.aux_component, b=b)
+            return reduced.expand(solve_linear(reduced, reduced.rhs,
+                                               spd=True))
+    return newton_solve(problem.residual, problem.u, problem.bcs,
+                        solve=solve)
 
 
 def solution_errors(problem):

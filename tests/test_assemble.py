@@ -142,6 +142,17 @@ class TestDirichletBC:
         _, values = asm.dirichlet_dofs(V, [bc])
         assert len(values) > 0 and np.all(values == 3.5)
 
+    @pytest.mark.parametrize("component", [1, -1])
+    def test_component_out_of_range_raises(self, asm, component):
+        V = left_half_space()
+        with pytest.raises(ValueError, match="out of range"):
+            asm.dirichlet_dofs(V, [asm.DirichletBC(component, 0, 0.0)])
+
+    def test_codim1_component_raises(self, asm, studies):
+        problem = studies.build_split_interface_problem(1, 0)
+        with pytest.raises(ValueError, match="codim-1"):
+            asm.dirichlet_dofs(problem.space, [asm.DirichletBC(1, 0, 0.0)])
+
 
 class TestLinearSolvers:
     def test_identity_system(self, asm):
@@ -173,6 +184,12 @@ class TestLinearSolvers:
         A = sp.csr_matrix(np.zeros((3, 3)))
         with pytest.raises((ValueError, RuntimeError)):
             asm.solve_linear(A, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_cg_rejects_a_diagonal_no_spd_matrix_has(self, asm, bad):
+        A = sp.diags([2.0, bad, 2.0, 2.0], format="csr")
+        with pytest.raises(ValueError, match="diagonal"):
+            asm.solve_linear(A, np.ones(4), spd=True)
 
 
 class TestNewton:
@@ -229,6 +246,28 @@ class TestNewton:
         u.values[:] = 1.0
         with pytest.raises(asm.ConvergenceError):
             asm.newton_solve(F, u, config=asm.NewtonConfig(max_iters=2))
+
+    def test_pluggable_step_is_called_once_on_a_linear_problem(self, asm,
+                                                              studies):
+        problem = studies.build_split_interface_problem(1, 0)
+        calls = []
+
+        def counting(A, b):
+            calls.append(A.shape)
+            return asm.solve_linear(A, b)
+
+        steps = asm.newton_solve(problem.residual, problem.u,
+                                 bcs=problem.bcs, solve=counting)
+        n = problem.space.num_dofs
+        assert steps == 1
+        assert calls == [(n, n)]
+
+    def test_a_step_that_leaves_the_residual_raises(self, asm, studies):
+        problem = studies.build_split_interface_problem(1, 0)
+        with pytest.raises(asm.ConvergenceError):
+            asm.newton_solve(problem.residual, problem.u, bcs=problem.bcs,
+                             config=asm.NewtonConfig(max_iters=2),
+                             solve=lambda A, b: np.zeros_like(b))
 
 
 class TestAssembleSystem:

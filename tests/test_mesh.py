@@ -282,6 +282,26 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="format header"):
             mm.read_mesh(path)
 
+    @pytest.mark.parametrize("cut,section", [
+        ("vertex rows", "vertices"), ("vertex row width", "vertices"),
+        ("cell rows", "cells"), ("facet marker rows", "facet_markers")])
+    def test_truncated_file_names_the_section(self, tmp_path, cut, section):
+        path = tmp_path / "mesh.txt"
+        mm.write_mesh(mm.build_split_unit_square(0), path)
+        lines = path.read_text().splitlines()
+        cells = next(i for i, ln in enumerate(lines) if ln.startswith("cells"))
+        if cut == "vertex rows":
+            lines = lines[:5]
+        elif cut == "vertex row width":
+            lines[3] = lines[3].split()[0]
+        elif cut == "cell rows":
+            lines = lines[:cells + 3]
+        else:
+            lines = lines[:-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"section '{section}'"):
+            mm.read_mesh(path)
+
 
 class TestMeshValidation:
     def test_wrong_vertex_count_rejected(self):
