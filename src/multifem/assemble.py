@@ -1,11 +1,19 @@
 """Global assembly over intersection measures, boundary conditions, solvers.
 
-Assembly iterates the entities of each integral's primal mesh, resolves the
-matching entity on every participating mesh by composing entity maps up to
-the common root mesh and inverse tables back down, packs dof values
-and geometry, executes the compiled kernel, and scatters the element tensor
-with add-accumulation.  Iteration is in ascending entity order, so results
-are bitwise reproducible.
+Assembly works on per-integral plans, built on an integral's first
+assembly and reused by every later one.  A plan resolves the iteration
+set once, as integer arrays: the primal entities of the measure and, per
+participating mesh, the matching cell or facet, found by composing entity
+maps up to the common root mesh and inverse tables back down.  It holds
+the dof index arrays of every argument block and coefficient slot, and the
+measure's batched quadrature geometry (compile.MeasureGeometry), which is
+shared by every integral on the same measure and rule.  Each assembly then
+gathers coefficient values, runs every kernel once over all its entities,
+and scatters with np.bincount: vectors directly, matrices into a CSR
+pattern cached on the bilinear form.  Entities are scattered in ascending
+order and integrals in form order, so results are bitwise reproducible.
+Dirichlet dofs are found topologically, as the closure of the marked
+facets through the dofmap.
 """
 
 from __future__ import annotations
@@ -19,11 +27,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import fe, forms
-from .compile import (Geometry, PackedInputs, SideGeom, compile_integral,
-                      execute_kernel)
+from .compile import (MeasureGeometry, cell_geometry, compile_integral,
+                      contract_dofs, execute_kernel, push_forward, side_index)
 from .mesh import compose_maps
 
-BC_TOL = 1e-12
 SOLVE_TOL = 1e-10
 
 
@@ -36,35 +43,38 @@ class ConvergenceError(RuntimeError):
 
 
 class _Relations:
-    """Entity correspondence between submeshes through their common root."""
+    """Entity correspondence between submeshes through their common root,
+    and the measure geometries built on those meshes.  Holds the root's id,
+    not the root, so that caching it on the root makes no cycle."""
 
     def __init__(self, root):
-        self.root = root
+        self.root_id = root.id
+        self._root_size = {"cell": root.num_cells, "facet": root.num_facets}
         self._cell_root = {}
         self._facet_root = {}
         self._from_root = {}
+        self.geometry = {}
 
     def check(self, mesh):
-        if mesh.root() is not self.root:
+        if mesh.root().id != self.root_id:
             raise ValueError("unrelated meshes: no common root mesh")
 
     def cell_to_root(self, mesh):
         """('cell'|'facet', table) mapping this mesh's cells into the root."""
         entry = self._cell_root.get(mesh.id)
         if entry is None:
-            if mesh is self.root:
+            if mesh.id == self.root_id:
                 entry = ("cell", np.arange(mesh.num_cells))
             elif mesh.dim == 1:
-                pmap = mesh.parent_map  # cell->facet into the parent
-                table = pmap.table
-                if mesh.parent is not self.root:
+                table = mesh.parent_map.table  # cell->facet into the parent
+                if mesh.parent.id != self.root_id:
                     table = self.facet_to_root(mesh.parent)[table]
                 entry = ("facet", table)
             else:
                 chain = mesh.parent_map
-                if mesh.parent is not self.root:
+                if mesh.parent.id != self.root_id:
                     kind, ptable = self.cell_to_root(mesh.parent)
-                    parent_map = type(chain)(mesh.parent.id, self.root.id,
+                    parent_map = type(chain)(mesh.parent.id, self.root_id,
                                              "cell->cell", ptable)
                     chain = compose_maps(chain, parent_map)
                 entry = ("cell", chain.table)
@@ -74,11 +84,11 @@ class _Relations:
     def facet_to_root(self, mesh):
         table = self._facet_root.get(mesh.id)
         if table is None:
-            if mesh is self.root:
+            if mesh.id == self.root_id:
                 table = np.arange(mesh.num_facets)
             else:
                 table = mesh.facet_to_parent()
-                if mesh.parent is not self.root:
+                if mesh.parent.id != self.root_id:
                     table = self.facet_to_root(mesh.parent)[table]
             self._facet_root[mesh.id] = table
         return table
@@ -92,9 +102,7 @@ class _Relations:
                 kind, table = self.cell_to_root(mesh)
             else:
                 kind, table = "facet", self.facet_to_root(mesh)
-            n_root = (self.root.num_cells if kind == "cell"
-                      else self.root.num_facets)
-            inv = np.full(n_root, -1)
+            inv = np.full(self._root_size[kind], -1)
             inv[table] = np.arange(len(table))
             self._from_root[(mesh.id, role)] = inv
         return inv
@@ -111,151 +119,129 @@ def _relations_for(meshes):
     return cache
 
 
-def _primal_candidates(measure):
-    """Primal entity indices matching the measure type and subdomain id."""
-    mesh = measure.mesh
-    sub = measure.subdomain_id
-    if measure.integral_type == "dx":
-        markers = mesh.cell_markers
-        candidates = range(mesh.num_cells)
-    else:
-        markers = mesh.facet_markers
-        want_exterior = measure.integral_type == "ds"
-        candidates = [f for f in range(mesh.num_facets)
-                      if (len(mesh.facet_cells[f]) == 1) == want_exterior]
-    if sub == forms.EVERYWHERE:
-        return list(candidates)
-    return [e for e in candidates if int(markers[e]) == int(sub)]
-
-
-def _resolve_participant(participant, relations, root_kind, root_entity):
-    """The participant-side entity for a primal entity, or None.
-
-    Returns ('cell', c) or ('facet', f); None excludes the primal entity
-    from the iteration set (the intersection is empty there).
-    """
-    mesh, role = participant.mesh, participant.role
-    if role == "cell":
-        if mesh.dim == 2 and root_kind != "cell":
-            raise ValueError("codim-0 cell participant in a facet measure")
-        c = int(relations.from_root(mesh, "cell")[root_entity])
-        return None if c < 0 else ("cell", c)
-    f = int(relations.from_root(mesh, "facet")[root_entity])
-    if f < 0:
-        return None
-    exterior = len(mesh.facet_cells[f]) == 1
-    if role == "exterior_facet" and not exterior:
-        return None
-    if role == "interior_facet" and exterior:
-        return None
-    return ("facet", f)
-
-
 def _iteration_entities(integral, kernel):
-    """(primal_entity, resolved participant entities) for every entity the
-    intersection measure integrates."""
+    """(E, P) int array of the entities the intersection measure integrates.
+
+    Row k holds the k-th primal entity (ascending) and, for every other
+    participant, its resolved cell (cell role) or facet.  A primal entity
+    stays only if every participant supplies a matching entity of the
+    required exterior/interior kind.
+    """
     measure = integral.measure
-    meshes = [p.mesh for p in kernel.participants]
-    relations = _relations_for(meshes)
+    relations = _relations_for([p.mesh for p in kernel.participants])
     primal = measure.mesh
     if measure.integral_type == "dx":
-        if primal.dim == 2:
-            root_kind = "cell"
-            kind, to_root = relations.cell_to_root(primal)
-        else:
-            root_kind = "facet"
-            kind, to_root = relations.cell_to_root(primal)
+        candidates = np.arange(primal.num_cells)
+        markers = primal.cell_markers
+        root_kind, to_root = relations.cell_to_root(primal)
     else:
-        root_kind = "facet"
-        to_root = relations.facet_to_root(primal)
-    entities = []
-    for e in _primal_candidates(measure):
-        root_entity = to_root[e]
-        resolved = []
-        ok = True
-        for i, participant in enumerate(kernel.participants):
-            if i == 0:
-                kind = "cell" if measure.integral_type == "dx" else "facet"
-                resolved.append((kind, e))
-                continue
-            r = _resolve_participant(participant, relations, root_kind,
-                                     root_entity)
-            if r is None:
-                ok = False
-                break
-            resolved.append(r)
-        if ok:
-            entities.append((e, resolved))
-    return entities
+        want_exterior = measure.integral_type == "ds"
+        candidates = np.flatnonzero(primal.facet_exterior == want_exterior)
+        markers = primal.facet_markers
+        root_kind, to_root = "facet", relations.facet_to_root(primal)
+    if measure.subdomain_id != forms.EVERYWHERE:
+        candidates = candidates[markers[candidates]
+                                == int(measure.subdomain_id)]
+    root = to_root[candidates]
+    columns = [candidates]
+    keep = np.ones(len(candidates), dtype=bool)
+    for participant in kernel.participants[1:]:
+        mesh, role = participant.mesh, participant.role
+        if role == "cell" and mesh.dim == 2 and root_kind != "cell":
+            raise ValueError("codim-0 cell participant in a facet measure")
+        found = relations.from_root(mesh, "cell" if role == "cell"
+                                    else "facet")[root]
+        keep &= found >= 0
+        if role != "cell":
+            exterior = mesh.facet_exterior[np.maximum(found, 0)]
+            keep &= exterior == (role == "exterior_facet")
+        columns.append(found)
+    return np.stack(columns, axis=1)[keep]
+
+
+# ---------------------------------------------------------------------------
+# assembly plans
+
+
+@dataclass
+class _IntegralPlan:
+    """What every assembly of one integral reuses: its kernel, the measure
+    geometry, and (E, ndofs) global dof indices of the test (rows) and
+    trial (cols) blocks and of each coefficient slot."""
+
+    kernel: object
+    geometry: MeasureGeometry
+    rows: np.ndarray
+    cols: np.ndarray
+    coeff_dofs: list
+
+
+def _measure_geometry(integral, kernel):
+    """The measure's geometry, built once per measure and rule and shared
+    by every integral on them.  Rules of one cell type and point count
+    are identical."""
+    relations = _relations_for([p.mesh for p in kernel.participants])
+    rule = kernel.quadrature
+    key = (integral.measure.key(), rule.cell, len(rule))
+    geometry = relations.geometry.get(key)
+    if geometry is None:
+        for mesh in (p.mesh for p in kernel.participants):
+            # what the cached plans depend on may no longer change
+            for array in (mesh.vertices, mesh.cell_markers,
+                          mesh.facet_markers):
+                array.setflags(write=False)
+        entities = _iteration_entities(integral, kernel)
+        geometry = relations.geometry[key] = MeasureGeometry(
+            kernel.participants, kernel.primal_kind, rule, entities)
+    return geometry
+
+
+def _plan_for(integral):
+    plan = getattr(integral, "_plan", None)
+    if plan is not None:
+        return plan
+    kernel = compile_integral(integral)
+    geometry = _measure_geometry(integral, kernel)
+
+    def dofs(space, component, pidx, side):
+        cells = geometry.side(pidx, side_index(side)).cells
+        return space.offsets[component] + space.dofmaps[component][cells]
+
+    def arg_dofs(number):
+        blocks = kernel.arg_blocks.get(number)
+        if not blocks:
+            return None
+        return np.concatenate([dofs(b.space, b.component, b.participant,
+                                    b.side) for b in blocks], axis=1)
+
+    coeff_dofs = [dofs(coeff.space, component, pidx, side)
+                  for coeff, component, pidx, side in kernel.coeff_slots]
+    plan = integral._plan = _IntegralPlan(kernel, geometry, arg_dofs(0),
+                                          arg_dofs(1), coeff_dofs)
+    return plan
 
 
 def iteration_set(integral):
     """Primal entity indices the assembler integrates for this integral."""
-    kernel = _kernel_for(integral)
-    return [e for e, _ in _iteration_entities(integral, kernel)]
+    return _plan_for(integral).geometry.entities[:, 0].tolist()
 
 
-def _kernel_for(integral):
-    kernel = getattr(integral, "_kernel", None)
-    if kernel is None:
-        kernel = compile_integral(integral)
-        integral._kernel = kernel
-    return kernel
-
-
-# ---------------------------------------------------------------------------
-# packing and scatter
-
-
-def _facet_sides(mesh, f):
-    """Incident (cell, local_facet) pairs; '+' is the smaller cell index."""
-    return sorted(mesh.facet_cells[f])
-
-
-def _side_geoms(participant, entity):
-    mesh = participant.mesh
-    kind, idx = entity
-    if participant.role == "cell":
-        return [SideGeom(cell_type=mesh.cell_types[idx],
-                         cell_vertices=mesh.cell_coords(idx))]
-    endpoints = mesh.facet_coords(idx)
-    sides = []
-    for cell, _ in _facet_sides(mesh, idx):
-        sides.append(SideGeom(cell_type=mesh.cell_types[cell],
-                              cell_vertices=mesh.cell_coords(cell),
-                              facet_endpoints=endpoints))
-    return sides
-
-
-def _side_cells(participant, entity):
-    mesh = participant.mesh
-    kind, idx = entity
-    if participant.role == "cell":
-        return [idx]
-    return [cell for cell, _ in _facet_sides(mesh, idx)]
-
-
-def _pack(kernel, resolved):
-    sides = [_side_geoms(p, entity)
-             for p, entity in zip(kernel.participants, resolved)]
-    cells = [_side_cells(p, entity)
-             for p, entity in zip(kernel.participants, resolved)]
-    g = Geometry(primal=sides[0][0], participants=sides)
-    w = []
-    for coeff, component, pidx, side in kernel.coeff_slots:
-        cell = cells[pidx][1 if side == "-" else 0]
-        w.append(coeff.values[coeff.space.component_dofs(component, cell)])
-    t = np.zeros(kernel.output_shape())
-    return PackedInputs(t=t, w=w, g=g), cells
-
-
-def _block_dofs(space, blocks, cells):
-    out = np.empty(sum(b.ndofs for b in blocks), dtype=int)
-    for b in blocks:
-        cell = cells[b.participant][1 if b.side == "-" else 0]
-        out[b.offset:b.offset + b.ndofs] = space.component_dofs(b.component,
-                                                                cell)
-    return out
+def _pattern(form, plans, shape):
+    """(slot, indices, indptr): the CSR structure of a bilinear form and,
+    per element-tensor entry in assembly order, the index of its slot."""
+    pattern = getattr(form, "_pattern", None)
+    if pattern is None:
+        n, m = shape
+        keys = np.concatenate(
+            [(p.rows[:, :, None] * m + p.cols[:, None, :]).ravel()
+             for p in plans] or [np.empty(0, dtype=int)])
+        unique, slot = np.unique(keys, return_inverse=True)
+        index = np.int32 if max(n, m, len(unique)) < 2 ** 31 else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(unique // m, minlength=n), out=indptr[1:])
+        pattern = form._pattern = (slot.ravel().astype(index),
+                                   (unique % m).astype(index), indptr)
+    return pattern
 
 
 def assemble(form, bcs=()):
@@ -270,56 +256,38 @@ def assemble(form, bcs=()):
         raise ValueError(f"invalid form: {diagnostics[0]}")
     arity = form.arity()
     args = form.arguments()
-    if arity >= 1:
-        test_space = args[0].space
-    if arity == 2:
-        trial_space = args[1].space
-
-    total = 0.0
-    vector = np.zeros(test_space.num_dofs) if arity == 1 else None
-    rows_acc, cols_acc, vals_acc = [], [], []
-
+    plans, tensors = [], []
     for integral in form.integrals:
-        kernel = _kernel_for(integral)
-        if kernel.arity != arity:
+        plan = _plan_for(integral)
+        if plan.kernel.arity != arity:
             raise ValueError("every integral must use the form's arguments")
-        entities = _iteration_entities(integral, kernel)
-        if (not entities
+        if (not len(plan.geometry)
                 and integral.measure.subdomain_id != forms.EVERYWHERE):
             warnings.warn(f"measure {integral.measure!r} matched no entities; "
                           f"contribution is zero", stacklevel=2)
-        for _, resolved in entities:
-            inputs, cells = _pack(kernel, resolved)
-            execute_kernel(kernel, inputs)
-            if arity == 0:
-                total += float(inputs.t)
-                continue
-            rows = _block_dofs(test_space, kernel.arg_blocks[0], cells)
-            if arity == 1:
-                np.add.at(vector, rows, inputs.t)
-            else:
-                cols = _block_dofs(trial_space, kernel.arg_blocks[1], cells)
-                rows_acc.append(np.repeat(rows, len(cols)))
-                cols_acc.append(np.tile(cols, len(rows)))
-                vals_acc.append(inputs.t.ravel())
+        w = [coeff.values[dofs] for (coeff, *_), dofs
+             in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
+        plans.append(plan)
+        tensors.append(execute_kernel(plan.kernel, plan.geometry, w))
 
     if arity == 0:
-        return total
+        return float(sum(t.sum() for t in tensors))
+    values = np.concatenate([t.ravel() for t in tensors])
+    test_space = args[0].space
     if arity == 1:
+        rows = np.concatenate([p.rows.ravel() for p in plans])
+        vector = np.bincount(rows, weights=values,
+                             minlength=test_space.num_dofs)
         if bcs:
-            dofs, values = dirichlet_dofs(test_space, bcs)
-            vector[dofs] = values
+            dofs, bc_values = dirichlet_dofs(test_space, bcs)
+            vector[dofs] = bc_values
         return vector
-    n, m = test_space.num_dofs, trial_space.num_dofs
-    if rows_acc:
-        rows = np.concatenate(rows_acc)
-        cols = np.concatenate(cols_acc)
-        vals = np.concatenate(vals_acc)
-    else:
-        rows = cols = np.empty(0, dtype=int)
-        vals = np.empty(0)
-    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
-    A.sum_duplicates()
+    shape = (test_space.num_dofs, args[1].space.num_dofs)
+    slot, indices, indptr = _pattern(form, plans, shape)
+    data = np.bincount(slot, weights=values, minlength=len(indices))
+    A = scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                                shape=shape)
+    A.has_canonical_format = True
     if bcs:
         dofs, _ = dirichlet_dofs(test_space, bcs)
         A = _constrain_matrix(A, dofs)
@@ -327,13 +295,15 @@ def assemble(form, bcs=()):
 
 
 def _constrain_matrix(A, dofs):
-    n = A.shape[0]
-    mask = np.ones(n)
-    mask[dofs] = 0.0
-    D = scipy.sparse.diags(mask)
-    A = (D @ A @ D).tocsr()
-    A = A + scipy.sparse.diags(1.0 - mask)
-    return A.tocsr()
+    """Zero the rows and columns of dofs, drop the zeros, set a unit
+    diagonal there."""
+    free = np.ones(A.shape[0], dtype=bool)
+    free[dofs] = False
+    A = A.tocsr(copy=True)
+    row_free = np.repeat(free, np.diff(A.indptr))
+    A.data[~(row_free & free[A.indices])] = 0.0
+    A.eliminate_zeros()
+    return (A + scipy.sparse.diags((~free).astype(float))).tocsr()
 
 
 def assemble_system(a_form, L_form, bcs=()):
@@ -371,10 +341,12 @@ class DirichletBC:
 def dirichlet_dofs(space, bcs):
     """(dof indices, boundary values) for a set of DirichletBCs.
 
-    Dofs are identified geometrically: a dof is constrained when its node
-    lies on a marked facet of its component's mesh (distance below 1e-12).
+    Dofs are found topologically: the closure of the marked facets of the
+    component's mesh through its dofmap, i.e. the vertex and edge nodes of
+    each marked facet in one of its cells.  Where conditions overlap, the
+    later one sets the value.
     """
-    fixed = {}
+    found, given = [], []
     for bc in bcs:
         if not 0 <= bc.component < space.num_components:
             raise ValueError(f"Dirichlet component {bc.component} out of range "
@@ -383,27 +355,26 @@ def dirichlet_dofs(space, bcs):
         if mesh.dim != 2:
             raise ValueError(f"Dirichlet component {bc.component} lives on a "
                              f"codim-1 mesh, which has no boundary facets")
-        facets = np.nonzero(mesh.facet_markers == bc.marker)[0]
+        facets = np.flatnonzero(mesh.facet_markers == bc.marker)
         if len(facets) == 0:
             raise ValueError(f"no entities matched marker {bc.marker!r}")
-        sl = space.component_slice(bc.component)
-        coords = space.dof_coords[sl]
-        hit = np.zeros(len(coords), dtype=bool)
-        for f in facets:
-            p0, p1 = mesh.facet_coords(f)
-            d = p1 - p0
-            t = np.clip((coords - p0) @ d / np.dot(d, d), 0.0, 1.0)
-            proj = p0 + t[:, None] * d
-            hit |= np.linalg.norm(coords - proj, axis=1) <= BC_TOL
-        idx = np.nonzero(hit)[0]
-        xs, ys = coords[idx, 0], coords[idx, 1]
+        element = space.element[bc.component]
+        closure = np.array([element.facet_closure(lf) for lf
+                            in range(len(element.cell.local_facets))])
+        dofs = np.unique(space.dofmaps[bc.component][
+            mesh.facet_sides[facets, :1], closure[mesh.facet_local[facets, 0]]])
+        dofs += space.offsets[bc.component]
+        xs, ys = space.dof_coords[dofs, 0], space.dof_coords[dofs, 1]
         raw = bc.value(xs, ys) if callable(bc.value) else bc.value
-        vals = np.broadcast_to(np.asarray(raw, dtype=float), xs.shape)
-        for dof, val in zip(idx + sl.start, vals):
-            fixed[int(dof)] = float(val)
-    dofs = np.array(sorted(fixed), dtype=int)
-    values = np.array([fixed[d] for d in dofs])
-    return dofs, values
+        found.append(dofs)
+        given.append(np.broadcast_to(np.asarray(raw, dtype=float), xs.shape))
+    if not found:
+        return np.empty(0, dtype=int), np.empty(0)
+    # the last occurrence of each dof wins
+    dofs = np.concatenate(found)[::-1]
+    values = np.concatenate(given)[::-1]
+    dofs, last = np.unique(dofs, return_index=True)
+    return dofs, values[last]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +496,9 @@ def error_norms(u, component, exact, exact_grad=None):
     """(L2, H1) errors of a component against a closed-form solution.
 
     The H1 norm includes the L2 part.  exact_grad returns the gradient pair;
-    when omitted it is approximated by central differences of exact.
+    when omitted it is approximated by central differences of exact.  Both
+    are called once, on (cells, points) arrays of coordinates; scalar
+    results broadcast.
     """
     space = u.space
     mesh = space.meshes[component]
@@ -540,26 +513,17 @@ def error_norms(u, component, exact, exact_grad=None):
             return ((exact(x + eps, y) - exact(x - eps, y)) / (2 * eps),
                     (exact(x, y + eps) - exact(x, y - eps)) / (2 * eps))
 
-    l2_sq = 0.0
-    semi_sq = 0.0
-    for c in range(mesh.num_cells):
-        verts = mesh.cell_coords(c)
-        X = fe.geometry_map(mesh.cell_type, verts, rule.points)
-        J = fe.geometry_jacobian(mesh.cell_type, verts, rule.points)
-        det = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
-        inv_det = J.copy()
-        inv_det[:, 0, 0], inv_det[:, 1, 1] = J[:, 1, 1], J[:, 0, 0]
-        inv_det[:, 0, 1], inv_det[:, 1, 0] = -J[:, 0, 1], -J[:, 1, 0]
-        jinv = inv_det / (J[:, 0, 0] * J[:, 1, 1]
-                          - J[:, 0, 1] * J[:, 1, 0])[:, None, None]
-        dofs = u.values[space.component_dofs(component, c)]
-        uh = vals @ dofs
-        gh = np.einsum("qnr,qri,n->qi", grads, jinv, dofs)
-        ue = exact(X[:, 0], X[:, 1])
-        gx, gy = exact_grad(X[:, 0], X[:, 1])
-        wq = rule.weights * det
-        l2_sq += wq @ (uh - ue) ** 2
-        semi_sq += wq @ ((gh[:, 0] - gx) ** 2 + (gh[:, 1] - gy) ** 2)
+    X, wq, jinv = cell_geometry(mesh.cell_type,
+                                mesh.coords_of_cells(slice(None)), rule)
+    dofs = u.values[space.offsets[component] + space.dofmaps[component]]
+    uh = contract_dofs(vals[None], dofs)
+    gh = push_forward(contract_dofs(grads[None], dofs), jinv)
+    x, y = X[..., 0], X[..., 1]
+    ue = np.broadcast_to(np.asarray(exact(x, y), dtype=float), x.shape)
+    gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), x.shape)
+              for g in exact_grad(x, y))
+    l2_sq = np.sum(wq * (uh - ue) ** 2)
+    semi_sq = np.sum(wq * ((gh[..., 0] - gx) ** 2 + (gh[..., 1] - gy) ** 2))
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + semi_sq))
 
 

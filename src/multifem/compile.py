@@ -1,17 +1,21 @@
-"""Lowering of integrals to element-local interpreted kernels.
+"""Lowering of integrals to interpreted kernels over all entities at once.
 
-A kernel evaluates one integral on one iteration entity (a cell or facet of
-the measure's primal mesh).  The integrand is linearized into a small tape of
-numpy operations over quadrature points; argument-dependent values carry a
-test and/or trial dof axis so the tape produces the whole element tensor in
-one pass.  Quadrature lives on the primal entity; every participating mesh
-gets reference points by pulling the physical quadrature points back through
-its own cell geometry, which is what aligns integration across meshes.
+A kernel evaluates one integral on every iteration entity (cell or facet of
+the measure's primal mesh) of its measure.  The integrand is linearized into
+a small tape of numpy operations whose registers carry a leading entity
+axis, a quadrature-point axis and, for argument-dependent values, a test
+and/or trial dof axis, so one pass of the tape produces the element tensors
+of a block of entities.  Quadrature lives on the primal entities; every
+participating mesh gets reference points by pulling the physical quadrature
+points back through its own cell geometry, which is what aligns integration
+across meshes.  MeasureGeometry holds that geometry for all entities of a
+measure and is shared by every integral on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +25,9 @@ from .mesh import CellType
 GEOMETRY_TOL = 1e-10
 _NEWTON_TOL = 1e-13
 _NEWTON_MAXIT = 25
+# Register values per entity block: bounds the kernel's temporaries to a
+# few MB whatever the mesh size.
+_BLOCK_VALUES = 1 << 16
 
 
 class CompileError(ValueError):
@@ -38,37 +45,13 @@ class Participant:
 
 @dataclass(frozen=True)
 class ArgBlock:
+    space: object
     component: int
     participant: int
     side: object  # None, '+', or '-'
     offset: int
     ndofs: int
     element: object
-
-
-@dataclass
-class SideGeom:
-    """Geometry of one participating cell at the current entity."""
-
-    cell_type: object = None
-    cell_vertices: np.ndarray = None
-    facet_endpoints: np.ndarray = None
-
-
-@dataclass
-class Geometry:
-    primal: SideGeom
-    participants: list
-
-
-@dataclass
-class PackedInputs:
-    """Everything a kernel execution reads: output tensor t, coefficient dof
-    values w (one array per kernel slot), and per-participant geometry g."""
-
-    t: np.ndarray
-    w: list
-    g: Geometry
 
 
 @dataclass
@@ -82,8 +65,6 @@ class LocalKernel:
     out_reg: int
     coeff_slots: list  # (coefficient, component, participant, side)
     arg_blocks: dict  # argument number -> list of ArgBlock
-    table_needs: list  # (participant, side_idx, element, need_grad)
-    fixed_tables: dict  # element -> (values, reference gradients) at rule points
 
     @property
     def test_size(self):
@@ -95,6 +76,15 @@ class LocalKernel:
         blocks = self.arg_blocks.get(1, [])
         return sum(b.ndofs for b in blocks)
 
+    @property
+    def block_size(self):
+        """Entities per tape pass, so that no register exceeds
+        _BLOCK_VALUES values."""
+        widest = max(int(np.prod(v, dtype=int)) for v in self.reg_vshapes)
+        footprint = (len(self.quadrature) * max(self.test_size, 1)
+                     * max(self.trial_size, 1) * widest)
+        return max(1, _BLOCK_VALUES // footprint)
+
     def output_shape(self):
         if self.arity == 2:
             return (self.test_size, self.trial_size)
@@ -103,7 +93,8 @@ class LocalKernel:
         return ()
 
 
-def _side_index(side):
+def side_index(side):
+    """Column of a restriction in a facet's (+, -) incident cells."""
     return 1 if side == "-" else 0
 
 
@@ -134,29 +125,28 @@ class _Builder:
         self.argdeps = []
         self.coeff_slots = []
         self._slot_index = {}
-        self.table_needs = {}
         self.arg_blocks = self._layout_arguments(integral.integrand)
 
     def _layout_arguments(self, integrand):
+        # An explicit stack: a recursive closure would be a reference cycle
+        # keeping the arguments' spaces and meshes (and the plans cached on
+        # them) alive until the next full garbage collection.
         used = {}
-
-        def scan(node):
+        stack = [integrand]
+        while stack:
+            node = stack.pop()
             if isinstance(node, forms.Indexed):
                 if isinstance(node.function, forms.Argument):
                     used.setdefault(node.function.number,
                                     (node.function, set()))[1].add(
                                         node.component)
-                return
-            if isinstance(node, forms.Argument):
+            elif isinstance(node, forms.Argument):
                 if node.space.num_components != 1:
                     raise CompileError("split() product-space arguments "
                                        "before integration")
                 used.setdefault(node.number, (node, set()))[1].add(0)
-                return
-            for child in node.operands:
-                scan(child)
-
-        scan(integrand)
+            else:
+                stack.extend(node.operands)
         blocks = {}
         for number, (arg, comps) in sorted(used.items()):
             layout = []
@@ -171,8 +161,9 @@ class _Builder:
                 sides = ("+", "-") if (self.participants[pidx].role
                                        == "interior_facet") else (None,)
                 for side in sides:
-                    layout.append(ArgBlock(comp, pidx, side, offset,
-                                           element.num_dofs, element))
+                    layout.append(ArgBlock(arg.space, comp, pidx, side,
+                                           offset, element.num_dofs,
+                                           element))
                     offset += element.num_dofs
             blocks[number] = layout
         return blocks
@@ -191,10 +182,6 @@ class _Builder:
                                f"measure")
         return pidx
 
-    def _need_table(self, pidx, side, element, need_grad):
-        key = (pidx, _side_index(side), element)
-        self.table_needs[key] = self.table_needs.get(key, False) or need_grad
-
     def _check_side(self, pidx, side, what):
         role = self.participants[pidx].role
         if role == "interior_facet" and side is None:
@@ -211,7 +198,7 @@ class _Builder:
         return len(self.tape) - 1
 
     def _coeff_slot(self, coeff, component, pidx, side):
-        key = (coeff.count, component, _side_index(side))
+        key = (coeff.count, component, side_index(side))
         slot = self._slot_index.get(key)
         if slot is None:
             slot = len(self.coeff_slots)
@@ -241,11 +228,10 @@ class _Builder:
         self._check_side(pidx, side, repr(func))
         if op != "val" and mesh.dim != 2:
             raise CompileError("gradients on codim-1 meshes are not supported")
-        self._need_table(pidx, side, element, op == "grad")
         vshape = element.value_shape
         if op == "grad":
             vshape = vshape + (2,)
-        sidx = _side_index(side)
+        sidx = side_index(side)
         if isinstance(func, forms.Argument):
             block = self._find_block(func.number, component, side)
             deps = frozenset([func.number])
@@ -270,7 +256,7 @@ class _Builder:
                 raise CompileError("FacetNormal of a mesh participating "
                                    "through cells")
             self._check_side(pidx, side, "FacetNormal")
-            return self._push(("normal", pidx, _side_index(side)), (2,),
+            return self._push(("normal", pidx, side_index(side)), (2,),
                               frozenset())
         if isinstance(expr, (forms.Indexed, forms._Function)):
             func, component, side = self._resolve_function(expr, side)
@@ -326,22 +312,11 @@ def compile_integral(integral):
     if 1 in builder.arg_blocks and 0 not in builder.arg_blocks:
         raise CompileError("integral has a trial function but no test function")
 
-    # Tables at the reference rule points serve every participant whose cell
-    # geometry coincides with the primal cell (always true for the primal
-    # itself on cell integrals).
-    fixed_tables = {}
-    if primal_kind in ("cell2d", "cell1d"):
-        for (_, _, element) in builder.table_needs:
-            if element not in fixed_tables and element.cell is rule.cell:
-                fixed_tables[element] = element.tabulate(rule.points)
-
-    table_needs = [(p, s, e, g) for (p, s, e), g in builder.table_needs.items()]
     return LocalKernel(arity=arity, participants=participants,
                        primal_kind=primal_kind, quadrature=rule,
                        tape=builder.tape, reg_vshapes=builder.vshapes,
                        out_reg=out_reg, coeff_slots=builder.coeff_slots,
-                       arg_blocks=builder.arg_blocks, table_needs=table_needs,
-                       fixed_tables=fixed_tables)
+                       arg_blocks=builder.arg_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -349,53 +324,61 @@ def compile_integral(integral):
 
 
 def _inv_2x2(J):
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    """Inverses and determinants of (..., 2, 2) matrices."""
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     if np.any(np.abs(det) < 1e-300):
         raise ValueError("non-conforming or degenerate geometry")
     inv = np.empty_like(J)
-    inv[:, 0, 0] = J[:, 1, 1]
-    inv[:, 0, 1] = -J[:, 0, 1]
-    inv[:, 1, 0] = -J[:, 1, 0]
-    inv[:, 1, 1] = J[:, 0, 0]
-    return inv / det[:, None, None], det
+    inv[..., 0, 0] = J[..., 1, 1]
+    inv[..., 0, 1] = -J[..., 0, 1]
+    inv[..., 1, 0] = -J[..., 1, 0]
+    inv[..., 1, 1] = J[..., 0, 0]
+    return inv / det[..., None, None], det
 
 
 def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     """Reference coordinates of physical points inside a participant cell.
 
-    Affine cells are inverted in closed form; bilinear quadrilaterals with
-    Newton iteration.  Raises if the points do not lie in the cell (up to
-    1e-10), which catches non-conforming inputs.
+    phys_points (npts, 2) and cell_vertices (nverts, 2) describe one cell;
+    with a leading entity axis, (E, npts, 2) and (E, nverts, 2), E cells at
+    once, returning (E, npts, dim).  Affine cells are inverted in closed
+    form; bilinear quadrilaterals with Newton iteration, vectorized over all
+    points.  Raises if any point does not lie in its cell (up to 1e-10),
+    which catches non-conforming inputs.
     """
     cell_type = CellType(cell_type)
     phys = np.atleast_2d(np.asarray(phys_points, dtype=float))
     verts = np.asarray(cell_vertices, dtype=float)
-    if cell_type is CellType.INTERVAL:
-        d = verts[1] - verts[0]
-        t = (phys - verts[0]) @ d / np.dot(d, d)
-        ref = t.reshape(-1, 1)
-    elif cell_type is CellType.TRIANGLE:
-        J = np.stack([verts[1] - verts[0], verts[2] - verts[0]], axis=1)
-        ref = np.linalg.solve(J, (phys - verts[0]).T).T
-    else:
-        ref = np.full((len(phys), 2), 0.5)
+    if cell_type is CellType.QUADRILATERAL:
+        ref = np.full(phys.shape, 0.5)
         for _ in range(_NEWTON_MAXIT):
             residual = fe.geometry_map(cell_type, verts, ref) - phys
-            if np.max(np.abs(residual)) < _NEWTON_TOL:
+            if not residual.size or np.max(np.abs(residual)) < _NEWTON_TOL:
                 break
-            J = fe.geometry_jacobian(cell_type, verts, ref)
-            Jinv, _ = _inv_2x2(J)
-            ref = ref - np.einsum("pij,pj->pi", Jinv, residual)
+            Jinv, _ = _inv_2x2(fe.geometry_jacobian(cell_type, verts, ref))
+            ref = ref - (Jinv @ residual[..., None])[..., 0]
         else:
             raise CompileError("non-conforming or degenerate geometry: point "
                                "pullback did not converge")
+    else:
+        # affine: the Jacobian is constant; take it at the reference origin
+        J = fe.geometry_jacobian(cell_type, verts, np.zeros(
+            (1, cell_type.dim)))[..., 0, :, :]
+        if cell_type is CellType.INTERVAL:  # least squares along the segment
+            Jinv = np.swapaxes(J, -1, -2) / np.sum(J * J, axis=(-2, -1),
+                                                   keepdims=True)
+        else:
+            Jinv, _ = _inv_2x2(J)
+        ref = (phys - verts[..., :1, :]) @ np.swapaxes(Jinv, -1, -2)
+    if not phys.size:
+        return ref
     check = fe.geometry_map(cell_type, verts, ref)
     if np.max(np.abs(check - phys)) > GEOMETRY_TOL:
         raise CompileError("non-conforming or degenerate geometry: point "
                            "pullback did not converge")
     if cell_type is CellType.TRIANGLE:
         inside = (ref.min() >= -GEOMETRY_TOL
-                  and ref.sum(axis=1).max() <= 1.0 + GEOMETRY_TOL)
+                  and ref.sum(axis=-1).max() <= 1.0 + GEOMETRY_TOL)
     else:
         inside = ref.min() >= -GEOMETRY_TOL and ref.max() <= 1.0 + GEOMETRY_TOL
     if not inside:
@@ -404,168 +387,226 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     return ref
 
 
-def _outward_normal(side_geom):
-    p0, p1 = side_geom.facet_endpoints
-    tang = p1 - p0
-    n = np.array([tang[1], -tang[0]])
-    n /= np.linalg.norm(n)
-    centroid = side_geom.cell_vertices.mean(axis=0)
-    if np.dot(n, 0.5 * (p0 + p1) - centroid) < 0:
-        n = -n
-    return n
+def cell_geometry(cell_type, vertices, rule):
+    """Batched geometry of 2D cells (E, nverts, 2) at a reference rule:
+    physical points (E, nq, 2), |det J| times the weights (E, nq), and
+    J^-1 (E, nq, 2, 2)."""
+    X = fe.geometry_map(cell_type, vertices, rule.points)
+    jinv, det = _inv_2x2(fe.geometry_jacobian(cell_type, vertices,
+                                              rule.points))
+    return X, np.abs(det) * rule.weights, jinv
 
 
-class _SideContext:
-    """Reference points, tables, and Jacobian data for one participant side."""
+class _Side:
+    """One participant side over all entities of a measure: its cells and,
+    computed on first use, reference points, basis tables, inverse
+    Jacobians and outward facet normals.  Arrays carry a leading entity
+    axis of length E, or 1 where they are the same for every entity."""
 
-    def __init__(self, ref_points, identity):
-        self.ref_points = ref_points
-        self.identity = identity
-        self.tables = {}
-        self.jinv = None
+    def __init__(self, mesh, cells, facets, X, rule, primal_vertices):
+        self.cells = cells
+        self.cell_type = mesh.cell_type
+        self.vertices = mesh.coords_of_cells(cells)
+        self.facet_ends = (None if facets is None
+                           else mesh.coords_of_facets(facets))
+        self._X = X
+        self._rule = rule
+        # a cell participant on the primal cells themselves maps the
+        # reference rule points to X without a pullback
+        self._identity = (facets is None and primal_vertices is not None
+                          and np.array_equal(self.vertices, primal_vertices))
+        self._tables = {}
+
+    @cached_property
+    def ref(self):
+        if self._identity:
+            return self._rule.points[None]
+        return align_interface_quadrature(self._X, self.cell_type,
+                                          self.vertices)
+
+    def tables(self, element):
+        """Basis values and reference gradients, (E|1, nq, ndofs, ...)."""
+        tab = self._tables.get(element)
+        if tab is None:
+            lead = self.ref.shape[:2]
+            tab = self._tables[element] = tuple(
+                t.reshape(lead + t.shape[1:]) for t in element.tabulate(
+                    self.ref.reshape(-1, self.ref.shape[-1])))
+        return tab
+
+    @cached_property
+    def jinv(self):
+        return _inv_2x2(fe.geometry_jacobian(self.cell_type, self.vertices,
+                                             self.ref))[0]
+
+    @cached_property
+    def normal(self):
+        """Unit normals (E, 2) of the facets, outward from this side."""
+        p0, p1 = self.facet_ends[:, 0], self.facet_ends[:, 1]
+        n = np.stack([p1[:, 1] - p0[:, 1], p0[:, 0] - p1[:, 0]], axis=1)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        inward = np.sum(n * (0.5 * (p0 + p1) - self.vertices.mean(axis=1)),
+                        axis=1) < 0
+        n[inward] *= -1.0
+        return n
 
 
-def execute_kernel(kernel, inputs):
-    """Run a kernel on packed inputs; fills and returns inputs.t.
+class MeasureGeometry:
+    """Quadrature geometry of one measure over all its iteration entities.
 
-    Pure: the result depends only on the kernel and the packed inputs, and is
-    bitwise reproducible for identical inputs.
+    entities is (E, P): row k holds the k-th primal entity and, per
+    participant, its resolved cell (cell role) or facet.  The physical
+    points X (E, nq, 2) and scaled weights wq (E, nq) live on the primal
+    entities; side(p, s) is participant p's side s (0 is '+' or the only
+    side, 1 is '-').  Holds arrays only, no meshes.
     """
-    g = inputs.g
-    rule = kernel.quadrature
-    nq = len(rule)
 
-    if kernel.primal_kind == "cell2d":
-        ctype = g.primal.cell_type
-        verts = g.primal.cell_vertices
-        X = fe.geometry_map(ctype, verts, rule.points)
-        J = fe.geometry_jacobian(ctype, verts, rule.points)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        scale = np.abs(det)
-    else:
-        if kernel.primal_kind == "cell1d":
-            p0, p1 = g.primal.cell_vertices
+    def __init__(self, participants, primal_kind, rule, entities):
+        self.entities = entities
+        primal = participants[0].mesh
+        first = entities[:, 0]
+        primal_vertices = None
+        if primal_kind == "cell2d":
+            primal_vertices = primal.coords_of_cells(first)
+            self.X, self.wq, _ = cell_geometry(primal.cell_type,
+                                               primal_vertices, rule)
         else:
-            p0, p1 = g.primal.facet_endpoints
-        t = rule.points[:, 0]
-        X = p0 + t[:, None] * (p1 - p0)
-        scale = np.linalg.norm(p1 - p0)
-    wq = rule.weights * scale
-
-    # reference points, basis tables, and Jacobians per participant side
-    contexts = {}
-    for pidx, sidx, element, need_grad in kernel.table_needs:
-        ckey = (pidx, sidx)
-        ctx = contexts.get(ckey)
-        if ctx is None:
-            sg = g.participants[pidx][sidx]
-            identity = (kernel.primal_kind in ("cell2d", "cell1d")
-                        and sg.cell_type is g.primal.cell_type
-                        and np.array_equal(sg.cell_vertices,
-                                           g.primal.cell_vertices))
-            if identity:
-                ref = rule.points
+            if primal_kind == "cell1d":
+                primal_vertices = ends = primal.coords_of_cells(first)
             else:
-                ref = align_interface_quadrature(X, sg.cell_type,
-                                                 sg.cell_vertices)
-            ctx = contexts[ckey] = _SideContext(ref, identity)
-        if element not in ctx.tables:
-            if ctx.identity and element in kernel.fixed_tables:
-                ctx.tables[element] = kernel.fixed_tables[element]
-            else:
-                ctx.tables[element] = element.tabulate(ctx.ref_points)
-        if need_grad and ctx.jinv is None:
-            sg = g.participants[pidx][sidx]
-            Jp = fe.geometry_jacobian(sg.cell_type, sg.cell_vertices,
-                                      ctx.ref_points)
-            ctx.jinv, _ = _inv_2x2(Jp)
+                ends = primal.coords_of_facets(first)
+            self.X = fe.geometry_map(CellType.INTERVAL, ends, rule.points)
+            length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+            self.wq = length[:, None] * rule.weights
+        self._sides = {}
+        for pidx, p in enumerate(participants):
+            ids = entities[:, pidx]
+            facets = None if p.role == "cell" else ids
+            for sidx in range(2 if p.role == "interior_facet" else 1):
+                cells = ids if facets is None else p.mesh.facet_sides[ids, sidx]
+                self._sides[(pidx, sidx)] = _Side(p.mesh, cells, facets,
+                                                  self.X, rule, primal_vertices)
 
-    test_size = kernel.test_size
-    trial_size = kernel.trial_size
-    normals = {}
+    def __len__(self):
+        return len(self.entities)
 
-    def arg_axes(number):
-        return (test_size, 1) if number == 0 else (1, trial_size)
+    def side(self, pidx, sidx):
+        return self._sides[(pidx, sidx)]
 
+
+# ---------------------------------------------------------------------------
+# kernel execution
+
+
+def _block(a, lo, hi):
+    """Rows lo:hi of an entity-leading array; entity-independent arrays
+    (leading axis 1) pass through."""
+    return a if len(a) == 1 else a[lo:hi]
+
+
+def contract_dofs(table, w):
+    """sum_n table[e, q, n, ...] w[e, n] for tables (E|1, nq, ndofs, ...)
+    and dof values w (E, ndofs); a shared table contracts as one BLAS
+    product."""
+    if len(table) == 1:
+        return np.tensordot(w, table[0], axes=(1, 1))
+    return np.einsum("bqn...,bn->bq...", table, w)
+
+
+def push_forward(grads, jinv):
+    """Physical gradients from reference gradients (E|1, nq, ..., 2) and
+    inverse Jacobians (E, nq, 2, 2).  Products and the sum are separate
+    ufuncs, never fused multiply-adds, so every entity's result is bitwise
+    the one of a per-cell evaluation."""
+    j = jinv.reshape(jinv.shape[:2] + (1,) * (grads.ndim - 3) + (2, 2))
+    return grads[..., 0:1] * j[..., 0, :] + grads[..., 1:2] * j[..., 1, :]
+
+
+def _align_ndim(a, b):
+    """Pad the trailing value axes of the operand with fewer of them."""
+    n = max(a.ndim, b.ndim)
+    return (a.reshape(a.shape + (1,) * (n - a.ndim)),
+            b.reshape(b.shape + (1,) * (n - b.ndim)))
+
+
+def _run_tape(kernel, geometry, w, lo, hi):
+    """Element tensors (B, test|1, trial|1) of entities lo:hi."""
+    nq = len(kernel.quadrature)
+    test = kernel.test_size if kernel.arity >= 1 else 1
+    trial = kernel.trial_size if kernel.arity == 2 else 1
     regs = []
     for instr, vshape in zip(kernel.tape, kernel.reg_vshapes):
         op = instr[0]
         if op == "const":
-            val = np.empty((1, 1, 1))
-            val[...] = instr[1]
+            val = np.full((1, 1, 1, 1), float(instr[1]))
         elif op == "zero":
-            val = np.zeros((1, 1, 1) + instr[1])
+            val = np.zeros((1, 1, 1, 1) + instr[1])
         elif op == "analytic":
-            out = np.asarray(instr[1](X[:, 0], X[:, 1]), dtype=float)
-            val = np.broadcast_to(out, (nq,)).reshape(nq, 1, 1)
+            X = geometry.X[lo:hi]
+            out = np.asarray(instr[1](X[..., 0], X[..., 1]), dtype=float)
+            val = np.broadcast_to(out, X.shape[:2])[..., None, None]
         elif op == "normal":
             _, pidx, sidx = instr
-            nrm = normals.get((pidx, sidx))
-            if nrm is None:
-                nrm = _outward_normal(g.participants[pidx][sidx])
-                normals[(pidx, sidx)] = nrm
-            val = np.empty((1, 1, 1, 2))
-            val[...] = nrm
+            nrm = geometry.side(pidx, sidx).normal[lo:hi]
+            val = nrm.reshape(len(nrm), 1, 1, 1, 2)
         elif op in ("cval", "cgrad"):
             _, slot, pidx, sidx, element = instr
-            w = inputs.w[slot]
-            vals, grads = contexts[(pidx, sidx)].tables[element]
+            side = geometry.side(pidx, sidx)
+            vals, grads = side.tables(element)
+            wb = w[slot][lo:hi]
             if op == "cval":
-                out = np.einsum("qn...,n->q...", vals, w)
+                out = contract_dofs(_block(vals, lo, hi), wb)
             else:
-                jinv = contexts[(pidx, sidx)].jinv
-                phys = np.einsum("qn...r,qri->qn...i", grads, jinv)
-                out = np.einsum("qn...,n->q...", phys, w)
-            val = out.reshape((nq, 1, 1) + vshape)
+                ref = contract_dofs(_block(grads, lo, hi), wb)
+                out = push_forward(ref, side.jinv[lo:hi])
+            val = out.reshape(out.shape[:2] + (1, 1) + vshape)
         elif op in ("aval", "agrad"):
             _, number, block, pidx, sidx = instr
-            vals, grads = contexts[(pidx, sidx)].tables[block.element]
+            side = geometry.side(pidx, sidx)
+            vals, grads = side.tables(block.element)
             if op == "aval":
-                table = vals
+                table = _block(vals, lo, hi)
             else:
-                jinv = contexts[(pidx, sidx)].jinv
-                table = np.einsum("qn...r,qri->qn...i", grads, jinv)
-            av, au = arg_axes(number)
-            size = av if number == 0 else au
-            full = np.zeros((nq, size) + vshape)
-            full[:, block.offset:block.offset + block.ndofs] = table
-            if number == 0:
-                val = full.reshape((nq, size, 1) + vshape)
+                table = push_forward(_block(grads, lo, hi), side.jinv[lo:hi])
+            size = test if number == 0 else trial
+            if block.ndofs == size:
+                full = table
             else:
-                val = full.reshape((nq, 1, size) + vshape)
-        elif op == "add":
-            a, b = regs[instr[1]], regs[instr[2]]
-            if a.ndim < b.ndim:
-                a = a.reshape(a.shape + (1,) * (b.ndim - a.ndim))
-            elif b.ndim < a.ndim:
-                b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
-            val = a + b
-        elif op == "mul":
-            a, b = regs[instr[1]], regs[instr[2]]
-            if a.ndim < b.ndim:
-                a = a.reshape(a.shape + (1,) * (b.ndim - a.ndim))
-            elif b.ndim < a.ndim:
-                b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
-            val = a * b
+                full = np.zeros(table.shape[:2] + (size,) + vshape)
+                full[:, :, block.offset:block.offset + block.ndofs] = table
+            axes = (size, 1) if number == 0 else (1, size)
+            val = full.reshape(full.shape[:2] + axes + vshape)
+        elif op in ("add", "mul"):
+            a, b = _align_ndim(regs[instr[1]], regs[instr[2]])
+            val = a + b if op == "add" else a * b
         elif op == "inner":
-            a, b = regs[instr[1]], regs[instr[2]]
-            prod = a * b
-            k = prod.ndim - 3
-            if k:
-                prod = prod.sum(axis=tuple(range(-k, 0)))
-            val = prod
+            # a sum of component products: summing a tiny trailing axis of
+            # the full product is several times slower
+            a, b = (regs[r] for r in instr[1:])
+            a = a.reshape(a.shape[:4] + (-1,))
+            b = b.reshape(b.shape[:4] + (-1,))
+            val = a[..., 0] * b[..., 0]
+            for i in range(1, a.shape[-1]):
+                val = val + a[..., i] * b[..., i]
         else:
             raise CompileError(f"unknown tape instruction {op!r}")
         regs.append(val)
+    out = np.broadcast_to(regs[kernel.out_reg], (hi - lo, nq, test, trial))
+    return np.einsum("bq,bqvu->bvu", geometry.wq[lo:hi], out)
 
-    out = regs[kernel.out_reg]
-    out = np.broadcast_to(out, (nq, out.shape[1], out.shape[2]))
-    res = np.einsum("q,qvu->vu", wq, out)
-    if kernel.arity == 2:
-        full = np.broadcast_to(res, (test_size, trial_size))
-        inputs.t[...] = full
-    elif kernel.arity == 1:
-        inputs.t[...] = np.broadcast_to(res[:, 0], (test_size,))
-    else:
-        inputs.t[...] = res[0, 0]
-    return inputs.t
+
+def execute_kernel(kernel, geometry, w):
+    """Element tensors of a kernel on every entity of its measure.
+
+    w holds one (E, ndofs) array of coefficient dof values per kernel slot.
+    Returns (E, test, trial), (E, test) or (E,) by arity.  The tape runs
+    over blocks of kernel.block_size entities in ascending order; results
+    are bitwise reproducible for identical inputs.
+    """
+    E = len(geometry)
+    out = np.empty((E,) + kernel.output_shape())
+    for lo in range(0, E, kernel.block_size):
+        hi = min(lo + kernel.block_size, E)
+        out[lo:hi] = _run_tape(kernel, geometry, w, lo,
+                               hi).reshape((hi - lo,) + out.shape[1:])
+    return out

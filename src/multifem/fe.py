@@ -164,6 +164,18 @@ class ReferenceElement:
             bgrads[:, c::2, c, :] = grads
         return bvals, bgrads
 
+    def facet_closure(self, local_facet):
+        """Local dof indices of the nodes on a local facet's closure: the
+        vertex nodes of its vertices and its edge nodes (both blocked
+        columns of each node for vector elements)."""
+        verts = self.cell.local_facets[local_facet]
+        nodes = [ln for ln, tag in enumerate(self.node_tags)
+                 if (tag[0] == "vertex" and tag[1] in verts)
+                 or (tag[0] == "edge" and tag[1] == local_facet)]
+        if self.value_shape:
+            nodes = [2 * ln + c for ln in nodes for c in range(2)]
+        return np.array(nodes, dtype=int)
+
     def __repr__(self):
         shape = f", shape={self.value_shape}" if self.value_shape else ""
         return f"{self.family}{self.degree}({self.cell.value}{shape})"
@@ -270,44 +282,54 @@ def facet_embedding(cell, local_facet, points, flip=False):
     return va + t * (vb - va)
 
 
+def _affine_jacobian(cell, vertices):
+    """Constant Jacobian (..., 2, dim) of an interval or triangle map."""
+    if cell is CellType.INTERVAL:
+        return (vertices[..., 1, :] - vertices[..., 0, :])[..., None]
+    return np.stack([vertices[..., 1, :] - vertices[..., 0, :],
+                     vertices[..., 2, :] - vertices[..., 0, :]], axis=-1)
+
+
 def geometry_map(cell, vertices, ref_points):
-    """Physical coordinates of reference points; vertices is (nverts, 2)."""
+    """Physical coordinates of reference points.
+
+    vertices is (nverts, 2), or (E, nverts, 2) for E cells at once;
+    ref_points is (npts, dim), or (E, npts, dim) with one point set per
+    cell.  Returns (npts, 2), or (E, npts, 2) when either is batched.
+    """
     cell = CellType(cell)
     vertices = np.asarray(vertices, dtype=float)
     pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-    if cell is CellType.INTERVAL:
-        t = pts[:, 0:1]
-        return vertices[0] + t * (vertices[1] - vertices[0])
+    if cell is CellType.QUADRILATERAL:
+        x, y = pts[..., 0:1], pts[..., 1:2]
+        shape = np.concatenate([(1 - x) * (1 - y), x * (1 - y), x * y,
+                                (1 - x) * y], axis=-1)
+        return shape @ vertices
+    J = _affine_jacobian(cell, vertices)[..., None, :, :]
+    X = vertices[..., :1, :] + pts[..., 0:1] * J[..., 0]
     if cell is CellType.TRIANGLE:
-        x, y = pts[:, 0:1], pts[:, 1:2]
-        return (vertices[0] + x * (vertices[1] - vertices[0])
-                + y * (vertices[2] - vertices[0]))
-    x, y = pts[:, 0:1], pts[:, 1:2]
-    shape = np.hstack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y])
-    return shape @ vertices
+        X = X + pts[..., 1:2] * J[..., 1]
+    return X
 
 
 def geometry_jacobian(cell, vertices, ref_points):
     """Jacobians d(physical)/d(reference) at reference points.
 
-    Returns (npts, 2, dim): constant rows for affine cells, pointwise for
+    Returns (npts, 2, dim), or (E, npts, 2, dim) for batched inputs (see
+    geometry_map): constant per cell for affine cells, pointwise for
     bilinear quadrilaterals.
     """
     cell = CellType(cell)
     vertices = np.asarray(vertices, dtype=float)
     pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-    npts = len(pts)
-    if cell is CellType.INTERVAL:
-        J = (vertices[1] - vertices[0]).reshape(1, 2, 1)
-        return np.repeat(J, npts, axis=0)
-    if cell is CellType.TRIANGLE:
-        J = np.stack([vertices[1] - vertices[0],
-                      vertices[2] - vertices[0]], axis=1).reshape(1, 2, 2)
-        return np.repeat(J, npts, axis=0)
-    x, y = pts[:, 0], pts[:, 1]
-    dN = np.empty((npts, 4, 2))
-    dN[:, 0, 0], dN[:, 0, 1] = -(1 - y), -(1 - x)
-    dN[:, 1, 0], dN[:, 1, 1] = (1 - y), -x
-    dN[:, 2, 0], dN[:, 2, 1] = y, x
-    dN[:, 3, 0], dN[:, 3, 1] = -y, (1 - x)
-    return np.einsum("vi,pvd->pid", vertices, dN)
+    if cell is not CellType.QUADRILATERAL:
+        J = _affine_jacobian(cell, vertices)[..., None, :, :]
+        lead = np.broadcast_shapes(vertices.shape[:-2], pts.shape[:-2])
+        return np.broadcast_to(J, lead + (pts.shape[-2],) + J.shape[-2:]).copy()
+    x, y = pts[..., 0], pts[..., 1]
+    dN = np.empty(pts.shape[:-1] + (4, 2))
+    dN[..., 0, 0], dN[..., 0, 1] = -(1 - y), -(1 - x)
+    dN[..., 1, 0], dN[..., 1, 1] = (1 - y), -x
+    dN[..., 2, 0], dN[..., 2, 1] = y, x
+    dN[..., 3, 0], dN[..., 3, 1] = -y, (1 - x)
+    return np.einsum("...vi,...pvd->...pid", vertices, dN)

@@ -129,11 +129,12 @@ def _number_dofs(mesh, element):
         coords.append(point)
         return len(coords) - 1
 
+    ctype = mesh.cell_type
+    nodes = fe.geometry_map(ctype, mesh.coords_of_cells(np.arange(ncells)),
+                            element.node_points)
     for c in range(ncells):
-        ctype = mesh.cell_types[c]
         verts = mesh.cell_vertices[c]
-        cell_coords = mesh.cell_coords(c)
-        phys = fe.geometry_map(ctype, cell_coords, element.node_points)
+        phys = nodes[c]
         for ln, tag in enumerate(element.node_tags):
             if tag[0] == "vertex":
                 gv = verts[tag[1]]

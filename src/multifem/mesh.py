@@ -64,7 +64,7 @@ class Mesh:
         self.id = next(_mesh_counter)
         self.dim = int(dim)
         self.gdim = 2
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
         self.cell_types = []
@@ -82,6 +82,8 @@ class Mesh:
                 raise ValueError(f"vertex index out of range in cell {vids!r}")
             self.cell_types.append(ctype)
             self.cell_vertices.append(vids)
+        types = set(self.cell_types)
+        self._cell_type = types.pop() if len(types) == 1 else None
 
         if cell_markers is None:
             self.cell_markers = np.zeros(self.num_cells, dtype=int)
@@ -117,6 +119,8 @@ class Mesh:
                 raise ValueError("per_cell_normal rows must be unit vectors")
         self.per_cell_normal = per_cell_normal
         self._facet_to_parent = None
+        self._cell_vertex_ids = None
+        self._facet_vertex_ids = None
 
     def _build_facets(self):
         self.facet_vertices = []
@@ -133,6 +137,19 @@ class Mesh:
                     self.facet_vertices.append(key)
                     self.facet_cells.append([])
                 self.facet_cells[idx].append((c, lf))
+        # Cells are visited in ascending order, so each facet's first
+        # incident cell is its lower-index ('+') side.
+        nf = len(self.facet_cells)
+        counts = np.fromiter(map(len, self.facet_cells), dtype=int, count=nf)
+        self.facet_exterior = counts == 1
+        self.facet_sides = np.full((nf, 2), -1)
+        self.facet_local = np.full((nf, 2), -1)
+        for k in range(2):
+            has = np.flatnonzero(counts > k)
+            pairs = np.array([self.facet_cells[f][k] for f in has],
+                             dtype=int).reshape(-1, 2)
+            self.facet_sides[has, k], self.facet_local[has, k] = pairs.T
+        self._facet_counts = counts
 
     @property
     def num_vertices(self):
@@ -149,10 +166,25 @@ class Mesh:
     @property
     def cell_type(self):
         """The unique cell type; raises for hybrid meshes."""
-        types = set(self.cell_types)
-        if len(types) != 1:
+        if self._cell_type is None:
             raise ValueError("mesh is hybrid, no unique cell type")
-        return types.pop()
+        return self._cell_type
+
+    def coords_of_cells(self, cells):
+        """(len(cells), num_vertices, 2) coordinates of an array of cells;
+        the mesh must have a unique cell type."""
+        if self._cell_vertex_ids is None:
+            nv = self.cell_type.num_vertices
+            self._cell_vertex_ids = np.array(
+                self.cell_vertices, dtype=int).reshape(-1, nv)
+        return self.vertices[self._cell_vertex_ids[cells]]
+
+    def coords_of_facets(self, facets):
+        """(len(facets), vertices per facet, 2) coordinates of facets."""
+        if self._facet_vertex_ids is None:
+            self._facet_vertex_ids = np.array(
+                self.facet_vertices, dtype=int).reshape(self.num_facets, -1)
+        return self.vertices[self._facet_vertex_ids[facets]]
 
     def find_facet(self, vids):
         """Facet index for a vertex tuple (any order), or None."""
@@ -259,16 +291,13 @@ def classify_facets(mesh):
     Raises for non-manifold configurations (a facet with more than two
     incident cells).
     """
-    exterior, interior = [], []
-    for f, incident in enumerate(mesh.facet_cells):
-        if len(incident) == 1:
-            exterior.append(f)
-        elif len(incident) == 2:
-            interior.append(f)
-        else:
-            raise ValueError(f"non-manifold facet {mesh.facet_vertices[f]!r} "
-                             f"with {len(incident)} incident cells")
-    return np.array(exterior, dtype=int), np.array(interior, dtype=int)
+    counts = mesh._facet_counts
+    bad = np.flatnonzero(counts > 2)
+    if len(bad):
+        f = int(bad[0])
+        raise ValueError(f"non-manifold facet {mesh.facet_vertices[f]!r} "
+                         f"with {counts[f]} incident cells")
+    return np.flatnonzero(counts == 1), np.flatnonzero(counts == 2)
 
 
 def _renumber(parent, used_vertices):

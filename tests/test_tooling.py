@@ -1,0 +1,47 @@
+"""The benchmark's span tracer must find every function it wraps.
+
+perfbench/tracing.py wraps multifem functions by (module, attribute path).
+Loading it read-only here and resolving every hook against the package
+makes a rename of a traced function fail this suite, not only the
+benchmark's traced run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from multifem.compile import compile_integral
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+HOOKS = _load_tracing().HOOKS
+
+
+@pytest.mark.parametrize("module_name, path",
+                         [(hook[1], hook[2]) for hook in HOOKS],
+                         ids=[f"{hook[1]}.{hook[2]}" for hook in HOOKS])
+def test_traced_function_resolves_in_the_package(module_name, path):
+    owner = importlib.import_module(module_name)
+    assert Path(owner.__file__).resolve().is_relative_to(ROOT / "src")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_entity_count_hook_reads_the_iteration_set_size(asm, studies):
+    # the tracer counts len() of _iteration_entities' result as entities
+    problem = studies.build_split_interface_problem(1, 0)
+    for itg in problem.residual.integrals:
+        entities = asm._iteration_entities(itg, compile_integral(itg))
+        assert len(entities) == len(asm.iteration_set(itg)) > 0
