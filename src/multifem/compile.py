@@ -22,8 +22,15 @@ import numpy as np
 from . import fe, forms
 from .mesh import CellType
 
+# Pullback tolerances, all unchanged by scaling the mesh: a pulled-back
+# point must map back to within GEOMETRY_TOL cell diameters and lie in its
+# cell to GEOMETRY_TOL in reference coordinates; Newton stops once the
+# residual is below _NEWTON_TOL times the cell's largest coordinate, a few
+# dozen roundoffs of evaluating the map.
 GEOMETRY_TOL = 1e-10
-_NEWTON_TOL = 1e-13
+_NEWTON_TOL = 1e-14
+# |det J| at or below this fraction of |J|_F^2 counts as singular
+_SINGULAR_RTOL = 1e-13
 _NEWTON_MAXIT = 25
 # Register values per entity block: bounds the kernel's temporaries to a
 # few MB whatever the mesh size.
@@ -108,7 +115,7 @@ def default_quadrature_degree(integral):
             pmax = max(pmax, max(e.degree for e in node.space.element.sub_elements))
     qgeom = 0
     for _, mesh in integral.measure.participants():
-        if mesh.dim == 2 and CellType.QUADRILATERAL in mesh.cell_types:
+        if mesh.dim == 2 and CellType.QUADRILATERAL in mesh.cell_type_set:
             qgeom = 2
     return 2 * pmax + qgeom
 
@@ -324,9 +331,10 @@ def compile_integral(integral):
 
 
 def _inv_2x2(J):
-    """Inverses and determinants of (..., 2, 2) matrices."""
+    """Inverses and determinants of (..., 2, 2) matrices.  Raises where
+    |det J| is negligible against |J|_F^2, a test no scaling changes."""
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if np.any(np.abs(det) < 1e-300):
+    if np.any(np.abs(det) <= _SINGULAR_RTOL * np.sum(J * J, axis=(-2, -1))):
         raise ValueError("non-conforming or degenerate geometry")
     inv = np.empty_like(J)
     inv[..., 0, 0] = J[..., 1, 1]
@@ -336,6 +344,14 @@ def _inv_2x2(J):
     return inv / det[..., None, None], det
 
 
+def _diameter(verts):
+    """Largest vertex distance of (..., nverts, 2) cells, shaped (..., 1, 1)
+    to broadcast against (..., npts, 2) points."""
+    gaps = verts[..., :, None, :] - verts[..., None, :, :]
+    return np.sqrt(np.max(np.sum(gaps * gaps, axis=-1), axis=(-2, -1)))[
+        ..., None, None]
+
+
 def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     """Reference coordinates of physical points inside a participant cell.
 
@@ -343,17 +359,19 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     with a leading entity axis, (E, npts, 2) and (E, nverts, 2), E cells at
     once, returning (E, npts, dim).  Affine cells are inverted in closed
     form; bilinear quadrilaterals with Newton iteration, vectorized over all
-    points.  Raises if any point does not lie in its cell (up to 1e-10),
-    which catches non-conforming inputs.
+    points.  Raises if any point does not map back onto itself to within
+    1e-10 cell diameters, or lies outside its cell by more than 1e-10 in
+    reference coordinates, which catches non-conforming inputs.
     """
     cell_type = CellType(cell_type)
     phys = np.atleast_2d(np.asarray(phys_points, dtype=float))
     verts = np.asarray(cell_vertices, dtype=float)
     if cell_type is CellType.QUADRILATERAL:
+        extent = np.max(np.abs(verts), axis=(-2, -1))[..., None, None]
         ref = np.full(phys.shape, 0.5)
         for _ in range(_NEWTON_MAXIT):
             residual = fe.geometry_map(cell_type, verts, ref) - phys
-            if not residual.size or np.max(np.abs(residual)) < _NEWTON_TOL:
+            if np.all(np.abs(residual) < _NEWTON_TOL * extent):
                 break
             Jinv, _ = _inv_2x2(fe.geometry_jacobian(cell_type, verts, ref))
             ref = ref - (Jinv @ residual[..., None])[..., 0]
@@ -373,7 +391,7 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     if not phys.size:
         return ref
     check = fe.geometry_map(cell_type, verts, ref)
-    if np.max(np.abs(check - phys)) > GEOMETRY_TOL:
+    if np.any(np.abs(check - phys) > GEOMETRY_TOL * _diameter(verts)):
         raise CompileError("non-conforming or degenerate geometry: point "
                            "pullback did not converge")
     if cell_type is CellType.TRIANGLE:

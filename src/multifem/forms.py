@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fe
-from .mesh import Mesh
+from .mesh import Mesh, first_use_labels
 
 _function_counter = itertools.count()
 
@@ -73,11 +73,11 @@ class FunctionSpace:
         if len(domain) != len(element):
             raise ValueError("one element per mesh required")
         for mesh, elem in zip(domain.meshes, element.sub_elements):
-            types = set(mesh.cell_types)
-            if types != {elem.cell}:
+            if mesh.cell_type_set != {elem.cell}:
+                kinds = sorted(t.value for t in mesh.cell_type_set)
                 raise ValueError(
                     f"element on {elem.cell.value} cannot live on mesh "
-                    f"{mesh.id} with cells {sorted(t.value for t in types)}")
+                    f"{mesh.id} with cells {kinds}")
         self.domain = domain
         self.element = element
         self.dofmaps = []
@@ -113,58 +113,42 @@ class FunctionSpace:
 def _number_dofs(mesh, element):
     """Entity-based dof numbering for one component.
 
-    Vertex nodes share dofs through mesh vertices, edge nodes through facets
-    (ordered from the lower-numbered global vertex), interior nodes are
-    per-cell.  Returns (dofmap (ncells, num_dofs), dof_coords).
+    Each (cell, local node) gets one integer key for the entity owning the
+    node: its mesh vertex, its slot on a facet (counted from the facet's
+    lower-numbered global vertex), or the node itself for cell interiors.
+    Dofs number the distinct keys by first occurrence in (cell, local node)
+    order and sit at the coordinates of that first node.  Returns (dofmap
+    (ncells, num_dofs), dof_coords).
     """
-    p = element.degree
-    per_edge = p - 1
-    vertex_dof = {}
-    edge_dofs = {}
-    coords = []
-    ncells = mesh.num_cells
-    scalar_map = np.empty((ncells, element.num_scalar_dofs), dtype=int)
-
-    def fresh(point):
-        coords.append(point)
-        return len(coords) - 1
-
     ctype = mesh.cell_type
+    ncells, nnodes = mesh.num_cells, element.num_scalar_dofs
+    verts = mesh.cell_vertex_ids
+    per_edge = element.degree - 1
+    edge_base = mesh.num_vertices
+    interior_base = edge_base + mesh.num_facets * per_edge
+    keys = np.empty((ncells, nnodes), dtype=np.int64)
+    for ln, tag in enumerate(element.node_tags):
+        if tag[0] == "vertex":
+            keys[:, ln] = verts[:, tag[1]]
+        elif tag[0] == "edge":
+            _, le, idx = tag
+            a, b = ctype.local_facets[le]
+            along = np.where(verts[:, a] > verts[:, b], per_edge - 1 - idx, idx)
+            keys[:, ln] = edge_base + mesh.cell_facets[:, le] * per_edge + along
+        else:
+            keys[:, ln] = interior_base + np.arange(ncells) * nnodes + ln
+    labels, first = first_use_labels(keys.ravel())
+    scalar_map = labels.reshape(ncells, nnodes)
     nodes = fe.geometry_map(ctype, mesh.coords_of_cells(np.arange(ncells)),
                             element.node_points)
-    for c in range(ncells):
-        verts = mesh.cell_vertices[c]
-        phys = nodes[c]
-        for ln, tag in enumerate(element.node_tags):
-            if tag[0] == "vertex":
-                gv = verts[tag[1]]
-                dof = vertex_dof.get(gv)
-                if dof is None:
-                    dof = vertex_dof[gv] = fresh(phys[ln])
-            elif tag[0] == "edge":
-                _, le, idx = tag
-                a, b = ctype.local_facets[le]
-                ga, gb = verts[a], verts[b]
-                facet = mesh.find_facet((ga, gb))
-                if ga > gb:  # store edge dofs along ascending vertex ids
-                    idx = per_edge - 1 - idx
-                slots = edge_dofs.get(facet)
-                if slots is None:
-                    slots = edge_dofs[facet] = [None] * per_edge
-                if slots[idx] is None:
-                    slots[idx] = fresh(phys[ln])
-                dof = slots[idx]
-            else:
-                dof = fresh(phys[ln])
-            scalar_map[c, ln] = dof
+    coords = nodes.reshape(-1, 2)[first]
 
     if element.value_shape:
         blocked = np.empty((ncells, element.num_dofs), dtype=int)
         for comp in range(2):
             blocked[:, comp::2] = 2 * scalar_map + comp
-        dof_coords = np.repeat(np.asarray(coords, dtype=float), 2, axis=0)
-        return blocked, dof_coords
-    return scalar_map, np.asarray(coords, dtype=float)
+        return blocked, np.repeat(coords, 2, axis=0)
+    return scalar_map, coords
 
 
 # ---------------------------------------------------------------------------

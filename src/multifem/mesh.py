@@ -1,10 +1,12 @@
 """Conforming 2D meshes with markers, submesh extraction, and entity maps.
 
-Meshes are immutable after construction.  Facets (codimension-1 entities of a
-mesh) are derived from the cells and identified by sorted vertex tuples.  A
-mesh may be a submesh of a parent, in which case it carries an entity map back
-to the parent; chains of extractions share a common root mesh through which
-unrelated submeshes can be connected.
+Meshes are immutable after construction and stored as integer arrays: a
+cell type code and a row of vertex ids per cell, and a row of sorted vertex
+ids per facet (codimension-1 entity).  Facets are numbered by first
+occurrence in cell order, so a facet's first incident cell is its
+lower-index ('+') side.  A mesh may be a submesh of a parent, in which case
+it carries an entity map back to the parent; chains of extractions share a
+common root mesh through which unrelated submeshes can be connected.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +48,26 @@ class CellType(Enum):
         return ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
+# cell type code t stands for CELL_TYPES[t]
+CELL_TYPES = tuple(CellType)
+_CODE = {ctype: code for code, ctype in enumerate(CELL_TYPES)}
+_NUM_VERTICES = np.array([ctype.num_vertices for ctype in CELL_TYPES])
+
+
+def first_use_labels(keys):
+    """Number the distinct values of a 1D integer array by first occurrence.
+
+    Returns (labels, first): keys[i] is the labels[i]-th distinct value to
+    appear, and first[k] is the index where the k-th one first appears.
+    """
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
 class Mesh:
     """An unstructured mesh of intervals, triangles, or quadrilaterals in 2D.
 
@@ -52,10 +75,18 @@ class Mesh:
     ----------
     dim : topological dimension (1 or 2); the geometric dimension is always 2.
     vertices : (nv, 2) float array of coordinates.
-    cells : list of (CellType, vertex-index tuple).
+    cells : a sequence of (CellType, vertex ids) pairs, or a pair of arrays
+        (type codes (ncells,), vertex ids (ncells, k)), code t standing for
+        CELL_TYPES[t] and rows of cells with fewer than k vertices padded
+        with -1.
     cell_markers : per-cell integers (defaults to 0).
-    facet_markers : dict mapping sorted vertex tuples to integers, or a
-        per-facet integer array in facet-index order.
+    facet_markers : dict mapping vertex tuples (any order) to integers, or a
+        pair of arrays (vertex ids (m, dim), markers (m,)).
+
+    Arrays: cell_type_codes, cell_vertex_ids (padded with -1 to the widest
+    cell), facet_vertex_ids (sorted rows), cell_facets (padded with -1),
+    facet_sides/facet_local (incident cells in ascending order and their
+    local facets, -1 past the first on exterior facets), facet_exterior.
     """
 
     def __init__(self, dim, vertices, cells, cell_markers=None,
@@ -67,23 +98,7 @@ class Mesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
-        self.cell_types = []
-        self.cell_vertices = []
-        for ctype, vids in cells:
-            ctype = CellType(ctype)
-            if ctype.dim != self.dim:
-                raise ValueError(f"cell type {ctype} has wrong dimension for a "
-                                 f"dim={self.dim} mesh")
-            vids = tuple(int(v) for v in vids)
-            if len(vids) != ctype.num_vertices:
-                raise ValueError(f"{ctype} cell needs {ctype.num_vertices} "
-                                 f"vertices, got {len(vids)}")
-            if any(v < 0 or v >= len(self.vertices) for v in vids):
-                raise ValueError(f"vertex index out of range in cell {vids!r}")
-            self.cell_types.append(ctype)
-            self.cell_vertices.append(vids)
-        types = set(self.cell_types)
-        self._cell_type = types.pop() if len(types) == 1 else None
+        self._set_cells(cells)
 
         if cell_markers is None:
             self.cell_markers = np.zeros(self.num_cells, dtype=int)
@@ -95,16 +110,19 @@ class Mesh:
         self._build_facets()
         self.facet_markers = np.zeros(self.num_facets, dtype=int)
         if isinstance(facet_markers, dict):
-            for key, marker in facet_markers.items():
-                idx = self.find_facet(key)
-                if idx is None:
-                    raise ValueError(f"marked facet {key!r} not in mesh")
-                self.facet_markers[idx] = int(marker)
-        elif facet_markers is not None:
-            fm = np.asarray(facet_markers, dtype=int)
-            if fm.shape != (self.num_facets,):
-                raise ValueError("facet_markers length mismatch")
-            self.facet_markers = fm.copy()
+            facet_markers = (list(facet_markers), list(facet_markers.values()))
+        if facet_markers is not None:
+            ends, values = facet_markers
+            found = self.locate_facets(ends)
+            missing = np.flatnonzero(found < 0)
+            if len(missing):
+                key = tuple(np.asarray(ends)[missing[0]].tolist())
+                raise ValueError(f"marked facet {key!r} not in mesh")
+            # a facet given twice takes its last marker
+            last = len(found) - 1 - np.unique(found[::-1],
+                                              return_index=True)[1]
+            self.facet_markers[found[last]] = np.asarray(values,
+                                                         dtype=int)[last]
 
         self.parent = parent
         self.parent_map = parent_map
@@ -119,37 +137,127 @@ class Mesh:
                 raise ValueError("per_cell_normal rows must be unit vectors")
         self.per_cell_normal = per_cell_normal
         self._facet_to_parent = None
-        self._cell_vertex_ids = None
-        self._facet_vertex_ids = None
+
+    def _set_cells(self, cells):
+        """Convert the cells to type codes and padded vertex ids, check
+        them, and keep them trimmed to the widest cell."""
+        if (isinstance(cells, tuple) and len(cells) == 2
+                and isinstance(cells[0], np.ndarray)):
+            codes, vids = (np.array(a, dtype=int) for a in cells)
+        else:
+            codes, vids = [], []
+            for ctype, row in cells:
+                ctype, row = CellType(ctype), [int(v) for v in row]
+                if len(row) != ctype.num_vertices:
+                    raise ValueError(f"{ctype} cell needs {ctype.num_vertices} "
+                                     f"vertices, got {len(row)}")
+                codes.append(_CODE[ctype])
+                vids.append(row + [-1] * (4 - len(row)))
+            codes = np.array(codes, dtype=int)
+            vids = np.array(vids, dtype=int).reshape(-1, 4)
+        self.cell_type_set = frozenset(CELL_TYPES[t] for t in np.unique(codes))
+        for ctype in self.cell_type_set:
+            if ctype.dim != self.dim:
+                raise ValueError(f"cell type {ctype} has wrong dimension for "
+                                 f"a dim={self.dim} mesh")
+        nverts = _NUM_VERTICES[codes]
+        width = int(nverts.max(initial=0))
+        vids = vids[:, :width]
+        slots = np.arange(width) < nverts[:, None]
+        # distinct negative fillers keep the padding from repeating
+        ordered = np.sort(np.where(slots, vids, -1 - np.arange(width)), axis=1)
+        for bad, what in (
+                (np.where(slots, (vids < 0) | (vids >= self.num_vertices),
+                          vids != -1), "has a vertex index out of range"),
+                (ordered[:, 1:] == ordered[:, :-1], "repeats a vertex")):
+            cells = np.flatnonzero(np.any(bad, axis=1))
+            if len(cells):
+                c = int(cells[0])
+                raise ValueError(f"cell {c} {what}: "
+                                 f"{tuple(vids[c][slots[c]].tolist())!r}")
+        self.cell_type_codes = codes
+        self.cell_vertex_ids = vids
 
     def _build_facets(self):
-        self.facet_vertices = []
-        self.facet_cells = []
-        self._facet_index = {}
-        for c, (ctype, vids) in enumerate(zip(self.cell_types,
-                                              self.cell_vertices)):
-            for lf, local in enumerate(ctype.local_facets):
-                key = tuple(sorted(vids[l] for l in local))
-                idx = self._facet_index.get(key)
-                if idx is None:
-                    idx = len(self.facet_vertices)
-                    self._facet_index[key] = idx
-                    self.facet_vertices.append(key)
-                    self.facet_cells.append([])
-                self.facet_cells[idx].append((c, lf))
-        # Cells are visited in ascending order, so each facet's first
-        # incident cell is its lower-index ('+') side.
-        nf = len(self.facet_cells)
-        counts = np.fromiter(map(len, self.facet_cells), dtype=int, count=nf)
-        self.facet_exterior = counts == 1
+        """Facets of all cells at once: sorted vertex ids per local facet,
+        numbered by first occurrence in (cell, local facet) order."""
+        codes = self.cell_type_codes
+        nlocal = max((len(t.local_facets) for t in self.cell_type_set),
+                     default=0)
+        ends = np.full((self.num_cells, nlocal, self.dim), -1)
+        for code in np.unique(codes):
+            rows = codes == code
+            local = np.array(CELL_TYPES[code].local_facets)
+            ends[rows, :len(local)] = self.cell_vertex_ids[rows][:, local]
+        ends = np.sort(ends, axis=2).reshape(-1, self.dim)
+        slots = np.flatnonzero(ends[:, 0] >= 0)
+        facet, first = first_use_labels(self._facet_keys(ends[slots]))
+        nf = len(first)
+        self.facet_vertex_ids = ends[slots[first]]
+        self.cell_facets = np.full(len(ends), -1)
+        self.cell_facets[slots] = facet
+        self.cell_facets = self.cell_facets.reshape(self.num_cells, nlocal)
+        counts = np.bincount(facet, minlength=nf)
+        # slots grouped by facet, each group in cell order
+        grouped = slots[np.argsort(facet, kind="stable")]
+        start = np.cumsum(counts) - counts
         self.facet_sides = np.full((nf, 2), -1)
         self.facet_local = np.full((nf, 2), -1)
         for k in range(2):
             has = np.flatnonzero(counts > k)
-            pairs = np.array([self.facet_cells[f][k] for f in has],
-                             dtype=int).reshape(-1, 2)
-            self.facet_sides[has, k], self.facet_local[has, k] = pairs.T
+            slot = grouped[start[has] + k]
+            self.facet_sides[has, k] = slot // nlocal
+            self.facet_local[has, k] = slot % nlocal
+        self.facet_exterior = counts == 1
         self._facet_counts = counts
+
+    def _facet_keys(self, ends):
+        """One integer per row of sorted facet vertex ids."""
+        return ends[:, 0] * self.num_vertices + ends[:, -1]
+
+    def locate_facets(self, vertex_ids):
+        """Facet indices of (m, dim) rows of vertex ids in any order, -1
+        where a row is no facet of this mesh."""
+        ends = np.sort(np.asarray(vertex_ids, dtype=int), axis=-1)
+        if ends.ndim != 2 or ends.shape[1] != self.dim:
+            return np.full(len(ends), -1)
+        valid = np.all((ends >= 0) & (ends < self.num_vertices), axis=1)
+        # numbered by first use after the facets' own keys, a row that is
+        # facet f gets label f, any other row a label past the facets
+        labels, _ = first_use_labels(np.concatenate([
+            self._facet_keys(self.facet_vertex_ids),
+            np.where(valid, self._facet_keys(ends), -1)]))
+        found = labels[self.num_facets:]
+        return np.where(found < self.num_facets, found, -1)
+
+    def find_facet(self, vids):
+        """Facet index for a vertex tuple (any order), or None."""
+        f = int(self.locate_facets([[int(v) for v in vids]])[0])
+        return None if f < 0 else f
+
+    # per-entity views of the arrays, for tests and the text format
+
+    @cached_property
+    def cell_types(self):
+        return [CELL_TYPES[t] for t in self.cell_type_codes]
+
+    @cached_property
+    def cell_vertices(self):
+        return [tuple(v for v in row if v >= 0)
+                for row in self.cell_vertex_ids.tolist()]
+
+    @cached_property
+    def facet_vertices(self):
+        return [tuple(row) for row in self.facet_vertex_ids.tolist()]
+
+    @cached_property
+    def facet_cells(self):
+        """Per facet, its (cell, local facet) pairs in cell order."""
+        incident = [[] for _ in range(self.num_facets)]
+        for (c, lf), f in np.ndenumerate(self.cell_facets):
+            if f >= 0:
+                incident[f].append((c, lf))
+        return incident
 
     @property
     def num_vertices(self):
@@ -157,58 +265,49 @@ class Mesh:
 
     @property
     def num_cells(self):
-        return len(self.cell_vertices)
+        return len(self.cell_type_codes)
 
     @property
     def num_facets(self):
-        return len(self.facet_vertices)
+        return len(self.facet_vertex_ids)
 
     @property
     def cell_type(self):
         """The unique cell type; raises for hybrid meshes."""
-        if self._cell_type is None:
+        if len(self.cell_type_set) != 1:
             raise ValueError("mesh is hybrid, no unique cell type")
-        return self._cell_type
+        return next(iter(self.cell_type_set))
 
     def coords_of_cells(self, cells):
         """(len(cells), num_vertices, 2) coordinates of an array of cells;
         the mesh must have a unique cell type."""
-        if self._cell_vertex_ids is None:
-            nv = self.cell_type.num_vertices
-            self._cell_vertex_ids = np.array(
-                self.cell_vertices, dtype=int).reshape(-1, nv)
-        return self.vertices[self._cell_vertex_ids[cells]]
+        nv = self.cell_type.num_vertices
+        return self.vertices[self.cell_vertex_ids[cells, :nv]]
 
     def coords_of_facets(self, facets):
         """(len(facets), vertices per facet, 2) coordinates of facets."""
-        if self._facet_vertex_ids is None:
-            self._facet_vertex_ids = np.array(
-                self.facet_vertices, dtype=int).reshape(self.num_facets, -1)
-        return self.vertices[self._facet_vertex_ids[facets]]
-
-    def find_facet(self, vids):
-        """Facet index for a vertex tuple (any order), or None."""
-        return self._facet_index.get(tuple(sorted(int(v) for v in vids)))
+        return self.vertices[self.facet_vertex_ids[facets]]
 
     def cell_coords(self, c):
         """(num_vertices, 2) coordinates of cell c."""
-        return self.vertices[list(self.cell_vertices[c])]
+        row = self.cell_vertex_ids[c]
+        return self.vertices[row[row >= 0]]
 
     def facet_coords(self, f):
-        return self.vertices[list(self.facet_vertices[f])]
-
-    def cell_volume(self, c):
-        """Length (dim 1) or area (dim 2) of cell c."""
-        coords = self.cell_coords(c)
-        if self.dim == 1:
-            return float(np.linalg.norm(coords[1] - coords[0]))
-        # shoelace formula, cells are counterclockwise simple polygons
-        x, y = coords[:, 0], coords[:, 1]
-        return float(0.5 * abs(np.dot(x, np.roll(y, -1))
-                               - np.dot(y, np.roll(x, -1))))
+        return self.vertices[self.facet_vertex_ids[f]]
 
     def total_volume(self):
-        return sum(self.cell_volume(c) for c in range(self.num_cells))
+        """Total length (dim 1) or area (dim 2) of the cells."""
+        ids = self.cell_vertex_ids
+        xy = self.vertices[np.where(ids < 0, ids[:, :1], ids)]
+        if self.dim == 1:
+            return float(np.linalg.norm(xy[:, 1] - xy[:, 0], axis=1).sum())
+        # shoelace formula over counterclockwise cells; padding repeats the
+        # first vertex, which adds nothing
+        x, y = xy[..., 0], xy[..., 1]
+        return float(0.5 * np.abs(np.sum(x * np.roll(y, -1, axis=1)
+                                         - y * np.roll(x, -1, axis=1),
+                                         axis=1)).sum())
 
     def root(self):
         """The top of the parent chain (self if not a submesh)."""
@@ -227,18 +326,17 @@ class Mesh:
         if self.vertex_to_parent is None:
             raise ValueError("mesh carries no vertex map to its parent")
         if self._facet_to_parent is None:
-            table = np.empty(self.num_facets, dtype=int)
-            for f, key in enumerate(self.facet_vertices):
-                pkey = tuple(sorted(int(self.vertex_to_parent[v]) for v in key))
-                pidx = self.parent.find_facet(pkey)
-                if pidx is None:
-                    raise ValueError(f"facet {key!r} has no parent facet")
-                table[f] = pidx
+            table = self.parent.locate_facets(
+                self.vertex_to_parent[self.facet_vertex_ids])
+            missing = np.flatnonzero(table < 0)
+            if len(missing):
+                key = tuple(self.facet_vertex_ids[missing[0]].tolist())
+                raise ValueError(f"facet {key!r} has no parent facet")
             self._facet_to_parent = table
         return self._facet_to_parent
 
     def __repr__(self):
-        kinds = "+".join(sorted({t.value for t in self.cell_types}))
+        kinds = "+".join(sorted(t.value for t in self.cell_type_set))
         return (f"Mesh(id={self.id}, dim={self.dim}, {self.num_cells} {kinds} "
                 f"cells, {self.num_vertices} vertices)")
 
@@ -295,20 +393,22 @@ def classify_facets(mesh):
     bad = np.flatnonzero(counts > 2)
     if len(bad):
         f = int(bad[0])
-        raise ValueError(f"non-manifold facet {mesh.facet_vertices[f]!r} "
+        key = tuple(mesh.facet_vertex_ids[f].tolist())
+        raise ValueError(f"non-manifold facet {key!r} "
                          f"with {counts[f]} incident cells")
     return np.flatnonzero(counts == 1), np.flatnonzero(counts == 2)
 
 
-def _renumber(parent, used_vertices):
-    """Map parent vertex ids (in first-use order) to a fresh numbering."""
-    v2new = {}
-    new2parent = []
-    for v in used_vertices:
-        if v not in v2new:
-            v2new[v] = len(new2parent)
-            new2parent.append(v)
-    return v2new, np.array(new2parent, dtype=int)
+def _renumber(vertex_ids):
+    """Renumber parent vertex ids (-1 padding aside) in first-use order.
+
+    Returns (the ids renumbered, new -> parent vertex ids).
+    """
+    used = vertex_ids >= 0
+    labels, first = first_use_labels(vertex_ids[used])
+    renumbered = np.full(vertex_ids.shape, -1)
+    renumbered[used] = labels
+    return renumbered, vertex_ids[used][first]
 
 
 def extract_codim0_submesh(parent, marker):
@@ -320,27 +420,18 @@ def extract_codim0_submesh(parent, marker):
     """
     if parent.dim != 2:
         raise ValueError("codim-0 extraction expects a 2D parent")
-    markers = {int(marker)} if np.isscalar(marker) else {int(m) for m in marker}
-    cell_ids = [c for c in range(parent.num_cells)
-                if int(parent.cell_markers[c]) in markers]
-    if not cell_ids:
+    markers = [int(marker)] if np.isscalar(marker) else [int(m) for m in marker]
+    table = np.flatnonzero(np.isin(parent.cell_markers, markers))
+    if not len(table):
         raise ValueError(f"no entities matched marker {marker!r}")
-    order = [v for c in cell_ids for v in parent.cell_vertices[c]]
-    v2new, new2parent = _renumber(parent, order)
-    cells = [(parent.cell_types[c],
-              tuple(v2new[v] for v in parent.cell_vertices[c]))
-             for c in cell_ids]
-    table = np.array(cell_ids, dtype=int)
-    sub = Mesh(2, parent.vertices[new2parent], cells,
+    cells, new2parent = _renumber(parent.cell_vertex_ids[table])
+    sub = Mesh(2, parent.vertices[new2parent],
+               (parent.cell_type_codes[table], cells),
                cell_markers=parent.cell_markers[table],
-               parent=parent, parent_map=None, vertex_to_parent=new2parent)
+               parent=parent, vertex_to_parent=new2parent)
     emap = EntityMap(sub.id, parent.id, "cell->cell", table)
     sub.parent_map = emap
-    # inherit facet markers through the vertex map
-    for f, key in enumerate(sub.facet_vertices):
-        pidx = parent.find_facet(tuple(new2parent[v] for v in key))
-        if pidx is not None:
-            sub.facet_markers[f] = parent.facet_markers[pidx]
+    sub.facet_markers = parent.facet_markers[sub.facet_to_parent()]
     return sub, emap
 
 
@@ -354,34 +445,51 @@ def extract_codim1_submesh(parent, facet_marker):
     """
     if parent.dim != 2:
         raise ValueError("codim-1 extraction expects a 2D parent")
-    facet_ids = [f for f in range(parent.num_facets)
-                 if int(parent.facet_markers[f]) == int(facet_marker)]
-    if not facet_ids:
+    table = np.flatnonzero(parent.facet_markers == int(facet_marker))
+    if not len(table):
         raise ValueError(f"no entities matched marker {facet_marker!r}")
-    order = [v for f in facet_ids for v in parent.facet_vertices[f]]
-    v2new, new2parent = _renumber(parent, order)
-    cells = []
-    normals = np.empty((len(facet_ids), 2))
-    for row, f in enumerate(facet_ids):
-        key = parent.facet_vertices[f]
-        cells.append((CellType.INTERVAL, tuple(v2new[v] for v in key)))
-        p0, p1 = parent.vertices[key[0]], parent.vertices[key[1]]
-        tang = p1 - p0
-        nrm = np.array([tang[1], -tang[0]])
-        nrm /= np.linalg.norm(nrm)
-        low_cell = min(c for c, _ in parent.facet_cells[f])
-        centroid = parent.cell_coords(low_cell).mean(axis=0)
-        if np.dot(nrm, 0.5 * (p0 + p1) - centroid) < 0:
-            nrm = -nrm
-        normals[row] = nrm
-    table = np.array(facet_ids, dtype=int)
-    sub = Mesh(1, parent.vertices[new2parent], cells,
+    ends = parent.facet_vertex_ids[table]
+    cells, new2parent = _renumber(ends)
+    p0, p1 = parent.vertices[ends[:, 0]], parent.vertices[ends[:, 1]]
+    tang = p1 - p0
+    normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    # one dot product per row, as np.linalg.norm of a single vector takes it
+    normals /= np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
+    # centroids of the lower incident cells; padding adds exact zeros
+    ids = parent.cell_vertex_ids[parent.facet_sides[table, 0]]
+    centroid = (np.where(ids[..., None] < 0, 0.0, parent.vertices[ids])
+                .sum(axis=1) / np.sum(ids >= 0, axis=1)[:, None])
+    normals[np.sum(normals * (0.5 * (p0 + p1) - centroid), axis=1) < 0] *= -1.0
+    sub = Mesh(1, parent.vertices[new2parent],
+               (np.full(len(table), _CODE[CellType.INTERVAL]), cells),
                cell_markers=parent.facet_markers[table],
-               parent=parent, parent_map=None, vertex_to_parent=new2parent,
+               parent=parent, vertex_to_parent=new2parent,
                per_cell_normal=normals)
     emap = EntityMap(sub.id, parent.id, "cell->facet", table)
     sub.parent_map = emap
     return sub, emap
+
+
+def _unit_square_grid(n):
+    """Vertices, background cells and marked facets of the unit square grid
+    with 10 * 2**n cells per side.
+
+    Vertex (i, j) sits at (x_i, y_j) with id i * (N + 1) + j; background
+    cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) and comes
+    in i-major order.  Facets on the outer boundary are marked 1, those on
+    x = 0.5 are marked 999.
+    """
+    N = 10 * 2 ** n
+    xs = np.linspace(0.0, 1.0, N + 1)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.stack([x.ravel(), y.ravel()], axis=1)
+    vid = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
+    corners = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:],
+                        vid[:-1, 1:]], axis=-1).reshape(-1, 4)
+    lines = (vid[:, 0], vid[:, N], vid[0], vid[N], vid[N // 2])
+    ends = np.concatenate([np.stack([v[:-1], v[1:]], axis=1) for v in lines])
+    markers = np.repeat([BOUNDARY_MARKER, INTERFACE_MARKER], [4 * N, N])
+    return N, vertices, corners, (ends, markers)
 
 
 def build_split_unit_square(n):
@@ -391,21 +499,10 @@ def build_split_unit_square(n):
     Cells left of x = 0.5 are marked 1 and numbered before the right cells
     (marked 2); facets on x = 0.5 are marked 999 and the outer boundary 1.
     """
-    N = 10 * 2 ** n
-    xs = np.linspace(0.0, 1.0, N + 1)
-    vid = lambda i, j: i * (N + 1) + j
-    vertices = np.array([[xs[i], xs[j]] for i in range(N + 1)
-                         for j in range(N + 1)])
-    cells = []
-    markers = []
-    for i in range(N):
-        for j in range(N):
-            cells.append((CellType.QUADRILATERAL,
-                          (vid(i, j), vid(i + 1, j),
-                           vid(i + 1, j + 1), vid(i, j + 1))))
-            markers.append(1 if i < N // 2 else 2)
-    facet_markers = _unit_square_facet_markers(N, vid)
-    return Mesh(2, vertices, cells, cell_markers=markers,
+    N, vertices, corners, facet_markers = _unit_square_grid(n)
+    codes = np.full(len(corners), _CODE[CellType.QUADRILATERAL])
+    markers = np.repeat(np.where(np.arange(N) < N // 2, 1, 2), N)
+    return Mesh(2, vertices, (codes, corners), cell_markers=markers,
                 facet_markers=facet_markers)
 
 
@@ -417,42 +514,17 @@ def build_hybrid_unit_square(n):
     into two triangles marked 2.  Facets on x = 0.5 are marked 999 and the
     outer boundary 1.
     """
-    N = 10 * 2 ** n
-    xs = np.linspace(0.0, 1.0, N + 1)
-    vid = lambda i, j: i * (N + 1) + j
-    vertices = np.array([[xs[i], xs[j]] for i in range(N + 1)
-                         for j in range(N + 1)])
-    cells = []
-    markers = []
-    for i in range(N // 2):
-        for j in range(N):
-            cells.append((CellType.QUADRILATERAL,
-                          (vid(i, j), vid(i + 1, j),
-                           vid(i + 1, j + 1), vid(i, j + 1))))
-            markers.append(1)
-    for i in range(N // 2, N):
-        for j in range(N):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((CellType.TRIANGLE, (a, b, c)))
-            cells.append((CellType.TRIANGLE, (a, c, d)))
-            markers.extend([2, 2])
-    facet_markers = _unit_square_facet_markers(N, vid)
-    return Mesh(2, vertices, cells, cell_markers=markers,
+    N, vertices, corners, facet_markers = _unit_square_grid(n)
+    quads, right = np.split(corners, 2)
+    a, b, c, d = right.T
+    triangles = np.stack([a, b, c, -np.ones_like(a), a, c, d,
+                          -np.ones_like(a)], axis=1).reshape(-1, 4)
+    cells = np.concatenate([quads, triangles])
+    codes = np.repeat([_CODE[CellType.QUADRILATERAL], _CODE[CellType.TRIANGLE]],
+                      [len(quads), len(triangles)])
+    markers = np.repeat([1, 2], [len(quads), len(triangles)])
+    return Mesh(2, vertices, (codes, cells), cell_markers=markers,
                 facet_markers=facet_markers)
-
-
-def _unit_square_facet_markers(N, vid):
-    markers = {}
-    for i in range(N):
-        markers[tuple(sorted((vid(i, 0), vid(i + 1, 0))))] = BOUNDARY_MARKER
-        markers[tuple(sorted((vid(i, N), vid(i + 1, N))))] = BOUNDARY_MARKER
-        markers[tuple(sorted((vid(0, i), vid(0, i + 1))))] = BOUNDARY_MARKER
-        markers[tuple(sorted((vid(N, i), vid(N, i + 1))))] = BOUNDARY_MARKER
-    for j in range(N):
-        markers[tuple(sorted((vid(N // 2, j),
-                              vid(N // 2, j + 1))))] = INTERFACE_MARKER
-    return markers
 
 
 def write_mesh(mesh, path):

@@ -6,6 +6,7 @@ makes a rename of a traced function fail this suite, not only the
 benchmark's traced run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,20 @@ def test_entity_count_hook_reads_the_iteration_set_size(asm, studies):
     for itg in problem.residual.integrals:
         entities = asm._iteration_entities(itg, compile_integral(itg))
         assert len(entities) == len(asm.iteration_set(itg)) > 0
+
+
+PER_ENTITY_VIEWS = {"cell_vertices", "facet_vertices", "facet_cells",
+                    "find_facet"}
+
+
+def test_only_the_mesh_module_reads_per_entity_views():
+    # spaces and assembly work on the mesh's arrays; the tuple-per-entity
+    # views and the single-facet lookup are for tests and the text format
+    offenders = []
+    for path in sorted((ROOT / "src" / "multifem").glob("*.py")):
+        if path.name == "mesh.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in PER_ENTITY_VIEWS:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not offenders
