@@ -413,6 +413,15 @@ def _jacobi_cg(A, b, tol=SOLVE_TOL):
     raise ConvergenceError(f"CG did not converge within {10 * n} iterations")
 
 
+def _factor(A):
+    """Sparse LU of A in SuperLU's symmetric mode: minimum-degree ordering
+    on the pattern of A^T + A and diagonal pivots preferred, with partial
+    pivoting kept at the default threshold.  Roughly halves the fill of
+    the structurally symmetric interior-penalty Jacobians."""
+    return scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                    options=dict(SymmetricMode=True))
+
+
 def solve_linear(A, b, spd=False):
     """Solve A x = b by sparse LU, or Jacobi-CG when flagged SPD.
 
@@ -423,7 +432,7 @@ def solve_linear(A, b, spd=False):
         x = _jacobi_cg(A, b)
     else:
         try:
-            lu = scipy.sparse.linalg.splu(A.tocsc())
+            lu = _factor(A)
         except RuntimeError as exc:
             raise ValueError(f"linear system is singular: {exc}") from exc
         x = lu.solve(b)
@@ -546,9 +555,9 @@ class ReducedSystem:
         self.A_kk = A[self.keep][:, self.keep].tocsr()
         self.A_km = A[self.keep][:, self.eliminated].tocsr()
         self.A_mk = A[self.eliminated][:, self.keep].tocsr()
-        A_mm = A[self.eliminated][:, self.eliminated].tocsc()
+        A_mm = A[self.eliminated][:, self.eliminated]
         try:
-            self._lu = scipy.sparse.linalg.splu(A_mm)
+            self._lu = _factor(A_mm)
         except RuntimeError as exc:
             raise ValueError(f"eliminated block is singular: {exc}") from exc
         self.b = None if b is None else np.asarray(b, dtype=float)

@@ -73,24 +73,14 @@ class LocalKernel:
     coeff_slots: list  # (coefficient, component, participant, side)
     arg_blocks: dict  # argument number -> list of ArgBlock
 
-    @property
-    def test_size(self):
-        blocks = self.arg_blocks.get(0, [])
-        return sum(b.ndofs for b in blocks)
-
-    @property
-    def trial_size(self):
-        blocks = self.arg_blocks.get(1, [])
-        return sum(b.ndofs for b in blocks)
-
-    @property
-    def block_size(self):
-        """Entities per tape pass, so that no register exceeds
-        _BLOCK_VALUES values."""
+    def __post_init__(self):
+        self.test_size, self.trial_size = (
+            sum(b.ndofs for b in self.arg_blocks.get(n, [])) for n in (0, 1))
+        # entities per tape pass, so that no register exceeds _BLOCK_VALUES
         widest = max(int(np.prod(v, dtype=int)) for v in self.reg_vshapes)
         footprint = (len(self.quadrature) * max(self.test_size, 1)
                      * max(self.trial_size, 1) * widest)
-        return max(1, _BLOCK_VALUES // footprint)
+        self.block_size = max(1, _BLOCK_VALUES // footprint)
 
     def output_shape(self):
         if self.arity == 2:
@@ -418,7 +408,8 @@ def cell_geometry(cell_type, vertices, rule):
 class _Side:
     """One participant side over all entities of a measure: its cells and,
     computed on first use, reference points, basis tables, inverse
-    Jacobians and outward facet normals.  Arrays carry a leading entity
+    Jacobians, argument tables pushed forward and padded into their dof
+    axis, and outward facet normals.  Arrays carry a leading entity
     axis of length E, or 1 where they are the same for every entity."""
 
     def __init__(self, mesh, cells, facets, X, rule, primal_vertices):
@@ -434,6 +425,7 @@ class _Side:
         self._identity = (facets is None and primal_vertices is not None
                           and np.array_equal(self.vertices, primal_vertices))
         self._tables = {}
+        self._arguments = {}
 
     @cached_property
     def ref(self):
@@ -456,6 +448,26 @@ class _Side:
     def jinv(self):
         return _inv_2x2(fe.geometry_jacobian(self.cell_type, self.vertices,
                                              self.ref))[0]
+
+    def argument(self, element, op, offset, size):
+        """Basis values ('aval') or physical gradients ('agrad') of an
+        argument block, placed at dofs offset.. of a dof axis of length
+        size and zero elsewhere: (E|1, nq, size, ...), computed once and
+        read-only."""
+        key = (element, op, offset, size)
+        table = self._arguments.get(key)
+        if table is None:
+            if size == element.num_dofs:
+                vals, grads = self.tables(element)
+                table = (vals if op == "aval"
+                         else push_forward(grads, self.jinv))
+            else:
+                own = self.argument(element, op, 0, element.num_dofs)
+                table = np.zeros(own.shape[:2] + (size,) + own.shape[3:])
+                table[:, :, offset:offset + element.num_dofs] = own
+            table.setflags(write=False)
+            self._arguments[key] = table
+        return table
 
     @cached_property
     def normal(self):
@@ -580,20 +592,11 @@ def _run_tape(kernel, geometry, w, lo, hi):
             val = out.reshape(out.shape[:2] + (1, 1) + vshape)
         elif op in ("aval", "agrad"):
             _, number, block, pidx, sidx = instr
-            side = geometry.side(pidx, sidx)
-            vals, grads = side.tables(block.element)
-            if op == "aval":
-                table = _block(vals, lo, hi)
-            else:
-                table = push_forward(_block(grads, lo, hi), side.jinv[lo:hi])
             size = test if number == 0 else trial
-            if block.ndofs == size:
-                full = table
-            else:
-                full = np.zeros(table.shape[:2] + (size,) + vshape)
-                full[:, :, block.offset:block.offset + block.ndofs] = table
+            table = _block(geometry.side(pidx, sidx).argument(
+                block.element, op, block.offset, size), lo, hi)
             axes = (size, 1) if number == 0 else (1, size)
-            val = full.reshape(full.shape[:2] + axes + vshape)
+            val = table.reshape(table.shape[:2] + axes + vshape)
         elif op in ("add", "mul"):
             a, b = _align_ndim(regs[instr[1]], regs[instr[2]])
             val = a + b if op == "add" else a * b

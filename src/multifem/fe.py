@@ -8,6 +8,7 @@ Vandermonde matrix at the node points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,30 +226,39 @@ def make_quadrature(cell, degree):
 
     Interval and quadrilateral rules are (tensor) Gauss-Legendre and exact
     per coordinate degree; the triangle rule is a collapsed tensor rule exact
-    for total degree.  All weights are positive.
+    for total degree.  All weights are positive.  Rules are built once per
+    (cell, degree) and shared: their arrays are read-only.
     """
     cell = CellType(cell)
     if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
         raise ValueError(f"quadrature degree {degree} outside supported "
                          f"range 0..{MAX_QUADRATURE_DEGREE}")
+    return _quadrature(cell, degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _quadrature(cell, degree):
     if cell is CellType.INTERVAL:
         x, w = _gauss_01(degree // 2 + 1)
-        return QuadratureRule(cell, x.reshape(-1, 1), w)
-    if cell is CellType.QUADRILATERAL:
+        pts, wts = x.reshape(-1, 1), w
+    elif cell is CellType.QUADRILATERAL:
         x, w = _gauss_01(degree // 2 + 1)
         pts = np.array([(xi, xj) for xi in x for xj in x])
         wts = np.array([wi * wj for wi in w for wj in w])
-        return QuadratureRule(cell, pts, wts)
-    # triangle: map the square by (x, y) -> (x, y (1 - x)); the extra (1 - x)
-    # factor raises the x-degree by one
-    gx, wx = _gauss_01((degree + 1) // 2 + 1)
-    gy, wy = _gauss_01(degree // 2 + 1)
-    pts, wts = [], []
-    for xi, wxi in zip(gx, wx):
-        for yj, wyj in zip(gy, wy):
-            pts.append((xi, yj * (1.0 - xi)))
-            wts.append(wxi * wyj * (1.0 - xi))
-    return QuadratureRule(cell, np.array(pts), np.array(wts))
+    else:
+        # triangle: map the square by (x, y) -> (x, y (1 - x)); the extra
+        # (1 - x) factor raises the x-degree by one
+        gx, wx = _gauss_01((degree + 1) // 2 + 1)
+        gy, wy = _gauss_01(degree // 2 + 1)
+        pts, wts = [], []
+        for xi, wxi in zip(gx, wx):
+            for yj, wyj in zip(gy, wy):
+                pts.append((xi, yj * (1.0 - xi)))
+                wts.append(wxi * wyj * (1.0 - xi))
+        pts, wts = np.array(pts), np.array(wts)
+    for array in (pts, wts):
+        array.setflags(write=False)
+    return QuadratureRule(cell, pts, wts)
 
 
 def reference_vertices(cell):

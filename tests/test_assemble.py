@@ -185,6 +185,23 @@ class TestLinearSolvers:
         with pytest.raises((ValueError, RuntimeError)):
             asm.solve_linear(A, np.ones(3))
 
+    def test_singular_matrices_raise_value_errors(self, asm):
+        A = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="linear system is singular"):
+            asm.solve_linear(A, np.ones(3))
+        with pytest.raises(ValueError, match="eliminated block is singular"):
+            asm.eliminate_component(A, [0, 1, 3], 1)
+
+    def test_lu_pivots_off_a_zero_diagonal(self, asm):
+        # a cyclic shift plus a small strictly upper part: every diagonal
+        # entry is zero, so no symmetric ordering avoids a zero pivot and
+        # the factorization must still pivot
+        rng = np.random.default_rng(29)
+        A = sp.csr_matrix(np.roll(np.eye(40), 1, axis=1)
+                          + 1e-3 * np.triu(rng.normal(size=(40, 40)), 1))
+        x = rng.normal(size=40)
+        assert np.abs(asm.solve_linear(A, A @ x) - x).max() <= 1e-10
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_cg_rejects_a_diagonal_no_spd_matrix_has(self, asm, bad):
         A = sp.diags([2.0, bad, 2.0, 2.0], format="csr")

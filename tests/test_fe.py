@@ -135,6 +135,16 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             fe.make_quadrature(TRI, 13)
 
+    @pytest.mark.parametrize("cell", [INTERVAL, TRI, QUAD])
+    def test_rules_are_shared_and_read_only(self, cell):
+        rule = fe.make_quadrature(cell, 5)
+        assert fe.make_quadrature(cell, 5) is rule
+        assert fe.make_quadrature(cell.value, 5) is rule
+        assert fe.make_quadrature(cell, 6) is not rule
+        for array in (rule.points, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
 
 class TestFacetEmbedding:
     def test_triangle_first_facet_starts_at_first_vertex(self):

@@ -1,10 +1,11 @@
 """Cached assembly plans and the batched geometry path.
 
-Assembly plans (iteration sets, dof index arrays, measure geometry, CSR
-patterns) are built on the first assembly and reused; these tests check
-that a reused plan gives the same operator as a fresh one, that it sees
-new coefficient values, and that the batched pullback equals the
-per-cell one.
+Assembly plans (iteration sets, dof index arrays, measure geometry,
+pushed-forward argument tables, CSR patterns) are built on the first
+assembly and reused; these tests check that a reused plan gives the same
+operator as a fresh one, that it sees new coefficient values, that
+argument tables are pushed forward once and equal a per-block pass, and
+that the batched pullback equals the per-cell one.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ import scipy.sparse.linalg as spla
 import conftest
 from multifem import fe, forms
 from multifem import mesh as mm
-from multifem.compile import CompileError, align_interface_quadrature
+from multifem.compile import (CompileError, align_interface_quadrature,
+                              push_forward)
 
 QUAD = mm.CellType.QUADRILATERAL
 TRI = mm.CellType.TRIANGLE
@@ -176,3 +178,110 @@ class TestBatchedPullback:
         phys = fe.geometry_map(QUAD, verts, ref)
         with pytest.raises(CompileError, match="non-conforming or degenerate"):
             align_interface_quadrature(phys, QUAD, verts)
+
+
+class TestArgumentTables:
+    """Argument basis tables are pushed forward once per measure side and
+    element, then sliced by every integral, entity block and assembly."""
+
+    @staticmethod
+    def argument_instructions(forms_):
+        """(geometry side, instruction, dof-axis size) of every aval/agrad
+        instruction in the cached plans of the forms' integrals."""
+        for form in forms_:
+            for integral in form.integrals:
+                kernel = integral._plan.kernel
+                sizes = (kernel.test_size, kernel.trial_size)
+                for instr in kernel.tape:
+                    if instr[0] in ("aval", "agrad"):
+                        _, number, block, pidx, sidx = instr
+                        yield (integral._plan.geometry.side(pidx, sidx),
+                               instr, sizes[number])
+
+    def test_each_side_pushes_each_argument_element_forward_once(
+            self, asm, studies, comp, monkeypatch):
+        problem = studies.build_quad_tri_problem(1, 1)
+        jacobian = forms.derivative(problem.residual, problem.u)
+        pushed = []
+
+        def counting(grads, jinv):
+            pushed.append(grads)
+            return push_forward(grads, jinv)
+
+        monkeypatch.setattr(comp, "push_forward", counting)
+
+        def argument_pushes():
+            """Push-forward count per (side, element) of argument tables;
+            coefficient gradients are pushed forward after contraction,
+            so their input is never a cached table."""
+            counts = {}
+            for side, instr, _ in self.argument_instructions(
+                    (problem.residual, jacobian)):
+                if instr[0] == "agrad":
+                    table = side.tables(instr[2].element)[1]
+                    counts[(id(side), instr[2].element)] = sum(
+                        g is table for g in pushed)
+            return counts
+
+        for _ in range(2):
+            asm.assemble(problem.residual)
+            asm.assemble(jacobian, problem.bcs)
+            asm.assemble(problem.residual)
+            counts = argument_pushes()
+            assert len(counts) >= 4  # both meshes' cells and interface
+            assert set(counts.values()) == {1}
+        assert len(pushed) > len(counts)  # coefficient gradients still run
+
+    def test_cached_tables_are_read_only_and_match_a_per_block_pass(
+            self, asm, studies):
+        problem = studies.build_quad_tri_problem(1, 1)
+        jacobian = forms.derivative(problem.residual, problem.u)
+        asm.assemble(jacobian)
+        seen = 0
+        for side, (op, _, block, *_), size in self.argument_instructions(
+                (jacobian,)):
+            table = side.argument(block.element, op, block.offset, size)
+            assert side.argument(block.element, op, block.offset,
+                                 size) is table
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+            # entities 3:7 as one tape block sees them; entity-independent
+            # tables (leading axis 1) are not sliced
+            vals, grads = (t if len(t) == 1 else t[3:7]
+                           for t in side.tables(block.element))
+            part = (vals if op == "aval"
+                    else push_forward(grads, side.jinv[3:7]))
+            expected = np.zeros(part.shape[:2] + (size,) + part.shape[3:])
+            expected[:, :, block.offset:block.offset + block.ndofs] = part
+            assert np.array_equal(table if len(part) == 1 else table[3:7],
+                                  expected)
+            seen += 1
+        assert seen
+
+    def test_one_block_at_two_offsets_gets_two_tables(self, asm):
+        """A trial space listing the same meshes in the other order puts
+        the quadrilateral block at another offset of an equally wide dof
+        axis; the two padded tables must not be shared."""
+        background = mm.build_hybrid_unit_square(0)
+        mesh_q, _ = mm.extract_codim0_submesh(background, 1)
+        mesh_t, _ = mm.extract_codim0_submesh(background, 2)
+        q1, p1 = fe.make_element(QUAD, "Q", 1), fe.make_element(TRI, "P", 1)
+        V = forms.FunctionSpace(forms.MeshSequence([mesh_q, mesh_t]),
+                                forms.MixedElement([q1, p1]))
+        W = forms.FunctionSpace(forms.MeshSequence([mesh_t, mesh_q]),
+                                forms.MixedElement([p1, q1]))
+        ds = forms.Measure("ds", mesh_q, intersect_measures=(
+            forms.Measure("ds", mesh_t),))(mm.INTERFACE_MARKER)
+        v_q, v_t = forms.split(forms.TestFunction(V))
+
+        def matrix(u_q, u_t):
+            return asm.assemble((u_q * v_q + 2.0 * u_t * v_t
+                                 + 3.0 * u_q * v_t) * ds).toarray()
+
+        A_V = matrix(*forms.split(forms.TrialFunction(V)))
+        A_W = matrix(*forms.split(forms.TrialFunction(W))[::-1])
+        n_q, n_t = V.offsets[1], W.offsets[1]
+        assert np.abs(A_V).max() > 0.1
+        assert np.array_equal(
+            A_W[:, np.concatenate([n_t + np.arange(n_q), np.arange(n_t)])],
+            A_V)
