@@ -123,38 +123,35 @@ def _iteration_entities(integral, kernel):
     """(E, P) int array of the entities the intersection measure integrates.
 
     Row k holds the k-th primal entity (ascending) and, for every other
-    participant, its resolved cell (cell role) or facet.  A primal entity
-    stays only if every participant supplies a matching entity of the
-    required exterior/interior kind.
+    participant, its resolved cell ('dx') or facet ('ds', 'dS').  A primal
+    entity stays only if every participant supplies a matching entity of
+    the required exterior/interior kind.
     """
     measure = integral.measure
-    relations = _relations_for([p.mesh for p in kernel.participants])
+    relations = _relations_for([mesh for _, mesh in kernel.participants])
     primal = measure.mesh
     if measure.integral_type == "dx":
         candidates = np.arange(primal.num_cells)
         markers = primal.cell_markers
-        root_kind, to_root = relations.cell_to_root(primal)
+        _, to_root = relations.cell_to_root(primal)
     else:
         want_exterior = measure.integral_type == "ds"
         candidates = np.flatnonzero(primal.facet_exterior == want_exterior)
         markers = primal.facet_markers
-        root_kind, to_root = "facet", relations.facet_to_root(primal)
+        to_root = relations.facet_to_root(primal)
     if measure.subdomain_id != forms.EVERYWHERE:
         candidates = candidates[markers[candidates]
                                 == int(measure.subdomain_id)]
     root = to_root[candidates]
     columns = [candidates]
     keep = np.ones(len(candidates), dtype=bool)
-    for participant in kernel.participants[1:]:
-        mesh, role = participant.mesh, participant.role
-        if role == "cell" and mesh.dim == 2 and root_kind != "cell":
-            raise ValueError("codim-0 cell participant in a facet measure")
-        found = relations.from_root(mesh, "cell" if role == "cell"
+    for itype, mesh in kernel.participants[1:]:
+        found = relations.from_root(mesh, "cell" if itype == "dx"
                                     else "facet")[root]
         keep &= found >= 0
-        if role != "cell":
+        if itype != "dx":
             exterior = mesh.facet_exterior[np.maximum(found, 0)]
-            keep &= exterior == (role == "exterior_facet")
+            keep &= exterior == (itype == "ds")
         columns.append(found)
     return np.stack(columns, axis=1)[keep]
 
@@ -180,12 +177,12 @@ def _measure_geometry(integral, kernel):
     """The measure's geometry, built once per measure and rule and shared
     by every integral on them.  Rules of one cell type and point count
     are identical."""
-    relations = _relations_for([p.mesh for p in kernel.participants])
+    relations = _relations_for([mesh for _, mesh in kernel.participants])
     rule = kernel.quadrature
     key = (integral.measure.key(), rule.cell, len(rule))
     geometry = relations.geometry.get(key)
     if geometry is None:
-        for mesh in (p.mesh for p in kernel.participants):
+        for _, mesh in kernel.participants:
             # what the cached plans depend on may no longer change
             for array in (mesh.vertices, mesh.cell_markers,
                           mesh.facet_markers):
@@ -208,11 +205,11 @@ def _plan_for(integral):
         return space.offsets[component] + space.dofmaps[component][cells]
 
     def arg_dofs(number):
-        blocks = kernel.arg_blocks.get(number)
-        if not blocks:
+        if number not in kernel.arguments:
             return None
-        return np.concatenate([dofs(b.space, b.component, b.participant,
-                                    b.side) for b in blocks], axis=1)
+        space = kernel.arguments[number].space
+        return np.concatenate([dofs(space, b.component, b.participant, b.side)
+                               for b in kernel.arg_blocks[number]], axis=1)
 
     coeff_dofs = [dofs(coeff.space, component, pidx, side)
                   for coeff, component, pidx, side in kernel.coeff_slots]
@@ -249,17 +246,15 @@ def assemble(form, bcs=()):
 
     Dirichlet conditions: matrix rows and columns of constrained dofs are
     zeroed with a unit diagonal (a symmetric application); vector entries are
-    set to the boundary values.
+    set to the boundary values.  Each integral is checked and compiled on
+    its first assembly (compile_integral); the form's arguments are those
+    of its integrals' kernels, which must all agree.
     """
-    diagnostics = forms.validate_form(form)
-    if diagnostics:
-        raise ValueError(f"invalid form: {diagnostics[0]}")
-    arity = form.arity()
-    args = form.arguments()
-    plans, tensors = [], []
-    for integral in form.integrals:
-        plan = _plan_for(integral)
-        if plan.kernel.arity != arity:
+    plans = [_plan_for(integral) for integral in form.integrals]
+    args = plans[0].kernel.arguments if plans else {}
+    tensors = []
+    for integral, plan in zip(form.integrals, plans):
+        if plan.kernel.arguments != args:
             raise ValueError("every integral must use the form's arguments")
         if (not len(plan.geometry)
                 and integral.measure.subdomain_id != forms.EVERYWHERE):
@@ -267,9 +262,9 @@ def assemble(form, bcs=()):
                           f"contribution is zero", stacklevel=2)
         w = [coeff.values[dofs] for (coeff, *_), dofs
              in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
-        plans.append(plan)
         tensors.append(execute_kernel(plan.kernel, plan.geometry, w))
 
+    arity = len(args)
     if arity == 0:
         return float(sum(t.sum() for t in tensors))
     values = np.concatenate([t.ravel() for t in tensors])

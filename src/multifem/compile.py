@@ -41,18 +41,8 @@ class CompileError(ValueError):
     pass
 
 
-_ROLE = {"dx": "cell", "ds": "exterior_facet", "dS": "interior_facet"}
-
-
-@dataclass(frozen=True)
-class Participant:
-    mesh: object
-    role: str
-
-
 @dataclass(frozen=True)
 class ArgBlock:
-    space: object
     component: int
     participant: int
     side: object  # None, '+', or '-'
@@ -63,17 +53,18 @@ class ArgBlock:
 
 @dataclass
 class LocalKernel:
-    arity: int
-    participants: list
+    participants: list  # the measure's (integral type, mesh) pairs
     primal_kind: str  # 'cell2d', 'cell1d', or 'facet'
     quadrature: fe.QuadratureRule
     tape: list
     reg_vshapes: list
     out_reg: int
     coeff_slots: list  # (coefficient, component, participant, side)
+    arguments: dict  # argument number -> Argument
     arg_blocks: dict  # argument number -> list of ArgBlock
 
     def __post_init__(self):
+        self.arity = len(self.arguments)
         self.test_size, self.trial_size = (
             sum(b.ndofs for b in self.arg_blocks.get(n, [])) for n in (0, 1))
         # entities per tape pass, so that no register exceeds _BLOCK_VALUES
@@ -96,13 +87,14 @@ def side_index(side):
 
 
 def default_quadrature_degree(integral):
-    """2 * max participating element degree, plus 2 on bilinear geometry."""
+    """2 * the largest degree of an element component in the integrand,
+    plus 2 on bilinear geometry."""
     pmax = 1
     for node in forms.walk(integral.integrand):
         if isinstance(node, forms.Indexed):
             pmax = max(pmax, node.function.space.element[node.component].degree)
-        elif isinstance(node, forms._Function):
-            pmax = max(pmax, max(e.degree for e in node.space.element.sub_elements))
+        elif isinstance(node, forms._Function):  # of a one-component space
+            pmax = max(pmax, node.space.element[0].degree)
     qgeom = 0
     for _, mesh in integral.measure.participants():
         if mesh.dim == 2 and CellType.QUADRILATERAL in mesh.cell_type_set:
@@ -111,20 +103,22 @@ def default_quadrature_degree(integral):
 
 
 class _Builder:
-    """Builds the instruction tape for one integral."""
+    """Builds the instruction tape for one integral that validate_form
+    accepts."""
 
-    def __init__(self, integral, participants, pindex):
-        self.integral = integral
-        self.participants = participants
-        self.pindex = pindex
+    def __init__(self, integral):
+        participants = self.participants = integral.measure.participants()
+        self.pindex = {mesh.id: i for i, (_, mesh) in enumerate(participants)}
         self.tape = []
         self.vshapes = []
         self.argdeps = []
         self.coeff_slots = []
         self._slot_index = {}
-        self.arg_blocks = self._layout_arguments(integral.integrand)
+        self._layout_arguments(integral.integrand)
 
     def _layout_arguments(self, integrand):
+        """arguments (number -> Argument), arg_blocks (number -> blocks on
+        its dof axis) and the block of each (number, component, side)."""
         # An explicit stack: a recursive closure would be a reference cycle
         # keeping the arguments' spaces and meshes (and the plans cached on
         # them) alive until the next full garbage collection.
@@ -132,61 +126,32 @@ class _Builder:
         stack = [integrand]
         while stack:
             node = stack.pop()
+            stack.extend(node.operands)
+            component = 0
             if isinstance(node, forms.Indexed):
-                if isinstance(node.function, forms.Argument):
-                    used.setdefault(node.function.number,
-                                    (node.function, set()))[1].add(
-                                        node.component)
-            elif isinstance(node, forms.Argument):
-                if node.space.num_components != 1:
-                    raise CompileError("split() product-space arguments "
-                                       "before integration")
-                used.setdefault(node.number, (node, set()))[1].add(0)
-            else:
-                stack.extend(node.operands)
-        blocks = {}
+                node, component = node.function, node.component
+            if isinstance(node, forms.Argument):
+                arg, comps = used.setdefault(node.number, (node, set()))
+                if arg is not node:
+                    raise CompileError("form mixes distinct arguments with "
+                                       "the same number")
+                comps.add(component)
+        self.arguments, self.arg_blocks, self._blocks = {}, {}, {}
         for number, (arg, comps) in sorted(used.items()):
-            layout = []
+            self.arguments[number] = arg
+            layout = self.arg_blocks[number] = []
             offset = 0
             for comp in sorted(comps):
-                mesh = arg.space.meshes[comp]
-                pidx = self.pindex.get(mesh.id)
-                if pidx is None:
-                    raise CompileError(f"mesh {mesh.id} of argument component "
-                                       f"{comp} does not participate")
+                pidx = self.pindex[arg.space.meshes[comp].id]
                 element = arg.space.element[comp]
-                sides = ("+", "-") if (self.participants[pidx].role
-                                       == "interior_facet") else (None,)
+                sides = (("+", "-") if self.participants[pidx][0] == "dS"
+                         else (None,))
                 for side in sides:
-                    layout.append(ArgBlock(arg.space, comp, pidx, side,
-                                           offset, element.num_dofs,
-                                           element))
+                    block = ArgBlock(comp, pidx, side, offset,
+                                     element.num_dofs, element)
+                    layout.append(block)
+                    self._blocks[(number, comp, side)] = block
                     offset += element.num_dofs
-            blocks[number] = layout
-        return blocks
-
-    def _find_block(self, number, component, side):
-        for block in self.arg_blocks[number]:
-            if block.component == component and block.side == side:
-                return block
-        raise CompileError(f"no block for argument {number} component "
-                           f"{component} side {side!r}")
-
-    def _participant_of(self, mesh):
-        pidx = self.pindex.get(mesh.id)
-        if pidx is None:
-            raise CompileError(f"mesh {mesh.id} does not participate in the "
-                               f"measure")
-        return pidx
-
-    def _check_side(self, pidx, side, what):
-        role = self.participants[pidx].role
-        if role == "interior_facet" and side is None:
-            raise CompileError(f"{what} on an interior-facet participant "
-                               f"must be restricted")
-        if role != "interior_facet" and side is not None:
-            raise CompileError(f"{what} on a {role} participant must not be "
-                               f"restricted")
 
     def _push(self, instr, vshape, argdeps):
         self.tape.append(instr)
@@ -211,9 +176,6 @@ class _Builder:
         if isinstance(expr, forms.Indexed):
             return expr.function, expr.component, side
         if isinstance(expr, forms._Function):
-            if expr.space.num_components != 1:
-                raise CompileError("split() product-space functions before "
-                                   "integration")
             return expr, 0, side
         raise CompileError(f"unsupported node kind under a differential "
                            f"operator: {type(expr).__name__}")
@@ -221,8 +183,7 @@ class _Builder:
     def _function_value(self, func, component, side, op):
         mesh = func.space.meshes[component]
         element = func.space.element[component]
-        pidx = self._participant_of(mesh)
-        self._check_side(pidx, side, repr(func))
+        pidx = self.pindex[mesh.id]
         if op != "val" and mesh.dim != 2:
             raise CompileError("gradients on codim-1 meshes are not supported")
         vshape = element.value_shape
@@ -230,7 +191,7 @@ class _Builder:
             vshape = vshape + (2,)
         sidx = side_index(side)
         if isinstance(func, forms.Argument):
-            block = self._find_block(func.number, component, side)
+            block = self._blocks[(func.number, component, side)]
             deps = frozenset([func.number])
             return self._push((f"a{op}", func.number, block, pidx, sidx),
                               vshape, deps)
@@ -244,17 +205,10 @@ class _Builder:
         if isinstance(expr, forms.Constant):
             return self._push(("const", expr.value), (), frozenset())
         if isinstance(expr, forms.Analytic):
-            self._participant_of(expr.mesh)
             return self._push(("analytic", expr.fn), (), frozenset())
         if isinstance(expr, forms.FacetNormal):
-            pidx = self._participant_of(expr.mesh)
-            role = self.participants[pidx].role
-            if role == "cell":
-                raise CompileError("FacetNormal of a mesh participating "
-                                   "through cells")
-            self._check_side(pidx, side, "FacetNormal")
-            return self._push(("normal", pidx, side_index(side)), (2,),
-                              frozenset())
+            return self._push(("normal", self.pindex[expr.mesh.id],
+                               side_index(side)), (2,), frozenset())
         if isinstance(expr, (forms.Indexed, forms._Function)):
             func, component, side = self._resolve_function(expr, side)
             return self._function_value(func, component, side, "val")
@@ -283,11 +237,14 @@ class _Builder:
 
 
 def compile_integral(integral):
-    """Compile one integral into a LocalKernel."""
+    """Compile one integral into a LocalKernel.  The integral is checked
+    here, once, by forms.validate_form; the first diagnostic raises."""
+    diagnostics = forms.validate_form(forms.Form([integral]))
+    if diagnostics:
+        d = diagnostics[0]
+        raise CompileError(f"invalid form: {integral.measure!r} at {d.path}: "
+                           f"{d.message}")
     measure = integral.measure
-    participants = [Participant(mesh, _ROLE[itype])
-                    for itype, mesh in measure.participants()]
-    pindex = {p.mesh.id: i for i, p in enumerate(participants)}
     if measure.integral_type == "dx":
         primal_kind = "cell2d" if measure.mesh.dim == 2 else "cell1d"
     else:
@@ -301,18 +258,16 @@ def compile_integral(integral):
     else:
         rule = fe.make_quadrature(CellType.INTERVAL, qdeg)
 
-    builder = _Builder(integral, participants, pindex)
+    builder = _Builder(integral)
     out_reg = builder.visit(integral.integrand)
-    if builder.vshapes[out_reg] != ():
-        raise CompileError("integrand does not reduce to a scalar")
-    arity = len(builder.arg_blocks)
-    if 1 in builder.arg_blocks and 0 not in builder.arg_blocks:
+    if 1 in builder.arguments and 0 not in builder.arguments:
         raise CompileError("integral has a trial function but no test function")
 
-    return LocalKernel(arity=arity, participants=participants,
+    return LocalKernel(participants=builder.participants,
                        primal_kind=primal_kind, quadrature=rule,
                        tape=builder.tape, reg_vshapes=builder.vshapes,
                        out_reg=out_reg, coeff_slots=builder.coeff_slots,
+                       arguments=builder.arguments,
                        arg_blocks=builder.arg_blocks)
 
 
@@ -391,7 +346,7 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
         inside = ref.min() >= -GEOMETRY_TOL and ref.max() <= 1.0 + GEOMETRY_TOL
     if not inside:
         raise CompileError("non-conforming or degenerate geometry: physical "
-                           "points lie outside the participant cell")
+                           "points lie outside their cell")
     return ref
 
 
@@ -485,15 +440,15 @@ class MeasureGeometry:
     """Quadrature geometry of one measure over all its iteration entities.
 
     entities is (E, P): row k holds the k-th primal entity and, per
-    participant, its resolved cell (cell role) or facet.  The physical
-    points X (E, nq, 2) and scaled weights wq (E, nq) live on the primal
-    entities; side(p, s) is participant p's side s (0 is '+' or the only
-    side, 1 is '-').  Holds arrays only, no meshes.
+    participant, its resolved cell ('dx') or facet ('ds', 'dS').  The
+    physical points X (E, nq, 2) and scaled weights wq (E, nq) live on the
+    primal entities; side(p, s) is participant p's side s (0 is '+' or the
+    only side, 1 is '-').  Holds arrays only, no meshes.
     """
 
     def __init__(self, participants, primal_kind, rule, entities):
         self.entities = entities
-        primal = participants[0].mesh
+        primal = participants[0][1]
         first = entities[:, 0]
         primal_vertices = None
         if primal_kind == "cell2d":
@@ -509,12 +464,12 @@ class MeasureGeometry:
             length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
             self.wq = length[:, None] * rule.weights
         self._sides = {}
-        for pidx, p in enumerate(participants):
+        for pidx, (itype, mesh) in enumerate(participants):
             ids = entities[:, pidx]
-            facets = None if p.role == "cell" else ids
-            for sidx in range(2 if p.role == "interior_facet" else 1):
-                cells = ids if facets is None else p.mesh.facet_sides[ids, sidx]
-                self._sides[(pidx, sidx)] = _Side(p.mesh, cells, facets,
+            facets = None if itype == "dx" else ids
+            for sidx in range(2 if itype == "dS" else 1):
+                cells = ids if facets is None else mesh.facet_sides[ids, sidx]
+                self._sides[(pidx, sidx)] = _Side(mesh, cells, facets,
                                                   self.X, rule, primal_vertices)
 
     def __len__(self):

@@ -105,10 +105,6 @@ class FunctionSpace:
     def component_slice(self, k):
         return slice(self.offsets[k], self.offsets[k + 1])
 
-    def component_dofs(self, k, cell):
-        """Global dof indices of component k on one of its cells."""
-        return self.offsets[k] + self.dofmaps[k][cell]
-
 
 def _number_dofs(mesh, element):
     """Entity-based dof numbering for one component.
@@ -156,27 +152,11 @@ def _number_dofs(mesh, element):
 
 
 class Expr:
-    """Base expression node.  Trees are immutable; shape is () or (2,)."""
+    """Base expression node.  Trees are immutable and compare by identity;
+    shape is () or (2,)."""
 
     operands = ()
     shape = ()
-
-    def _static_key(self):
-        return ()
-
-    def key(self):
-        cached = getattr(self, "_key", None)
-        if cached is None:
-            cached = ((type(self).__name__,) + self._static_key()
-                      + tuple(o.key() for o in self.operands))
-            self._key = cached
-        return cached
-
-    def __eq__(self, other):
-        return isinstance(other, Expr) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __add__(self, other):
         return Sum(self, as_expr(other))
@@ -219,9 +199,6 @@ class Zero(Expr):
     def __init__(self, shape=()):
         self.shape = tuple(shape)
 
-    def _static_key(self):
-        return (self.shape,)
-
     def __repr__(self):
         return f"Zero(shape={self.shape})"
 
@@ -229,9 +206,6 @@ class Zero(Expr):
 class Constant(Expr):
     def __init__(self, value):
         self.value = float(value)
-
-    def _static_key(self):
-        return (self.value,)
 
     def __repr__(self):
         return f"Constant({self.value})"
@@ -247,9 +221,6 @@ class _Function(Expr):
             self.shape = space.element[0].value_shape
         else:
             self.shape = None  # must be split before use in integrands
-
-    def _static_key(self):
-        return (self.count,)
 
 
 class Coefficient(_Function):
@@ -273,9 +244,6 @@ class Argument(_Function):
             raise ValueError("argument number must be 0 (test) or 1 (trial)")
         self.number = number
 
-    def _static_key(self):
-        return (self.count, self.number)
-
     def __repr__(self):
         return f"Argument#{self.count}(number={self.number})"
 
@@ -289,7 +257,8 @@ def TrialFunction(space):
 
 
 class Indexed(Expr):
-    """Component k of a product-space Coefficient or Argument."""
+    """Component k of a product-space Coefficient or Argument: a terminal,
+    so tree walks stop here and never reach the other components."""
 
     def __init__(self, function, component):
         if not isinstance(function, (Coefficient, Argument)):
@@ -298,11 +267,7 @@ class Indexed(Expr):
             raise IndexError(f"component {component} out of range")
         self.function = function
         self.component = int(component)
-        self.operands = (function,)
         self.shape = function.space.element[component].value_shape
-
-    def _static_key(self):
-        return (self.component,)
 
     def __repr__(self):
         return f"{self.function!r}[{self.component}]"
@@ -322,9 +287,6 @@ class FacetNormal(Expr):
     def __init__(self, mesh):
         self.mesh = mesh
 
-    def _static_key(self):
-        return (self.mesh.id,)
-
     def __repr__(self):
         return f"n({self.mesh.id})"
 
@@ -336,9 +298,6 @@ class Analytic(Expr):
         self.mesh = mesh
         self.fn = fn
         self.count = next(_function_counter)
-
-    def _static_key(self):
-        return (self.count,)
 
     def __repr__(self):
         return f"Analytic#{self.count}"
@@ -406,9 +365,6 @@ class Restricted(Expr):
         self.operands = (operand,)
         self.side = side
         self.shape = operand.shape
-
-    def _static_key(self):
-        return (self.side,)
 
     def __repr__(self):
         return f"({self.operands[0]!r})('{self.side}')"
@@ -579,26 +535,14 @@ class Form:
         found = {}
         for itg in self.integrals:
             for node in walk(itg.integrand):
+                if isinstance(node, Indexed):
+                    node = node.function
                 if isinstance(node, Argument):
                     prev = found.setdefault(node.number, node)
                     if prev is not node:
                         raise ValueError("form mixes distinct arguments with "
                                          "the same number")
         return found
-
-    def arity(self):
-        args = self.arguments()
-        if 1 in args and 0 not in args:
-            raise ValueError("form has a trial function but no test function")
-        return len(args)
-
-    def coefficients(self):
-        seen = []
-        for itg in self.integrals:
-            for node in walk(itg.integrand):
-                if isinstance(node, Coefficient) and node not in seen:
-                    seen.append(node)
-        return seen
 
     def __repr__(self):
         return f"Form({len(self.integrals)} integrals)"
@@ -641,10 +585,12 @@ def _terminal_meshes(node):
 def validate_form(form):
     """Check integrand/measure consistency; returns a list of diagnostics.
 
-    An empty list means the form is valid.  Checks per integral: every
-    terminal's mesh participates in the measure; terminals of interior-facet
-    participants are restricted; terminals of cell or exterior-facet
-    participants are not; normals match their mesh's codimension.
+    The one owner of these rules: compile_integral runs it on every
+    integral it compiles.  An empty list means the form is valid.  Checks
+    per integral: every terminal's mesh participates in the measure;
+    terminals of interior-facet participants are restricted; terminals of
+    cell or exterior-facet participants are not; a FacetNormal's mesh is
+    codim-0 and participates through its facets.
     """
     diagnostics = []
 
@@ -656,9 +602,14 @@ def validate_form(form):
                   node.side, path + f"/Restricted[{node.side}]")
             return
         here = path + "/" + type(node).__name__
-        if isinstance(node, FacetNormal) and node.mesh.dim != 2:
-            diagnostics.append(FormDiagnostic(
-                idx, here, "FacetNormal requires a codim-0 mesh"))
+        if isinstance(node, FacetNormal):
+            if node.mesh.dim != 2:
+                diagnostics.append(FormDiagnostic(
+                    idx, here, "FacetNormal requires a codim-0 mesh"))
+            elif roles.get(node.mesh.id) == "dx":
+                diagnostics.append(FormDiagnostic(
+                    idx, here, "FacetNormal of a mesh participating through "
+                               "cells"))
         for mesh in _terminal_meshes(node):
             role = roles.get(mesh.id)
             if role is None:
@@ -675,8 +626,6 @@ def validate_form(form):
             elif role == "dx" and side is not None:
                 diagnostics.append(FormDiagnostic(
                     idx, here, "restriction on cell participant"))
-        if isinstance(node, Indexed):
-            return  # a component terminal; the parent's other meshes are inert
         for i, child in enumerate(node.operands):
             visit(child, idx, roles, side, here + f".{i}")
 
@@ -730,8 +679,6 @@ def _restricted(e, side):
 def _linearize(expr, coefficient, direction, component):
     """Forward-mode Gateaux derivative of expr with respect to coefficient."""
     if expr is coefficient:
-        if component is not None and coefficient.space.num_components > 1:
-            raise ValueError("component derivatives need split() components")
         return direction
     if isinstance(expr, Indexed):
         if expr.function is not coefficient:
@@ -792,11 +739,6 @@ def _filter_components(expr, targets):
             number = expr.function.number
             if number in targets and expr.component != targets[number]:
                 return Zero(expr.shape)
-        return expr
-    if isinstance(expr, Argument):
-        if expr.number in targets and expr.space.num_components > 1:
-            raise ValueError("split() product-space arguments before "
-                             "splitting into blocks")
         return expr
     if not expr.operands:
         return expr

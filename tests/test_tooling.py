@@ -63,3 +63,22 @@ def test_only_the_mesh_module_reads_per_entity_views():
             if isinstance(node, ast.Attribute) and node.attr in PER_ENTITY_VIEWS:
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not offenders
+
+
+def test_only_the_form_checker_states_measure_rules():
+    # participation and restriction rules live in forms.validate_form,
+    # which compile_integral runs; a raise about them in the compiler or
+    # the assembler would be a second copy that can disagree with it
+    offenders = []
+    for name in ("compile.py", "assemble.py"):
+        tree = ast.parse((ROOT / "src" / "multifem" / name).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            message = " ".join(
+                part.value for part in ast.walk(node.exc)
+                if isinstance(part, ast.Constant) and isinstance(part.value,
+                                                                 str))
+            if "participat" in message or "restrict" in message:
+                offenders.append(f"{name}:{node.lineno} {message!r}")
+    assert not offenders
