@@ -5,15 +5,19 @@ assembly and reused by every later one.  A plan resolves the iteration
 set once, as integer arrays: the primal entities of the measure and, per
 participating mesh, the matching cell or facet, found by composing entity
 maps up to the common root mesh and inverse tables back down.  It holds
-the dof index arrays of every argument block and coefficient slot, and the
-measure's batched quadrature geometry (compile.MeasureGeometry), which is
-shared by every integral on the same measure and rule.  Each assembly then
-gathers coefficient values, runs every kernel once over all its entities,
-and scatters with np.bincount: vectors directly, matrices into a CSR
-pattern cached on the bilinear form.  Entities are scattered in ascending
-order and integrals in form order, so results are bitwise reproducible.
-Dirichlet dofs are found topologically, as the closure of the marked
-facets through the dofmap.
+the dof index arrays of every argument block and coefficient slot, the
+measure's batched quadrature geometry (compile.MeasureGeometry), shared by
+every integral on the same measure and rule, and, after its first run, the
+element tensors of a static kernel: one that reads no coefficient and no
+Analytic source (Constants are frozen).  Each assembly gathers coefficient
+values, runs every other kernel once over all its entities, so Analytic
+sources are evaluated afresh, and scatters with np.bincount: vectors
+directly, matrices into a CSR pattern cached on the bilinear form.  The
+constrained pattern, and with it the Dirichlet dofs, is cached on the form
+per set of bcs (component, marker) pairs; Dirichlet values are evaluated
+on every call.  Entities are scattered in ascending order and integrals in
+form order, so results are bitwise reproducible.  Dirichlet dofs are found
+topologically, as the closure of the marked facets through the dofmap.
 """
 
 from __future__ import annotations
@@ -163,14 +167,16 @@ def _iteration_entities(integral, kernel):
 @dataclass
 class _IntegralPlan:
     """What every assembly of one integral reuses: its kernel, the measure
-    geometry, and (E, ndofs) global dof indices of the test (rows) and
-    trial (cols) blocks and of each coefficient slot."""
+    geometry, (E, ndofs) global dof indices of the test (rows) and trial
+    (cols) blocks and of each coefficient slot, and, once assembled, the
+    read-only element tensors of a static kernel."""
 
     kernel: object
     geometry: MeasureGeometry
     rows: np.ndarray
     cols: np.ndarray
     coeff_dofs: list
+    static_tensors: np.ndarray = None
 
 
 def _measure_geometry(integral, kernel):
@@ -260,9 +266,15 @@ def assemble(form, bcs=()):
                 and integral.measure.subdomain_id != forms.EVERYWHERE):
             warnings.warn(f"measure {integral.measure!r} matched no entities; "
                           f"contribution is zero", stacklevel=2)
-        w = [coeff.values[dofs] for (coeff, *_), dofs
-             in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
-        tensors.append(execute_kernel(plan.kernel, plan.geometry, w))
+        tensor = plan.static_tensors
+        if tensor is None:
+            w = [coeff.values[dofs] for (coeff, *_), dofs
+                 in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
+            tensor = execute_kernel(plan.kernel, plan.geometry, w)
+            if plan.kernel.static:
+                tensor.setflags(write=False)
+                plan.static_tensors = tensor
+        tensors.append(tensor)
 
     arity = len(args)
     if arity == 0:
@@ -284,8 +296,7 @@ def assemble(form, bcs=()):
                                 shape=shape)
     A.has_canonical_format = True
     if bcs:
-        dofs, _ = dirichlet_dofs(test_space, bcs)
-        A = _constrain_matrix(A, dofs)
+        A = _constrain(form, A, test_space, bcs)
     return A
 
 
@@ -299,6 +310,25 @@ def _constrain_matrix(A, dofs):
     A.data[~(row_free & free[A.indices])] = 0.0
     A.eliminate_zeros()
     return (A + scipy.sparse.diags((~free).astype(float))).tocsr()
+
+
+def _constrain(form, A, space, bcs):
+    """_constrain_matrix(A, Dirichlet dofs of bcs) for A assembled from form,
+    by a gather cached per form and bcs' (component, marker) pairs.  It is
+    built by constraining a matrix whose entries are their position + 2;
+    the unit diagonal (1 - 2 = -1) reads a 1.0 appended to A.data."""
+    patterns = form.__dict__.setdefault("_constrained", {})
+    key = tuple((bc.component, bc.marker) for bc in bcs)
+    if key not in patterns:
+        positions = scipy.sparse.csr_matrix(
+            (np.arange(2.0, A.nnz + 2.0), A.indices, A.indptr), shape=A.shape)
+        M = _constrain_matrix(positions, dirichlet_dofs(space, bcs)[0])
+        patterns[key] = ((M.data - 2).astype(np.intp), M.indices, M.indptr)
+    gather, indices, indptr = patterns[key]
+    C = scipy.sparse.csr_matrix((np.append(A.data, 1.0)[gather],
+                                 indices.copy(), indptr.copy()), shape=A.shape)
+    C.eliminate_zeros()  # as _constrain_matrix drops assembled zeros
+    return C
 
 
 def assemble_system(a_form, L_form, bcs=()):
@@ -316,7 +346,7 @@ def assemble_system(a_form, L_form, bcs=()):
         g[dofs] = values
         b = b - A @ g
         b[dofs] = values
-        A = _constrain_matrix(A, dofs)
+        A = _constrain(a_form, A, space, bcs)
     return A, b
 
 

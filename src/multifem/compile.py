@@ -72,6 +72,9 @@ class LocalKernel:
         footprint = (len(self.quadrature) * max(self.test_size, 1)
                      * max(self.trial_size, 1) * widest)
         self.block_size = max(1, _BLOCK_VALUES // footprint)
+        # reads no coefficient or Analytic source: fixed once planned
+        self.static = not any(instr[0] in ("cval", "cgrad", "analytic")
+                              for instr in self.tape)
 
     def output_shape(self):
         if self.arity == 2:

@@ -204,8 +204,14 @@ class Zero(Expr):
 
 
 class Constant(Expr):
+    """A real number, fixed once made: kernels compile its value in."""
+
     def __init__(self, value):
-        self.value = float(value)
+        object.__setattr__(self, "value", float(value))
+
+    def __setattr__(self, name, _):
+        raise AttributeError(f"Constant.{name} is read-only: compiled kernels "
+                             f"hold the value; use a new Constant")
 
     def __repr__(self):
         return f"Constant({self.value})"

@@ -1,0 +1,176 @@
+"""Reassembly on a fixed mesh: what is kept across assemblies, what is not.
+
+The element tensors of a kernel that reads no coefficient and no Analytic
+source are kept after its first assembly, and the constrained CSR pattern
+is kept per form and per the bcs' (component, marker) pairs.  These tests
+check that nothing a later assembly must read again is kept: coefficient
+values, Analytic sources, Dirichlet values, and what the caller does with
+a returned matrix.
+"""
+
+import numpy as np
+import pytest
+
+import conftest
+from multifem import forms
+from multifem import mesh as mm
+
+
+def left_half(degree=2):
+    parent = mm.build_split_unit_square(1)
+    ml, _ = mm.extract_codim0_submesh(parent, 1)
+    V = conftest.scalar_space(ml, "Q", degree)
+    return V, ml, forms.Measure("dx", ml)
+
+
+def laplacian(V, dx):
+    (v0,) = forms.split(forms.TestFunction(V))
+    (t0,) = forms.split(forms.TrialFunction(V))
+    return forms.inner(forms.grad(t0), forms.grad(v0)) * dx
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+class TestStaticKernels:
+    def test_constant_is_read_only(self, asm):
+        V, _, dx = left_half(1)
+        (v0,) = forms.split(forms.TestFunction(V))
+        c = forms.Constant(1.0)
+        form = c * v0 * dx
+        assert asm.assemble(form).sum() == pytest.approx(0.5, abs=1e-14)
+        with pytest.raises(AttributeError, match="read-only"):
+            c.value = 2.0
+        assert c.value == 1.0
+        assert asm.assemble(form).sum() == pytest.approx(0.5, abs=1e-14)
+
+    def test_static_is_decided_from_the_tape(self, comp):
+        V, m, dx = left_half(1)
+        u = forms.Coefficient(V)
+        (u0,) = forms.split(u)
+        (v0,) = forms.split(forms.TestFunction(V))
+        source = forms.Analytic(m, lambda x, y: x)
+        normal = forms.FacetNormal(m)
+        n_v = forms.inner(normal, forms.grad(v0)) * forms.Measure("ds", m)
+        cases = [(laplacian(V, dx), True), (n_v, True),
+                 (forms.Constant(2.0) * v0 * dx, True),
+                 (u0 * v0 * dx, False), (source * v0 * dx, False),
+                 (forms.derivative(u0 * u0 * v0 * dx, u), False)]
+        for form, static in cases:
+            (integral,) = form.integrals
+            assert comp.compile_integral(integral).static is static
+
+    def test_jacobian_follows_the_coefficient(self, asm):
+        V, _, dx = left_half()
+        u = forms.Coefficient(V)
+        (u0,) = forms.split(u)
+        (v0,) = forms.split(forms.TestFunction(V))
+        J = forms.derivative(u0 * u0 * v0 * dx, u)
+        u.values[:] = 1.0
+        once = asm.assemble(J)
+        u.values[:] = 3.0
+        thrice = asm.assemble(J)
+        assert np.abs(thrice - 3.0 * once).max() <= 1e-13 * abs(thrice).max()
+        assert abs(thrice).max() > 2.0 * abs(once).max()
+
+    def test_analytic_source_is_evaluated_on_each_assembly(self, asm):
+        V, m, dx = left_half()
+        (v0,) = forms.split(forms.TestFunction(V))
+        (t0,) = forms.split(forms.TrialFunction(V))
+        scale = [1.0]
+        source = forms.Analytic(m, lambda x, y: scale[0] * (1.0 + x * y))
+        for form in (source * v0 * dx, source * t0 * v0 * dx):
+            scale[0] = 1.0
+            first = asm.assemble(form)
+            scale[0] = -2.0  # a power of two scales every sum exactly
+            second = asm.assemble(form)
+            if hasattr(first, "toarray"):
+                first, second = first.toarray(), second.toarray()
+            assert np.abs(first).max() > 0
+            assert np.array_equal(second, -2.0 * first)
+
+    def test_returned_arrays_do_not_alias_the_caches(self, asm):
+        V, _, dx = left_half()
+        a = laplacian(V, dx)
+        (v0,) = forms.split(forms.TestFunction(V))
+        L = forms.Constant(1.0) * v0 * dx
+        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
+        for assemble in (lambda: asm.assemble(a), lambda: asm.assemble(a, bcs),
+                         lambda: asm.assemble(L)):
+            out = assemble()
+            kept = out.copy()
+            if hasattr(out, "indices"):
+                for array in (out.data, out.indices, out.indptr):
+                    array[:] = 7
+                assert_same_csr(assemble(), kept)
+            else:
+                out[:] = 7.0
+                assert np.array_equal(assemble(), kept)
+
+
+class TestConstrainedPattern:
+    def test_each_bcs_set_gets_its_own_pattern(self, asm):
+        V, _, dx = left_half()
+        a = laplacian(V, dx)
+        (v0,) = forms.split(forms.TestFunction(V))
+        L = forms.Constant(1.0) * v0 * dx
+        outer = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
+        inner = [asm.DirichletBC(0, mm.INTERFACE_MARKER, 0.0)]
+        sets = (outer, inner, outer + inner)
+        expected = [asm._constrain_matrix(asm.assemble(a),
+                                          asm.dirichlet_dofs(V, bcs)[0])
+                    .toarray() for bcs in sets]
+        assert not np.array_equal(expected[0], expected[1])
+        # alternate the sets on one form, so each is read from its cache
+        for k in (0, 1, 2, 0, 1, 2):
+            assert np.array_equal(asm.assemble(a, sets[k]).toarray(),
+                                  expected[k])
+            A, _ = asm.assemble_system(a, L, sets[k])
+            assert np.array_equal(A.toarray(), expected[k])
+
+    def test_stored_zeros_are_dropped_as_by_constrain_matrix(self, asm,
+                                                             studies):
+        problem = studies.build_quad_tri_problem(1, 0)
+        J = forms.derivative(problem.residual, problem.u)
+        A = asm.assemble(J)
+        assert A.count_nonzero() < A.nnz  # exact zero couplings
+        dofs, _ = asm.dirichlet_dofs(problem.space, problem.bcs)
+        expected = asm._constrain_matrix(A, dofs)
+        for _ in range(2):
+            assert_same_csr(asm.assemble(J, problem.bcs), expected)
+
+    def test_float_and_array_values_share_a_pattern(self, asm):
+        V, _, dx = left_half()
+        a = laplacian(V, dx)
+        (v0,) = forms.split(forms.TestFunction(V))
+        L = forms.Constant(0.0) * v0 * dx
+        dofs, _ = asm.dirichlet_dofs(
+            V, [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)])
+        given = np.linspace(1.0, 2.0, len(dofs))
+        by_float = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 2.0)]
+        by_array = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, given)]
+        assert_same_csr(asm.assemble(a, by_float), asm.assemble(a, by_array))
+        for bcs, values in ((by_float, 2.0), (by_array, given)):
+            assert np.array_equal(asm.assemble(L, bcs)[dofs],
+                                  np.broadcast_to(values, dofs.shape))
+            _, b = asm.assemble_system(a, L, bcs)
+            assert np.array_equal(b[dofs], np.broadcast_to(values,
+                                                           dofs.shape))
+
+    def test_newton_reads_new_boundary_values(self, asm):
+        V, _, dx = left_half(1)
+        u = forms.Coefficient(V)
+        (u0,) = forms.split(u)
+        (v0,) = forms.split(forms.TestFunction(V))
+        F = forms.inner(forms.grad(u0), forms.grad(v0)) * dx
+        markers = (mm.BOUNDARY_MARKER, mm.INTERFACE_MARKER)
+        # an affine datum is its own discrete harmonic extension
+        for g in (lambda x, y: x + y, lambda x, y: 2.0 * x - 3.0 * y):
+            u.values[:] = 0.0
+            asm.newton_solve(F, u, [asm.DirichletBC(0, mk, g)
+                                    for mk in markers])
+            xy = V.dof_coords
+            assert np.allclose(u.values, g(xy[:, 0], xy[:, 1]), atol=1e-10)

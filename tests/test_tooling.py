@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps multifem functions by (module, attribute path).
 Loading it read-only here and resolving every hook against the package
 makes a rename of a traced function fail this suite, not only the
-benchmark's traced run.
+benchmark's traced run.  The tracer's call counts of one warm reassembly
+pair are checked here too, so the suite sees the work the benchmark sees.
 """
 
 import ast
@@ -11,8 +12,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from multifem import forms
 from multifem.compile import compile_integral
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,7 +29,8 @@ def _load_tracing():
     return module
 
 
-HOOKS = _load_tracing().HOOKS
+TRACING = _load_tracing()
+HOOKS = TRACING.HOOKS
 
 
 @pytest.mark.parametrize("module_name, path",
@@ -46,6 +50,27 @@ def test_entity_count_hook_reads_the_iteration_set_size(asm, studies):
     for itg in problem.residual.integrals:
         entities = asm._iteration_entities(itg, compile_integral(itg))
         assert len(entities) == len(asm.iteration_set(itg)) > 0
+
+
+def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
+    # reassembly-warm's pair, counted by the benchmark's own tracer: the
+    # five Jacobian kernels read no coefficient, so after the first pair
+    # only the seven residual kernels run, and the constrained pattern and
+    # its Dirichlet dofs are kept
+    problem = studies.build_problem("quad-tri", 2, 2)
+    jacobian = forms.derivative(problem.residual, problem.u)
+    rng = np.random.default_rng(3)
+    calls = []
+    for _ in range(3):
+        problem.u.values[:] = rng.standard_normal(problem.space.num_dofs)
+        tracer = TRACING.Tracer()
+        with tracer.installed():
+            asm.assemble(problem.residual)
+            asm.assemble(jacobian, problem.bcs)
+        metrics, _ = tracer.layer_metrics()
+        calls.append((metrics["compile.kernel_calls"][0],
+                      metrics["assemble.bcs_calls"][0]))
+    assert calls == [(12, 1), (7, 0), (7, 0)]
 
 
 PER_ENTITY_VIEWS = {"cell_vertices", "facet_vertices", "facet_cells",
