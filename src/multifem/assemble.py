@@ -3,21 +3,25 @@
 Assembly works on per-integral plans, built on an integral's first
 assembly and reused by every later one.  A plan resolves the iteration
 set once, as integer arrays: the primal entities of the measure and, per
-participating mesh, the matching cell or facet, found by composing entity
-maps up to the common root mesh and inverse tables back down.  It holds
+participating mesh, the matching cell or facet, found through the common
+root mesh: Mesh.root_entities composes each mesh's parent maps into a
+table of root entities, whose inverse leads back down.  It holds
 the dof index arrays of every argument block and coefficient slot, the
 measure's batched quadrature geometry (compile.MeasureGeometry), shared by
-every integral on the same measure and rule, and, after its first run, the
-element tensors of a static kernel: one that reads no coefficient and no
-Analytic source (Constants are frozen).  Each assembly gathers coefficient
-values, runs every other kernel once over all its entities, so Analytic
-sources are evaluated afresh, and scatters with np.bincount: vectors
-directly, matrices into a CSR pattern cached on the bilinear form.  The
-constrained pattern, and with it the Dirichlet dofs, is cached on the form
-per set of bcs (component, marker) pairs; Dirichlet values are evaluated
-on every call.  Entities are scattered in ascending order and integrals in
-form order, so results are bitwise reproducible.  Dirichlet dofs are found
-topologically, as the closure of the marked facets through the dofmap.
+every integral on the same measure and rule and cached on the root mesh,
+and, after its first run, the element tensors of a static kernel: one
+that reads no coefficient and no Analytic source (Constants are frozen).
+Each assembly gathers coefficient values, runs every other kernel once
+over all its entities, so Analytic sources are evaluated afresh, and
+scatters with np.bincount: vectors directly, matrices into a CSR pattern
+cached on the bilinear form.  The constrained pattern, and with it the
+Dirichlet dofs, is cached on the form per set of bcs (component, marker)
+pairs; Dirichlet values are evaluated on every call.  Entities are
+scattered in ascending order and integrals in form order, so results are
+bitwise reproducible.  Dirichlet dofs are found topologically, as the
+closure of the marked facets through the dofmap.
+newton_solve takes its Jacobian from forms.derivative, which is memoized
+per form, so repeated solves on one residual reuse all of the above.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import scipy.sparse.linalg
 from . import fe, forms
 from .compile import (MeasureGeometry, cell_geometry, compile_integral,
                       contract_dofs, execute_kernel, push_forward, side_index)
-from .mesh import compose_maps
 
 SOLVE_TOL = 1e-10
 
@@ -46,83 +49,6 @@ class ConvergenceError(RuntimeError):
 # entity resolution across meshes
 
 
-class _Relations:
-    """Entity correspondence between submeshes through their common root,
-    and the measure geometries built on those meshes.  Holds the root's id,
-    not the root, so that caching it on the root makes no cycle."""
-
-    def __init__(self, root):
-        self.root_id = root.id
-        self._root_size = {"cell": root.num_cells, "facet": root.num_facets}
-        self._cell_root = {}
-        self._facet_root = {}
-        self._from_root = {}
-        self.geometry = {}
-
-    def check(self, mesh):
-        if mesh.root().id != self.root_id:
-            raise ValueError("unrelated meshes: no common root mesh")
-
-    def cell_to_root(self, mesh):
-        """('cell'|'facet', table) mapping this mesh's cells into the root."""
-        entry = self._cell_root.get(mesh.id)
-        if entry is None:
-            if mesh.id == self.root_id:
-                entry = ("cell", np.arange(mesh.num_cells))
-            elif mesh.dim == 1:
-                table = mesh.parent_map.table  # cell->facet into the parent
-                if mesh.parent.id != self.root_id:
-                    table = self.facet_to_root(mesh.parent)[table]
-                entry = ("facet", table)
-            else:
-                chain = mesh.parent_map
-                if mesh.parent.id != self.root_id:
-                    kind, ptable = self.cell_to_root(mesh.parent)
-                    parent_map = type(chain)(mesh.parent.id, self.root_id,
-                                             "cell->cell", ptable)
-                    chain = compose_maps(chain, parent_map)
-                entry = ("cell", chain.table)
-            self._cell_root[mesh.id] = entry
-        return entry
-
-    def facet_to_root(self, mesh):
-        table = self._facet_root.get(mesh.id)
-        if table is None:
-            if mesh.id == self.root_id:
-                table = np.arange(mesh.num_facets)
-            else:
-                table = mesh.facet_to_parent()
-                if mesh.parent.id != self.root_id:
-                    table = self.facet_to_root(mesh.parent)[table]
-            self._facet_root[mesh.id] = table
-        return table
-
-    def from_root(self, mesh, role):
-        """Inverse of the map of this mesh's cells ('cell') or facets
-        ('facet') into the root: root entity -> mesh entity, -1 if none."""
-        inv = self._from_root.get((mesh.id, role))
-        if inv is None:
-            if role == "cell":
-                kind, table = self.cell_to_root(mesh)
-            else:
-                kind, table = "facet", self.facet_to_root(mesh)
-            inv = np.full(self._root_size[kind], -1)
-            inv[table] = np.arange(len(table))
-            self._from_root[(mesh.id, role)] = inv
-        return inv
-
-
-def _relations_for(meshes):
-    root = meshes[0].root()
-    cache = getattr(root, "_relations_cache", None)
-    if cache is None:
-        cache = _Relations(root)
-        root._relations_cache = cache
-    for m in meshes:
-        cache.check(m)
-    return cache
-
-
 def _iteration_entities(integral, kernel):
     """(E, P) int array of the entities the intersection measure integrates.
 
@@ -132,26 +58,32 @@ def _iteration_entities(integral, kernel):
     the required exterior/interior kind.
     """
     measure = integral.measure
-    relations = _relations_for([mesh for _, mesh in kernel.participants])
     primal = measure.mesh
+    root = primal.root()
+    if any(mesh.root() is not root for _, mesh in kernel.participants):
+        raise ValueError("unrelated meshes: no common root mesh")
     if measure.integral_type == "dx":
         candidates = np.arange(primal.num_cells)
         markers = primal.cell_markers
-        _, to_root = relations.cell_to_root(primal)
     else:
         want_exterior = measure.integral_type == "ds"
         candidates = np.flatnonzero(primal.facet_exterior == want_exterior)
         markers = primal.facet_markers
-        to_root = relations.facet_to_root(primal)
     if measure.subdomain_id != forms.EVERYWHERE:
         candidates = candidates[markers[candidates]
                                 == int(measure.subdomain_id)]
-    root = to_root[candidates]
+    _, to_root = primal.root_entities(
+        "cell" if measure.integral_type == "dx" else "facet")
+    root_ids = to_root[candidates]
     columns = [candidates]
     keep = np.ones(len(candidates), dtype=bool)
     for itype, mesh in kernel.participants[1:]:
-        found = relations.from_root(mesh, "cell" if itype == "dx"
-                                    else "facet")[root]
+        kind, table = mesh.root_entities("cell" if itype == "dx" else "facet")
+        # root entity -> this mesh's entity, -1 if none
+        from_root = np.full(root.num_cells if kind == "cell"
+                            else root.num_facets, -1)
+        from_root[table] = np.arange(len(table))
+        found = from_root[root_ids]
         keep &= found >= 0
         if itype != "dx":
             exterior = mesh.facet_exterior[np.maximum(found, 0)]
@@ -180,13 +112,13 @@ class _IntegralPlan:
 
 
 def _measure_geometry(integral, kernel):
-    """The measure's geometry, built once per measure and rule and shared
-    by every integral on them.  Rules of one cell type and point count
-    are identical."""
-    relations = _relations_for([mesh for _, mesh in kernel.participants])
+    """The measure's geometry, built once per measure and rule, kept in a
+    dict on the root mesh and shared by every integral on them.  Rules of
+    one cell type and point count are identical."""
+    cache = integral.measure.mesh.root().__dict__.setdefault("_geometry", {})
     rule = kernel.quadrature
     key = (integral.measure.key(), rule.cell, len(rule))
-    geometry = relations.geometry.get(key)
+    geometry = cache.get(key)
     if geometry is None:
         for _, mesh in kernel.participants:
             # what the cached plans depend on may no longer change
@@ -194,7 +126,7 @@ def _measure_geometry(integral, kernel):
                           mesh.facet_markers):
                 array.setflags(write=False)
         entities = _iteration_entities(integral, kernel)
-        geometry = relations.geometry[key] = MeasureGeometry(
+        geometry = cache[key] = MeasureGeometry(
             kernel.participants, kernel.primal_kind, rule, entities)
     return geometry
 
@@ -481,7 +413,7 @@ def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
 
     Boundary values are imposed on the first iterate, corrections are
     homogeneous.  The Jacobian is the Gateaux derivative of F with respect to
-    the whole Coefficient u.  Each update is solve(A, b) on the constrained
+    the whole Coefficient u, the same Form on every call.  Each update is solve(A, b) on the constrained
     Jacobian A and the negated residual b; the default is solve_linear
     (sparse LU), looked up at call time.
     """

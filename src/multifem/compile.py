@@ -370,7 +370,8 @@ class _Side:
     axis, and outward facet normals.  Arrays carry a leading entity
     axis of length E, or 1 where they are the same for every entity."""
 
-    def __init__(self, mesh, cells, facets, X, rule, primal_vertices):
+    def __init__(self, mesh, cells, facets, X, rule, primal_vertices,
+                 primal_jinv):
         self.cells = cells
         self.cell_type = mesh.cell_type
         self.vertices = mesh.coords_of_cells(cells)
@@ -379,9 +380,12 @@ class _Side:
         self._X = X
         self._rule = rule
         # a cell participant on the primal cells themselves maps the
-        # reference rule points to X without a pullback
+        # reference rule points to X without a pullback, and shares their
+        # inverse Jacobians where the primal geometry has them
         self._identity = (facets is None and primal_vertices is not None
                           and np.array_equal(self.vertices, primal_vertices))
+        if self._identity and primal_jinv is not None:
+            self.jinv = primal_jinv
         self._tables = {}
         self._arguments = {}
 
@@ -453,11 +457,11 @@ class MeasureGeometry:
         self.entities = entities
         primal = participants[0][1]
         first = entities[:, 0]
-        primal_vertices = None
+        primal_vertices = jinv = None
         if primal_kind == "cell2d":
             primal_vertices = primal.coords_of_cells(first)
-            self.X, self.wq, _ = cell_geometry(primal.cell_type,
-                                               primal_vertices, rule)
+            self.X, self.wq, jinv = cell_geometry(primal.cell_type,
+                                                  primal_vertices, rule)
         else:
             if primal_kind == "cell1d":
                 primal_vertices = ends = primal.coords_of_cells(first)
@@ -472,8 +476,8 @@ class MeasureGeometry:
             facets = None if itype == "dx" else ids
             for sidx in range(2 if itype == "dS" else 1):
                 cells = ids if facets is None else mesh.facet_sides[ids, sidx]
-                self._sides[(pidx, sidx)] = _Side(mesh, cells, facets,
-                                                  self.X, rule, primal_vertices)
+                self._sides[(pidx, sidx)] = _Side(
+                    mesh, cells, facets, self.X, rule, primal_vertices, jinv)
 
     def __len__(self):
         return len(self.entities)

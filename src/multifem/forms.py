@@ -722,8 +722,13 @@ def derivative(form, coefficient, component=None):
     coefficient's (product) space; all components are linearized in one pass.
     Restricting to a single component (used for cross-checks) is available
     via the component argument.  Returns the empty form when the coefficient
-    does not appear.
+    does not appear.  The result is memoized on the form, so repeated calls
+    return the same Form and reuse its compiled kernels and plans.
     """
+    derivatives = form.__dict__.setdefault("_derivatives", {})
+    key = (coefficient.count, component)
+    if key in derivatives:
+        return derivatives[key]
     if 1 in form.arguments():
         raise ValueError("form already has a trial function")
     direction = Argument(coefficient.space, 1)
@@ -732,7 +737,8 @@ def derivative(form, coefficient, component=None):
         d = _linearize(itg.integrand, coefficient, direction, component)
         if not _is_zero(d):
             integrals.append(Integral(d, itg.measure))
-    return Form(integrals)
+    derivatives[key] = Form(integrals)
+    return derivatives[key]
 
 
 def _filter_components(expr, targets):

@@ -335,6 +335,23 @@ class Mesh:
             self._facet_to_parent = table
         return self._facet_to_parent
 
+    def root_entities(self, entity):
+        """(kind, table): this mesh's cells (entity 'cell') or facets
+        ('facet') as entities of the root mesh, of kind 'cell' or 'facet'.
+        table[e] is entity e's root entity, composed up the parent chain;
+        the cells of a cell->facet map are their parent's facets."""
+        if self.parent is None:
+            size = self.num_cells if entity == "cell" else self.num_facets
+            return entity, np.arange(size)
+        if entity == "facet":
+            table = self.facet_to_parent()
+        else:
+            table = self.parent_map.table
+            if self.parent_map.kind == "cell->facet":
+                entity = "facet"
+        kind, up = self.parent.root_entities(entity)
+        return kind, up[table]
+
     def __repr__(self):
         kinds = "+".join(sorted(t.value for t in self.cell_type_set))
         return (f"Mesh(id={self.id}, dim={self.dim}, {self.num_cells} {kinds} "

@@ -6,6 +6,7 @@ catalog builds its forms from scratch, so the tests cross-check the package
 rather than restate it.
 """
 
+import contextlib
 import importlib
 
 import numpy as np
@@ -71,6 +72,38 @@ def quad_tri_interface_pair():
     mq, _ = meshmod.extract_codim0_submesh(parent, 1)
     mt, _ = meshmod.extract_codim0_submesh(parent, 2)
     return parent, mq, mt
+
+
+WARP_AMPLITUDE = 0.04
+
+
+def warp(mesh, amplitude=WARP_AMPLITUDE):
+    """A copy of a background mesh moved by x, y += a sin 2 pi x sin 2 pi y.
+
+    The move vanishes on the boundary of the unit square and on the
+    interface x = 0.5, so markers, submeshes and the exact solution's
+    boundary data keep their meaning.  From level 1 on every quadrilateral
+    becomes a non-parallelogram; at level 0 the 36 quadrilaterals that
+    straddle x or y = 0.25 or 0.75 symmetrically stay parallelograms.
+    """
+    x, y = mesh.vertices.T
+    shift = amplitude * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    return meshmod.Mesh(2, mesh.vertices + shift[:, None],
+                        (mesh.cell_type_codes, mesh.cell_vertex_ids),
+                        cell_markers=mesh.cell_markers,
+                        facet_markers=(mesh.facet_vertex_ids,
+                                       mesh.facet_markers))
+
+
+@contextlib.contextmanager
+def warped_studies():
+    """Within the block, the study problems build on warped backgrounds."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("build_split_unit_square", "build_hybrid_unit_square"):
+            build = getattr(meshmod, name)
+            patch.setattr(studies_mod, name,
+                          lambda level, build=build: warp(build(level)))
+        yield
 
 
 def dof_index_at(space, component, xy, tol=1e-10):

@@ -174,3 +174,41 @@ class TestConstrainedPattern:
                                     for mk in markers])
             xy = V.dof_coords
             assert np.allclose(u.values, g(xy[:, 0], xy[:, 1]), atol=1e-10)
+
+
+class TestDerivativeMemo:
+    def test_derivative_is_memoized_per_coefficient_and_component(self):
+        V, _, dx = left_half(1)
+        u, w = forms.Coefficient(V), forms.Coefficient(V)
+        (u0,) = forms.split(u)
+        (w0,) = forms.split(w)
+        (v0,) = forms.split(forms.TestFunction(V))
+        F = u0 * w0 * v0 * dx
+        J = forms.derivative(F, u)
+        assert forms.derivative(F, u) is J
+        assert forms.derivative(F, w) is not J
+        assert forms.derivative(F, u, component=0) is not J
+        assert forms.derivative(u0 * w0 * v0 * dx, u) is not J
+
+    def test_second_newton_solve_compiles_nothing(self, asm, studies,
+                                                  monkeypatch):
+        # the Jacobian form, and with it its kernels, plans, CSR pattern
+        # and static element tensors, is the one of the first solve
+        problem = studies.build_problem("quad-tri", 2, 2)
+        compiled = []
+        compile_integral = asm.compile_integral
+
+        def counting(integral):
+            compiled.append(integral)
+            return compile_integral(integral)
+
+        monkeypatch.setattr(asm, "compile_integral", counting)
+        counts, steps = [], []
+        for _ in range(2):
+            problem.u.values[:] = 0.0
+            before = len(compiled)
+            steps.append(asm.newton_solve(problem.residual, problem.u,
+                                          problem.bcs))
+            counts.append(len(compiled) - before)
+        assert steps == [1, 1]
+        assert counts == [12, 0]

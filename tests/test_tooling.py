@@ -107,3 +107,20 @@ def test_only_the_form_checker_states_measure_rules():
             if "participat" in message or "restrict" in message:
                 offenders.append(f"{name}:{node.lineno} {message!r}")
     assert not offenders
+
+
+PARENT_CHAIN = {"parent", "parent_map", "facet_to_parent", "vertex_to_parent"}
+
+
+def test_only_the_mesh_module_reads_the_parent_chain():
+    # Mesh.root_entities composes a submesh's maps up to its root mesh;
+    # code that walked the chain itself would be a second owner of its
+    # layout (Mesh.root() stays allowed)
+    offenders = []
+    for path in sorted((ROOT / "src" / "multifem").glob("*.py")):
+        if path.name == "mesh.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in PARENT_CHAIN:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not offenders
