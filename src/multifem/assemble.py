@@ -13,13 +13,16 @@ and, after its first run, the element tensors of a static kernel: one
 that reads no coefficient and no Analytic source (Constants are frozen).
 Each assembly gathers coefficient values, runs every other kernel once
 over all its entities, so Analytic sources are evaluated afresh, and
-scatters with np.bincount: vectors directly, matrices into a CSR pattern
-cached on the bilinear form.  The constrained pattern, and with it the
-Dirichlet dofs, is cached on the form per set of bcs (component, marker)
-pairs; Dirichlet values are evaluated on every call.  Entities are
-scattered in ascending order and integrals in form order, so results are
-bitwise reproducible.  Dirichlet dofs are found topologically, as the
-closure of the marked facets through the dofmap.
+scatters with one np.bincount: vectors directly, matrices into the CSR
+pattern of the bilinear form under its bcs, cached on the form per set
+of bcs (component, marker) pairs.  Under bcs the pattern drops the rows
+and columns of Dirichlet dofs and gives each a unit diagonal, so the
+constrained matrix is scattered, not edited.  Dirichlet dofs are found
+topologically, as the closure of the marked facets through the dofmap,
+cached per space; their values are evaluated on every call.
+assemble_system assembles the matrix twice, unconstrained to lift the
+boundary values and under the bcs.  Entities are scattered in ascending
+order and integrals in form order, so results are bitwise reproducible.
 newton_solve takes its Jacobian from forms.derivative, which is memoized
 per form, so repeated solves on one residual reuse all of the above.
 """
@@ -161,32 +164,45 @@ def iteration_set(integral):
     return _plan_for(integral).geometry.entities[:, 0].tolist()
 
 
-def _pattern(form, plans, shape):
-    """(slot, indices, indptr): the CSR structure of a bilinear form and,
-    per element-tensor entry in assembly order, the index of its slot."""
-    pattern = getattr(form, "_pattern", None)
-    if pattern is None:
+def _pattern(form, plans, shape, bcs):
+    """(slot, indices, indptr): the CSR structure of a bilinear form under
+    bcs and, per element-tensor entry in assembly order, then per Dirichlet
+    dof, the index of its slot.  An entry in a Dirichlet dof's row or
+    column gets slot len(indices), which the scatter drops; each Dirichlet
+    dof adds one unit-diagonal entry.  Cached on the form per bcs
+    (component, marker) pairs, () for none."""
+    patterns = form.__dict__.setdefault("_patterns", {})
+    key = tuple((bc.component, bc.marker) for bc in bcs)
+    if key not in patterns:
         n, m = shape
         keys = np.concatenate(
             [(p.rows[:, :, None] * m + p.cols[:, None, :]).ravel()
              for p in plans] or [np.empty(0, dtype=int)])
+        if bcs:
+            dofs = dirichlet_dofs(plans[0].kernel.arguments[0].space, bcs)[0]
+            fixed = np.zeros(n, dtype=bool)
+            fixed[dofs] = True
+            keys[fixed[keys // m] | fixed[keys % m]] = n * m  # past the end
+            keys = np.append(keys, dofs * (m + 1))
         unique, slot = np.unique(keys, return_inverse=True)
+        unique = unique[unique < n * m]
         index = np.int32 if max(n, m, len(unique)) < 2 ** 31 else np.int64
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(np.bincount(unique // m, minlength=n), out=indptr[1:])
-        pattern = form._pattern = (slot.ravel().astype(index),
-                                   (unique % m).astype(index), indptr)
-    return pattern
+        patterns[key] = (slot.ravel().astype(index),
+                         (unique % m).astype(index), indptr)
+    return patterns[key]
 
 
 def assemble(form, bcs=()):
     """Assemble a form into a float, a vector, or a CSR matrix.
 
     Dirichlet conditions: matrix rows and columns of constrained dofs are
-    zeroed with a unit diagonal (a symmetric application); vector entries are
-    set to the boundary values.  Each integral is checked and compiled on
-    its first assembly (compile_integral); the form's arguments are those
-    of its integrals' kernels, which must all agree.
+    zeroed with a unit diagonal (a symmetric application), which needs the
+    trial space to be the test space; vector entries are set to the
+    boundary values.  Each integral is checked and compiled on its first
+    assembly (compile_integral); the form's arguments are those of its
+    integrals' kernels, which must all agree.
     """
     plans = [_plan_for(integral) for integral in form.integrals]
     args = plans[0].kernel.arguments if plans else {}
@@ -211,74 +227,51 @@ def assemble(form, bcs=()):
     arity = len(args)
     if arity == 0:
         return float(sum(t.sum() for t in tensors))
-    values = np.concatenate([t.ravel() for t in tensors])
+    values = [t.ravel() for t in tensors]
     test_space = args[0].space
     if arity == 1:
         rows = np.concatenate([p.rows.ravel() for p in plans])
-        vector = np.bincount(rows, weights=values,
+        vector = np.bincount(rows, weights=np.concatenate(values),
                              minlength=test_space.num_dofs)
         if bcs:
             dofs, bc_values = dirichlet_dofs(test_space, bcs)
             vector[dofs] = bc_values
         return vector
+    if bcs and args[1].space is not test_space:
+        raise ValueError("Dirichlet conditions on a bilinear form need its "
+                         "trial space to be its test space")
     shape = (test_space.num_dofs, args[1].space.num_dofs)
-    slot, indices, indptr = _pattern(form, plans, shape)
-    data = np.bincount(slot, weights=values, minlength=len(indices))
-    A = scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
-                                shape=shape)
+    slot, indices, indptr = _pattern(form, plans, shape, bcs)
+    # then the unit diagonal of each Dirichlet dof
+    values.append(np.ones(len(slot) - sum(map(len, values))))
+    data = np.bincount(slot, weights=np.concatenate(values),
+                       minlength=len(indices))
+    A = scipy.sparse.csr_matrix((data[:len(indices)], indices.copy(),
+                                 indptr.copy()), shape=shape)
     A.has_canonical_format = True
     if bcs:
-        A = _constrain(form, A, test_space, bcs)
+        A.eliminate_zeros()  # assembled zeros go, as rows and columns do
     return A
-
-
-def _constrain_matrix(A, dofs):
-    """Zero the rows and columns of dofs, drop the zeros, set a unit
-    diagonal there."""
-    free = np.ones(A.shape[0], dtype=bool)
-    free[dofs] = False
-    A = A.tocsr(copy=True)
-    row_free = np.repeat(free, np.diff(A.indptr))
-    A.data[~(row_free & free[A.indices])] = 0.0
-    A.eliminate_zeros()
-    return (A + scipy.sparse.diags((~free).astype(float))).tocsr()
-
-
-def _constrain(form, A, space, bcs):
-    """_constrain_matrix(A, Dirichlet dofs of bcs) for A assembled from form,
-    by a gather cached per form and bcs' (component, marker) pairs.  It is
-    built by constraining a matrix whose entries are their position + 2;
-    the unit diagonal (1 - 2 = -1) reads a 1.0 appended to A.data."""
-    patterns = form.__dict__.setdefault("_constrained", {})
-    key = tuple((bc.component, bc.marker) for bc in bcs)
-    if key not in patterns:
-        positions = scipy.sparse.csr_matrix(
-            (np.arange(2.0, A.nnz + 2.0), A.indices, A.indptr), shape=A.shape)
-        M = _constrain_matrix(positions, dirichlet_dofs(space, bcs)[0])
-        patterns[key] = ((M.data - 2).astype(np.intp), M.indices, M.indptr)
-    gather, indices, indptr = patterns[key]
-    C = scipy.sparse.csr_matrix((np.append(A.data, 1.0)[gather],
-                                 indices.copy(), indptr.copy()), shape=A.shape)
-    C.eliminate_zeros()  # as _constrain_matrix drops assembled zeros
-    return C
 
 
 def assemble_system(a_form, L_form, bcs=()):
     """(A, b) for a linear problem with inhomogeneous Dirichlet data.
 
-    Boundary values are lifted into the right-hand side (b -= A g), then rows
-    and columns are constrained symmetrically and b takes the boundary values.
+    The matrix is assembled twice: under the bcs, constrained
+    symmetrically, and without them, to lift the boundary values into the
+    right-hand side (b -= A g) before b takes them.
     """
     A = assemble(a_form)
     b = assemble(L_form)
     if bcs:
+        constrained = assemble(a_form, bcs)
         space = a_form.arguments()[0].space
         dofs, values = dirichlet_dofs(space, bcs)
         g = np.zeros(space.num_dofs)
         g[dofs] = values
         b = b - A @ g
         b[dofs] = values
-        A = _constrain(a_form, A, space, bcs)
+        A = constrained
     return A, b
 
 
@@ -295,32 +288,46 @@ class DirichletBC:
     value: object  # callable (x, y) -> values
 
 
+def _codim0_mesh(space, k, what):
+    """The mesh of component k, which must be a codim-0 mesh."""
+    if not 0 <= k < space.num_components:
+        raise ValueError(f"{what} component {k} out of range for a space "
+                         f"of {space.num_components}")
+    if space.meshes[k].dim != 2:
+        raise ValueError(f"{what} component {k} lives on a codim-1 mesh; "
+                         f"only codim-0 components are supported")
+    return space.meshes[k]
+
+
 def dirichlet_dofs(space, bcs):
     """(dof indices, boundary values) for a set of DirichletBCs.
 
     Dofs are found topologically: the closure of the marked facets of the
     component's mesh through its dofmap, i.e. the vertex and edge nodes of
-    each marked facet in one of its cells.  Where conditions overlap, the
-    later one sets the value.
+    each marked facet in one of its cells.  Each (component, marker)
+    closure is kept on the space, read-only, and the mesh's facet markers
+    are frozen; the values are evaluated on every call.  Where conditions
+    overlap, the later one sets the value.
     """
+    closures = space.__dict__.setdefault("_dirichlet", {})
     found, given = [], []
     for bc in bcs:
-        if not 0 <= bc.component < space.num_components:
-            raise ValueError(f"Dirichlet component {bc.component} out of range "
-                             f"for a space of {space.num_components}")
-        mesh = space.meshes[bc.component]
-        if mesh.dim != 2:
-            raise ValueError(f"Dirichlet component {bc.component} lives on a "
-                             f"codim-1 mesh, which has no boundary facets")
-        facets = np.flatnonzero(mesh.facet_markers == bc.marker)
-        if len(facets) == 0:
-            raise ValueError(f"no entities matched marker {bc.marker!r}")
-        element = space.element[bc.component]
-        closure = np.array([element.facet_closure(lf) for lf
-                            in range(len(element.cell.local_facets))])
-        dofs = np.unique(space.dofmaps[bc.component][
-            mesh.facet_sides[facets, :1], closure[mesh.facet_local[facets, 0]]])
-        dofs += space.offsets[bc.component]
+        k = bc.component
+        if (k, bc.marker) not in closures:
+            mesh = _codim0_mesh(space, k, "Dirichlet")
+            facets = np.flatnonzero(mesh.facet_markers == bc.marker)
+            if len(facets) == 0:
+                raise ValueError(f"no entities matched marker {bc.marker!r}")
+            mesh.facet_markers.setflags(write=False)  # the closure reads them
+            element = space.element[k]
+            closure = np.array([element.facet_closure(lf) for lf
+                                in range(len(element.cell.local_facets))])
+            dofs = space.offsets[k] + np.unique(space.dofmaps[k][
+                mesh.facet_sides[facets, :1],
+                closure[mesh.facet_local[facets, 0]]])
+            dofs.setflags(write=False)
+            closures[k, bc.marker] = dofs
+        dofs = closures[k, bc.marker]
         xs, ys = space.dof_coords[dofs, 0], space.dof_coords[dofs, 1]
         raw = bc.value(xs, ys) if callable(bc.value) else bc.value
         found.append(dofs)
@@ -467,7 +474,7 @@ def error_norms(u, component, exact, exact_grad=None):
     results broadcast.
     """
     space = u.space
-    mesh = space.meshes[component]
+    mesh = _codim0_mesh(space, component, "error-norm")
     element = space.element[component]
     qdeg = min(2 * element.degree + 4, fe.MAX_QUADRATURE_DEGREE)
     rule = fe.make_quadrature(mesh.cell_type, qdeg)

@@ -31,11 +31,12 @@ def build_parser():
     study = sub.add_parser(
         "study", help="run a convergence study and write rate tables")
     study.add_argument("--problem", required=True, choices=PROBLEMS)
-    study.add_argument("--degrees", default="1,2", type=_int_list,
+    # left unset, the study's own defaults (StudyConfig) apply
+    study.add_argument("--degrees", type=_int_list,
                        help="polynomial degrees, e.g. '1,2' (subset of 1..3)")
-    study.add_argument("--refine", default="0..3", type=_int_list,
+    study.add_argument("--refine", dest="refinements", type=_int_list,
                        help="refinement levels, e.g. '0..3' or '2,3'")
-    study.add_argument("--penalty", default=100.0, type=float,
+    study.add_argument("--penalty", type=float,
                        help="interior penalty constant C")
     study.add_argument("--out", required=True,
                        help="TSV report path")
@@ -52,9 +53,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = StudyConfig(problem=args.problem, degrees=args.degrees,
-                          refinements=args.refine, penalty=args.penalty,
-                          solver=args.solver)
+        given = {name: value for name, value in vars(args).items()
+                 if name in ("degrees", "refinements", "penalty")
+                 and value is not None}
+        cfg = StudyConfig(problem=args.problem, solver=args.solver, **given)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -645,41 +645,23 @@ def validate_form(form):
 # differentiation and block splitting
 
 
-def _is_zero(expr):
-    return isinstance(expr, Zero)
-
-
-def _sum(a, b):
-    if _is_zero(a):
+def _add(a, b):
+    """a + b without Zero terms."""
+    if isinstance(a, Zero):
         return b
-    if _is_zero(b):
-        return a
-    return Sum(a, b)
+    return a if isinstance(b, Zero) else Sum(a, b)
 
 
-def _product(a, b):
-    if _is_zero(a) or _is_zero(b):
-        shape = a.shape if a.shape != () else b.shape
-        return Zero(shape)
-    return Product(a, b)
-
-
-def _inner(a, b):
-    if _is_zero(a) or _is_zero(b):
-        return Zero(())
-    return Inner(a, b)
-
-
-def _grad(e):
-    if _is_zero(e):
-        return Zero(e.shape + (2,))
-    return Grad(e)
-
-
-def _restricted(e, side):
-    if _is_zero(e):
-        return e
-    return Restricted(e, side)
+def _rebuild(expr, operands):
+    """expr's node over new operands; Zero if a product, inner product,
+    gradient or restriction has a Zero operand."""
+    if isinstance(expr, Sum):
+        return _add(*operands)
+    if any(isinstance(o, Zero) for o in operands):
+        return Zero(expr.shape)
+    if isinstance(expr, Restricted):
+        return Restricted(operands[0], expr.side)
+    return type(expr)(*operands)
 
 
 def _linearize(expr, coefficient, direction, component):
@@ -687,32 +669,18 @@ def _linearize(expr, coefficient, direction, component):
     if expr is coefficient:
         return direction
     if isinstance(expr, Indexed):
-        if expr.function is not coefficient:
-            return Zero(expr.shape)
-        if component is not None and expr.component != component:
+        if (expr.function is not coefficient
+                or component not in (None, expr.component)):
             return Zero(expr.shape)
         return Indexed(direction, expr.component)
     if not expr.operands:
         return Zero(expr.shape or ())
-    if isinstance(expr, Sum):
-        a, b = expr.operands
-        return _sum(_linearize(a, coefficient, direction, component),
-                    _linearize(b, coefficient, direction, component))
-    if isinstance(expr, Product):
-        a, b = expr.operands
-        return _sum(_product(_linearize(a, coefficient, direction, component), b),
-                    _product(a, _linearize(b, coefficient, direction, component)))
-    if isinstance(expr, Inner):
-        a, b = expr.operands
-        return _sum(_inner(_linearize(a, coefficient, direction, component), b),
-                    _inner(a, _linearize(b, coefficient, direction, component)))
-    if isinstance(expr, Grad):
-        return _grad(_linearize(expr.operands[0], coefficient, direction,
-                                component))
-    if isinstance(expr, Restricted):
-        return _restricted(_linearize(expr.operands[0], coefficient, direction,
-                                      component), expr.side)
-    raise TypeError(f"cannot differentiate through {type(expr).__name__}")
+    d = [_linearize(o, coefficient, direction, component)
+         for o in expr.operands]
+    if isinstance(expr, (Product, Inner)):  # the product rule
+        (a, b), (da, db) = expr.operands, d
+        return _add(_rebuild(expr, [da, b]), _rebuild(expr, [a, db]))
+    return _rebuild(expr, d)
 
 
 def derivative(form, coefficient, component=None):
@@ -735,7 +703,7 @@ def derivative(form, coefficient, component=None):
     integrals = []
     for itg in form.integrals:
         d = _linearize(itg.integrand, coefficient, direction, component)
-        if not _is_zero(d):
+        if not isinstance(d, Zero):
             integrals.append(Integral(d, itg.measure))
     derivatives[key] = Form(integrals)
     return derivatives[key]
@@ -754,21 +722,8 @@ def _filter_components(expr, targets):
         return expr
     if not expr.operands:
         return expr
-    if isinstance(expr, Sum):
-        a, b = (_filter_components(o, targets) for o in expr.operands)
-        return _sum(a, b)
-    if isinstance(expr, Product):
-        a, b = (_filter_components(o, targets) for o in expr.operands)
-        return _product(a, b)
-    if isinstance(expr, Inner):
-        a, b = (_filter_components(o, targets) for o in expr.operands)
-        return _inner(a, b)
-    if isinstance(expr, Grad):
-        return _grad(_filter_components(expr.operands[0], targets))
-    if isinstance(expr, Restricted):
-        return _restricted(_filter_components(expr.operands[0], targets),
-                           expr.side)
-    raise TypeError(f"cannot filter through {type(expr).__name__}")
+    return _rebuild(expr, [_filter_components(o, targets)
+                           for o in expr.operands])
 
 
 def split_form_into_blocks(form):
@@ -794,7 +749,7 @@ def split_form_into_blocks(form):
         integrals = []
         for itg in form.integrals:
             filtered = _filter_components(itg.integrand, targets)
-            if not _is_zero(filtered):
+            if not isinstance(filtered, Zero):
                 integrals.append(Integral(filtered, itg.measure))
         blocks[key] = Form(integrals)
     return blocks

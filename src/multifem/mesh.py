@@ -210,6 +210,8 @@ class Mesh:
             self.facet_local[has, k] = slot % nlocal
         self.facet_exterior = counts == 1
         self._facet_counts = counts
+        if self.dim == 2:  # segment meshes may branch: they take dx only
+            classify_facets(self)
 
     def _facet_keys(self, ends):
         """One integer per row of sorted facet vertex ids."""
@@ -404,7 +406,7 @@ def classify_facets(mesh):
     """Partition facet indices into (exterior, interior) by incident cells.
 
     Raises for non-manifold configurations (a facet with more than two
-    incident cells).
+    incident cells), which a dim-2 mesh already does when it is built.
     """
     counts = mesh._facet_counts
     bad = np.flatnonzero(counts > 2)

@@ -11,6 +11,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from multifem import fe, forms
 from multifem import mesh as meshmod
@@ -181,6 +182,22 @@ def distinct_intersection_integrals(*forms_):
             if itg.measure.intersect_measures:
                 seen.setdefault(itg.measure.key(), itg)
     return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet oracle: constraining an assembled matrix
+# ---------------------------------------------------------------------------
+
+def constrain_matrix(A, dofs):
+    """Zero the rows and columns of dofs, drop the zeros, set a unit
+    diagonal there."""
+    free = np.ones(A.shape[0], dtype=bool)
+    free[dofs] = False
+    A = A.tocsr(copy=True)
+    row_free = np.repeat(free, np.diff(A.indptr))
+    A.data[~(row_free & free[A.indices])] = 0.0
+    A.eliminate_zeros()
+    return (A + scipy.sparse.diags((~free).astype(float))).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,26 @@ class TestDirichletBC:
         with pytest.raises(ValueError, match="codim-1"):
             asm.dirichlet_dofs(problem.space, [asm.DirichletBC(1, 0, 0.0)])
 
+    @pytest.mark.parametrize("degrees", [(1, 2), (2, 1), (1, 1)])
+    def test_bcs_on_a_matrix_need_one_space(self, asm, degrees):
+        # Q1 x Q2, Q2 x Q1 and two distinct Q1 spaces of equal size: the
+        # constrained pattern numbers rows and columns alike
+        parent = mm.build_split_unit_square(0)
+        ml, _ = mm.extract_codim0_submesh(parent, 1)
+        V, W = (conftest.scalar_space(ml, "Q", p) for p in degrees)
+        (v0,) = forms.split(forms.TestFunction(V))
+        (t0,) = forms.split(forms.TrialFunction(W))
+        a = forms.inner(forms.grad(t0), forms.grad(v0)) * forms.Measure(
+            "dx", ml)
+        L = forms.Constant(1.0) * v0 * forms.Measure("dx", ml)
+        assert asm.assemble(a).shape == (V.num_dofs, W.num_dofs)
+        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
+        for assemble in (lambda: asm.assemble(a, bcs),
+                         lambda: asm.assemble_system(a, L, bcs)):
+            with pytest.raises(ValueError, match="trial space to be its "
+                                                 "test space"):
+                assemble()
+
 
 class TestLinearSolvers:
     def test_identity_system(self, asm):
@@ -369,6 +389,15 @@ class TestErrorNorms:
         without = asm.error_norms(u, 0, studies.exact_solution)
         assert with_grad[0] == pytest.approx(without[0], rel=1e-12)
         assert with_grad[1] == pytest.approx(without[1], rel=1e-5)
+
+    @pytest.mark.parametrize("component, match", [
+        (1, "codim-1"), (3, "out of range"), (-1, "out of range")])
+    def test_component_without_cells_of_the_plane_raises(
+            self, asm, studies, component, match):
+        # split-interface: component 1 lives on the interface segments
+        problem = studies.build_split_interface_problem(1, 0)
+        with pytest.raises(ValueError, match=match):
+            asm.error_norms(problem.u, component, studies.exact_solution)
 
 
 class TestEliminateComponent:

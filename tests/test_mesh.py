@@ -169,10 +169,23 @@ class TestClassifyFacets:
             assert all(int(f) in sub_exterior for f in sub_marked)
 
     def test_non_manifold_raises(self):
-        m = mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+        # three triangles on facet (0, 1): rejected when the mesh is built,
+        # before any dS integral could see only two of them
+        with pytest.raises(ValueError, match=r"non-manifold facet \(0, 1\) "
+                                             r"with 3 incident cells"):
+            mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                                  [1.0, 1.0], [-1.0, 1.0]]),
                     [(TRI, (0, 1, 2)), (TRI, (0, 1, 3)), (TRI, (0, 1, 4))])
-        with pytest.raises(ValueError, match="non-manifold"):
+
+    def test_segment_t_junction_builds_but_does_not_classify(self):
+        # a dim-1 mesh only takes dx, so a branch point is allowed until
+        # its facets are classified
+        m = mm.Mesh(1, np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
+                                 [0.0, 1.0]]),
+                    [(mm.CellType.INTERVAL, (0, v)) for v in (1, 2, 3)])
+        assert m.num_cells == 3
+        with pytest.raises(ValueError, match=r"non-manifold facet \(0,\) "
+                                             r"with 3 incident cells"):
             mm.classify_facets(m)
 
 

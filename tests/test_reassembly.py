@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
-from multifem import forms
+from multifem import fe, forms
 from multifem import mesh as mm
 
 
@@ -120,8 +120,8 @@ class TestConstrainedPattern:
         outer = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
         inner = [asm.DirichletBC(0, mm.INTERFACE_MARKER, 0.0)]
         sets = (outer, inner, outer + inner)
-        expected = [asm._constrain_matrix(asm.assemble(a),
-                                          asm.dirichlet_dofs(V, bcs)[0])
+        expected = [conftest.constrain_matrix(asm.assemble(a),
+                                              asm.dirichlet_dofs(V, bcs)[0])
                     .toarray() for bcs in sets]
         assert not np.array_equal(expected[0], expected[1])
         # alternate the sets on one form, so each is read from its cache
@@ -133,14 +133,42 @@ class TestConstrainedPattern:
 
     def test_stored_zeros_are_dropped_as_by_constrain_matrix(self, asm,
                                                              studies):
-        problem = studies.build_quad_tri_problem(1, 0)
-        J = forms.derivative(problem.residual, problem.u)
-        A = asm.assemble(J)
-        assert A.count_nonzero() < A.nnz  # exact zero couplings
-        dofs, _ = asm.dirichlet_dofs(problem.space, problem.bcs)
-        expected = asm._constrain_matrix(A, dofs)
+        # split-interface: bcs on components 0 and 2, the auxiliary
+        # interface block in between left free
+        for name, degree, level in (("quad-tri", 1, 0),
+                                    ("split-interface", 2, 1)):
+            problem = studies.build_problem(name, degree, level)
+            J = forms.derivative(problem.residual, problem.u)
+            A = asm.assemble(J)
+            assert A.count_nonzero() < A.nnz  # exact zero couplings
+            dofs, _ = asm.dirichlet_dofs(problem.space, problem.bcs)
+            expected = conftest.constrain_matrix(A, dofs)
+            for _ in range(2):
+                assert_same_csr(asm.assemble(J, problem.bcs), expected)
+
+    def test_dirichlet_closure_is_found_once_per_space(self, asm,
+                                                       monkeypatch):
+        V, _, dx = left_half()
+        (v0,) = forms.split(forms.TestFunction(V))
+        L = forms.Constant(1.0) * v0 * dx
+        calls = []
+        closure = fe.ReferenceElement.facet_closure
+
+        def counted(element, local_facet):
+            calls.append(local_facet)
+            return closure(element, local_facet)
+
+        monkeypatch.setattr(fe.ReferenceElement, "facet_closure", counted)
+        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, lambda x, y: x)]
+        counts = []
         for _ in range(2):
-            assert_same_csr(asm.assemble(J, problem.bcs), expected)
+            b = asm.assemble(L, bcs)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[1] == counts[0]
+        dofs, values = asm.dirichlet_dofs(V, bcs)
+        assert np.array_equal(b[dofs], V.dof_coords[dofs, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            V.meshes[0].facet_markers[0] = 7
 
     def test_float_and_array_values_share_a_pattern(self, asm):
         V, _, dx = left_half()

@@ -272,6 +272,24 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
 
+    def test_unset_options_take_the_study_defaults(self, tmp_path,
+                                                    studies, monkeypatch):
+        # the CLI sets no default of its own: StudyConfig's apply
+        seen = []
+
+        def record(cfg, collect_matrix=False):
+            seen.append(cfg)
+            return studies.StudyReport(cfg.problem, cfg.penalty, cfg.solver)
+
+        monkeypatch.setattr(cli, "run_study", record)
+        out = str(tmp_path / "report.tsv")
+        assert cli.main(["study", "--problem", "quad-tri", "--out", out]) == 0
+        assert cli.main(["study", "--problem", "quad-tri", "--out", out,
+                         "--penalty", "7", "--refine", "1..2"]) == 0
+        assert seen == [studies.StudyConfig("quad-tri"),
+                        studies.StudyConfig("quad-tri", refinements=(1, 2),
+                                            penalty=7.0)]
+
     def test_invalid_config_exits_with_error(self, tmp_path, capsys):
         out = tmp_path / "report.tsv"
         code = cli.main(["study", "--problem", "quad-tri", "--degrees", "4",
