@@ -8,18 +8,18 @@ root mesh: Mesh.root_entities composes each mesh's parent maps into a
 table of root entities, whose inverse leads back down.  It holds
 the dof index arrays of every argument block and coefficient slot, the
 measure's batched quadrature geometry (compile.MeasureGeometry), shared by
-every integral on the same measure and rule and cached on the root mesh,
-and, after its first run, the element tensors of a static kernel: one
-that reads no coefficient and no Analytic source (Constants are frozen).
-Each assembly gathers coefficient values, runs every other kernel once
-over all its entities, so Analytic sources are evaluated afresh, and
-scatters with one np.bincount: vectors directly, matrices into the CSR
-pattern of the bilinear form under its bcs, cached on the form per set
-of bcs (component, marker) pairs.  Under bcs the pattern drops the rows
+every integral on the same measure and rule and cached on the root mesh.
+A form's scatter is cached on the form per set of bcs (component,
+marker) pairs: a matrix's CSR pattern under its bcs, which drops the rows
 and columns of Dirichlet dofs and gives each a unit diagonal, so the
-constrained matrix is scattered, not edited.  Dirichlet dofs are found
-topologically, as the closure of the marked facets through the dofmap,
-cached per space; their values are evaluated on every call.
+constrained matrix is scattered, not edited; and the sum of its static
+kernels, those that read no coefficient and no Analytic source
+(Constants are frozen), scattered once.  Each assembly gathers
+coefficient values, runs every dynamic kernel once over all its
+entities, so Analytic sources are evaluated afresh, scatters their
+entries with one np.bincount and adds the static sum.  Dirichlet dofs
+are found topologically, as the closure of the marked facets through the
+dofmap, cached per space; their values are evaluated on every call.
 assemble_system assembles the matrix twice, unconstrained to lift the
 boundary values and under the bcs.  Entities are scattered in ascending
 order and integrals in form order, so results are bitwise reproducible.
@@ -102,16 +102,14 @@ def _iteration_entities(integral, kernel):
 @dataclass
 class _IntegralPlan:
     """What every assembly of one integral reuses: its kernel, the measure
-    geometry, (E, ndofs) global dof indices of the test (rows) and trial
-    (cols) blocks and of each coefficient slot, and, once assembled, the
-    read-only element tensors of a static kernel."""
+    geometry, and (E, ndofs) global dof indices of the test (rows) and trial
+    (cols) blocks and of each coefficient slot."""
 
     kernel: object
     geometry: MeasureGeometry
     rows: np.ndarray
     cols: np.ndarray
     coeff_dofs: list
-    static_tensors: np.ndarray = None
 
 
 def _measure_geometry(integral, kernel):
@@ -164,34 +162,68 @@ def iteration_set(integral):
     return _plan_for(integral).geometry.entities[:, 0].tolist()
 
 
-def _pattern(form, plans, shape, bcs):
-    """(slot, indices, indptr): the CSR structure of a bilinear form under
-    bcs and, per element-tensor entry in assembly order, then per Dirichlet
-    dof, the index of its slot.  An entry in a Dirichlet dof's row or
-    column gets slot len(indices), which the scatter drops; each Dirichlet
-    dof adds one unit-diagonal entry.  Cached on the form per bcs
-    (component, marker) pairs, () for none."""
-    patterns = form.__dict__.setdefault("_patterns", {})
+def _element_tensors(plan):
+    w = [coeff.values[dofs] for (coeff, *_), dofs
+         in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
+    return execute_kernel(plan.kernel, plan.geometry, w).ravel()
+
+
+def _csr(keys, shape):
+    """(slot, indices, indptr): the CSR structure of entries at flat
+    positions keys of a matrix and each entry's slot in it; keys past the
+    end get slot len(indices)."""
+    n, m = shape
+    unique, slot = np.unique(keys, return_inverse=True)
+    unique = unique[unique < n * m]
+    index = np.int32 if max(n, m, len(unique)) < 2 ** 31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(unique // m, minlength=n), out=indptr[1:])
+    return slot.ravel().astype(index), (unique % m).astype(index), indptr
+
+
+def _scatter(form, plans, shape, bcs):
+    """(static, slot, indices, indptr): where a form's element entries go
+    under bcs.  slot holds the index in the assembled data of each entry of
+    its dynamic kernels, in assembly order; static holds the entries of its
+    static kernels already scattered there, read-only.  A matrix's data is
+    its CSR structure (indices, indptr): an entry in a Dirichlet dof's row
+    or column gets slot len(indices), which is dropped, and each Dirichlet
+    dof adds one unit-diagonal entry.  A vector's data is itself (bcs set
+    its values later), a functional's has length 1.  Cached on the form per
+    bcs (component, marker) pairs, () for none; the static kernels run once
+    per key."""
+    scatters = form.__dict__.setdefault("_scatters", {})
     key = tuple((bc.component, bc.marker) for bc in bcs)
-    if key not in patterns:
+    if key in scatters:
+        return scatters[key]
+    keys = [np.zeros(len(p.geometry), dtype=int) if p.rows is None
+            else p.rows.ravel() if p.cols is None
+            else (p.rows[:, :, None] * shape[1] + p.cols[:, None, :]).ravel()
+            for p in plans]
+    sizes = [len(k) for k in keys]
+    keys = np.concatenate(keys + [np.empty(0, dtype=int)])
+    size, indices, indptr = (shape or (1,))[0], None, None
+    if len(shape) == 2:
         n, m = shape
-        keys = np.concatenate(
-            [(p.rows[:, :, None] * m + p.cols[:, None, :]).ravel()
-             for p in plans] or [np.empty(0, dtype=int)])
         if bcs:
             dofs = dirichlet_dofs(plans[0].kernel.arguments[0].space, bcs)[0]
             fixed = np.zeros(n, dtype=bool)
             fixed[dofs] = True
             keys[fixed[keys // m] | fixed[keys % m]] = n * m  # past the end
             keys = np.append(keys, dofs * (m + 1))
-        unique, slot = np.unique(keys, return_inverse=True)
-        unique = unique[unique < n * m]
-        index = np.int32 if max(n, m, len(unique)) < 2 ** 31 else np.int64
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.bincount(unique // m, minlength=n), out=indptr[1:])
-        patterns[key] = (slot.ravel().astype(index),
-                         (unique % m).astype(index), indptr)
-    return patterns[key]
+        keys, indices, indptr = _csr(keys, shape)
+        size = len(indices)
+    # after the element entries, the Dirichlet diagonal: static
+    diagonal = len(keys) - sum(sizes)
+    static = np.repeat([p.kernel.static for p in plans] + [True],
+                       sizes + [diagonal])
+    values = [_element_tensors(p) for p in plans if p.kernel.static]
+    data = np.bincount(keys[static],
+                       weights=np.concatenate(values + [np.ones(diagonal)]),
+                       minlength=size)[:size].astype(float)  # int if empty
+    data.setflags(write=False)
+    scatters[key] = (data, keys[~static], indices, indptr)
+    return scatters[key]
 
 
 def assemble(form, bcs=()):
@@ -206,7 +238,6 @@ def assemble(form, bcs=()):
     """
     plans = [_plan_for(integral) for integral in form.integrals]
     args = plans[0].kernel.arguments if plans else {}
-    tensors = []
     for integral, plan in zip(form.integrals, plans):
         if plan.kernel.arguments != args:
             raise ValueError("every integral must use the form's arguments")
@@ -214,40 +245,27 @@ def assemble(form, bcs=()):
                 and integral.measure.subdomain_id != forms.EVERYWHERE):
             warnings.warn(f"measure {integral.measure!r} matched no entities; "
                           f"contribution is zero", stacklevel=2)
-        tensor = plan.static_tensors
-        if tensor is None:
-            w = [coeff.values[dofs] for (coeff, *_), dofs
-                 in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
-            tensor = execute_kernel(plan.kernel, plan.geometry, w)
-            if plan.kernel.static:
-                tensor.setflags(write=False)
-                plan.static_tensors = tensor
-        tensors.append(tensor)
-
     arity = len(args)
-    if arity == 0:
-        return float(sum(t.sum() for t in tensors))
-    values = [t.ravel() for t in tensors]
-    test_space = args[0].space
-    if arity == 1:
-        rows = np.concatenate([p.rows.ravel() for p in plans])
-        vector = np.bincount(rows, weights=np.concatenate(values),
-                             minlength=test_space.num_dofs)
-        if bcs:
-            dofs, bc_values = dirichlet_dofs(test_space, bcs)
-            vector[dofs] = bc_values
-        return vector
-    if bcs and args[1].space is not test_space:
+    if arity == 2 and bcs and args[1].space is not args[0].space:
         raise ValueError("Dirichlet conditions on a bilinear form need its "
                          "trial space to be its test space")
-    shape = (test_space.num_dofs, args[1].space.num_dofs)
-    slot, indices, indptr = _pattern(form, plans, shape, bcs)
-    # then the unit diagonal of each Dirichlet dof
-    values.append(np.ones(len(slot) - sum(map(len, values))))
-    data = np.bincount(slot, weights=np.concatenate(values),
-                       minlength=len(indices))
-    A = scipy.sparse.csr_matrix((data[:len(indices)], indices.copy(),
-                                 indptr.copy()), shape=shape)
+    shape = tuple(args[k].space.num_dofs for k in range(arity))
+    static, slot, indices, indptr = _scatter(form, plans, shape,
+                                             bcs if arity == 2 else ())
+    data = static.copy()
+    dynamic = [_element_tensors(p) for p in plans if not p.kernel.static]
+    if dynamic:
+        data += np.bincount(slot, weights=np.concatenate(dynamic),
+                            minlength=len(data))[:len(data)]
+    if arity == 0:
+        return float(data[0])
+    if arity == 1:
+        if bcs:
+            dofs, bc_values = dirichlet_dofs(args[0].space, bcs)
+            data[dofs] = bc_values
+        return data
+    A = scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                                shape=shape)
     A.has_canonical_format = True
     if bcs:
         A.eliminate_zeros()  # assembled zeros go, as rows and columns do
@@ -370,6 +388,8 @@ def _jacobi_cg(A, b, tol=SOLVE_TOL):
         r -= alpha * Ap
         z = dinv * r
         rz_next = r @ z
+        if not np.isfinite(rz_next):
+            raise ConvergenceError("CG broke down: non-finite residual")
         p = z + (rz_next / rz) * p
         rz = rz_next
     if np.linalg.norm(r) <= tol * norm_b:
@@ -389,9 +409,11 @@ def _factor(A):
 def solve_linear(A, b, spd=False):
     """Solve A x = b by sparse LU, or Jacobi-CG when flagged SPD.
 
-    The residual is verified: |A x - b| <= 1e-10 |b|.
+    b must be finite, and the residual is verified: |A x - b| <= 1e-10 |b|.
     """
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side is not finite")
     if spd:
         x = _jacobi_cg(A, b)
     else:
@@ -401,7 +423,7 @@ def solve_linear(A, b, spd=False):
             raise ValueError(f"linear system is singular: {exc}") from exc
         x = lu.solve(b)
     residual = np.linalg.norm(A.dot(x) - b)
-    if residual > SOLVE_TOL * max(np.linalg.norm(b), 1e-300):
+    if not residual <= SOLVE_TOL * max(np.linalg.norm(b), 1e-300):  # or NaN
         raise ConvergenceError(
             f"linear solve residual {residual:.3e} exceeds tolerance")
     return x
@@ -420,9 +442,10 @@ def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
 
     Boundary values are imposed on the first iterate, corrections are
     homogeneous.  The Jacobian is the Gateaux derivative of F with respect to
-    the whole Coefficient u, the same Form on every call.  Each update is solve(A, b) on the constrained
-    Jacobian A and the negated residual b; the default is solve_linear
-    (sparse LU), looked up at call time.
+    the whole Coefficient u, the same Form on every call.  Each update is
+    solve(A, b) on the constrained Jacobian A and the negated residual b;
+    the default is solve_linear (sparse LU), looked up at call time.  A
+    non-finite residual raises ConvergenceError at once.
     """
     solve = solve or solve_linear
     dofs, values = (np.empty(0, dtype=int), np.empty(0))
@@ -434,6 +457,8 @@ def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
     def residual_norm():
         r = assemble(F)
         r[dofs] = 0.0
+        if not np.all(np.isfinite(r)):
+            raise ConvergenceError("Newton residual is not finite")
         return r, np.linalg.norm(r)
 
     r, norm = residual_norm()

@@ -3,9 +3,14 @@
 A kernel evaluates one integral on every iteration entity (cell or facet of
 the measure's primal mesh) of its measure.  The integrand is linearized into
 a small tape of numpy operations whose registers carry a leading entity
-axis, a quadrature-point axis and, for argument-dependent values, a test
-and/or trial dof axis, so one pass of the tape produces the element tensors
-of a block of entities.  Quadrature lives on the primal entities; every
+axis and a quadrature-point axis, so one pass of the tape produces the
+element tensors of a block of entities.  In a linear form or a functional
+the tape evaluates only argument-free values: the compiler factors the
+test function out of the integrand into terms, each an argument-free
+register times one argument table, and every term is contracted over
+quadrature points and components with one batched matmul.  A bilinear
+tape still materializes its argument-dependent registers with test and
+trial dof axes.  Quadrature lives on the primal entities; every
 participating mesh gets reference points by pulling the physical quadrature
 points back through its own cell geometry, which is what aligns integration
 across meshes.  MeasureGeometry holds that geometry for all entities of a
@@ -62,6 +67,9 @@ class LocalKernel:
     coeff_slots: list  # (coefficient, component, participant, side)
     arguments: dict  # argument number -> Argument
     arg_blocks: dict  # argument number -> list of ArgBlock
+    # arity <= 1: (register, argument instruction or None) pairs whose
+    # contractions sum to the output; None for a materialized tape
+    terms: list = None
 
     def __post_init__(self):
         self.arity = len(self.arguments)
@@ -69,19 +77,12 @@ class LocalKernel:
             sum(b.ndofs for b in self.arg_blocks.get(n, [])) for n in (0, 1))
         # entities per tape pass, so that no register exceeds _BLOCK_VALUES
         widest = max(int(np.prod(v, dtype=int)) for v in self.reg_vshapes)
-        footprint = (len(self.quadrature) * max(self.test_size, 1)
-                     * max(self.trial_size, 1) * widest)
+        footprint = len(self.quadrature) * widest * (
+            1 if self.terms is not None else self.test_size * self.trial_size)
         self.block_size = max(1, _BLOCK_VALUES // footprint)
         # reads no coefficient or Analytic source: fixed once planned
         self.static = not any(instr[0] in ("cval", "cgrad", "analytic")
                               for instr in self.tape)
-
-    def output_shape(self):
-        if self.arity == 2:
-            return (self.test_size, self.trial_size)
-        if self.arity == 1:
-            return (self.test_size,)
-        return ()
 
 
 def side_index(side):
@@ -107,7 +108,19 @@ def default_quadrature_degree(integral):
 
 class _Builder:
     """Builds the instruction tape for one integral that validate_form
-    accepts."""
+    accepts.
+
+    With at most one argument the tape holds argument-free registers only:
+    visit returns a test-function-dependent value as a list of terms
+    (c, instr, bshape, post): c an argument-free register (None for 1),
+    instr the aval/agrad instruction of a basis of value shape bshape.  A
+    term's value is c * basis, or sum_i c_i basis_i where c has the basis's
+    shape, times the vector register post unless it is None.
+    Bilinear tapes keep materializing argument registers bit for bit, the
+    `inner` special case of _run_tape with them, until the benchmark's
+    exact nnz check no longer pins their roundoff (ROADMAP items 1 and 3);
+    then they move onto the same contraction and both go.
+    """
 
     def __init__(self, integral):
         participants = self.participants = integral.measure.participants()
@@ -118,6 +131,7 @@ class _Builder:
         self.coeff_slots = []
         self._slot_index = {}
         self._layout_arguments(integral.integrand)
+        self.factored = len(self.arguments) < 2
 
     def _layout_arguments(self, integrand):
         """arguments (number -> Argument), arg_blocks (number -> blocks on
@@ -156,7 +170,7 @@ class _Builder:
                     self._blocks[(number, comp, side)] = block
                     offset += element.num_dofs
 
-    def _push(self, instr, vshape, argdeps):
+    def _push(self, instr, vshape, argdeps=frozenset()):
         self.tape.append(instr)
         self.vshapes.append(vshape)
         self.argdeps.append(argdeps)
@@ -195,23 +209,43 @@ class _Builder:
         sidx = side_index(side)
         if isinstance(func, forms.Argument):
             block = self._blocks[(func.number, component, side)]
-            deps = frozenset([func.number])
-            return self._push((f"a{op}", func.number, block, pidx, sidx),
-                              vshape, deps)
+            instr = (f"a{op}", func.number, block, pidx, sidx)
+            if self.factored:
+                return [(None, instr, vshape, None)]
+            return self._push(instr, vshape, frozenset([func.number]))
         slot = self._coeff_slot(func, component, pidx, side)
-        return self._push((f"c{op}", slot, pidx, sidx, element), vshape,
-                          frozenset())
+        return self._push((f"c{op}", slot, pidx, sidx, element), vshape)
+
+    def _deps(self, value):  # a list of terms depends on the test function
+        return (frozenset([0]) if isinstance(value, list)
+                else self.argdeps[value])
+
+    def _mul(self, c, f):
+        return f if c is None else self._push(
+            ("mul", c, f), self.vshapes[c] or self.vshapes[f])
+
+    def _scale(self, term, f, inner):
+        """A term times, or (inner) contracted with, the register f."""
+        c, instr, bshape, post = term
+        cshape = () if c is None else self.vshapes[c]
+        if post is not None and inner:
+            f, post = self._push(("inner", f, post), ()), None
+        elif cshape and bshape and self.vshapes[f]:
+            return c, instr, bshape, f  # a vector times a contracted term
+        elif inner and cshape and not bshape:  # sum_i f_i c_i basis
+            return self._push(("inner", f, c), ()), instr, bshape, None
+        return self._mul(c, f), instr, bshape, post
 
     def visit(self, expr, side=None):
         if isinstance(expr, forms.Zero):
-            return self._push(("zero", expr.shape), expr.shape, frozenset())
+            return self._push(("zero", expr.shape), expr.shape)
         if isinstance(expr, forms.Constant):
-            return self._push(("const", expr.value), (), frozenset())
+            return self._push(("const", expr.value), ())
         if isinstance(expr, forms.Analytic):
-            return self._push(("analytic", expr.fn), (), frozenset())
+            return self._push(("analytic", expr.fn), ())
         if isinstance(expr, forms.FacetNormal):
             return self._push(("normal", self.pindex[expr.mesh.id],
-                               side_index(side)), (2,), frozenset())
+                               side_index(side)), (2,))
         if isinstance(expr, (forms.Indexed, forms._Function)):
             func, component, side = self._resolve_function(expr, side)
             return self._function_value(func, component, side, "val")
@@ -224,13 +258,22 @@ class _Builder:
         if isinstance(expr, forms.Sum):
             a = self.visit(expr.operands[0], side)
             b = self.visit(expr.operands[1], side)
+            if self._deps(a) != self._deps(b):
+                raise CompileError("a sum mixes terms that depend on "
+                                   "different arguments")
+            if isinstance(a, list):
+                return a + b
             return self._push(("add", a, b), self.vshapes[a] or self.vshapes[b],
-                              self.argdeps[a] | self.argdeps[b])
+                              self.argdeps[a])
         if isinstance(expr, (forms.Product, forms.Inner)):
             a = self.visit(expr.operands[0], side)
             b = self.visit(expr.operands[1], side)
-            if self.argdeps[a] & self.argdeps[b]:
+            if self._deps(a) & self._deps(b):
                 raise CompileError("form is nonlinear in an argument")
+            if isinstance(a, list) or isinstance(b, list):
+                terms, f = (a, b) if isinstance(a, list) else (b, a)
+                inner = isinstance(expr, forms.Inner)
+                return [self._scale(t, f, inner) for t in terms]
             deps = self.argdeps[a] | self.argdeps[b]
             if isinstance(expr, forms.Product):
                 vshape = self.vshapes[a] if self.vshapes[a] else self.vshapes[b]
@@ -255,23 +298,30 @@ def compile_integral(integral):
     qdeg = measure.quadrature_degree
     if qdeg is None:
         qdeg = default_quadrature_degree(integral)
-    qdeg = min(qdeg, fe.MAX_QUADRATURE_DEGREE)
-    if primal_kind == "cell2d":
-        rule = fe.make_quadrature(measure.mesh.cell_type, qdeg)
-    else:
-        rule = fe.make_quadrature(CellType.INTERVAL, qdeg)
+    try:
+        rule = fe.make_quadrature(measure.mesh.cell_type if primal_kind
+                                  == "cell2d" else CellType.INTERVAL, qdeg)
+    except ValueError as exc:
+        raise CompileError(f"{measure!r}: {exc}") from exc
 
     builder = _Builder(integral)
-    out_reg = builder.visit(integral.integrand)
     if 1 in builder.arguments and 0 not in builder.arguments:
         raise CompileError("integral has a trial function but no test function")
+    out = builder.visit(integral.integrand)
+    terms = None
+    if builder.factored:  # an argument-free output is one term without one
+        one = builder._push(("const", 1.0), ())
+        terms = ([(one if c is None else c, instr)
+                  for c, instr, _, _ in out] if isinstance(out, list)
+                 else [(out, None)])
 
     return LocalKernel(participants=builder.participants,
                        primal_kind=primal_kind, quadrature=rule,
                        tape=builder.tape, reg_vshapes=builder.vshapes,
-                       out_reg=out_reg, coeff_slots=builder.coeff_slots,
+                       out_reg=None if terms else out,
+                       coeff_slots=builder.coeff_slots,
                        arguments=builder.arguments,
-                       arg_blocks=builder.arg_blocks)
+                       arg_blocks=builder.arg_blocks, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +561,9 @@ def push_forward(grads, jinv):
     ufuncs, never fused multiply-adds, so every entity's result is bitwise
     the one of a per-cell evaluation."""
     j = jinv.reshape(jinv.shape[:2] + (1,) * (grads.ndim - 3) + (2, 2))
-    return grads[..., 0:1] * j[..., 0, :] + grads[..., 1:2] * j[..., 1, :]
+    # per component: ufuncs over a trailing axis of length 2 are slow
+    return np.stack([grads[..., 0] * j[..., 0, k]
+                     + grads[..., 1] * j[..., 1, k] for k in (0, 1)], axis=-1)
 
 
 def _align_ndim(a, b):
@@ -521,11 +573,39 @@ def _align_ndim(a, b):
             b.reshape(b.shape + (1,) * (n - b.ndim)))
 
 
+def _contract(kernel, geometry, regs, lo, hi):
+    """Element vectors (B, test), or values (B, 1) of a functional, of
+    entities lo:hi: each term's register, times the weights, contracted
+    over points and components with its argument's own table by one
+    batched matmul, whose (component, component) diagonal is kept."""
+    B = hi - lo
+    out = np.zeros((B, max(kernel.test_size, 1)))
+    for reg, instr in kernel.terms:
+        c = regs[reg]
+        m = geometry.wq[lo:hi, :, None] * c.reshape(c.shape[:2] + (-1,))
+        if instr is None:
+            out[:, 0] += m.sum(axis=(1, 2))
+            continue
+        op, _, block, pidx, sidx = instr
+        table = geometry.side(pidx, sidx).argument(block.element, op, 0,
+                                                   block.ndofs)
+        nq, nc = m.shape[1:]
+        mt = np.swapaxes(m, 1, 2)  # (B, components, nq)
+        if len(table) == 1:
+            prod = mt.reshape(B * nc, nq) @ table[0].reshape(nq, -1)
+        else:
+            prod = mt @ table[lo:hi].reshape(B, nq, -1)
+        prod = prod.reshape(B, nc, block.ndofs, nc)
+        out[:, block.offset:block.offset + block.ndofs] += sum(
+            prod[:, i, :, i] for i in range(nc))
+    return out
+
+
 def _run_tape(kernel, geometry, w, lo, hi):
-    """Element tensors (B, test|1, trial|1) of entities lo:hi."""
-    nq = len(kernel.quadrature)
-    test = kernel.test_size if kernel.arity >= 1 else 1
-    trial = kernel.trial_size if kernel.arity == 2 else 1
+    """Element tensors (B, test|1, trial|1) of entities lo:hi, through
+    _contract unless the tape is materialized."""
+    nq, test, trial = (len(kernel.quadrature), kernel.test_size,
+                       kernel.trial_size)
     regs = []
     for instr, vshape in zip(kernel.tape, kernel.reg_vshapes):
         op = instr[0]
@@ -574,6 +654,8 @@ def _run_tape(kernel, geometry, w, lo, hi):
         else:
             raise CompileError(f"unknown tape instruction {op!r}")
         regs.append(val)
+    if kernel.terms is not None:
+        return _contract(kernel, geometry, regs, lo, hi)
     out = np.broadcast_to(regs[kernel.out_reg], (hi - lo, nq, test, trial))
     return np.einsum("bq,bqvu->bvu", geometry.wq[lo:hi], out)
 
@@ -587,7 +669,7 @@ def execute_kernel(kernel, geometry, w):
     are bitwise reproducible for identical inputs.
     """
     E = len(geometry)
-    out = np.empty((E,) + kernel.output_shape())
+    out = np.empty((E, kernel.test_size, kernel.trial_size)[:1 + kernel.arity])
     for lo in range(0, E, kernel.block_size):
         hi = min(lo + kernel.block_size, E)
         out[lo:hi] = _run_tape(kernel, geometry, w, lo,

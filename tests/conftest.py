@@ -201,6 +201,75 @@ def constrain_matrix(A, dofs):
 
 
 # ---------------------------------------------------------------------------
+# linear-form oracle: materialized argument values, quadrature summed last
+# ---------------------------------------------------------------------------
+
+def materialized_element_tensors(integral):
+    """Element vectors (E, test), or values (E,) of a functional, of an
+    integral with at most one argument, by walking its integrand with every
+    value materialized as (E, nq, test | 1, *shape) and summing the weighted
+    quadrature points last: the contraction the tape did before the test
+    function was factored out of its kernels.  Reads the integral's plan
+    for the geometry and the test blocks' offsets only."""
+    plan = assemble_mod._plan_for(integral)
+    kernel, geometry = plan.kernel, plan.geometry
+    E, nq = geometry.wq.shape
+    test = max(kernel.test_size, 1)
+    blocks = {(b.component, b.side): b for b in kernel.arg_blocks.get(0, [])}
+    pindex = {mesh.id: k for k, (_, mesh) in enumerate(kernel.participants)}
+
+    def function(expr, side, grad):
+        while isinstance(expr, forms.Restricted):
+            side, expr = expr.side, expr.operands[0]
+        func, k = ((expr.function, expr.component)
+                   if isinstance(expr, forms.Indexed) else (expr, 0))
+        element = func.space.element[k]
+        where = geometry.side(pindex[func.space.meshes[k].id],
+                              compile_mod.side_index(side))
+        vals, grads = (np.broadcast_to(t, (E,) + t.shape[1:])
+                       for t in where.tables(element))
+        table = (np.einsum("eqn...i,eqij->eqn...j", grads, where.jinv)
+                 if grad else vals)
+        if isinstance(func, forms.Argument):
+            block = blocks[(k, side)]
+            out = np.zeros((E, nq, test) + table.shape[3:])
+            out[:, :, block.offset:block.offset + block.ndofs] = table
+            return out
+        w = func.values[func.space.offsets[k]
+                        + func.space.dofmaps[k][where.cells]]
+        return np.einsum("eqn...,en->eq...", table, w)[:, :, None]
+
+    def value(expr, side=None):
+        if isinstance(expr, (forms.Constant, forms.Zero)):
+            return np.full((1, 1, 1) + expr.shape, getattr(expr, "value", 0.0))
+        if isinstance(expr, forms.Analytic):
+            x, y = geometry.X[..., 0], geometry.X[..., 1]
+            return np.broadcast_to(expr.fn(x, y), (E, nq))[..., None]
+        if isinstance(expr, forms.FacetNormal):
+            where = geometry.side(pindex[expr.mesh.id],
+                                  compile_mod.side_index(side))
+            return where.normal[:, None, None, :]
+        if isinstance(expr, forms.Restricted):
+            return value(expr.operands[0], expr.side)
+        if isinstance(expr, (forms.Indexed, forms._Function, forms.Grad)):
+            grad = isinstance(expr, forms.Grad)
+            return function(expr.operands[0] if grad else expr, side, grad)
+        a, b = (value(o, side) for o in expr.operands)
+        if isinstance(expr, forms.Sum):
+            return a + b
+        n = max(a.ndim, b.ndim)
+        product = (a.reshape(a.shape + (1,) * (n - a.ndim))
+                   * b.reshape(b.shape + (1,) * (n - b.ndim)))
+        if isinstance(expr, forms.Inner):
+            return product.sum(axis=tuple(range(3, n)))
+        return product
+
+    out = np.einsum("eq,eqn->en", geometry.wq,
+                    np.broadcast_to(value(integral.integrand), (E, nq, test)))
+    return out if kernel.arity else out[:, 0]
+
+
+# ---------------------------------------------------------------------------
 # restriction-validator catalog
 # ---------------------------------------------------------------------------
 

@@ -307,6 +307,67 @@ class TestNewton:
                              solve=lambda A, b: np.zeros_like(b))
 
 
+class TestNonFiniteInput:
+    """A NaN or inf fails at once with a clear error, never as a NaN
+    solution or a run of NaN iterations."""
+
+    class CountingOperator:
+        def __init__(self, A):
+            self.A, self.shape, self.matvecs = A, A.shape, 0
+
+        def diagonal(self):
+            return self.A.diagonal()
+
+        def dot(self, x):
+            self.matvecs += 1
+            return self.A.dot(x)
+
+    @pytest.mark.parametrize("spd", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_right_hand_side_raises(self, asm, bad, spd):
+        b = np.ones(4)
+        b[2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            asm.solve_linear(sp.identity(4, format="csr") * 2.0, b, spd=spd)
+
+    @pytest.mark.parametrize("case", ["nan-coupling", "inf-coupling",
+                                      "nan-rhs"])
+    def test_cg_stops_at_the_first_non_finite_residual(self, asm, case):
+        bad = np.inf if case == "inf-coupling" else np.nan
+        coupling = 0.0 if case == "nan-rhs" else bad
+        A = sp.csr_matrix(np.array([[2.0, coupling, 0.0],
+                                    [coupling, 2.0, 0.0], [0.0, 0.0, 2.0]]))
+        b = np.array([1.0, np.nan if case == "nan-rhs" else 1.0, 1.0])
+        op = self.CountingOperator(A)
+        with np.errstate(all="ignore"), pytest.raises(
+                asm.ConvergenceError, match="non-finite"):
+            asm._jacobi_cg(op, b)
+        assert op.matvecs <= 1
+
+    def test_lu_of_a_non_finite_matrix_raises(self, asm):
+        A = sp.csr_matrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+        with pytest.raises((ValueError, asm.ConvergenceError)):
+            asm.solve_linear(A, np.ones(2))
+
+    def test_newton_stops_on_a_non_finite_residual(self, asm):
+        m = conftest.single_cell_mesh(
+            QUAD, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        V = conftest.scalar_space(m, "Q", 1)
+        u, v = forms.Coefficient(V), forms.TestFunction(V)
+        (u0,), (v0,) = forms.split(u), forms.split(v)
+        source = forms.Analytic(m, lambda x, y: np.where(x > 0.5, np.nan, x))
+        F = (u0 - source) * v0 * forms.Measure("dx", m)
+        steps = []
+
+        def solve(A, b):
+            steps.append(b)
+            return asm.solve_linear(A, b)
+
+        with pytest.raises(asm.ConvergenceError, match="not finite"):
+            asm.newton_solve(F, u, solve=solve)
+        assert steps == []
+
+
 class TestAssembleSystem:
     def test_matches_newton_on_a_linear_problem(self, asm):
         V = left_half_space()

@@ -10,6 +10,7 @@ a returned matrix.
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import conftest
 from multifem import fe, forms
@@ -202,6 +203,62 @@ class TestConstrainedPattern:
                                     for mk in markers])
             xy = V.dof_coords
             assert np.allclose(u.values, g(xy[:, 0], xy[:, 1]), atol=1e-10)
+
+
+class TestFormScatter:
+    def test_warm_static_jacobian_runs_no_kernel_and_no_scatter(
+            self, asm, studies, monkeypatch):
+        # every Jacobian kernel of the linear problem is static: its sum is
+        # scattered once per bcs key, so a warm assembly copies it
+        problem = studies.build_problem("quad-tri", 1, 1)
+        J = forms.derivative(problem.residual, problem.u)
+        first = asm.assemble(J, problem.bcs)
+        kernels, scatters = [], []
+        execute_kernel, bincount = asm.execute_kernel, np.bincount
+
+        def counted_kernel(*args):
+            kernels.append(args)
+            return execute_kernel(*args)
+
+        def counted_bincount(*args, **kwargs):
+            scatters.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(asm, "execute_kernel", counted_kernel)
+        monkeypatch.setattr(np, "bincount", counted_bincount)
+        for _ in range(2):
+            A = asm.assemble(J, problem.bcs)
+            assert_same_csr(A, first)
+            for array in (A.data, A.indices, A.indptr):
+                array[:] = 7
+        assert kernels == [] and scatters == []
+        problem.u.values[:] = 1.0  # no kernel reads it
+        assert_same_csr(asm.assemble(J, problem.bcs), first)
+
+    def test_static_and_dynamic_kernels_add_up(self, asm):
+        V, _, dx = left_half()
+        u = forms.Coefficient(V)
+        (u0,) = forms.split(u)
+        (v0,) = forms.split(forms.TestFunction(V))
+        (t0,) = forms.split(forms.TrialFunction(V))
+        static_a = forms.inner(forms.grad(t0), forms.grad(v0)) * dx
+        dynamic_a = u0 * t0 * v0 * dx
+        static_L, dynamic_L = forms.Constant(3.0) * v0 * dx, u0 * v0 * dx
+        a, L = static_a + dynamic_a, static_L + dynamic_L
+        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
+        dofs, _ = asm.dirichlet_dofs(V, bcs)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            u.values[:] = rng.standard_normal(V.num_dofs)
+            A = (asm.assemble(static_a) + asm.assemble(dynamic_a)).toarray()
+            b = asm.assemble(static_L) + asm.assemble(dynamic_L)
+            scale = np.abs(A).max()
+            assert np.abs(asm.assemble(a).toarray() - A).max() <= 1e-14 * scale
+            constrained = conftest.constrain_matrix(
+                scipy.sparse.csr_matrix(A), dofs).toarray()
+            assert (np.abs(asm.assemble(a, bcs).toarray() - constrained).max()
+                    <= 1e-14 * scale)
+            assert np.abs(asm.assemble(L) - b).max() <= 1e-14 * np.abs(b).max()
 
 
 class TestDerivativeMemo:
