@@ -25,6 +25,8 @@ boundary values and under the bcs.  Entities are scattered in ascending
 order and integrals in form order, so results are bitwise reproducible.
 newton_solve takes its Jacobian from forms.derivative, which is memoized
 per form, so repeated solves on one residual reuse all of the above.
+error_norms is two functionals through assemble, the exact gradient a
+vector Analytic, so the norms share the kernels' one geometry path.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import fe, forms
-from .compile import (MeasureGeometry, cell_geometry, compile_integral,
-                      contract_dofs, execute_kernel, push_forward, side_index)
+from .compile import (MeasureGeometry, compile_integral, execute_kernel,
+                      side_index)
 
 SOLVE_TOL = 1e-10
 
@@ -493,17 +495,16 @@ def interpolate(fn, u, component):
 def error_norms(u, component, exact, exact_grad=None):
     """(L2, H1) errors of a component against a closed-form solution.
 
-    The H1 norm includes the L2 part.  exact_grad returns the gradient pair;
-    when omitted it is approximated by central differences of exact.  Both
-    are called once, on (cells, points) arrays of coordinates; scalar
-    results broadcast.
+    Two functionals through assemble: (u_k - exact)^2 dx and
+    |grad u_k - exact_grad|^2 dx at quadrature degree 2p + 4 (at most 12),
+    whose geometry is cached on the root mesh like any measure's.  The H1
+    norm includes the L2 part.  exact_grad returns the gradient pair; when
+    omitted it is approximated by central differences of exact.  Both are
+    called once per entity block, on (entities, points) arrays of
+    coordinates; scalar results broadcast.  Like any assembly, the call
+    freezes the mesh's vertices and markers.
     """
-    space = u.space
-    mesh = _codim0_mesh(space, component, "error-norm")
-    element = space.element[component]
-    qdeg = min(2 * element.degree + 4, fe.MAX_QUADRATURE_DEGREE)
-    rule = fe.make_quadrature(mesh.cell_type, qdeg)
-    vals, grads = element.tabulate(rule.points)
+    mesh = _codim0_mesh(u.space, component, "error-norm")
     if exact_grad is None:
         eps = 1e-6
 
@@ -511,17 +512,14 @@ def error_norms(u, component, exact, exact_grad=None):
             return ((exact(x + eps, y) - exact(x - eps, y)) / (2 * eps),
                     (exact(x, y + eps) - exact(x, y - eps)) / (2 * eps))
 
-    X, wq, jinv = cell_geometry(mesh.cell_type,
-                                mesh.coords_of_cells(slice(None)), rule)
-    dofs = u.values[space.offsets[component] + space.dofmaps[component]]
-    uh = contract_dofs(vals[None], dofs)
-    gh = push_forward(contract_dofs(grads[None], dofs), jinv)
-    x, y = X[..., 0], X[..., 1]
-    ue = np.broadcast_to(np.asarray(exact(x, y), dtype=float), x.shape)
-    gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), x.shape)
-              for g in exact_grad(x, y))
-    l2_sq = np.sum(wq * (uh - ue) ** 2)
-    semi_sq = np.sum(wq * ((gh[..., 0] - gx) ** 2 + (gh[..., 1] - gy) ** 2))
+    degree = u.space.element[component].degree
+    dx = forms.Measure("dx", mesh, quadrature_degree=min(
+        2 * degree + 4, fe.MAX_QUADRATURE_DEGREE))
+    u_k = forms.Indexed(u, component)
+    e = u_k - forms.Analytic(mesh, exact)
+    g = forms.grad(u_k) - forms.Analytic(mesh, exact_grad, shape=(2,))
+    l2_sq = assemble(e * e * dx)
+    semi_sq = assemble(forms.inner(g, g) * dx)
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + semi_sq))
 
 

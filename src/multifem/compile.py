@@ -4,7 +4,11 @@ A kernel evaluates one integral on every iteration entity (cell or facet of
 the measure's primal mesh) of its measure.  The integrand is linearized into
 a small tape of numpy operations whose registers carry a leading entity
 axis and a quadrature-point axis, so one pass of the tape produces the
-element tensors of a block of entities.  In a linear form or a functional
+element tensors of a block of entities.  A subexpression that occurs more
+than once in an integrand (the same Expr under the same restriction) is
+emitted once, so e*e evaluates e once.  An Analytic source is evaluated at
+the physical points, scalar or, for shape (2,), a pair; a result of the
+wrong shape raises CompileError.  In a linear form or a functional
 the tape evaluates only argument-free values: the compiler factors the
 test function out of the integrand into terms, each an argument-free
 register times one argument table, and every term is contracted over
@@ -19,6 +23,7 @@ measure and is shared by every integral on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,7 +81,7 @@ class LocalKernel:
         self.test_size, self.trial_size = (
             sum(b.ndofs for b in self.arg_blocks.get(n, [])) for n in (0, 1))
         # entities per tape pass, so that no register exceeds _BLOCK_VALUES
-        widest = max(int(np.prod(v, dtype=int)) for v in self.reg_vshapes)
+        widest = max(math.prod(v) for v in self.reg_vshapes)
         footprint = len(self.quadrature) * widest * (
             1 if self.terms is not None else self.test_size * self.trial_size)
         self.block_size = max(1, _BLOCK_VALUES // footprint)
@@ -130,6 +135,7 @@ class _Builder:
         self.argdeps = []
         self.coeff_slots = []
         self._slot_index = {}
+        self._visited = {}
         self._layout_arguments(integral.integrand)
         self.factored = len(self.arguments) < 2
 
@@ -237,12 +243,20 @@ class _Builder:
         return self._mul(c, f), instr, bshape, post
 
     def visit(self, expr, side=None):
+        """expr's register or terms, emitted on its first visit under side
+        and reused on every later one: expressions compare by identity."""
+        key = (expr, side)
+        if key not in self._visited:
+            self._visited[key] = self._emit(expr, side)
+        return self._visited[key]
+
+    def _emit(self, expr, side):
         if isinstance(expr, forms.Zero):
             return self._push(("zero", expr.shape), expr.shape)
         if isinstance(expr, forms.Constant):
             return self._push(("const", expr.value), ())
         if isinstance(expr, forms.Analytic):
-            return self._push(("analytic", expr.fn), ())
+            return self._push(("analytic", expr), expr.shape)
         if isinstance(expr, forms.FacetNormal):
             return self._push(("normal", self.pindex[expr.mesh.id],
                                side_index(side)), (2,))
@@ -403,16 +417,6 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     return ref
 
 
-def cell_geometry(cell_type, vertices, rule):
-    """Batched geometry of 2D cells (E, nverts, 2) at a reference rule:
-    physical points (E, nq, 2), |det J| times the weights (E, nq), and
-    J^-1 (E, nq, 2, 2)."""
-    X = fe.geometry_map(cell_type, vertices, rule.points)
-    jinv, det = _inv_2x2(fe.geometry_jacobian(cell_type, vertices,
-                                              rule.points))
-    return X, np.abs(det) * rule.weights, jinv
-
-
 class _Side:
     """One participant side over all entities of a measure: its cells and,
     computed on first use, reference points, basis tables, inverse
@@ -510,8 +514,11 @@ class MeasureGeometry:
         primal_vertices = jinv = None
         if primal_kind == "cell2d":
             primal_vertices = primal.coords_of_cells(first)
-            self.X, self.wq, jinv = cell_geometry(primal.cell_type,
-                                                  primal_vertices, rule)
+            self.X = fe.geometry_map(primal.cell_type, primal_vertices,
+                                     rule.points)
+            jinv, det = _inv_2x2(fe.geometry_jacobian(
+                primal.cell_type, primal_vertices, rule.points))
+            self.wq = np.abs(det) * rule.weights
         else:
             if primal_kind == "cell1d":
                 primal_vertices = ends = primal.coords_of_cells(first)
@@ -601,6 +608,26 @@ def _contract(kernel, geometry, regs, lo, hi):
     return out
 
 
+def _analytic(expr, X):
+    """An Analytic's values at points X (B, nq, 2) as a register (B, nq, 1,
+    1, *shape): fn(x, y) gives one value, or a pair for shape (2,), each a
+    scalar or a (B, nq) array."""
+    lead = X.shape[:2]
+    raw = expr.fn(X[..., 0], X[..., 1])
+    try:
+        parts = [np.asarray(p, dtype=float)
+                 for p in (raw if expr.shape else [raw])]
+        if len(parts) != math.prod(expr.shape) or any(
+                p.ndim not in (0, 2) for p in parts):
+            raise ValueError
+        parts = [np.broadcast_to(p, lead)[..., None, None] for p in parts]
+    except (TypeError, ValueError):  # not a pair, or not of X's shape
+        want = "a pair of values" if expr.shape else "one value"
+        raise CompileError(f"{expr!r} must return {want} per point, as an "
+                           f"Analytic of shape {expr.shape}") from None
+    return np.stack(parts, axis=-1) if expr.shape else parts[0]
+
+
 def _run_tape(kernel, geometry, w, lo, hi):
     """Element tensors (B, test|1, trial|1) of entities lo:hi, through
     _contract unless the tape is materialized."""
@@ -614,9 +641,7 @@ def _run_tape(kernel, geometry, w, lo, hi):
         elif op == "zero":
             val = np.zeros((1, 1, 1, 1) + instr[1])
         elif op == "analytic":
-            X = geometry.X[lo:hi]
-            out = np.asarray(instr[1](X[..., 0], X[..., 1]), dtype=float)
-            val = np.broadcast_to(out, X.shape[:2])[..., None, None]
+            val = _analytic(instr[1], geometry.X[lo:hi])
         elif op == "normal":
             _, pidx, sidx = instr
             nrm = geometry.side(pidx, sidx).normal[lo:hi]

@@ -9,6 +9,7 @@ Vandermonde matrix at the node points.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,64 +53,31 @@ def _node_lattice(cell, degree):
     """Equispaced node points plus an entity tag per node.
 
     Tags are ('vertex', k), ('edge', local_edge, index_along_edge) or
-    ('interior', i); edge indices run along the local edge direction.
+    ('interior', i); edge indices run along the local edge direction.  Nodes
+    come in lexicographic order of their lattice coordinates.
     """
     p = degree
-    nodes, tags = [], []
-    interior = 0
-    if cell is CellType.INTERVAL:
-        for i in range(p + 1):
-            nodes.append((i / p,))
-            if i == 0:
-                tags.append(("vertex", 0))
-            elif i == p:
-                tags.append(("vertex", 1))
-            else:
-                tags.append(("interior", interior))
-                interior += 1
-    elif cell is CellType.TRIANGLE:
-        for i in range(p + 1):
-            for j in range(p + 1 - i):
-                nodes.append((i / p, j / p))
-                if (i, j) == (0, 0):
-                    tags.append(("vertex", 0))
-                elif (i, j) == (p, 0):
-                    tags.append(("vertex", 1))
-                elif (i, j) == (0, p):
-                    tags.append(("vertex", 2))
-                elif j == 0:
-                    tags.append(("edge", 0, i - 1))
-                elif i + j == p:
-                    tags.append(("edge", 1, j - 1))
-                elif i == 0:
-                    tags.append(("edge", 2, p - j - 1))
-                else:
-                    tags.append(("interior", interior))
-                    interior += 1
-    else:
-        for i in range(p + 1):
-            for j in range(p + 1):
-                nodes.append((i / p, j / p))
-                if (i, j) == (0, 0):
-                    tags.append(("vertex", 0))
-                elif (i, j) == (p, 0):
-                    tags.append(("vertex", 1))
-                elif (i, j) == (p, p):
-                    tags.append(("vertex", 2))
-                elif (i, j) == (0, p):
-                    tags.append(("vertex", 3))
-                elif j == 0:
-                    tags.append(("edge", 0, i - 1))
-                elif i == p:
-                    tags.append(("edge", 1, j - 1))
-                elif j == p:
-                    tags.append(("edge", 2, p - i - 1))
-                elif i == 0:
-                    tags.append(("edge", 3, p - j - 1))
-                else:
-                    tags.append(("interior", interior))
-                    interior += 1
-    return np.array(nodes), tags
+    corners = np.rint(p * reference_vertices(cell)).astype(int)
+    lattice = np.array([x for x in itertools.product(range(p + 1),
+                                                     repeat=cell.dim)
+                        if cell is not CellType.TRIANGLE or sum(x) <= p])
+    tags, interior = [], 0
+    for x in lattice:
+        vertex = np.flatnonzero(np.all(corners == x, axis=1))
+        edges = []
+        for le, ends in enumerate(cell.local_facets if cell.dim == 2 else ()):
+            a, b = corners[list(ends)]
+            s = np.abs(x - a).max()  # lattice steps from vertex a towards b
+            if 0 < s < p and np.array_equal(p * (x - a), s * (b - a)):
+                edges.append(("edge", le, int(s) - 1))
+        if len(vertex):
+            tags.append(("vertex", int(vertex[0])))
+        elif edges:
+            tags.append(edges[0])
+        else:
+            tags.append(("interior", interior))
+            interior += 1
+    return lattice / p, tags
 
 
 class ReferenceElement:

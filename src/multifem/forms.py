@@ -10,6 +10,7 @@ derivative with respect to a whole Coefficient in one pass.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -298,11 +299,16 @@ class FacetNormal(Expr):
 
 
 class Analytic(Expr):
-    """A pointwise closed-form scalar evaluated at physical coordinates."""
+    """A pointwise closed-form value fn(x, y) at physical coordinates: a
+    scalar for shape (), a pair of values for shape (2,)."""
 
-    def __init__(self, mesh, fn):
+    def __init__(self, mesh, fn, shape=()):
+        if shape not in ((), (2,)):
+            raise ValueError(f"Analytic shape must be () or (2,), not "
+                             f"{shape!r}")
         self.mesh = mesh
         self.fn = fn
+        self.shape = shape
         self.count = next(_function_counter)
 
     def __repr__(self):
@@ -478,12 +484,8 @@ class Measure:
                    for t, m in self.intersect_measures)
 
     def __call__(self, subdomain_id):
-        m = Measure.__new__(Measure)
-        m.integral_type = self.integral_type
-        m.mesh = self.mesh
+        m = copy.copy(self)
         m.subdomain_id = subdomain_id
-        m.quadrature_degree = self.quadrature_degree
-        m.intersect_measures = self.intersect_measures
         return m
 
     def key(self):

@@ -124,3 +124,25 @@ def test_only_the_mesh_module_reads_the_parent_chain():
             if isinstance(node, ast.Attribute) and node.attr in PARENT_CHAIN:
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not offenders
+
+
+GEOMETRY_PATH = {"make_quadrature", "tabulate", "geometry_jacobian",
+                 "push_forward", "contract_dofs"}
+
+
+def test_only_the_kernel_layer_evaluates_geometry():
+    # quadrature rules, basis tables, Jacobians and dof contractions are
+    # evaluated by fe and compile alone; every integral, the error norms'
+    # functionals too, reaches them through compile's MeasureGeometry, so a
+    # call elsewhere would be a second geometry path
+    offenders = []
+    for path in sorted((ROOT / "src" / "multifem").glob("*.py")):
+        if path.name in ("fe.py", "compile.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in GEOMETRY_PATH:
+                offenders.append(f"{path.name}:{node.lineno} {name}()")
+    assert not offenders
