@@ -13,10 +13,11 @@ A form's scatter is cached on the form per set of bcs (component,
 marker) pairs: a matrix's CSR pattern under its bcs, which drops the rows
 and columns of Dirichlet dofs and gives each a unit diagonal, so the
 constrained matrix is scattered, not edited; and the sum of its static
-kernels, those that read no coefficient and no Analytic source
-(Constants are frozen), scattered once.  Each assembly gathers
-coefficient values, runs every dynamic kernel once over all its
-entities, so Analytic sources are evaluated afresh, scatters their
+kernels, those that read no coefficient and no impure Analytic source
+(Constants and pure sources are frozen), scattered once, with its zeros
+dropped under bcs when no dynamic kernel adds to it.  Each assembly
+gathers coefficient values, runs every dynamic kernel once over all its
+entities, so impure Analytic sources are evaluated afresh, scatters their
 entries with one np.bincount and adds the static sum.  Dirichlet dofs
 are found topologically, as the closure of the marked facets through the
 dofmap, cached per space; their values are evaluated on every call.
@@ -190,10 +191,11 @@ def _scatter(form, plans, shape, bcs):
     static kernels already scattered there, read-only.  A matrix's data is
     its CSR structure (indices, indptr): an entry in a Dirichlet dof's row
     or column gets slot len(indices), which is dropped, and each Dirichlet
-    dof adds one unit-diagonal entry.  A vector's data is itself (bcs set
-    its values later), a functional's has length 1.  Cached on the form per
-    bcs (component, marker) pairs, () for none; the static kernels run once
-    per key."""
+    dof adds one unit-diagonal entry; under bcs, with no dynamic kernel,
+    its stored zeros are dropped here, once.  A vector's data is itself
+    (bcs set its values later), a functional's has length 1.  Cached on the
+    form per bcs (component, marker) pairs, () for none; the static kernels
+    run once per key."""
     scatters = form.__dict__.setdefault("_scatters", {})
     key = tuple((bc.component, bc.marker) for bc in bcs)
     if key in scatters:
@@ -223,6 +225,10 @@ def _scatter(form, plans, shape, bcs):
     data = np.bincount(keys[static],
                        weights=np.concatenate(values + [np.ones(diagonal)]),
                        minlength=size)[:size].astype(float)  # int if empty
+    if bcs and static.all():  # no kernel adds to it: drop its zeros once
+        A = scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+        A.eliminate_zeros()
+        data, indices, indptr = A.data, A.indices, A.indptr
     data.setflags(write=False)
     scatters[key] = (data, keys[~static], indices, indptr)
     return scatters[key]
@@ -269,8 +275,8 @@ def assemble(form, bcs=()):
     A = scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
                                 shape=shape)
     A.has_canonical_format = True
-    if bcs:
-        A.eliminate_zeros()  # assembled zeros go, as rows and columns do
+    if bcs and dynamic:  # assembled zeros go, as rows and columns do
+        A.eliminate_zeros()
     return A
 
 

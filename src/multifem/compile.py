@@ -85,9 +85,11 @@ class LocalKernel:
         footprint = len(self.quadrature) * widest * (
             1 if self.terms is not None else self.test_size * self.trial_size)
         self.block_size = max(1, _BLOCK_VALUES // footprint)
-        # reads no coefficient or Analytic source: fixed once planned
-        self.static = not any(instr[0] in ("cval", "cgrad", "analytic")
-                              for instr in self.tape)
+        # reads no coefficient and no impure Analytic source: fixed once
+        # planned, as Constants and pure sources are frozen
+        self.static = not any(
+            op in ("cval", "cgrad") or (op == "analytic" and not arg.pure)
+            for op, arg, *_ in self.tape)
 
 
 def side_index(side):
@@ -244,8 +246,10 @@ class _Builder:
 
     def visit(self, expr, side=None):
         """expr's register or terms, emitted on its first visit under side
-        and reused on every later one: expressions compare by identity."""
-        key = (expr, side)
+        and reused on every later one: expressions compare by identity,
+        constants by value (by bits, so 0.0 and -0.0 stay apart)."""
+        key = (("const", expr.value.hex()) if isinstance(expr, forms.Constant)
+               else (expr, side))
         if key not in self._visited:
             self._visited[key] = self._emit(expr, side)
         return self._visited[key]

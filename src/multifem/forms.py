@@ -300,16 +300,22 @@ class FacetNormal(Expr):
 
 class Analytic(Expr):
     """A pointwise closed-form value fn(x, y) at physical coordinates: a
-    scalar for shape (), a pair of values for shape (2,)."""
+    scalar for shape (), a pair of values for shape (2,).  pure=True
+    promises that fn returns the same values on every call, so kernels may
+    keep them, as they keep a Constant's.  Fixed once made."""
 
-    def __init__(self, mesh, fn, shape=()):
+    def __init__(self, mesh, fn, shape=(), pure=False):
         if shape not in ((), (2,)):
             raise ValueError(f"Analytic shape must be () or (2,), not "
                              f"{shape!r}")
-        self.mesh = mesh
-        self.fn = fn
-        self.shape = shape
-        self.count = next(_function_counter)
+        if not isinstance(pure, bool):
+            raise TypeError(f"Analytic pure must be a bool, not {pure!r}")
+        self.__dict__.update(mesh=mesh, fn=fn, shape=shape, pure=pure,
+                             count=next(_function_counter))
+
+    def __setattr__(self, name, _):
+        raise AttributeError(f"Analytic.{name} is read-only: compiled kernels "
+                             f"may hold its values; use a new Analytic")
 
     def __repr__(self):
         return f"Analytic#{self.count}"

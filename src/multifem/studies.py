@@ -94,8 +94,8 @@ def build_sipg_problem(mesh_a, elem_a, mesh_b, elem_b, penalty, h):
     dx_b = Measure("dx", mesh_b)
     ds_a = Measure("ds", mesh_a, intersect_measures=(Measure("ds", mesh_b),))
     ds_b = Measure("ds", mesh_b, intersect_measures=(Measure("ds", mesh_a),))
-    f_a = Analytic(mesh_a, source_term)
-    f_b = Analytic(mesh_b, source_term)
+    f_a = Analytic(mesh_a, source_term, pure=True)
+    f_b = Analytic(mesh_b, source_term, pure=True)
     C_h = Constant(penalty / h)
     F = (inner(grad(u_a), grad(v_a)) * dx_a
          + inner(grad(u_b), grad(v_b)) * dx_b
@@ -153,8 +153,8 @@ def build_split_interface_problem(degree, level, penalty=DEFAULT_PENALTY):
     dz = Measure("dx", mesh_i,
                  intersect_measures=(Measure("ds", mesh_l),
                                      Measure("ds", mesh_r)))
-    f_l = Analytic(mesh_l, source_term)
-    f_r = Analytic(mesh_r, source_term)
+    f_l = Analytic(mesh_l, source_term, pure=True)
+    f_r = Analytic(mesh_r, source_term, pure=True)
     C_h = Constant(penalty / mesh_size(level))
     jump_u = u_l * n_l + u_r * n_r
     jump_v = v_l * n_l + v_r * n_r

@@ -54,8 +54,9 @@ def test_entity_count_hook_reads_the_iteration_set_size(asm, studies):
 
 def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
     # reassembly-warm's pair, counted by the benchmark's own tracer: the
-    # five Jacobian kernels read no coefficient, so after the first pair
-    # only the seven residual kernels run, and the constrained pattern and
+    # five Jacobian kernels read no coefficient and the two source kernels
+    # read only pure sources, so after the first pair only the five
+    # residual kernels that read u rerun, and the constrained pattern and
     # its Dirichlet dofs are kept
     problem = studies.build_problem("quad-tri", 2, 2)
     jacobian = forms.derivative(problem.residual, problem.u)
@@ -70,7 +71,7 @@ def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
         metrics, _ = tracer.layer_metrics()
         calls.append((metrics["compile.kernel_calls"][0],
                       metrics["assemble.bcs_calls"][0]))
-    assert calls == [(12, 1), (7, 0), (7, 0)]
+    assert calls == [(12, 1), (5, 0), (5, 0)]
 
 
 PER_ENTITY_VIEWS = {"cell_vertices", "facet_vertices", "facet_cells",
