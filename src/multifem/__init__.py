@@ -13,9 +13,8 @@ from .assemble import (ConvergenceError, DirichletBC, NewtonConfig, assemble,
 from .compile import (CompileError, LocalKernel, align_interface_quadrature,
                       compile_integral, execute_kernel)
 from .fe import (MAX_DEGREE, MAX_QUADRATURE_DEGREE, QuadratureRule,
-                 ReferenceElement, facet_embedding, geometry_jacobian,
-                 geometry_map, make_element, make_quadrature,
-                 reference_vertices)
+                 ReferenceElement, geometry_jacobian, geometry_map,
+                 make_element, make_quadrature, reference_vertices)
 from .forms import (EVERYWHERE, Analytic, Argument, Coefficient, Constant,
                     Expr, FacetNormal, Form, FormDiagnostic, FunctionSpace,
                     Indexed, Integral, Measure, MeshSequence, MixedElement,

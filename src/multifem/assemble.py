@@ -124,11 +124,6 @@ def _measure_geometry(integral, kernel):
     key = (integral.measure.key(), rule.cell, len(rule))
     geometry = cache.get(key)
     if geometry is None:
-        for _, mesh in kernel.participants:
-            # what the cached plans depend on may no longer change
-            for array in (mesh.vertices, mesh.cell_markers,
-                          mesh.facet_markers):
-                array.setflags(write=False)
         entities = _iteration_entities(integral, kernel)
         geometry = cache[key] = MeasureGeometry(
             kernel.participants, kernel.primal_kind, rule, entities)
@@ -331,8 +326,8 @@ def dirichlet_dofs(space, bcs):
     Dofs are found topologically: the closure of the marked facets of the
     component's mesh through its dofmap, i.e. the vertex and edge nodes of
     each marked facet in one of its cells.  Each (component, marker)
-    closure is kept on the space, read-only, and the mesh's facet markers
-    are frozen; the values are evaluated on every call.  Where conditions
+    closure is kept on the space, read-only, as the mesh and the dofmap it
+    reads are; the values are evaluated on every call.  Where conditions
     overlap, the later one sets the value.
     """
     closures = space.__dict__.setdefault("_dirichlet", {})
@@ -344,7 +339,6 @@ def dirichlet_dofs(space, bcs):
             facets = np.flatnonzero(mesh.facet_markers == bc.marker)
             if len(facets) == 0:
                 raise ValueError(f"no entities matched marker {bc.marker!r}")
-            mesh.facet_markers.setflags(write=False)  # the closure reads them
             element = space.element[k]
             closure = np.array([element.facet_closure(lf) for lf
                                 in range(len(element.cell.local_facets))])
@@ -507,8 +501,7 @@ def error_norms(u, component, exact, exact_grad=None):
     norm includes the L2 part.  exact_grad returns the gradient pair; when
     omitted it is approximated by central differences of exact.  Both are
     called once per entity block, on (entities, points) arrays of
-    coordinates; scalar results broadcast.  Like any assembly, the call
-    freezes the mesh's vertices and markers.
+    coordinates; scalar results broadcast.
     """
     mesh = _codim0_mesh(u.space, component, "error-norm")
     if exact_grad is None:

@@ -138,6 +138,7 @@ class _Builder:
         self.coeff_slots = []
         self._slot_index = {}
         self._visited = {}
+        self._pushed = {}
         self._layout_arguments(integral.integrand)
         self.factored = len(self.arguments) < 2
 
@@ -179,10 +180,14 @@ class _Builder:
                     offset += element.num_dofs
 
     def _push(self, instr, vshape, argdeps=frozenset()):
-        self.tape.append(instr)
-        self.vshapes.append(vshape)
-        self.argdeps.append(argdeps)
-        return len(self.tape) - 1
+        """One register per distinct instruction, constants told by bits."""
+        key = ("const", instr[1].hex()) if instr[0] == "const" else instr
+        if key not in self._pushed:
+            self.tape.append(instr)
+            self.vshapes.append(vshape)
+            self.argdeps.append(argdeps)
+            self._pushed[key] = len(self.tape) - 1
+        return self._pushed[key]
 
     def _coeff_slot(self, coeff, component, pidx, side):
         key = (coeff.count, component, side_index(side))
@@ -246,13 +251,10 @@ class _Builder:
 
     def visit(self, expr, side=None):
         """expr's register or terms, emitted on its first visit under side
-        and reused on every later one: expressions compare by identity,
-        constants by value (by bits, so 0.0 and -0.0 stay apart)."""
-        key = (("const", expr.value.hex()) if isinstance(expr, forms.Constant)
-               else (expr, side))
-        if key not in self._visited:
-            self._visited[key] = self._emit(expr, side)
-        return self._visited[key]
+        and reused on every later one; expressions compare by identity."""
+        if (expr, side) not in self._visited:
+            self._visited[expr, side] = self._emit(expr, side)
+        return self._visited[expr, side]
 
     def _emit(self, expr, side):
         if isinstance(expr, forms.Zero):

@@ -238,28 +238,6 @@ def reference_vertices(cell):
     return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
-def facet_embedding(cell, local_facet, points, flip=False):
-    """Embed interval reference coordinates onto a facet of a 2D cell.
-
-    points are parameters in [0, 1] along the facet; t = 0 maps to the first
-    vertex of the cell's local facet (the second if flip is set, which callers
-    use to follow the facet's global vertex order).  Returns (npts, 2)
-    reference coordinates of the cell.
-    """
-    cell = CellType(cell)
-    if cell is CellType.INTERVAL:
-        raise ValueError("facet embedding needs a 2D cell")
-    facets = cell.local_facets
-    if not 0 <= local_facet < len(facets):
-        raise ValueError(f"cell {cell.value} has no local facet {local_facet}")
-    a, b = facets[local_facet]
-    if flip:
-        a, b = b, a
-    va, vb = reference_vertices(cell)[[a, b]]
-    t = np.asarray(points, dtype=float).reshape(-1, 1)
-    return va + t * (vb - va)
-
-
 def _affine_jacobian(cell, vertices):
     """Constant Jacobian (..., 2, dim) of an interval or triangle map."""
     if cell is CellType.INTERVAL:

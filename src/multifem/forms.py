@@ -63,7 +63,8 @@ class FunctionSpace:
 
     Degrees of freedom are numbered per component (component blocks are
     contiguous) and within a component by mesh entity, so coinciding element
-    nodes of neighbouring cells share a degree of freedom.
+    nodes of neighbouring cells share a degree of freedom.  The dofmaps and
+    dof coordinates are read-only, as the meshes they are built from are.
     """
 
     def __init__(self, domain, element):
@@ -90,6 +91,8 @@ class FunctionSpace:
             coords.append(dof_coords)
             self.offsets.append(self.offsets[-1] + len(dof_coords))
         self.dof_coords = np.vstack(coords)
+        for array in self.dofmaps + [self.dof_coords]:
+            array.setflags(write=False)
 
     @property
     def num_components(self):

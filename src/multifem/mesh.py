@@ -1,6 +1,6 @@
 """Conforming 2D meshes with markers, submesh extraction, and entity maps.
 
-Meshes are immutable after construction and stored as integer arrays: a
+Meshes are read-only from construction and stored as integer arrays: a
 cell type code and a row of vertex ids per cell, and a row of sorted vertex
 ids per facet (codimension-1 entity).  Facets are numbered by first
 occurrence in cell order, so a facet's first incident cell is its
@@ -83,15 +83,15 @@ class Mesh:
     facet_markers : dict mapping vertex tuples (any order) to integers, or a
         pair of arrays (vertex ids (m, dim), markers (m,)).
 
-    Arrays: cell_type_codes, cell_vertex_ids (padded with -1 to the widest
-    cell), facet_vertex_ids (sorted rows), cell_facets (padded with -1),
-    facet_sides/facet_local (incident cells in ascending order and their
-    local facets, -1 past the first on exterior facets), facet_exterior.
+    Arrays, all read-only: cell_type_codes, cell_vertex_ids (padded with -1
+    to the widest cell), facet_vertex_ids (sorted rows), cell_facets (padded
+    with -1), facet_sides/facet_local (incident cells in ascending order and
+    their local facets, -1 past the first on exterior facets), facet_exterior.
     """
 
     def __init__(self, dim, vertices, cells, cell_markers=None,
                  facet_markers=None, *, parent=None, parent_map=None,
-                 vertex_to_parent=None, per_cell_normal=None):
+                 vertex_to_parent=None):
         self.id = next(_mesh_counter)
         self.dim = int(dim)
         self.gdim = 2
@@ -127,16 +127,11 @@ class Mesh:
         self.parent = parent
         self.parent_map = parent_map
         self.vertex_to_parent = (None if vertex_to_parent is None
-                                 else np.asarray(vertex_to_parent, dtype=int))
-        if per_cell_normal is not None:
-            per_cell_normal = np.asarray(per_cell_normal, dtype=float)
-            if per_cell_normal.shape != (self.num_cells, 2):
-                raise ValueError("per_cell_normal must be (ncells, 2)")
-            norms = np.linalg.norm(per_cell_normal, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-12):
-                raise ValueError("per_cell_normal rows must be unit vectors")
-        self.per_cell_normal = per_cell_normal
+                                 else np.array(vertex_to_parent, dtype=int))
         self._facet_to_parent = None
+        for value in vars(self).values():  # plans and dofmaps rely on them
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def _set_cells(self, cells):
         """Convert the cells to type codes and padded vertex ids, check
@@ -334,6 +329,7 @@ class Mesh:
             if len(missing):
                 key = tuple(self.facet_vertex_ids[missing[0]].tolist())
                 raise ValueError(f"facet {key!r} has no parent facet")
+            table.setflags(write=False)
             self._facet_to_parent = table
         return self._facet_to_parent
 
@@ -376,7 +372,8 @@ class EntityMap:
     def __post_init__(self):
         if self.kind not in ("cell->cell", "cell->facet"):
             raise ValueError(f"unknown entity map kind {self.kind!r}")
-        table = np.asarray(self.table, dtype=int)
+        table = np.array(self.table, dtype=int)
+        table.setflags(write=False)
         object.__setattr__(self, "table", table)
         if table.ndim != 1:
             raise ValueError("entity map table must be one-dimensional")
@@ -451,39 +448,28 @@ def extract_codim0_submesh(parent, marker):
     emap = EntityMap(sub.id, parent.id, "cell->cell", table)
     sub.parent_map = emap
     sub.facet_markers = parent.facet_markers[sub.facet_to_parent()]
+    sub.facet_markers.setflags(write=False)
     return sub, emap
 
 
 def extract_codim1_submesh(parent, facet_marker):
     """Interval mesh of all parent facets whose marker matches.
 
-    Returns (submesh, entity_map) with a cell->facet map into the parent.
-    Each interval cell stores a unit normal of the underlying parent facet,
-    oriented from the lower-cell-index incident cell toward the other (outward
-    for exterior facets); the orientation is frozen at extraction time.
+    Returns (submesh, entity_map) with a cell->facet map into the parent;
+    vertex numbering follows first use and each cell takes its facet's
+    marker.  Normals are not stored: a kernel takes a FacetNormal from the
+    codim-0 participant's facets.
     """
     if parent.dim != 2:
         raise ValueError("codim-1 extraction expects a 2D parent")
     table = np.flatnonzero(parent.facet_markers == int(facet_marker))
     if not len(table):
         raise ValueError(f"no entities matched marker {facet_marker!r}")
-    ends = parent.facet_vertex_ids[table]
-    cells, new2parent = _renumber(ends)
-    p0, p1 = parent.vertices[ends[:, 0]], parent.vertices[ends[:, 1]]
-    tang = p1 - p0
-    normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    # one dot product per row, as np.linalg.norm of a single vector takes it
-    normals /= np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
-    # centroids of the lower incident cells; padding adds exact zeros
-    ids = parent.cell_vertex_ids[parent.facet_sides[table, 0]]
-    centroid = (np.where(ids[..., None] < 0, 0.0, parent.vertices[ids])
-                .sum(axis=1) / np.sum(ids >= 0, axis=1)[:, None])
-    normals[np.sum(normals * (0.5 * (p0 + p1) - centroid), axis=1) < 0] *= -1.0
+    cells, new2parent = _renumber(parent.facet_vertex_ids[table])
     sub = Mesh(1, parent.vertices[new2parent],
                (np.full(len(table), _CODE[CellType.INTERVAL]), cells),
                cell_markers=parent.facet_markers[table],
-               parent=parent, vertex_to_parent=new2parent,
-               per_cell_normal=normals)
+               parent=parent, vertex_to_parent=new2parent)
     emap = EntityMap(sub.id, parent.id, "cell->facet", table)
     sub.parent_map = emap
     return sub, emap

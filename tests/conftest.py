@@ -366,4 +366,24 @@ def validator_cases():
         plus(u0) * plus(u1) * dS(full_a, ("ds", left)),
         ["restriction on exterior-facet participant"]))
 
+    u0, u1 = scalar(full_a), scalar(left)
+    cases.append((
+        "nested-restriction",
+        forms.restrict(plus(u0), "-") * u1 * dS(full_a, ("ds", left)),
+        ["nested restriction"]))
+
+    w1 = vector(left)
+    cases.append((
+        "facet-normal-of-a-codim1-mesh",
+        forms.inner(w1, forms.FacetNormal(interface))
+        * dS(full_a, ("ds", left), ("dx", interface)),
+        ["FacetNormal requires a codim-0 mesh"]))
+
+    u0 = scalar(full_a)
+    cases.append((
+        "restricted-cell-participant",
+        plus(u0) * plus(interface_scalar)
+        * dS(full_a, ("ds", left), ("dx", interface)),
+        ["restriction on cell participant"]))
+
     return cases

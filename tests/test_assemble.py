@@ -112,6 +112,16 @@ class TestDirichletBC:
             x, y = V.dof_coords[d]
             assert value == pytest.approx(x + 2 * y, abs=1e-14)
 
+    def test_vector_closure_fixes_both_components(self, asm):
+        mesh = mm.build_split_unit_square(0)
+        spaces = [conftest.make_space([mesh], [fe.make_element(
+            QUAD, "Q", 2, value_shape=shape)]) for shape in ((), (2,))]
+        scalar, vector = (asm.dirichlet_dofs(V, [asm.DirichletBC(
+            0, mm.BOUNDARY_MARKER, 0.0)])[0] for V in spaces)
+        assert len(scalar) == 80 and len(vector) == 160
+        assert np.array_equal(vector, np.sort(np.concatenate(
+            [2 * scalar, 2 * scalar + 1])))
+
     def test_unmatched_marker_raises(self, asm):
         V = left_half_space()
         with pytest.raises(ValueError, match="no entities matched marker"):

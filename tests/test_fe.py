@@ -146,49 +146,6 @@ class TestQuadrature:
                 array[0] = 0.0
 
 
-class TestFacetEmbedding:
-    def test_triangle_first_facet_starts_at_first_vertex(self):
-        pts = fe.facet_embedding(TRI, 0, np.array([[0.0]]))
-        assert np.allclose(pts, [[0.0, 0.0]], atol=1e-14)
-        pts = fe.facet_embedding(TRI, 0, np.array([[1.0]]))
-        assert np.allclose(pts, [[1.0, 0.0]], atol=1e-14)
-
-    @pytest.mark.parametrize("cell", [TRI, QUAD])
-    def test_embedded_points_lie_on_the_facet(self, cell):
-        verts = fe.reference_vertices(cell)
-        t = np.linspace(0.0, 1.0, 7)[:, None]
-        for lf, local in enumerate(cell.local_facets):
-            a, b = verts[local[0]], verts[local[1]]
-            pts = fe.facet_embedding(cell, lf, t)
-            expected = a[None, :] + t * (b - a)[None, :]
-            assert np.allclose(pts, expected, atol=1e-14)
-
-    @pytest.mark.parametrize("cell", [TRI, QUAD])
-    def test_pullback_recovers_the_parameter(self, cell):
-        t = np.linspace(0.0, 1.0, 9)
-        for lf in range(len(cell.local_facets)):
-            pts = fe.facet_embedding(cell, lf, t[:, None])
-            a, b = pts[0], pts[-1]
-            recovered = (pts - a) @ (b - a) / np.dot(b - a, b - a)
-            assert np.allclose(recovered, t, atol=1e-14)
-
-    @pytest.mark.parametrize("cell", [TRI, QUAD])
-    def test_flip_reverses_the_parameterization(self, cell):
-        t = np.array([[0.0], [0.25], [0.6], [1.0]])
-        for lf in range(len(cell.local_facets)):
-            flipped = fe.facet_embedding(cell, lf, t, flip=True)
-            reversed_ = fe.facet_embedding(cell, lf, 1.0 - t)
-            assert np.allclose(flipped, reversed_, atol=1e-14)
-
-    def test_bad_facet_index_rejected(self):
-        with pytest.raises((ValueError, IndexError)):
-            fe.facet_embedding(TRI, 3, np.array([[0.5]]))
-
-    def test_interval_cells_have_no_embeddable_facets(self):
-        with pytest.raises(ValueError):
-            fe.facet_embedding(INTERVAL, 0, np.array([[0.5]]))
-
-
 class TestGeometryMaps:
     def test_identity_on_reference_quad(self):
         verts = fe.reference_vertices(QUAD)

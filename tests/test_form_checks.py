@@ -7,7 +7,7 @@ import pytest
 import conftest
 from multifem import fe, forms
 from multifem import mesh as mm
-from multifem.compile import default_quadrature_degree
+from multifem.compile import CompileError, default_quadrature_degree
 
 QUAD = mm.CellType.QUADRILATERAL
 
@@ -26,7 +26,7 @@ def unit_square():
 def test_assemble_rejects_what_the_validator_rejects(asm, name, form,
                                                      expected):
     first = forms.validate_form(form)[0].message
-    with pytest.raises(ValueError, match="invalid form") as info:
+    with pytest.raises(CompileError, match="invalid form") as info:
         asm.assemble(form)
     message = str(info.value)
     assert first in message
@@ -74,6 +74,11 @@ class TestArgumentsAgree:
         dx, v, _, u = setting
         with pytest.raises(ValueError, match="the form's arguments"):
             asm.assemble(u * v * dx + v * dx)
+
+    def test_a_trial_function_needs_a_test_function(self, asm, setting):
+        dx, _, _, u = setting
+        with pytest.raises(CompileError, match="trial function but no test"):
+            asm.assemble(u * dx)
 
 
 def test_forms_are_checked_once_per_integral(asm, studies, monkeypatch):

@@ -105,12 +105,13 @@ class TestMeasure:
         dx = forms.Measure("dx", m)
         assert dx.subdomain_id == forms.EVERYWHERE
         assert dx.participants() == [("dx", m)]
+        assert not dx.is_facet_measure()
 
     def test_interface_measure_participants(self, hybrid_spaces):
         _, mq, mt, _ = hybrid_spaces
         ds = forms.Measure("ds", mq, 999,
                            intersect_measures=(forms.Measure("ds", mt),))
-        assert ds.is_facet_measure
+        assert ds.is_facet_measure()
         assert [m.id for _, m in ds.participants()] == [mq.id, mt.id]
 
     def test_mixed_cell_facet_measure(self):
@@ -121,6 +122,7 @@ class TestMeasure:
         dz = forms.Measure("dx", mi, intersect_measures=(
             forms.Measure("ds", ml), forms.Measure("ds", mr)))
         assert [t for t, _ in dz.participants()] == ["dx", "ds", "ds"]
+        assert dz.is_facet_measure()
 
     def test_duplicate_mesh_rejected(self, hybrid_spaces):
         _, mq, _, _ = hybrid_spaces
@@ -212,6 +214,43 @@ class TestDerivative:
             for k in range(2))
         scale = np.abs(total).max()
         assert np.abs(total - by_parts).max() <= 1e-14 * scale
+
+    def test_unsplit_coefficient_linearizes_like_its_component(
+            self, asm, linear_setup):
+        V, u, u0, v0, dx = linear_setup
+        v = v0.function
+        u.values[:] = [1.0, 2.0, -0.5, 0.0]
+        unsplit = asm.assemble(forms.derivative(u * u * v * dx, u))
+        split = asm.assemble(forms.derivative(u0 * u0 * v0 * dx, u))
+        assert unsplit.nnz > 0
+        assert np.array_equal(unsplit.toarray(), split.toarray())
+
+    def test_interior_facet_derivative_matches_finite_differences(self, asm):
+        mesh = mm.build_split_unit_square(0)
+        V = conftest.scalar_space(mesh, "Q", 2)
+        u = forms.Coefficient(V)
+        (u0,), (v0,) = forms.split(u), forms.split(forms.TestFunction(V))
+        # the gradients of a continuous u differ across a facet
+        plus, minus = (forms.restrict(forms.grad(u0), s) for s in "+-")
+        F = (forms.inner(plus, minus) * forms.restrict(u0 * v0, "+")
+             * forms.Measure("dS", mesh)
+             + forms.inner(forms.grad(u0), forms.grad(v0))
+             * forms.Measure("dx", mesh))
+        rng = np.random.default_rng(5)
+        u.values[:] = rng.standard_normal(V.num_dofs)
+        d = rng.standard_normal(V.num_dofs)
+        r = asm.assemble(F)
+        Jd = asm.assemble(forms.derivative(F, u)) @ d
+        base = u.values.copy()
+        remainders = []
+        for eps in (1e-3, 1e-4, 1e-5):
+            u.values[:] = base + eps * d
+            remainders.append(np.linalg.norm(asm.assemble(F) - r - eps * Jd)
+                              / np.linalg.norm(r))
+        # the remainder is eps^2 times a fixed vector: it falls 100-fold
+        assert remainders[0] < 1e-4
+        for coarse, fine in zip(remainders, remainders[1:]):
+            assert fine / coarse == pytest.approx(1e-2, rel=1e-2)
 
     def test_existing_trial_function_rejected(self, linear_setup):
         V, u, u0, v0, dx = linear_setup

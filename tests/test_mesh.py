@@ -103,29 +103,10 @@ class TestCodim1Extraction:
         assert emap.kind == "cell->facet"
         assert sub.total_volume() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("build", [mm.build_split_unit_square,
-                                       mm.build_hybrid_unit_square])
-    def test_interface_normals_point_right(self, build):
-        # the lower-numbered incident cells lie left of x = 0.5 in both
-        # generators, so the frozen normals all point in +x
-        sub, _ = mm.extract_codim1_submesh(build(0), mm.INTERFACE_MARKER)
-        assert np.allclose(sub.per_cell_normal,
-                           np.array([[1.0, 0.0]] * sub.num_cells), atol=1e-12)
-
-    def test_normals_are_unit(self):
-        sub, _ = mm.extract_codim1_submesh(mm.build_split_unit_square(1),
-                                           mm.INTERFACE_MARKER)
-        assert np.allclose(np.linalg.norm(sub.per_cell_normal, axis=1), 1.0,
-                           atol=1e-12)
-
-    def test_boundary_extraction_normals_point_outward(self):
-        sub, emap = mm.extract_codim1_submesh(mm.build_split_unit_square(0),
-                                              mm.BOUNDARY_MARKER)
+    def test_boundary_extraction_cell_count(self):
+        sub, _ = mm.extract_codim1_submesh(mm.build_split_unit_square(0),
+                                           mm.BOUNDARY_MARKER)
         assert sub.num_cells == 40
-        for c in range(sub.num_cells):
-            mid = sub.cell_coords(c).mean(axis=0)
-            outward = mid - np.array([0.5, 0.5])
-            assert np.dot(sub.per_cell_normal[c], outward) > 0
 
     def test_empty_marker_raises(self):
         with pytest.raises(ValueError, match="no entities matched marker"):
@@ -326,9 +307,3 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="dimension"):
             mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0]]),
                     [(mm.CellType.INTERVAL, (0, 1))])
-
-    def test_non_unit_normal_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            mm.Mesh(1, np.array([[0.0, 0.0], [1.0, 0.0]]),
-                    [(mm.CellType.INTERVAL, (0, 1))],
-                    per_cell_normal=np.array([[2.0, 0.0]]))

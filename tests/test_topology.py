@@ -72,26 +72,14 @@ def ref_codim0(parent, markers):
 
 
 def ref_codim1(parent, marker):
-    """(cells, new -> parent vertices, facet table, frozen normals)."""
-    facets, facet_cells, _ = ref_facets(
+    """(cells, new -> parent vertices, facet table)."""
+    facets, _, _ = ref_facets(
         list(zip(parent.cell_types, parent.cell_vertices)))
     table = [f for f in range(len(facets))
              if int(parent.facet_markers[f]) == marker]
     v2new, new2parent = ref_renumber([v for f in table for v in facets[f]])
-    cells, normals = [], []
-    for f in table:
-        key = facets[f]
-        cells.append((INTERVAL, tuple(v2new[v] for v in key)))
-        p0, p1 = parent.vertices[key[0]], parent.vertices[key[1]]
-        tang = p1 - p0
-        nrm = np.array([tang[1], -tang[0]])
-        nrm /= np.linalg.norm(nrm)
-        low_cell = min(c for c, _ in facet_cells[f])
-        centroid = parent.cell_coords(low_cell).mean(axis=0)
-        if np.dot(nrm, 0.5 * (p0 + p1) - centroid) < 0:
-            nrm = -nrm
-        normals.append(nrm)
-    return cells, new2parent, table, np.array(normals)
+    cells = [(INTERVAL, tuple(v2new[v] for v in facets[f])) for f in table]
+    return cells, new2parent, table
 
 
 def ref_dofs(mesh, element):
@@ -274,12 +262,11 @@ def test_codim1_extraction_matches_reference(seed, marker):
     if not np.any(parent.facet_markers == marker):
         return
     sub, emap = mm.extract_codim1_submesh(parent, marker)
-    cells, new2parent, table, normals = ref_codim1(parent, marker)
+    cells, new2parent, table = ref_codim1(parent, marker)
     assert list(zip(sub.cell_types, sub.cell_vertices)) == cells
     assert sub.vertex_to_parent.tolist() == new2parent
     assert emap.table.tolist() == table
     assert np.array_equal(sub.cell_markers, [marker] * len(table))
-    assert np.array_equal(sub.per_cell_normal, normals)
     assert_topology_matches(sub)
 
 
