@@ -24,7 +24,7 @@ from .forms import (EVERYWHERE, Analytic, Argument, Coefficient, Constant,
 from .mesh import (BOUNDARY_MARKER, INTERFACE_MARKER, CellType, EntityMap,
                    Mesh, build_hybrid_unit_square, build_split_unit_square,
                    classify_facets, compose_maps, extract_codim0_submesh,
-                   extract_codim1_submesh, read_mesh, write_mesh)
+                   extract_codim1_submesh)
 from .studies import (StudyConfig, StudyReport, StudyRow,
                       build_quad_tri_problem, build_sipg_problem,
                       build_split_interface_problem, emit_report,

@@ -8,17 +8,20 @@ element tensors of a block of entities.  A subexpression that occurs more
 than once in an integrand (the same Expr under the same restriction) is
 emitted once, so e*e evaluates e once.  An Analytic source is evaluated at
 the physical points, scalar or, for shape (2,), a pair; a result of the
-wrong shape raises CompileError.  In a linear form or a functional
-the tape evaluates only argument-free values: the compiler factors the
-test function out of the integrand into terms, each an argument-free
-register times one argument table, and every term is contracted over
-quadrature points and components with one batched matmul.  A bilinear
-tape still materializes its argument-dependent registers with test and
-trial dof axes.  Quadrature lives on the primal entities; every
-participating mesh gets reference points by pulling the physical quadrature
-points back through its own cell geometry, which is what aligns integration
-across meshes.  MeasureGeometry holds that geometry for all entities of a
-measure and is shared by every integral on it.
+wrong shape raises CompileError.  In a linear form or a functional the tape
+evaluates only argument-free values: the compiler factors the test function
+out of the integrand into terms, each an argument-free register times one
+argument table, contracted over quadrature points and components with one
+batched matmul.  On the primal cells of a cell measure a term
+kappa inner(grad w, grad v), w a scalar coefficient component on v's side
+and kappa a scalar register or 1, is a metric term: the tape holds w's
+reference gradients, one GEMM, and the contraction applies the planes of
+D = wq J^-1 J^-T, times kappa, then one GEMM with v's.  A bilinear tape
+materializes its argument registers with dof axes.  Quadrature lives on the
+primal entities; every participating mesh gets reference points by pulling
+the physical quadrature points back through its own cell geometry, which
+is what aligns integration across meshes.  MeasureGeometry holds that
+geometry for all entities of a measure and is shared by every integral on it.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ class LocalKernel:
     coeff_slots: list  # (coefficient, component, participant, side)
     arguments: dict  # argument number -> Argument
     arg_blocks: dict  # argument number -> list of ArgBlock
-    # arity <= 1: (register, argument instruction or None) pairs whose
-    # contractions sum to the output; None for a materialized tape
+    # arity <= 1: (register, argument instruction or None, cref register
+    # or None) triples whose contractions sum to the output; else None
     terms: list = None
 
     def __post_init__(self):
@@ -87,9 +90,8 @@ class LocalKernel:
         self.block_size = max(1, _BLOCK_VALUES // footprint)
         # reads no coefficient and no impure Analytic source: fixed once
         # planned, as Constants and pure sources are frozen
-        self.static = not any(
-            op in ("cval", "cgrad") or (op == "analytic" and not arg.pure)
-            for op, arg, *_ in self.tape)
+        self.static = not any(op in ("cval", "cgrad", "cref") or (
+            op == "analytic" and not arg.pure) for op, arg, *_ in self.tape)
 
 
 def side_index(side):
@@ -123,10 +125,11 @@ class _Builder:
     instr the aval/agrad instruction of a basis of value shape bshape.  A
     term's value is c * basis, or sum_i c_i basis_i where c has the basis's
     shape, times the vector register post unless it is None.
-    Bilinear tapes keep materializing argument registers bit for bit, the
-    `inner` special case of _run_tape with them, until the benchmark's
-    exact nnz check no longer pins their roundoff (ROADMAP items 1 and 3);
-    then they move onto the same contraction and both go.
+    contraction_terms lowers the metric terms and drops the registers that
+    only they read.  Bilinear tapes keep materializing argument registers
+    bit for bit, the `inner` special case of _run_tape with them, until the
+    benchmark's exact nnz check no longer pins their roundoff (ROADMAP
+    items 1 and 3); then they move onto the same contraction and both go.
     """
 
     def __init__(self, integral):
@@ -301,6 +304,39 @@ class _Builder:
             return self._push(("inner", a, b), (), deps)
         raise CompileError(f"unsupported node kind: {type(expr).__name__}")
 
+    def contraction_terms(self, out, on_cells):
+        """The kernel's terms (c, instr, ref), ref None but in metric terms."""
+        one = self._push(("const", 1.0), ())
+        if not isinstance(out, list):  # a functional: one term without one
+            return [(out, None, None)]
+        freed = set()
+        terms = [self._metric(one if c is None else c, instr, on_cells, freed)
+                 for c, instr, _, _ in out]
+        ops = [instr[1:3] if instr[0] in ("add", "mul", "inner") else ()
+               for instr in self.tape]
+        live = {r for c, _, ref in terms for r in (c, ref) if r is not None}
+        for r in reversed(range(len(self.tape))):  # readers follow operands
+            if r in live or r not in freed:
+                live.update((r,) + ops[r])
+        new = {r: k for k, r in enumerate(sorted(live))}
+        self.tape = [(instr[0], *map(new.get, ops[r])) if ops[r] else instr
+                     for r, instr in enumerate(self.tape) if r in new]
+        self.vshapes = [v for r, v in enumerate(self.vshapes) if r in new]
+        return [(new.get(c), instr, new.get(ref)) for c, instr, ref in terms]
+
+    def _metric(self, c, instr, on_cells, freed):
+        """The term (c, instr, None), or the metric term (kappa or None,
+        instr, cref register of w) if c . grad v is kappa grad w . grad v."""
+        kappa, grad = (sorted(self.tape[c][1:], key=lambda r: self.vshapes[r])
+                       if self.tape[c][0] == "mul" else (None, c))
+        if (not on_cells or instr[0] != "agrad" or instr[3]
+                or self.tape[grad][0] != "cgrad" or self.tape[grad][2]
+                or self.vshapes[grad] != (2,)
+                or kappa is not None and self.vshapes[kappa]):
+            return c, instr, None
+        freed.update((c, grad))
+        return kappa, instr, self._push(("cref",) + self.tape[grad][1:], (2,))
+
 
 def compile_integral(integral):
     """Compile one integral into a LocalKernel.  The integral is checked
@@ -329,12 +365,8 @@ def compile_integral(integral):
         raise CompileError("integral has a trial function but no test function")
     out = builder.visit(integral.integrand)
     terms = None
-    if builder.factored:  # an argument-free output is one term without one
-        one = builder._push(("const", 1.0), ())
-        terms = ([(one if c is None else c, instr)
-                  for c, instr, _, _ in out] if isinstance(out, list)
-                 else [(out, None)])
-
+    if builder.factored:
+        terms = builder.contraction_terms(out, primal_kind == "cell2d")
     return LocalKernel(participants=builder.participants,
                        primal_kind=primal_kind, quadrature=rule,
                        tape=builder.tape, reg_vshapes=builder.vshapes,
@@ -474,12 +506,16 @@ class _Side:
     def argument(self, element, op, offset, size):
         """Basis values ('aval') or physical gradients ('agrad') of an
         argument block, placed at dofs offset.. of a dof axis of length
-        size and zero elsewhere: (E|1, nq, size, ...), computed once and
-        read-only."""
+        size and zero elsewhere: (E|1, nq, size, ...); or ('cref') the
+        reference gradients of a table shared by all entities as planes
+        (2 nq, ndofs), contiguous.  Computed once and read-only."""
         key = (element, op, offset, size)
         table = self._arguments.get(key)
         if table is None:
-            if size == element.num_dofs:
+            if op == "cref":
+                grads = self.tables(element)[1][0].transpose(2, 0, 1)
+                table = np.ascontiguousarray(grads).reshape(-1, size)
+            elif size == element.num_dofs:
                 vals, grads = self.tables(element)
                 table = (vals if op == "aval"
                          else push_forward(grads, self.jinv))
@@ -548,6 +584,16 @@ class MeasureGeometry:
     def side(self, pidx, sidx):
         return self._sides[(pidx, sidx)]
 
+    @cached_property
+    def metric(self):
+        """The primal cells' symmetric wq J^-1 J^-T as read-only planes
+        (D00, D11, D01) of shape (3, nq, E), which metric terms apply."""
+        j = self.side(0, 0).jinv.T  # j[k, a] is J^-1[a, k], (nq, E)
+        D = np.array([self.wq.T * (j[0, a] * j[0, b] + j[1, a] * j[1, b])
+                      for a, b in ((0, 0), (1, 1), (0, 1))])
+        D.setflags(write=False)
+        return D
+
 
 # ---------------------------------------------------------------------------
 # kernel execution
@@ -588,12 +634,26 @@ def _align_ndim(a, b):
 
 def _contract(kernel, geometry, regs, lo, hi):
     """Element vectors (B, test), or values (B, 1) of a functional, of
-    entities lo:hi: each term's register, times the weights, contracted
-    over points and components with its argument's own table by one
-    batched matmul, whose (component, component) diagonal is kept."""
+    entities lo:hi.  A metric term applies D, times kappa, to its planes
+    and contracts them with the test element's by one GEMM; any other
+    term's register, times the weights, is contracted over points and
+    components with its argument's own table by one batched matmul, whose
+    (component, component) diagonal is kept."""
     B = hi - lo
     out = np.zeros((B, max(kernel.test_size, 1)))
-    for reg, instr in kernel.terms:
+    for reg, instr, ref in kernel.terms:
+        if ref is not None:
+            g = regs[ref].reshape(2, -1, B)
+            D = geometry.metric[..., lo:hi]
+            y = D[:2] * g
+            y += D[2] * g[::-1]
+            if reg is not None:
+                y *= regs[reg].reshape(len(regs[reg]), -1).T
+            block = instr[2]
+            out[:, block.offset:block.offset + block.ndofs] += y.reshape(
+                -1, B).T @ geometry.side(0, 0).argument(block.element, "cref",
+                                                       0, block.ndofs)
+            continue
         c = regs[reg]
         m = geometry.wq[lo:hi, :, None] * c.reshape(c.shape[:2] + (-1,))
         if instr is None:
@@ -652,11 +712,14 @@ def _run_tape(kernel, geometry, w, lo, hi):
             _, pidx, sidx = instr
             nrm = geometry.side(pidx, sidx).normal[lo:hi]
             val = nrm.reshape(len(nrm), 1, 1, 1, 2)
-        elif op in ("cval", "cgrad"):
+        elif op in ("cval", "cgrad", "cref"):
             _, slot, pidx, sidx, element = instr
             side = geometry.side(pidx, sidx)
             vals, grads = side.tables(element)
             wb = w[slot][lo:hi]
+            if op == "cref":  # reference gradient planes (2 nq, B)
+                regs.append(side.argument(element, op, 0, len(wb[0])) @ wb.T)
+                continue
             if op == "cval":
                 out = contract_dofs(_block(vals, lo, hi), wb)
             else:

@@ -232,7 +232,7 @@ class Mesh:
         f = int(self.locate_facets([[int(v) for v in vids]])[0])
         return None if f < 0 else f
 
-    # per-entity views of the arrays, for tests and the text format
+    # per-entity views of the arrays, for tests
 
     @cached_property
     def cell_types(self):
@@ -529,78 +529,4 @@ def build_hybrid_unit_square(n):
                       [len(quads), len(triangles)])
     markers = np.repeat([1, 2], [len(quads), len(triangles)])
     return Mesh(2, vertices, (codes, cells), cell_markers=markers,
-                facet_markers=facet_markers)
-
-
-def write_mesh(mesh, path):
-    """Write a mesh in the plain-text format (see read_mesh)."""
-    lines = [f"meshfmt 1", f"dim {mesh.dim} gdim {mesh.gdim}",
-             f"vertices {mesh.num_vertices}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    lines.append(f"cells {mesh.num_cells}")
-    for ctype, vids, marker in zip(mesh.cell_types, mesh.cell_vertices,
-                                   mesh.cell_markers):
-        verts = " ".join(str(v) for v in vids)
-        lines.append(f"{ctype.value} {verts} {int(marker)}")
-    marked = [(key, int(m)) for key, m in zip(mesh.facet_vertices,
-                                              mesh.facet_markers) if m != 0]
-    lines.append(f"facet_markers {len(marked)}")
-    for key, m in marked:
-        verts = " ".join(str(v) for v in key)
-        lines.append(f"{verts} {m}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_mesh(path):
-    """Read a mesh written by write_mesh.
-
-    Format:
-        meshfmt 1
-        dim D gdim G
-        vertices N      followed by N lines "x y"
-        cells M         followed by M lines "<celltype> v0 v1 ... marker"
-        facet_markers K followed by K lines "v0 [v1] marker"
-    """
-    with open(path) as fh:
-        tokens = [line.split() for line in fh if line.strip()]
-    it = iter(tokens)
-    section = "header"
-    try:
-        header = next(it)
-        if header != ["meshfmt", "1"]:
-            raise ValueError(f"unsupported mesh format header "
-                             f"{' '.join(header)!r}")
-        dims = next(it)
-        if dims[0] != "dim" or dims[2] != "gdim" or dims[3] != "2":
-            raise ValueError("malformed dim/gdim line")
-        dim = int(dims[1])
-        section = "vertices"
-        nv = int(next(it)[1])
-        coords = []
-        for _ in range(nv):
-            row = next(it)
-            coords.append((float(row[0]), float(row[1])))
-        vertices = np.array(coords)
-        section = "cells"
-        nc = int(next(it)[1])
-        cells = []
-        markers = []
-        for _ in range(nc):
-            row = next(it)
-            ctype = CellType(row[0])
-            k = ctype.num_vertices
-            cells.append((ctype, tuple(int(v) for v in row[1:1 + k])))
-            markers.append(int(row[1 + k]))
-        section = "facet_markers"
-        nf = int(next(it)[1])
-        facet_markers = {}
-        for _ in range(nf):
-            row = next(it)
-            facet_markers[tuple(int(v) for v in row[:-1])] = int(row[-1])
-    except (StopIteration, IndexError) as exc:
-        raise ValueError(f"truncated mesh file: section {section!r} is "
-                         f"incomplete") from exc
-    return Mesh(dim, vertices, cells, cell_markers=markers,
                 facet_markers=facet_markers)

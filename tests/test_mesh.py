@@ -1,4 +1,4 @@
-"""Mesh generators, submesh extraction, entity maps, and the text format."""
+"""Mesh generators, submesh extraction and entity maps."""
 
 import numpy as np
 import pytest
@@ -234,67 +234,6 @@ def test_composition_is_associative_and_injective(data):
     right = mm.compose_maps(a, mm.compose_maps(b, c))
     assert np.array_equal(left.table, right.table)
     assert len(set(left.table.tolist())) == len(left.table)
-
-
-class TestTextFormat:
-    @pytest.mark.parametrize("build,n", [(mm.build_hybrid_unit_square, 0),
-                                         (mm.build_split_unit_square, 1)])
-    def test_round_trip(self, tmp_path, build, n):
-        original = build(n)
-        path = tmp_path / "mesh.txt"
-        mm.write_mesh(original, path)
-        loaded = mm.read_mesh(path)
-        assert loaded.dim == original.dim
-        assert np.array_equal(loaded.vertices, original.vertices)
-        assert loaded.cell_types == original.cell_types
-        assert loaded.cell_vertices == original.cell_vertices
-        assert np.array_equal(loaded.cell_markers, original.cell_markers)
-        assert np.array_equal(loaded.facet_markers, original.facet_markers)
-
-    def test_interval_mesh_round_trip(self, tmp_path):
-        sub, _ = mm.extract_codim1_submesh(mm.build_split_unit_square(0),
-                                           mm.INTERFACE_MARKER)
-        path = tmp_path / "interface.txt"
-        mm.write_mesh(sub, path)
-        loaded = mm.read_mesh(path)
-        assert loaded.dim == 1
-        assert np.array_equal(loaded.vertices, sub.vertices)
-        assert loaded.cell_vertices == sub.cell_vertices
-
-    def test_header_is_plain_text(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        mm.write_mesh(unit_quad_mesh(), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "meshfmt 1"
-        assert lines[1] == "dim 2 gdim 2"
-        assert lines[2] == "vertices 4"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        path.write_text("meshfmt 9\ndim 2 gdim 2\nvertices 0\ncells 0\n"
-                        "facet_markers 0\n")
-        with pytest.raises(ValueError, match="format header"):
-            mm.read_mesh(path)
-
-    @pytest.mark.parametrize("cut,section", [
-        ("vertex rows", "vertices"), ("vertex row width", "vertices"),
-        ("cell rows", "cells"), ("facet marker rows", "facet_markers")])
-    def test_truncated_file_names_the_section(self, tmp_path, cut, section):
-        path = tmp_path / "mesh.txt"
-        mm.write_mesh(mm.build_split_unit_square(0), path)
-        lines = path.read_text().splitlines()
-        cells = next(i for i, ln in enumerate(lines) if ln.startswith("cells"))
-        if cut == "vertex rows":
-            lines = lines[:5]
-        elif cut == "vertex row width":
-            lines[3] = lines[3].split()[0]
-        elif cut == "cell rows":
-            lines = lines[:cells + 3]
-        else:
-            lines = lines[:-1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"section '{section}'"):
-            mm.read_mesh(path)
 
 
 class TestMeshValidation:
