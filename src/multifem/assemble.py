@@ -26,15 +26,13 @@ boundary values and under the bcs.  Entities are scattered in ascending
 order and integrals in form order, so results are bitwise reproducible.
 newton_solve takes its Jacobian from forms.derivative, which is memoized
 per form, so repeated solves on one residual reuse all of the above.
-error_norms is two functionals through assemble, kept per coefficient,
-the exact gradient a vector Analytic, so the norms share the kernels' one
-geometry path.
+error_norms is two functionals through assemble, the exact gradient a
+vector Analytic, so the norms share the kernels' one geometry path.
 """
 
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +45,6 @@ from .compile import (MeasureGeometry, compile_integral, execute_kernel,
                       side_index)
 
 SOLVE_TOL = 1e-10
-# error_norms' forms per u, on a stand-in: on u they'd be a cycle via u
-_ERROR_FORMS = weakref.WeakKeyDictionary()
 
 
 class ConvergenceError(RuntimeError):
@@ -501,34 +497,28 @@ def error_norms(u, component, exact, exact_grad=None):
 
     Two functionals through assemble: (u_k - exact)^2 dx and
     |grad u_k - exact_grad|^2 dx at quadrature degree 2p + 4 (at most 12),
-    kept per u and (component, exact, exact_grad), compiled once.  The H1
+    whose geometry is cached on the root mesh like any measure's.  The H1
     norm includes the L2 part.  exact_grad returns the gradient pair; when
     omitted it is approximated by central differences of exact.  Both are
     called once per entity block, on (entities, points) arrays of
     coordinates; scalar results broadcast.
     """
-    if u not in _ERROR_FORMS:
-        _ERROR_FORMS[u] = forms.Coefficient(u.space), {}
-    w, cache = _ERROR_FORMS[u]
-    w.values = u.values
-    key = (component, exact, exact_grad)
-    if key not in cache:
-        mesh = _codim0_mesh(u.space, component, "error-norm")
-        if exact_grad is None:
-            eps = 1e-6
+    mesh = _codim0_mesh(u.space, component, "error-norm")
+    if exact_grad is None:
+        eps = 1e-6
 
-            def exact_grad(x, y):
-                return ((exact(x + eps, y) - exact(x - eps, y)) / (2 * eps),
-                        (exact(x, y + eps) - exact(x, y - eps)) / (2 * eps))
+        def exact_grad(x, y):
+            return ((exact(x + eps, y) - exact(x - eps, y)) / (2 * eps),
+                    (exact(x, y + eps) - exact(x, y - eps)) / (2 * eps))
 
-        degree = u.space.element[component].degree
-        dx = forms.Measure("dx", mesh, quadrature_degree=min(
-            2 * degree + 4, fe.MAX_QUADRATURE_DEGREE))
-        u_k = forms.Indexed(w, component)
-        e = u_k - forms.Analytic(mesh, exact)
-        g = forms.grad(u_k) - forms.Analytic(mesh, exact_grad, shape=(2,))
-        cache[key] = e * e * dx, forms.inner(g, g) * dx
-    l2_sq, semi_sq = (assemble(form) for form in cache[key])
+    degree = u.space.element[component].degree
+    dx = forms.Measure("dx", mesh, quadrature_degree=min(
+        2 * degree + 4, fe.MAX_QUADRATURE_DEGREE))
+    u_k = forms.Indexed(u, component)
+    e = u_k - forms.Analytic(mesh, exact)
+    g = forms.grad(u_k) - forms.Analytic(mesh, exact_grad, shape=(2,))
+    l2_sq = assemble(e * e * dx)
+    semi_sq = assemble(forms.inner(g, g) * dx)
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + semi_sq))
 
 

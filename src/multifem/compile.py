@@ -459,7 +459,7 @@ class _Side:
     """One participant side over all entities of a measure: its cells and,
     computed on first use, reference points, basis tables, inverse
     Jacobians, argument tables pushed forward and padded into their dof
-    axis, and outward facet normals.  Arrays carry a leading entity
+    axis, reference gradient planes, and outward facet normals.  Arrays carry a leading entity
     axis of length E, or 1 where they are the same for every entity."""
 
     def __init__(self, mesh, cells, facets, X, rule, primal_vertices,
@@ -480,6 +480,7 @@ class _Side:
             self.jinv = primal_jinv
         self._tables = {}
         self._arguments = {}
+        self._planes = {}
 
     @cached_property
     def ref(self):
@@ -506,16 +507,12 @@ class _Side:
     def argument(self, element, op, offset, size):
         """Basis values ('aval') or physical gradients ('agrad') of an
         argument block, placed at dofs offset.. of a dof axis of length
-        size and zero elsewhere: (E|1, nq, size, ...); or ('cref') the
-        reference gradients of a table shared by all entities as planes
-        (2 nq, ndofs), contiguous.  Computed once and read-only."""
+        size and zero elsewhere: (E|1, nq, size, ...).  Computed once and
+        read-only."""
         key = (element, op, offset, size)
         table = self._arguments.get(key)
         if table is None:
-            if op == "cref":
-                grads = self.tables(element)[1][0].transpose(2, 0, 1)
-                table = np.ascontiguousarray(grads).reshape(-1, size)
-            elif size == element.num_dofs:
+            if size == element.num_dofs:
                 vals, grads = self.tables(element)
                 table = (vals if op == "aval"
                          else push_forward(grads, self.jinv))
@@ -526,6 +523,17 @@ class _Side:
             table.setflags(write=False)
             self._arguments[key] = table
         return table
+
+    def ref_planes(self, element):
+        """Reference gradients of a table shared by all entities as planes
+        (2 nq, ndofs), contiguous.  Computed once and read-only."""
+        planes = self._planes.get(element)
+        if planes is None:
+            grads = self.tables(element)[1][0].transpose(2, 0, 1)
+            planes = self._planes[element] = np.ascontiguousarray(
+                grads).reshape(-1, element.num_dofs)
+            planes.setflags(write=False)
+        return planes
 
     @cached_property
     def normal(self):
@@ -651,8 +659,7 @@ def _contract(kernel, geometry, regs, lo, hi):
                 y *= regs[reg].reshape(len(regs[reg]), -1).T
             block = instr[2]
             out[:, block.offset:block.offset + block.ndofs] += y.reshape(
-                -1, B).T @ geometry.side(0, 0).argument(block.element, "cref",
-                                                       0, block.ndofs)
+                -1, B).T @ geometry.side(0, 0).ref_planes(block.element)
             continue
         c = regs[reg]
         m = geometry.wq[lo:hi, :, None] * c.reshape(c.shape[:2] + (-1,))
@@ -718,7 +725,7 @@ def _run_tape(kernel, geometry, w, lo, hi):
             vals, grads = side.tables(element)
             wb = w[slot][lo:hi]
             if op == "cref":  # reference gradient planes (2 nq, B)
-                regs.append(side.argument(element, op, 0, len(wb[0])) @ wb.T)
+                regs.append(side.ref_planes(element) @ wb.T)
                 continue
             if op == "cval":
                 out = contract_dofs(_block(vals, lo, hi), wb)

@@ -8,9 +8,7 @@ library's geometry: sympy closed forms and linear functions, which Q1 and
 P1 reproduce exactly, on affine and non-affine cells.
 """
 
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -188,43 +186,3 @@ class TestErrorNormOracles:
                                  lambda x, y: 2 * x - 3 * y + 0.5,
                                  lambda x, y: (2.0, -3.0))
         assert l2 <= 1e-13 and h1 <= 1e-13
-
-
-class TestErrorNormForms:
-    def test_a_repeated_call_compiles_nothing_and_follows_u(
-            self, asm, studies, monkeypatch):
-        V = hybrid_space(2)
-        u = forms.Coefficient(V)
-        asm.interpolate(studies.exact_solution, u, 1)
-        u.values += 0.01 * np.random.default_rng(4).standard_normal(
-            V.num_dofs)
-        norms = lambda: asm.error_norms(u, 1, studies.exact_solution,  # noqa: E731
-                                        studies.exact_gradient)
-        first = norms()
-
-        def no_compile(integral):
-            raise AssertionError("error_norms compiled an integral again")
-
-        monkeypatch.setattr(asm, "compile_integral", no_compile)
-        assert norms() == first  # bitwise
-        u.values *= 2.0
-        moved = norms()
-        assert moved[0] > first[0] and moved[1] > first[1]
-        monkeypatch.undo()
-        fresh = forms.Coefficient(V)
-        fresh.values[:] = u.values
-        assert moved == asm.error_norms(fresh, 1, studies.exact_solution,
-                                        studies.exact_gradient)
-
-    def test_the_kept_forms_die_with_u(self, asm, studies):
-        # forms kept on u itself would be a reference cycle, holding u, its
-        # plans and its meshes' cached geometry until a full collection
-        u = forms.Coefficient(hybrid_space(1))
-        asm.error_norms(u, 0, studies.exact_solution, studies.exact_gradient)
-        alive = weakref.ref(u)
-        gc.disable()
-        try:
-            del u
-            assert alive() is None
-        finally:
-            gc.enable()
