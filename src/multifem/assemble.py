@@ -76,8 +76,7 @@ def _iteration_entities(integral, kernel):
         candidates = np.flatnonzero(primal.facet_exterior == want_exterior)
         markers = primal.facet_markers
     if measure.subdomain_id != forms.EVERYWHERE:
-        candidates = candidates[markers[candidates]
-                                == int(measure.subdomain_id)]
+        candidates = candidates[markers[candidates] == measure.subdomain_id]
     _, to_root = primal.root_entities(
         "cell" if measure.integral_type == "dx" else "facet")
     root_ids = to_root[candidates]
@@ -365,7 +364,7 @@ def dirichlet_dofs(space, bcs):
 # linear and nonlinear solvers
 
 
-def _jacobi_cg(A, b, tol=SOLVE_TOL):
+def _jacobi_cg(A, b):
     """Jacobi-preconditioned conjugate gradients for SPD systems."""
     diag = A.diagonal()
     if not np.all(np.isfinite(diag) & (diag > 0)):
@@ -382,7 +381,7 @@ def _jacobi_cg(A, b, tol=SOLVE_TOL):
     p = z.copy()
     rz = r @ z
     for _ in range(10 * n):
-        if np.linalg.norm(r) <= tol * norm_b:
+        if np.linalg.norm(r) <= SOLVE_TOL * norm_b:
             return x
         Ap = A.dot(p)
         alpha = rz / (p @ Ap)
@@ -394,7 +393,7 @@ def _jacobi_cg(A, b, tol=SOLVE_TOL):
             raise ConvergenceError("CG broke down: non-finite residual")
         p = z + (rz_next / rz) * p
         rz = rz_next
-    if np.linalg.norm(r) <= tol * norm_b:
+    if np.linalg.norm(r) <= SOLVE_TOL * norm_b:
         return x
     raise ConvergenceError(f"CG did not converge within {10 * n} iterations")
 
@@ -492,25 +491,17 @@ def interpolate(fn, u, component):
                                    xs.shape)
 
 
-def error_norms(u, component, exact, exact_grad=None):
+def error_norms(u, component, exact, exact_grad):
     """(L2, H1) errors of a component against a closed-form solution.
 
     Two functionals through assemble: (u_k - exact)^2 dx and
     |grad u_k - exact_grad|^2 dx at quadrature degree 2p + 4 (at most 12),
     whose geometry is cached on the root mesh like any measure's.  The H1
-    norm includes the L2 part.  exact_grad returns the gradient pair; when
-    omitted it is approximated by central differences of exact.  Both are
-    called once per entity block, on (entities, points) arrays of
+    norm includes the L2 part.  exact_grad returns the gradient pair.  Both
+    are called once per entity block, on (entities, points) arrays of
     coordinates; scalar results broadcast.
     """
     mesh = _codim0_mesh(u.space, component, "error-norm")
-    if exact_grad is None:
-        eps = 1e-6
-
-        def exact_grad(x, y):
-            return ((exact(x + eps, y) - exact(x - eps, y)) / (2 * eps),
-                    (exact(x, y + eps) - exact(x, y - eps)) / (2 * eps))
-
     degree = u.space.element[component].degree
     dx = forms.Measure("dx", mesh, quadrature_degree=min(
         2 * degree + 4, fe.MAX_QUADRATURE_DEGREE))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fe
-from .mesh import Mesh, first_use_labels
+from .mesh import Mesh, as_marker, first_use_labels
 
 _function_counter = itertools.count()
 
@@ -38,9 +38,6 @@ class MeshSequence:
 
     def __len__(self):
         return len(self.meshes)
-
-    def __getitem__(self, k):
-        return self.meshes[k]
 
 
 class MixedElement:
@@ -437,8 +434,8 @@ class Measure:
     integral_type 'dx' iterates cells, 'ds' exterior facets, 'dS' interior
     facets.  The first (primal) mesh defines the iteration set; every mesh in
     intersect_measures must supply a matching entity for an entity to be
-    integrated.  Calling a measure with a subdomain id restricts iteration to
-    entities with that marker.
+    integrated.  Calling a measure with a subdomain id, an integer, restricts
+    iteration to entities with that marker.
     """
 
     def __init__(self, integral_type, mesh, subdomain_id=EVERYWHERE,
@@ -462,6 +459,9 @@ class Measure:
         self._validate()
 
     def _validate(self):
+        if not (isinstance(self.subdomain_id, str)
+                and self.subdomain_id == EVERYWHERE):
+            self.subdomain_id = as_marker(self.subdomain_id)
         meshes = [self.mesh] + [m for _, m in self.intersect_measures]
         if len({m.id for m in meshes}) != len(meshes):
             raise ValueError("repeated mesh in intersection measure")
@@ -495,15 +495,13 @@ class Measure:
     def __call__(self, subdomain_id):
         m = copy.copy(self)
         m.subdomain_id = subdomain_id
+        m._validate()
         return m
 
     def key(self):
         return (self.integral_type, self.mesh.id, self.subdomain_id,
                 tuple((t, m.id) for t, m in self.intersect_measures),
                 self.quadrature_degree)
-
-    def __rmul__(self, integrand):
-        return Form([Integral(as_expr(integrand), self)])
 
     def __repr__(self):
         parts = [f"{self.integral_type}({self.mesh.id})"]

@@ -1,9 +1,9 @@
 """Conforming 2D meshes with markers, submesh extraction, and entity maps.
 
-Meshes are read-only from construction and stored as integer arrays: a
-cell type code and a row of vertex ids per cell, and a row of sorted vertex
-ids per facet (codimension-1 entity).  Facets are numbered by first
-occurrence in cell order, so a facet's first incident cell is its
+Meshes go in and come out as integer arrays and are read-only from
+construction: a cell type code and a row of vertex ids per cell, and a row
+of sorted vertex ids per facet (codimension-1 entity).  Facets are numbered
+by first occurrence in cell order, so a facet's first incident cell is its
 lower-index ('+') side.  A mesh may be a submesh of a parent, in which case
 it carries an entity map back to the parent; chains of extractions share a
 common root mesh through which unrelated submeshes can be connected.
@@ -12,9 +12,9 @@ common root mesh through which unrelated submeshes can be connected.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +54,14 @@ _CODE = {ctype: code for code, ctype in enumerate(CELL_TYPES)}
 _NUM_VERTICES = np.array([ctype.num_vertices for ctype in CELL_TYPES])
 
 
+def as_marker(value):
+    """A marker or subdomain id as an int; a bool, float or string, which
+    int() would truncate or parse into another marker, raises."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"markers are integers, got {value!r}")
+    return operator.index(value)
+
+
 def first_use_labels(keys):
     """Number the distinct values of a 1D integer array by first occurrence.
 
@@ -68,6 +76,17 @@ def first_use_labels(keys):
     return rank[inverse], first[order]
 
 
+def _int_arrays(parts, ndims, accepted):
+    """A tuple of numpy integer arrays of ndims dimensions and one length,
+    as int copies; anything else raises a TypeError with the accepted form."""
+    if (type(parts) is not tuple
+            or [getattr(a, "ndim", None) for a in parts] != list(ndims)
+            or any(a.dtype.kind not in "iu" for a in parts)
+            or len({len(a) for a in parts}) != 1):
+        raise TypeError(accepted)
+    return [a.astype(int) for a in parts]
+
+
 class Mesh:
     """An unstructured mesh of intervals, triangles, or quadrilaterals in 2D.
 
@@ -75,13 +94,13 @@ class Mesh:
     ----------
     dim : topological dimension (1 or 2); the geometric dimension is always 2.
     vertices : (nv, 2) float array of coordinates.
-    cells : a sequence of (CellType, vertex ids) pairs, or a pair of arrays
-        (type codes (ncells,), vertex ids (ncells, k)), code t standing for
-        CELL_TYPES[t] and rows of cells with fewer than k vertices padded
-        with -1.
-    cell_markers : per-cell integers (defaults to 0).
-    facet_markers : dict mapping vertex tuples (any order) to integers, or a
-        pair of arrays (vertex ids (m, dim), markers (m,)).
+    cells : a pair of numpy integer arrays (type codes (ncells,), vertex
+        ids (ncells, k)), code t standing for CELL_TYPES[t]; a row holds
+        its cell's vertex ids, padded with -1 to k.
+    cell_markers : integers (ncells,) (defaults to 0).
+    facet_markers : a pair of numpy integer arrays (vertex ids (m, dim) in
+        any order per row, markers (m,)); a facet given twice takes its
+        last marker.  Any other form of cells or markers is a TypeError.
 
     Arrays, all read-only: cell_type_codes, cell_vertex_ids (padded with -1
     to the widest cell), facet_vertex_ids (sorted rows), cell_facets (padded
@@ -90,42 +109,41 @@ class Mesh:
     """
 
     def __init__(self, dim, vertices, cells, cell_markers=None,
-                 facet_markers=None, *, parent=None, parent_map=None,
-                 vertex_to_parent=None):
+                 facet_markers=None, *, parent=None, vertex_to_parent=None):
         self.id = next(_mesh_counter)
         self.dim = int(dim)
-        self.gdim = 2
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
-        self._set_cells(cells)
+        self._set_cells(*_int_arrays(
+            cells, (1, 2), "cells must be a pair of integer arrays "
+            "(cell_type_codes (ncells,), cell_vertex_ids (ncells, k))"))
 
-        if cell_markers is None:
-            self.cell_markers = np.zeros(self.num_cells, dtype=int)
-        else:
-            self.cell_markers = np.asarray(cell_markers, dtype=int).copy()
-            if self.cell_markers.shape != (self.num_cells,):
-                raise ValueError("cell_markers length mismatch")
+        markers = (np.zeros(self.num_cells, int) if cell_markers is None
+                   else np.asarray(cell_markers))
+        (self.cell_markers,) = _int_arrays(
+            (markers,), (1,), "cell_markers must be integers (ncells,)")
+        if len(self.cell_markers) != self.num_cells:
+            raise ValueError("cell_markers length mismatch")
 
         self._build_facets()
         self.facet_markers = np.zeros(self.num_facets, dtype=int)
-        if isinstance(facet_markers, dict):
-            facet_markers = (list(facet_markers), list(facet_markers.values()))
         if facet_markers is not None:
-            ends, values = facet_markers
+            ends, values = _int_arrays(
+                facet_markers, (2, 1), "facet_markers must be a pair of "
+                "integer arrays (vertex ids (m, dim), markers (m,))")
             found = self.locate_facets(ends)
             missing = np.flatnonzero(found < 0)
             if len(missing):
-                key = tuple(np.asarray(ends)[missing[0]].tolist())
+                key = tuple(ends[missing[0]].tolist())
                 raise ValueError(f"marked facet {key!r} not in mesh")
             # a facet given twice takes its last marker
             last = len(found) - 1 - np.unique(found[::-1],
                                               return_index=True)[1]
-            self.facet_markers[found[last]] = np.asarray(values,
-                                                         dtype=int)[last]
+            self.facet_markers[found[last]] = values[last]
 
         self.parent = parent
-        self.parent_map = parent_map
+        self.parent_map = None  # an extraction sets its EntityMap here
         self.vertex_to_parent = (None if vertex_to_parent is None
                                  else np.array(vertex_to_parent, dtype=int))
         self._facet_to_parent = None
@@ -133,37 +151,34 @@ class Mesh:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def _set_cells(self, cells):
-        """Convert the cells to type codes and padded vertex ids, check
-        them, and keep them trimmed to the widest cell."""
-        if (isinstance(cells, tuple) and len(cells) == 2
-                and isinstance(cells[0], np.ndarray)):
-            codes, vids = (np.array(a, dtype=int) for a in cells)
-        else:
-            codes, vids = [], []
-            for ctype, row in cells:
-                ctype, row = CellType(ctype), [int(v) for v in row]
-                if len(row) != ctype.num_vertices:
-                    raise ValueError(f"{ctype} cell needs {ctype.num_vertices} "
-                                     f"vertices, got {len(row)}")
-                codes.append(_CODE[ctype])
-                vids.append(row + [-1] * (4 - len(row)))
-            codes = np.array(codes, dtype=int)
-            vids = np.array(vids, dtype=int).reshape(-1, 4)
+    def _set_cells(self, codes, vids):
+        """Check each row of vertex ids against its cell type and keep the
+        rows trimmed to the widest cell."""
+        if np.any((codes < 0) | (codes >= len(CELL_TYPES))):
+            raise ValueError(f"cell type codes lie in "
+                             f"0..{len(CELL_TYPES) - 1}")
         self.cell_type_set = frozenset(CELL_TYPES[t] for t in np.unique(codes))
         for ctype in self.cell_type_set:
             if ctype.dim != self.dim:
                 raise ValueError(f"cell type {ctype} has wrong dimension for "
                                  f"a dim={self.dim} mesh")
         nverts = _NUM_VERTICES[codes]
+        # a row holds its ids up to its trailing -1 padding
+        given = np.max(np.where(vids != -1, np.arange(vids.shape[1]) + 1, 0),
+                       axis=1, initial=0)
+        bad = np.flatnonzero(given != nverts)
+        if len(bad):
+            c = bad[0]
+            raise ValueError(f"cell {c} needs {nverts[c]} vertices as a "
+                             f"{CELL_TYPES[codes[c]].value}, got {given[c]}")
         width = int(nverts.max(initial=0))
         vids = vids[:, :width]
         slots = np.arange(width) < nverts[:, None]
         # distinct negative fillers keep the padding from repeating
         ordered = np.sort(np.where(slots, vids, -1 - np.arange(width)), axis=1)
         for bad, what in (
-                (np.where(slots, (vids < 0) | (vids >= self.num_vertices),
-                          vids != -1), "has a vertex index out of range"),
+                (slots & ((vids < 0) | (vids >= self.num_vertices)),
+                 "has a vertex index out of range"),
                 (ordered[:, 1:] == ordered[:, :-1], "repeats a vertex")):
             cells = np.flatnonzero(np.any(bad, axis=1))
             if len(cells):
@@ -189,9 +204,8 @@ class Mesh:
         facet, first = first_use_labels(self._facet_keys(ends[slots]))
         nf = len(first)
         self.facet_vertex_ids = ends[slots[first]]
-        self.cell_facets = np.full(len(ends), -1)
-        self.cell_facets[slots] = facet
-        self.cell_facets = self.cell_facets.reshape(self.num_cells, nlocal)
+        self.cell_facets = np.full((self.num_cells, nlocal), -1)
+        self.cell_facets.flat[slots] = facet
         counts = np.bincount(facet, minlength=nf)
         # slots grouped by facet, each group in cell order
         grouped = slots[np.argsort(facet, kind="stable")]
@@ -227,35 +241,6 @@ class Mesh:
         found = labels[self.num_facets:]
         return np.where(found < self.num_facets, found, -1)
 
-    def find_facet(self, vids):
-        """Facet index for a vertex tuple (any order), or None."""
-        f = int(self.locate_facets([[int(v) for v in vids]])[0])
-        return None if f < 0 else f
-
-    # per-entity views of the arrays, for tests
-
-    @cached_property
-    def cell_types(self):
-        return [CELL_TYPES[t] for t in self.cell_type_codes]
-
-    @cached_property
-    def cell_vertices(self):
-        return [tuple(v for v in row if v >= 0)
-                for row in self.cell_vertex_ids.tolist()]
-
-    @cached_property
-    def facet_vertices(self):
-        return [tuple(row) for row in self.facet_vertex_ids.tolist()]
-
-    @cached_property
-    def facet_cells(self):
-        """Per facet, its (cell, local facet) pairs in cell order."""
-        incident = [[] for _ in range(self.num_facets)]
-        for (c, lf), f in np.ndenumerate(self.cell_facets):
-            if f >= 0:
-                incident[f].append((c, lf))
-        return incident
-
     @property
     def num_vertices(self):
         return len(self.vertices)
@@ -290,9 +275,6 @@ class Mesh:
         row = self.cell_vertex_ids[c]
         return self.vertices[row[row >= 0]]
 
-    def facet_coords(self, f):
-        return self.vertices[self.facet_vertex_ids[f]]
-
     def total_volume(self):
         """Total length (dim 1) or area (dim 2) of the cells."""
         ids = self.cell_vertex_ids
@@ -308,20 +290,15 @@ class Mesh:
 
     def root(self):
         """The top of the parent chain (self if not a submesh)."""
-        m = self
-        while m.parent is not None:
-            m = m.parent
-        return m
+        return self if self.parent is None else self.parent.root()
 
     def facet_to_parent(self):
         """Per-facet indices into the parent's facets (same-dimension parents).
 
         Computed from the vertex map; cached.
         """
-        if self.parent is None:
-            raise ValueError("mesh has no parent")
-        if self.vertex_to_parent is None:
-            raise ValueError("mesh carries no vertex map to its parent")
+        if self.parent is None or self.vertex_to_parent is None:
+            raise ValueError("mesh carries no vertex map to a parent")
         if self._facet_to_parent is None:
             table = self.parent.locate_facets(
                 self.vertex_to_parent[self.facet_vertex_ids])
@@ -350,11 +327,6 @@ class Mesh:
         kind, up = self.parent.root_entities(entity)
         return kind, up[table]
 
-    def __repr__(self):
-        kinds = "+".join(sorted(t.value for t in self.cell_type_set))
-        return (f"Mesh(id={self.id}, dim={self.dim}, {self.num_cells} {kinds} "
-                f"cells, {self.num_vertices} vertices)")
-
 
 @dataclass(frozen=True, eq=False)
 class EntityMap:
@@ -381,9 +353,6 @@ class EntityMap:
             raise ValueError("entity map table has negative entries")
         if len(np.unique(table)) != len(table):
             raise ValueError("entity map is not injective")
-
-    def __len__(self):
-        return len(self.table)
 
 
 def compose_maps(a, b):
@@ -436,7 +405,8 @@ def extract_codim0_submesh(parent, marker):
     """
     if parent.dim != 2:
         raise ValueError("codim-0 extraction expects a 2D parent")
-    markers = [int(marker)] if np.isscalar(marker) else [int(m) for m in marker]
+    markers = ([as_marker(marker)] if np.isscalar(marker)
+               else [as_marker(m) for m in marker])
     table = np.flatnonzero(np.isin(parent.cell_markers, markers))
     if not len(table):
         raise ValueError(f"no entities matched marker {marker!r}")
@@ -462,7 +432,7 @@ def extract_codim1_submesh(parent, facet_marker):
     """
     if parent.dim != 2:
         raise ValueError("codim-1 extraction expects a 2D parent")
-    table = np.flatnonzero(parent.facet_markers == int(facet_marker))
+    table = np.flatnonzero(parent.facet_markers == as_marker(facet_marker))
     if not len(table):
         raise ValueError(f"no entities matched marker {facet_marker!r}")
     cells, new2parent = _renumber(parent.facet_vertex_ids[table])

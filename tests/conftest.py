@@ -52,10 +52,15 @@ def scalar_space(mesh, family, degree):
     return make_space([mesh], [fe.make_element(cell, family, degree)])
 
 
+def cells_of(cell_type, rows):
+    """Mesh's cells input for cells of one type: (type codes, vertex ids)."""
+    rows = np.array(rows)
+    return np.full(len(rows), meshmod.CELL_TYPES.index(cell_type)), rows
+
+
 def single_cell_mesh(cell_type, vertices, marker=0):
     verts = np.asarray(vertices, dtype=float)
-    return meshmod.Mesh(2, verts,
-                        [(cell_type, tuple(range(len(verts))))],
+    return meshmod.Mesh(2, verts, cells_of(cell_type, [range(len(verts))]),
                         cell_markers=[marker])
 
 
@@ -66,10 +71,12 @@ def quad_tri_interface_pair():
     marked 999 and is of unit length.
     """
     verts = [(-1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)]
-    cells = [(meshmod.CellType.QUADRILATERAL, (0, 1, 2, 3)),
-             (meshmod.CellType.TRIANGLE, (1, 4, 2))]
+    codes = [meshmod.CELL_TYPES.index(t) for t in (
+        meshmod.CellType.QUADRILATERAL, meshmod.CellType.TRIANGLE)]
+    cells = (np.array(codes), np.array([[0, 1, 2, 3], [1, 4, 2, -1]]))
     parent = meshmod.Mesh(2, np.array(verts), cells, cell_markers=[1, 2],
-                          facet_markers={(1, 2): 999})
+                          facet_markers=(np.array([[1, 2]]),
+                                         np.array([999])))
     mq, _ = meshmod.extract_codim0_submesh(parent, 1)
     mt, _ = meshmod.extract_codim0_submesh(parent, 2)
     return parent, mq, mt
@@ -137,7 +144,7 @@ def _entity_keys(mesh, integral_type):
         exterior, interior = meshmod.classify_facets(mesh)
         wanted = exterior if integral_type == "ds" else interior
         for f in wanted:
-            table[_segment_key(mesh.facet_coords(int(f)))] = int(f)
+            table[_segment_key(mesh.coords_of_facets(int(f)))] = int(f)
     return table
 
 
@@ -166,7 +173,7 @@ def brute_force_iteration_set(integral):
                 continue
             if sub != forms.EVERYWHERE and int(primal.facet_markers[f]) != sub:
                 continue
-            candidates.append((f, _segment_key(primal.facet_coords(f))))
+            candidates.append((f, _segment_key(primal.coords_of_facets(f))))
     participant_tables = [_entity_keys(mesh, integral_type)
                           for integral_type, mesh in measure.intersect_measures]
     kept = [e for e, key in candidates
@@ -201,21 +208,23 @@ def constrain_matrix(A, dofs):
 
 
 # ---------------------------------------------------------------------------
-# linear-form oracle: materialized argument values, quadrature summed last
+# form oracle: materialized argument values, quadrature summed last
 # ---------------------------------------------------------------------------
 
 def materialized_element_tensors(integral):
-    """Element vectors (E, test), or values (E,) of a functional, of an
-    integral with at most one argument, by walking its integrand with every
-    value materialized as (E, nq, test | 1, *shape) and summing the weighted
-    quadrature points last: the contraction the tape did before the test
-    function was factored out of its kernels.  Reads the integral's plan
-    for the geometry and the test blocks' offsets only."""
+    """Element matrices (E, test, trial), vectors (E, test) or functional
+    values (E,) of an integral, by walking its integrand with every value
+    materialized as (E, nq, test | 1, trial | 1, *shape) and summing the
+    weighted quadrature points last: the contraction the tape did before
+    the test function was factored out of its kernels, and still does for
+    bilinear ones.  Reads the integral's plan for the geometry and the
+    argument blocks' offsets only."""
     plan = assemble_mod._plan_for(integral)
     kernel, geometry = plan.kernel, plan.geometry
     E, nq = geometry.wq.shape
-    test = max(kernel.test_size, 1)
-    blocks = {(b.component, b.side): b for b in kernel.arg_blocks.get(0, [])}
+    sizes = (max(kernel.test_size, 1), max(kernel.trial_size, 1))
+    blocks = {(number, b.component, b.side): b
+              for number, group in kernel.arg_blocks.items() for b in group}
     pindex = {mesh.id: k for k, (_, mesh) in enumerate(kernel.participants)}
 
     def function(expr, side, grad):
@@ -231,24 +240,26 @@ def materialized_element_tensors(integral):
         table = (np.einsum("eqn...i,eqij->eqn...j", grads, where.jinv)
                  if grad else vals)
         if isinstance(func, forms.Argument):
-            block = blocks[(k, side)]
-            out = np.zeros((E, nq, test) + table.shape[3:])
+            block = blocks[(func.number, k, side)]
+            out = np.zeros((E, nq, sizes[func.number]) + table.shape[3:])
             out[:, :, block.offset:block.offset + block.ndofs] = table
-            return out
+            # the other argument's axis stays of length 1
+            return np.expand_dims(out, 3 - func.number)
         w = func.values[func.space.offsets[k]
                         + func.space.dofmaps[k][where.cells]]
-        return np.einsum("eqn...,en->eq...", table, w)[:, :, None]
+        return np.einsum("eqn...,en->eq...", table, w)[:, :, None, None]
 
     def value(expr, side=None):
         if isinstance(expr, (forms.Constant, forms.Zero)):
-            return np.full((1, 1, 1) + expr.shape, getattr(expr, "value", 0.0))
+            return np.full((1, 1, 1, 1) + expr.shape,
+                           getattr(expr, "value", 0.0))
         if isinstance(expr, forms.Analytic):
             x, y = geometry.X[..., 0], geometry.X[..., 1]
-            return np.broadcast_to(expr.fn(x, y), (E, nq))[..., None]
+            return np.broadcast_to(expr.fn(x, y), (E, nq))[..., None, None]
         if isinstance(expr, forms.FacetNormal):
             where = geometry.side(pindex[expr.mesh.id],
                                   compile_mod.side_index(side))
-            return where.normal[:, None, None, :]
+            return where.normal[:, None, None, None, :]
         if isinstance(expr, forms.Restricted):
             return value(expr.operands[0], expr.side)
         if isinstance(expr, (forms.Indexed, forms._Function, forms.Grad)):
@@ -257,16 +268,17 @@ def materialized_element_tensors(integral):
         a, b = (value(o, side) for o in expr.operands)
         if isinstance(expr, forms.Sum):
             return a + b
+        if isinstance(expr, forms.Inner):  # equal value shapes
+            a, b = (x.reshape(x.shape[:4] + (-1,)) for x in (a, b))
+            return np.einsum("...k,...k->...", a, b)
         n = max(a.ndim, b.ndim)
-        product = (a.reshape(a.shape + (1,) * (n - a.ndim))
-                   * b.reshape(b.shape + (1,) * (n - b.ndim)))
-        if isinstance(expr, forms.Inner):
-            return product.sum(axis=tuple(range(3, n)))
-        return product
+        return (a.reshape(a.shape + (1,) * (n - a.ndim))
+                * b.reshape(b.shape + (1,) * (n - b.ndim)))
 
-    out = np.einsum("eq,eqn->en", geometry.wq,
-                    np.broadcast_to(value(integral.integrand), (E, nq, test)))
-    return out if kernel.arity else out[:, 0]
+    values = np.broadcast_to(value(integral.integrand), (E, nq) + sizes)
+    out = (geometry.wq[:, None] @ values.reshape(E, nq, -1)).reshape(
+        (E,) + sizes)
+    return out[(slice(None),) * (1 + kernel.arity) + (0,) * (2 - kernel.arity)]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_the_root_relates_to_itself(chains):
 
 
 def test_depth_two_cells_compose_both_parent_maps(chains):
-    assert len(chains["to_bg"]) == chains["bg"].num_cells - N
+    assert len(chains["to_bg"].table) == chains["bg"].num_cells - N
     kind, table = chains["q2"].root_entities("cell")
     composed = mm.compose_maps(chains["q2_to_copy"], chains["to_bg"])
     assert kind == "cell" and np.array_equal(table, composed.table)

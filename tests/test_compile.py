@@ -116,8 +116,8 @@ class TestInterfaceKernels:
 
     def test_interior_facet_jump_kernel_ignores_cell_order(self, asm):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        cells_ab = [(TRI, (0, 1, 2)), (TRI, (1, 3, 2))]
-        cells_ba = [(TRI, (1, 3, 2)), (TRI, (0, 1, 2))]
+        cells_ab = conftest.cells_of(TRI, [(0, 1, 2), (1, 3, 2)])
+        cells_ba = conftest.cells_of(TRI, [(1, 3, 2), (0, 1, 2)])
 
         def jump_matrix(cells):
             m = mm.Mesh(2, verts, cells)
@@ -137,7 +137,7 @@ class TestInterfaceKernels:
     def test_interior_facet_average_of_continuous_field(self, asm):
         m = mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                                  [1.0, 1.0]]),
-                    [(TRI, (0, 1, 2)), (TRI, (1, 3, 2))])
+                    conftest.cells_of(TRI, [(0, 1, 2), (1, 3, 2)]))
         V = conftest.scalar_space(m, "P", 1)
         u = forms.Coefficient(V)
         asm.interpolate(lambda x, y: x + 2 * y, u, 0)

@@ -15,7 +15,7 @@ INTERVAL = mm.CellType.INTERVAL
 def two_triangle_square():
     return mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                 [0.0, 1.0]]),
-                   [(TRI, (0, 1, 2)), (TRI, (0, 2, 3))])
+                   conftest.cells_of(TRI, [(0, 1, 2), (0, 2, 3)]))
 
 
 @pytest.fixture()
@@ -147,6 +147,27 @@ class TestMeasure:
         ds = forms.Measure("ds", mq)
         assert ds(999).subdomain_id == 999
         assert ds.subdomain_id == forms.EVERYWHERE
+
+    # int() would truncate or parse each of these into marker 1
+    @pytest.mark.parametrize("subdomain_id", [1.5, "1", True, np.float64(1.0),
+                                              np.bool_(True)])
+    def test_non_integer_subdomain_ids_rejected(self, subdomain_id):
+        m = mm.build_split_unit_square(0)
+        with pytest.raises(TypeError, match="markers are integers"):
+            forms.Measure("dx", m, subdomain_id)
+        with pytest.raises(TypeError, match="markers are integers"):
+            forms.Measure("dx", m)(subdomain_id)
+
+    def test_numpy_integer_subdomain_ids_integrate_their_marker(self, asm):
+        m = mm.build_split_unit_square(0)
+        one = forms.Constant(1.0)
+        dx = forms.Measure("dx", m)
+        half = asm.assemble(one * dx(1))
+        assert half == pytest.approx(0.5, abs=1e-14)
+        for marker in (np.int64(1), np.int32(1), np.uint8(1)):
+            assert asm.assemble(one * dx(marker)) == half
+            assert asm.assemble(one * forms.Measure("dx", m, marker)) == half
+            assert dx(marker).key() == dx(1).key()
 
 
 class TestDerivative:

@@ -4,7 +4,10 @@ A kernel with at most one argument evaluates argument-free registers only
 and contracts each term with its argument table in one matmul.  Every
 integral here is checked against conftest.materialized_element_tensors,
 which walks the integrand with every value materialized and sums the
-quadrature points last, to 1e-14 of the largest entry.
+quadrature points last, to 1e-14 of the largest entry.  The bilinear
+integrals of the study Jacobians and of the extra integrands' derivatives
+are checked against it too, so a bilinear kernel that leaves the
+materialized tape has its oracle.
 """
 
 import numpy as np
@@ -46,6 +49,18 @@ def test_residual_integrals_match_the_materialized_oracle(asm, studies,
     built.u.values[:] = rng.standard_normal(built.space.num_dofs)
     for integral in built.residual.integrals:
         assert asm._plan_for(integral).kernel.terms is not None
+        assert_matches_oracle(asm, integral)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("problem", ["quad-tri", "split-interface"])
+def test_jacobian_integrals_match_the_materialized_oracle(asm, studies,
+                                                          problem, degree):
+    built = studies.build_problem(problem, degree, 1)
+    jacobian = forms.derivative(built.residual, built.u)
+    assert len(jacobian.integrals) >= 5
+    for integral in jacobian.integrals:
+        assert asm._plan_for(integral).kernel.arity == 2
         assert_matches_oracle(asm, integral)
 
 
@@ -123,6 +138,31 @@ def test_extra_integrands_match_the_materialized_oracle(asm):
     integrals = [itg for form in extra_forms() for itg in form.integrals]
     assert len(integrals) > 20
     for integral in integrals:
+        assert_matches_oracle(asm, integral)
+
+
+def coefficients(form):
+    return {node.function for itg in form.integrals
+            for node in forms.walk(itg.integrand)
+            if isinstance(node, forms.Indexed)
+            and isinstance(node.function, forms.Coefficient)}
+
+
+def test_extra_bilinear_integrands_match_the_materialized_oracle(asm):
+    # the derivatives of the extra linear forms: trial functions beside
+    # coefficients, +/- restrictions on dS, a vector element and facet
+    # normal products
+    integrals = []
+    for form in extra_forms():
+        if 0 not in form.arguments():
+            continue  # a functional
+        for coeff in coefficients(form):
+            integrals += forms.derivative(form, coeff).integrals
+    assert len(integrals) == 20
+    kinds = {itg.measure.integral_type for itg in integrals}
+    assert kinds == {"dx", "ds", "dS"}
+    for integral in integrals:
+        assert asm._plan_for(integral).kernel.arity == 2
         assert_matches_oracle(asm, integral)
 
 

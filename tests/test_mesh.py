@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from multifem import mesh as mm
 
 QUAD = mm.CellType.QUADRILATERAL
@@ -14,14 +15,15 @@ TRI = mm.CellType.TRIANGLE
 def unit_quad_mesh():
     return mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                 [0.0, 1.0]]),
-                   [(QUAD, (0, 1, 2, 3))])
+                   conftest.cells_of(QUAD, [(0, 1, 2, 3)]))
 
 
 class TestGenerators:
     def test_hybrid_level0_cell_counts(self):
         m = mm.build_hybrid_unit_square(0)
-        assert sum(t is QUAD for t in m.cell_types) == 50
-        assert sum(t is TRI for t in m.cell_types) == 100
+        codes = m.cell_type_codes
+        assert np.count_nonzero(codes == mm.CELL_TYPES.index(QUAD)) == 50
+        assert np.count_nonzero(codes == mm.CELL_TYPES.index(TRI)) == 100
         assert np.count_nonzero(m.cell_markers == 1) == 50
         assert np.count_nonzero(m.cell_markers == 2) == 100
 
@@ -30,7 +32,7 @@ class TestGenerators:
         on_interface = np.flatnonzero(m.facet_markers == mm.INTERFACE_MARKER)
         assert len(on_interface) == 10
         for f in on_interface:
-            assert np.allclose(m.facet_coords(int(f))[:, 0], 0.5)
+            assert np.allclose(m.coords_of_facets(int(f))[:, 0], 0.5)
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("build", [mm.build_hybrid_unit_square,
@@ -42,7 +44,7 @@ class TestGenerators:
     def test_split_cell_counts(self, n, cells):
         m = mm.build_split_unit_square(n)
         assert m.num_cells == cells
-        assert all(t is QUAD for t in m.cell_types)
+        assert m.cell_type is QUAD
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_split_interface_facet_count(self, n):
@@ -61,7 +63,7 @@ class TestCodim0Extraction:
         parent = mm.build_hybrid_unit_square(0)
         sub, emap = mm.extract_codim0_submesh(parent, 1)
         assert sub.num_cells == 50
-        assert all(t is QUAD for t in sub.cell_types)
+        assert sub.cell_type is QUAD
         assert emap.kind == "cell->cell"
         assert len(set(emap.table.tolist())) == len(emap.table)
 
@@ -91,14 +93,36 @@ class TestCodim0Extraction:
         marked = np.flatnonzero(sub.facet_markers == mm.INTERFACE_MARKER)
         assert len(marked) == 10
         for f in marked:
-            assert np.allclose(sub.facet_coords(int(f))[:, 0], 0.5)
+            assert np.allclose(sub.coords_of_facets(int(f))[:, 0], 0.5)
+
+
+class TestExtractionMarkers:
+    # int() would truncate each of these into an existing marker
+    @pytest.mark.parametrize("marker", [1.5, True, "1", (1, 2.5)])
+    def test_non_integer_cell_marker_rejected(self, marker):
+        with pytest.raises(TypeError, match="markers are integers"):
+            mm.extract_codim0_submesh(mm.build_split_unit_square(0), marker)
+
+    @pytest.mark.parametrize("marker", [999.7, 1.0, np.True_])
+    def test_non_integer_facet_marker_rejected(self, marker):
+        with pytest.raises(TypeError, match="markers are integers"):
+            mm.extract_codim1_submesh(mm.build_split_unit_square(0), marker)
+
+    def test_numpy_integer_markers_extract(self):
+        bg = mm.build_split_unit_square(0)
+        for marker in (np.int64(1), np.int32(1), [np.int64(1)]):
+            _, emap = mm.extract_codim0_submesh(bg, marker)
+            assert emap.table.tolist() == mm.extract_codim0_submesh(
+                bg, 1)[1].table.tolist()
+        _, emap = mm.extract_codim1_submesh(bg, np.int64(999))
+        assert len(emap.table) == 10
 
 
 class TestCodim1Extraction:
     def test_interface_interval_mesh(self):
         parent = mm.build_split_unit_square(0)
         sub, emap = mm.extract_codim1_submesh(parent, mm.INTERFACE_MARKER)
-        assert sub.dim == 1 and sub.gdim == 2
+        assert sub.dim == 1 and sub.vertices.shape[1] == 2
         assert sub.num_cells == 10
         assert emap.kind == "cell->facet"
         assert sub.total_volume() == pytest.approx(1.0, abs=1e-12)
@@ -121,10 +145,10 @@ class TestClassifyFacets:
     def test_quad_strip(self):
         m = mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
                                  [2.0, 1.0], [1.0, 1.0], [0.0, 1.0]]),
-                    [(QUAD, (0, 1, 4, 5)), (QUAD, (1, 2, 3, 4))])
+                    conftest.cells_of(QUAD, [(0, 1, 4, 5), (1, 2, 3, 4)]))
         exterior, interior = mm.classify_facets(m)
         assert len(exterior) == 6 and len(interior) == 1
-        assert m.facet_vertices[int(interior[0])] == (1, 4)
+        assert m.facet_vertex_ids[int(interior[0])].tolist() == [1, 4]
 
     @pytest.mark.parametrize("build", [mm.build_split_unit_square,
                                        mm.build_hybrid_unit_square])
@@ -156,14 +180,15 @@ class TestClassifyFacets:
                                              r"with 3 incident cells"):
             mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                                  [1.0, 1.0], [-1.0, 1.0]]),
-                    [(TRI, (0, 1, 2)), (TRI, (0, 1, 3)), (TRI, (0, 1, 4))])
+                    conftest.cells_of(TRI, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]))
 
     def test_segment_t_junction_builds_but_does_not_classify(self):
         # a dim-1 mesh only takes dx, so a branch point is allowed until
         # its facets are classified
         m = mm.Mesh(1, np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
                                  [0.0, 1.0]]),
-                    [(mm.CellType.INTERVAL, (0, v)) for v in (1, 2, 3)])
+                    conftest.cells_of(mm.CellType.INTERVAL,
+                                      [(0, v) for v in (1, 2, 3)]))
         assert m.num_cells == 3
         with pytest.raises(ValueError, match=r"non-manifold facet \(0,\) "
                                              r"with 3 incident cells"):
@@ -240,9 +265,9 @@ class TestMeshValidation:
     def test_wrong_vertex_count_rejected(self):
         with pytest.raises(ValueError, match="vertices"):
             mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                    [(QUAD, (0, 1, 2))])
+                    conftest.cells_of(QUAD, [(0, 1, 2)]))
 
     def test_wrong_dimension_cell_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0]]),
-                    [(mm.CellType.INTERVAL, (0, 1))])
+                    conftest.cells_of(mm.CellType.INTERVAL, [(0, 1)]))

@@ -99,8 +99,8 @@ class TestPlanReuse:
         rng = np.random.default_rng(43)
         markers = rng.integers(1, 3, background.num_cells)
         mesh = mm.Mesh(2, background.vertices,
-                       list(zip(background.cell_types,
-                                background.cell_vertices)),
+                       (background.cell_type_codes,
+                        background.cell_vertex_ids),
                        cell_markers=markers)
         V = conftest.scalar_space(mesh, "Q", 2)
         u = forms.Coefficient(V)

@@ -45,8 +45,9 @@ def all_meshes():
     triangles, _ = mm.extract_codim0_submesh(hybrid, 2)
     interface, _ = mm.extract_codim1_submesh(split, mm.INTERFACE_MARKER)
     listed = mm.Mesh(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
-                     [(QUAD, (0, 1, 2, 3))], cell_markers=[3],
-                     facet_markers={(1, 0): mm.BOUNDARY_MARKER})
+                     conftest.cells_of(QUAD, [(0, 1, 2, 3)]), cell_markers=[3],
+                     facet_markers=(np.array([[1, 0]]),
+                                    np.array([mm.BOUNDARY_MARKER])))
     return {"split": split, "hybrid": hybrid, "codim0": left,
             "codim0-triangles": triangles, "codim1": interface,
             "listed": listed}
@@ -76,10 +77,12 @@ def test_mesh_and_space_arrays_are_read_only_from_construction(name):
 def test_caller_arrays_are_copied_not_frozen():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     vertex_to_parent = np.array([0, 1, 2])
-    parent = mm.Mesh(2, vertices, [(mm.CellType.TRIANGLE, (0, 1, 2))])
-    child = mm.Mesh(2, vertices, [(mm.CellType.TRIANGLE, (0, 1, 2))],
+    cells = conftest.cells_of(mm.CellType.TRIANGLE, [(0, 1, 2)])
+    parent = mm.Mesh(2, vertices, cells)
+    child = mm.Mesh(2, vertices, cells,
                     parent=parent, vertex_to_parent=vertex_to_parent)
     assert vertices.flags.writeable and vertex_to_parent.flags.writeable
+    assert all(flags(cells))
     assert not any(flags(mesh_arrays(child)))
     vertex_to_parent[0] = 2
     assert child.vertex_to_parent.tolist() == [0, 1, 2]

@@ -12,6 +12,7 @@ import pytest
 from scipy.sparse.linalg import norm as sparse_norm
 
 from multifem import fe, forms, studies
+import conftest
 from multifem import mesh as mm
 
 QUAD = mm.CellType.QUADRILATERAL
@@ -56,7 +57,8 @@ def test_sipg_jacobian_is_scale_invariant(asm, case, scale):
 def test_collapsed_quadrilateral_still_raises(asm):
     # four collinear vertices: J is singular everywhere
     mesh = mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
-                                [3.0, 0.0]]), [(QUAD, (0, 1, 2, 3))])
+                                [3.0, 0.0]]),
+                   conftest.cells_of(QUAD, [(0, 1, 2, 3)]))
     V = forms.FunctionSpace(mesh, fe.make_element(QUAD, "Q", 1))
     u, v = forms.TrialFunction(V), forms.TestFunction(V)
     with pytest.raises(ValueError, match="degenerate geometry"):

@@ -74,23 +74,6 @@ def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
     assert calls == [(12, 1), (5, 0), (5, 0)]
 
 
-PER_ENTITY_VIEWS = {"cell_vertices", "facet_vertices", "facet_cells",
-                    "find_facet"}
-
-
-def test_only_the_mesh_module_reads_per_entity_views():
-    # spaces and assembly work on the mesh's arrays; the tuple-per-entity
-    # views and the single-facet lookup are for tests and the text format
-    offenders = []
-    for path in sorted((ROOT / "src" / "multifem").glob("*.py")):
-        if path.name == "mesh.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in PER_ENTITY_VIEWS:
-                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
-    assert not offenders
-
-
 def test_only_the_form_checker_states_measure_rules():
     # participation and restriction rules live in forms.validate_form,
     # which compile_integral runs; a raise about them in the compiler or

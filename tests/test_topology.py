@@ -8,7 +8,9 @@ property tests compare the mesh arrays, extractions, entity maps and
 dofmaps with it exactly on random small meshes: hybrid triangle/quad
 meshes with random vertex labels, cell orders and starting vertices,
 interval trees (with vertices shared by three or more intervals) and
-random markers.  TestCellValidation covers the cells the arrays reject.
+random markers.  Meshes are built from arrays and read back through them.
+TestCellValidation covers the cells and the inputs the constructor
+rejects.
 """
 
 import numpy as np
@@ -26,6 +28,24 @@ INTERVAL = mm.CellType.INTERVAL
 
 # ---------------------------------------------------------------------------
 # per-entity reference
+
+
+def cell_arrays(cells):
+    """Mesh's cells input for (CellType, vertex ids) pairs: type codes and
+    rows padded with -1 to the widest cell."""
+    width = max(len(vids) for _, vids in cells)
+    rows = np.full((len(cells), width), -1)
+    for c, (_, vids) in enumerate(cells):
+        rows[c, :len(vids)] = vids
+    return np.array([mm.CELL_TYPES.index(t) for t, _ in cells]), rows
+
+
+def mesh_cells(mesh):
+    """A mesh's cells as (CellType, vertex id tuple) pairs, read from its
+    arrays."""
+    return [(mm.CELL_TYPES[t], tuple(v for v in row if v >= 0))
+            for t, row in zip(mesh.cell_type_codes.tolist(),
+                              mesh.cell_vertex_ids.tolist())]
 
 
 def ref_facets(cells):
@@ -55,14 +75,14 @@ def ref_renumber(used_vertices):
 
 def ref_codim0(parent, markers):
     """(cells, new -> parent vertices, cell table, facet markers)."""
-    _, _, pindex = ref_facets(list(zip(parent.cell_types,
-                                       parent.cell_vertices)))
+    parent_cells = mesh_cells(parent)
+    _, _, pindex = ref_facets(parent_cells)
     table = [c for c in range(parent.num_cells)
              if int(parent.cell_markers[c]) in markers]
     v2new, new2parent = ref_renumber(
-        [v for c in table for v in parent.cell_vertices[c]])
-    cells = [(parent.cell_types[c],
-              tuple(v2new[v] for v in parent.cell_vertices[c]))
+        [v for c in table for v in parent_cells[c][1]])
+    cells = [(parent_cells[c][0],
+              tuple(v2new[v] for v in parent_cells[c][1]))
              for c in table]
     sub_facets, _, _ = ref_facets(cells)
     facet_markers = [int(parent.facet_markers[
@@ -73,8 +93,7 @@ def ref_codim0(parent, markers):
 
 def ref_codim1(parent, marker):
     """(cells, new -> parent vertices, facet table)."""
-    facets, _, _ = ref_facets(
-        list(zip(parent.cell_types, parent.cell_vertices)))
+    facets, _, _ = ref_facets(mesh_cells(parent))
     table = [f for f in range(len(facets))
              if int(parent.facet_markers[f]) == marker]
     v2new, new2parent = ref_renumber([v for f in table for v in facets[f]])
@@ -95,7 +114,7 @@ def ref_dofs(mesh, element):
         coords.append(point)
         return len(coords) - 1
 
-    for c, verts in enumerate(mesh.cell_vertices):
+    for c, (_, verts) in enumerate(mesh_cells(mesh)):
         for ln, tag in enumerate(element.node_tags):
             if tag[0] == "vertex":
                 gv = verts[tag[1]]
@@ -132,8 +151,8 @@ def random_hybrid(seed):
     """Jittered nx x ny grid of quads and triangle pairs (either diagonal),
     with random vertex labels, cell order and starting vertex per cell.
     Quads are marked 1 or 2, triangles 3 or 4; a random third of the facets
-    is marked 5 or 6, keyed by vertex tuples in random order.  Returns
-    (mesh, facet marker dict)."""
+    is marked 5 or 6, given as vertex rows in random order.  Returns
+    (mesh, dict from those rows as tuples to their markers)."""
     rng = np.random.default_rng(seed)
     nx, ny = rng.integers(1, 5, size=2)
     xs, ys = np.meshgrid(np.arange(nx + 1.0), np.arange(ny + 1.0),
@@ -169,8 +188,10 @@ def random_hybrid(seed):
         if rng.random() < 1 / 3:
             key = tuple(rng.permutation(key).tolist())
             facet_markers[key] = int(rng.integers(5, 7))
-    return mm.Mesh(2, vertices, cells, cell_markers=markers,
-                   facet_markers=facet_markers), facet_markers
+    rows = np.array(list(facet_markers), dtype=int).reshape(-1, 2)
+    values = np.array(list(facet_markers.values()), dtype=int)
+    return mm.Mesh(2, vertices, cell_arrays(cells), cell_markers=markers,
+                   facet_markers=(rows, values)), facet_markers
 
 
 def random_interval_tree(seed):
@@ -184,15 +205,20 @@ def random_interval_tree(seed):
         ends = [int(label[k]), int(label[rng.integers(k)])]
         cells.append((INTERVAL, tuple(rng.permutation(ends).tolist())))
     cells = [cells[k] for k in rng.permutation(len(cells))]
-    return mm.Mesh(1, rng.uniform(0.0, 1.0, (nv, 2)), cells,
+    return mm.Mesh(1, rng.uniform(0.0, 1.0, (nv, 2)), cell_arrays(cells),
                    cell_markers=rng.integers(0, 3, len(cells)))
 
 
 def assert_topology_matches(mesh):
-    cells = list(zip(mesh.cell_types, mesh.cell_vertices))
+    cells = mesh_cells(mesh)
     facets, facet_cells, _ = ref_facets(cells)
-    assert mesh.facet_vertices == facets
-    assert mesh.facet_cells == facet_cells
+    assert mesh.facet_vertex_ids.tolist() == [list(key) for key in facets]
+    # per facet, its (cell, local facet) pairs in cell order
+    from_arrays = [[] for _ in facets]
+    for (c, lf), f in np.ndenumerate(mesh.cell_facets):
+        if f >= 0:
+            from_arrays[f].append((c, lf))
+    assert from_arrays == facet_cells
     sides = np.full((len(facets), 2), -1)
     local = np.full((len(facets), 2), -1)
     for f, incident in enumerate(facet_cells):
@@ -204,12 +230,12 @@ def assert_topology_matches(mesh):
                           [len(inc) == 1 for inc in facet_cells])
     for c, (ctype, _) in enumerate(cells):
         row = mesh.cell_facets[c]
+        assert np.all(row[:len(ctype.local_facets)] >= 0)
         assert np.all(row[len(ctype.local_facets):] == -1)
-        for lf in range(len(ctype.local_facets)):
-            assert (c, lf) in facet_cells[row[lf]]
-    for f, key in enumerate(facets):
-        assert mesh.find_facet(key[::-1]) == f
-    assert mesh.find_facet((mesh.num_vertices,) * mesh.dim) is None
+    found = mesh.locate_facets(mesh.facet_vertex_ids[:, ::-1])
+    assert found.tolist() == list(range(len(facets)))
+    outside = [[mesh.num_vertices] * mesh.dim]
+    assert mesh.locate_facets(outside).tolist() == [-1]
 
 
 SEEDS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -220,7 +246,7 @@ SEEDS = settings(max_examples=40, deadline=None, derandomize=True)
 def test_hybrid_topology_matches_reference(seed):
     mesh, facet_markers = random_hybrid(seed)
     assert_topology_matches(mesh)
-    _, _, index = ref_facets(list(zip(mesh.cell_types, mesh.cell_vertices)))
+    _, _, index = ref_facets(mesh_cells(mesh))
     expected = np.zeros(mesh.num_facets, dtype=int)
     for key, marker in facet_markers.items():
         expected[index[tuple(sorted(key))]] = marker
@@ -242,17 +268,16 @@ def test_codim0_extraction_matches_reference(seed, markers):
         return
     sub, emap = mm.extract_codim0_submesh(parent, markers)
     cells, new2parent, table, facet_markers = ref_codim0(parent, markers)
-    assert list(zip(sub.cell_types, sub.cell_vertices)) == cells
+    assert mesh_cells(sub) == cells
     assert sub.vertex_to_parent.tolist() == new2parent
     assert emap.table.tolist() == table
     assert sub.facet_markers.tolist() == facet_markers
     assert np.array_equal(sub.vertices, parent.vertices[new2parent])
     assert_topology_matches(sub)
-    _, _, pindex = ref_facets(list(zip(parent.cell_types,
-                                       parent.cell_vertices)))
+    _, _, pindex = ref_facets(mesh_cells(parent))
     assert sub.facet_to_parent().tolist() == [
         pindex[tuple(sorted(new2parent[v] for v in key))]
-        for key in sub.facet_vertices]
+        for key in sub.facet_vertex_ids.tolist()]
 
 
 @SEEDS
@@ -263,7 +288,7 @@ def test_codim1_extraction_matches_reference(seed, marker):
         return
     sub, emap = mm.extract_codim1_submesh(parent, marker)
     cells, new2parent, table = ref_codim1(parent, marker)
-    assert list(zip(sub.cell_types, sub.cell_vertices)) == cells
+    assert mesh_cells(sub) == cells
     assert sub.vertex_to_parent.tolist() == new2parent
     assert emap.table.tolist() == table
     assert np.array_equal(sub.cell_markers, [marker] * len(table))
@@ -307,24 +332,70 @@ class TestCellValidation:
                                       (QUAD, (3, 1, 0, 3))])
     def test_repeated_vertex_rejected(self, cell):
         with pytest.raises(ValueError, match=r"cell 1 repeats a vertex"):
-            mm.Mesh(2, self.SQUARE, [(TRI, (0, 1, 2)), cell])
+            mm.Mesh(2, self.SQUARE, cell_arrays([(TRI, (0, 1, 2)), cell]))
 
     def test_repeated_interval_endpoint_rejected(self):
         with pytest.raises(ValueError, match=r"cell 0 repeats a vertex"):
-            mm.Mesh(1, self.SQUARE, [(INTERVAL, (2, 2))])
+            mm.Mesh(1, self.SQUARE, cell_arrays([(INTERVAL, (2, 2))]))
 
     @pytest.mark.parametrize("cell", [(TRI, (0, 1, 4)), (TRI, (0, -1, 2))])
     def test_vertex_out_of_range_rejected(self, cell):
         with pytest.raises(ValueError, match="cell 0 has a vertex index out"):
-            mm.Mesh(2, self.SQUARE, [cell])
+            mm.Mesh(2, self.SQUARE, cell_arrays([cell]))
 
-    def test_array_and_list_input_agree(self):
-        mesh, _ = random_hybrid(5)
-        again = mm.Mesh(2, mesh.vertices,
-                        (mesh.cell_type_codes, mesh.cell_vertex_ids),
-                        cell_markers=mesh.cell_markers,
-                        facet_markers=(mesh.facet_vertex_ids,
-                                       mesh.facet_markers))
-        for name in ("cell_vertex_ids", "facet_vertex_ids", "cell_facets",
-                     "facet_sides", "facet_local", "facet_markers"):
-            assert np.array_equal(getattr(again, name), getattr(mesh, name))
+    # rows of the widest cell's width in a single-type and a hybrid mesh;
+    # each is checked against its own type before the rows are trimmed
+    @pytest.mark.parametrize("codes,rows,message", [
+        ([TRI], [[0, 1, 2, 3]], "cell 0 needs 3 vertices as a triangle, "
+                                "got 4"),
+        ([TRI], [[0, 1, -1, -1]], "cell 0 needs 3 vertices as a triangle, "
+                                  "got 2"),
+        ([QUAD], [[0, 1, 3]], "cell 0 needs 4 vertices as a quadrilateral, "
+                              "got 3"),
+        ([QUAD, TRI], [[0, 1, 3, 2], [0, 1, 2, 3]],
+         "cell 1 needs 3 vertices as a triangle, got 4"),
+        ([QUAD, TRI], [[0, 1, 3, 2], [0, 1, -1, -1]],
+         "cell 1 needs 3 vertices as a triangle, got 2"),
+        ([TRI, QUAD], [[0, 1, 2, -1], [0, 1, 3, -1]],
+         "cell 1 needs 4 vertices as a quadrilateral, got 3")])
+    def test_row_width_checked_against_the_cell_type(self, codes, rows,
+                                                     message):
+        codes = np.array([mm.CELL_TYPES.index(t) for t in codes])
+        with pytest.raises(ValueError, match=message):
+            mm.Mesh(2, self.SQUARE, (codes, np.array(rows)))
+
+    @pytest.mark.parametrize("code", [-1, len(mm.CELL_TYPES)])
+    def test_unknown_type_code_rejected(self, code):
+        with pytest.raises(ValueError, match=r"cell type codes lie in 0..2"):
+            mm.Mesh(2, self.SQUARE, (np.array([code]), np.array([[0, 1, 2]])))
+
+    @pytest.mark.parametrize("cells", [
+        [(TRI, (0, 1, 2))],
+        ((TRI, (0, 1, 2)), (TRI, (1, 3, 2))),
+        (np.array([1]), np.array([[0.0, 1.0, 2.0]])),
+        (np.array([True]), np.array([[0, 1, 2]])),
+        (np.array([1, 1]), np.array([[0, 1, 2]])),
+        (np.array([1]), np.array([0, 1, 2]))])
+    def test_cells_other_than_a_pair_of_integer_arrays_rejected(self, cells):
+        with pytest.raises(TypeError, match=r"cells must be a pair of integer "
+                                            r"arrays \(cell_type_codes"):
+            mm.Mesh(2, self.SQUARE, cells)
+
+    @pytest.mark.parametrize("facet_markers", [
+        {(1, 0): 5},
+        [([0, 1], 5)],
+        (np.array([[0, 1]]), np.array([5.0])),
+        (np.array([[0.0, 1.0]]), np.array([5])),
+        (np.array([0, 1]), np.array([5]))])
+    def test_facet_markers_other_than_a_pair_of_integer_arrays_rejected(
+            self, facet_markers):
+        with pytest.raises(TypeError, match=r"facet_markers must be a pair of "
+                                            r"integer arrays \(vertex ids"):
+            mm.Mesh(2, self.SQUARE, cell_arrays([(TRI, (0, 1, 2))]),
+                    facet_markers=facet_markers)
+
+    @pytest.mark.parametrize("markers", [[1.5], [True], ["1"]])
+    def test_non_integer_cell_markers_rejected(self, markers):
+        with pytest.raises(TypeError, match="cell_markers must be integers"):
+            mm.Mesh(2, self.SQUARE, cell_arrays([(TRI, (0, 1, 2))]),
+                    cell_markers=markers)
