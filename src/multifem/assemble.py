@@ -1,14 +1,18 @@
 """Global assembly over intersection measures, boundary conditions, solvers.
 
-Assembly works on per-integral plans, built on an integral's first
-assembly and reused by every later one.  A plan resolves the iteration
-set once, as integer arrays: the primal entities of the measure and, per
-participating mesh, the matching cell or facet, found through the common
-root mesh: Mesh.root_entities composes each mesh's parent maps into a
-table of root entities, whose inverse leads back down.  It holds
-the dof index arrays of every argument block and coefficient slot, the
-measure's batched quadrature geometry (compile.MeasureGeometry), shared by
-every integral on the same measure and rule and cached on the root mesh.
+Assembly works on plans built on a form's first assembly, cached on it and
+reused by every later one: one per integral of a bilinear form and, for a
+linear form or functional, one per group of integrals that share a
+quadrature rule, static-ness and iteration set, compiled as one integral
+on the group's first measure, so ds(a)^ds(b) and ds(b)^ds(a) over the
+same facets run one kernel.  Iteration sets are resolved once per
+measure, as integer arrays: the primal entities and, per participating
+mesh, the matching cell or facet, found through the common root mesh:
+Mesh.root_entities composes each mesh's parent maps into a table of root
+entities, whose inverse leads back down.  A plan holds the dof index
+arrays of every argument block and coefficient slot and the measure's
+batched quadrature geometry (compile.MeasureGeometry), shared by every
+plan on the same measure and rule and cached on the root mesh.
 A form's scatter is cached on the form per set of bcs (component,
 marker) pairs: a matrix's CSR pattern under its bcs, which drops the rows
 and columns of Dirichlet dofs and gives each a unit diagonal, so the
@@ -21,13 +25,11 @@ entities, so impure Analytic sources are evaluated afresh, scatters their
 entries with one np.bincount and adds the static sum.  Dirichlet dofs
 are found topologically, as the closure of the marked facets through the
 dofmap, cached per space; their values are evaluated on every call.
-assemble_system assembles the matrix twice, unconstrained to lift the
-boundary values and under the bcs.  Entities are scattered in ascending
-order and integrals in form order, so results are bitwise reproducible.
-newton_solve takes its Jacobian from forms.derivative, which is memoized
-per form, so repeated solves on one residual reuse all of the above.
-error_norms is two functionals through assemble, the exact gradient a
-vector Analytic, so the norms share the kernels' one geometry path.
+Entities are scattered in ascending order and plans in form order, so
+results are bitwise reproducible.  newton_solve takes its Jacobian from
+forms.derivative, memoized per form, so repeated solves on one residual
+reuse all of the above.  error_norms is two functionals through assemble,
+so the norms share the kernels' one geometry path.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import scipy.sparse.linalg
 from . import fe, forms
 from .compile import (MeasureGeometry, compile_integral, execute_kernel,
                       side_index)
+from .mesh import as_marker
 
 SOLVE_TOL = 1e-10
 
@@ -55,7 +58,7 @@ class ConvergenceError(RuntimeError):
 # entity resolution across meshes
 
 
-def _iteration_entities(integral, kernel):
+def _iteration_entities(measure):
     """(E, P) int array of the entities the intersection measure integrates.
 
     Row k holds the k-th primal entity (ascending) and, for every other
@@ -63,10 +66,10 @@ def _iteration_entities(integral, kernel):
     entity stays only if every participant supplies a matching entity of
     the required exterior/interior kind.
     """
-    measure = integral.measure
     primal = measure.mesh
     root = primal.root()
-    if any(mesh.root() is not root for _, mesh in kernel.participants):
+    participants = measure.participants()
+    if any(mesh.root() is not root for _, mesh in participants):
         raise ValueError("unrelated meshes: no common root mesh")
     if measure.integral_type == "dx":
         candidates = np.arange(primal.num_cells)
@@ -82,7 +85,7 @@ def _iteration_entities(integral, kernel):
     root_ids = to_root[candidates]
     columns = [candidates]
     keep = np.ones(len(candidates), dtype=bool)
-    for itype, mesh in kernel.participants[1:]:
+    for itype, mesh in participants[1:]:
         kind, table = mesh.root_entities("cell" if itype == "dx" else "facet")
         # root entity -> this mesh's entity, -1 if none
         from_root = np.full(root.num_cells if kind == "cell"
@@ -97,15 +100,34 @@ def _iteration_entities(integral, kernel):
     return np.stack(columns, axis=1)[keep]
 
 
+def _entities(measure):
+    """The measure's _iteration_entities, kept in a dict on the root mesh."""
+    cache = measure.mesh.root().__dict__.setdefault("_entities", {})
+    if measure.key() not in cache:
+        cache[measure.key()] = _iteration_entities(measure)
+    return cache[measure.key()]
+
+
+def _iteration_set_key(measure):
+    """The measure's participants and entity rows, the columns in mesh
+    order and the rows ascending: one key for one set of entities,
+    whichever participant is primal."""
+    participants = measure.participants()
+    order = np.argsort([mesh.id for _, mesh in participants])
+    rows = _entities(measure)[:, order]
+    return (tuple((participants[k][0], participants[k][1].id) for k in order),
+            rows[np.lexsort(rows.T[::-1])].tobytes())
+
+
 # ---------------------------------------------------------------------------
 # assembly plans
 
 
 @dataclass
 class _IntegralPlan:
-    """What every assembly of one integral reuses: its kernel, the measure
-    geometry, and (E, ndofs) global dof indices of the test (rows) and trial
-    (cols) blocks and of each coefficient slot."""
+    """What every assembly of an integral (or a group compiled as one)
+    reuses: its kernel, the measure geometry, and (E, ndofs) global dof
+    indices of the test (rows) and trial (cols) blocks and coefficients."""
 
     kernel: object
     geometry: MeasureGeometry
@@ -114,27 +136,26 @@ class _IntegralPlan:
     coeff_dofs: list
 
 
-def _measure_geometry(integral, kernel):
+def _measure_geometry(measure, kernel):
     """The measure's geometry, built once per measure and rule, kept in a
-    dict on the root mesh and shared by every integral on them.  Rules of
-    one cell type and point count are identical."""
-    cache = integral.measure.mesh.root().__dict__.setdefault("_geometry", {})
+    dict on the root mesh and shared by every plan on them.  Rules of one
+    cell type and point count are identical."""
+    cache = measure.mesh.root().__dict__.setdefault("_geometry", {})
     rule = kernel.quadrature
-    key = (integral.measure.key(), rule.cell, len(rule))
-    geometry = cache.get(key)
-    if geometry is None:
-        entities = _iteration_entities(integral, kernel)
-        geometry = cache[key] = MeasureGeometry(
-            kernel.participants, kernel.primal_kind, rule, entities)
-    return geometry
+    key = (measure.key(), rule.cell, len(rule))
+    if key not in cache:
+        cache[key] = MeasureGeometry(kernel.participants, kernel.primal_kind,
+                                     rule, _entities(measure))
+    return cache[key]
 
 
-def _plan_for(integral):
+def _plan_for(integral, kernel=None):
+    """The integral's plan, cached on it; kernel is its kernel, if known."""
     plan = getattr(integral, "_plan", None)
     if plan is not None:
         return plan
-    kernel = compile_integral(integral)
-    geometry = _measure_geometry(integral, kernel)
+    kernel = kernel or compile_integral(integral)
+    geometry = _measure_geometry(integral.measure, kernel)
 
     def dofs(space, component, pidx, side):
         cells = geometry.side(pidx, side_index(side)).cells
@@ -154,9 +175,40 @@ def _plan_for(integral):
     return plan
 
 
+def _plans(form):
+    """(plans, measures that matched no entities under a subdomain id) of a
+    form, cached on it.  Every integral is compiled, and so checked, on its
+    own.  A bilinear form gets a plan per integral; a form of arity <= 1,
+    one per group of integrals sharing a quadrature rule, static-ness
+    (LocalKernel.static) and iteration set (_iteration_set_key), in form
+    order, each compiled as one integral, their sum, on the first measure."""
+    if "_plans" in form.__dict__:
+        return form._plans
+    kernels = [compile_integral(integral) for integral in form.integrals]
+    args = kernels[0].arguments if kernels else {}
+    if any(kernel.arguments != args for kernel in kernels):
+        raise ValueError("every integral must use the form's arguments")
+    groups = {}  # key -> (integral, its kernel or None for a sum)
+    for k, (integral, kernel) in enumerate(zip(form.integrals, kernels)):
+        rule = kernel.quadrature
+        key = k if len(args) == 2 else (rule.cell, len(rule), kernel.static,
+                                        _iteration_set_key(integral.measure))
+        if key in groups:
+            first = groups[key][0]
+            integral, kernel = forms.Integral(forms.Sum(
+                first.integrand, integral.integrand), first.measure), None
+        groups[key] = (integral, kernel)
+    plans = [_plan_for(integral, kernel
+                       or compile_integral(integral, check=False))
+             for integral, kernel in groups.values()]
+    form._plans = plans, [i.measure for i in form.integrals if not len(
+        _entities(i.measure)) and i.measure.subdomain_id != forms.EVERYWHERE]
+    return form._plans
+
+
 def iteration_set(integral):
     """Primal entity indices the assembler integrates for this integral."""
-    return _plan_for(integral).geometry.entities[:, 0].tolist()
+    return _entities(integral.measure)[:, 0].tolist()
 
 
 def _element_tensors(plan):
@@ -238,15 +290,11 @@ def assemble(form, bcs=()):
     assembly (compile_integral); the form's arguments are those of its
     integrals' kernels, which must all agree.
     """
-    plans = [_plan_for(integral) for integral in form.integrals]
+    plans, empty = _plans(form)
+    for measure in empty:
+        warnings.warn(f"measure {measure!r} matched no entities; "
+                      f"contribution is zero", stacklevel=2)
     args = plans[0].kernel.arguments if plans else {}
-    for integral, plan in zip(form.integrals, plans):
-        if plan.kernel.arguments != args:
-            raise ValueError("every integral must use the form's arguments")
-        if (not len(plan.geometry)
-                and integral.measure.subdomain_id != forms.EVERYWHERE):
-            warnings.warn(f"measure {integral.measure!r} matched no entities; "
-                          f"contribution is zero", stacklevel=2)
     arity = len(args)
     if arity == 2 and bcs and args[1].space is not args[0].space:
         raise ValueError("Dirichlet conditions on a bilinear form need its "
@@ -306,6 +354,9 @@ class DirichletBC:
     component: int
     marker: int
     value: object  # callable (x, y) -> values
+
+    def __post_init__(self):
+        object.__setattr__(self, "marker", as_marker(self.marker))
 
 
 def _codim0_mesh(space, k, what):
@@ -479,16 +530,7 @@ def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
 
 
 # ---------------------------------------------------------------------------
-# error norms, interpolation, component elimination, matrix output
-
-
-def interpolate(fn, u, component):
-    """Set component dofs of u to fn evaluated at the dof nodes."""
-    sl = u.space.component_slice(component)
-    coords = u.space.dof_coords[sl]
-    xs, ys = coords[:, 0], coords[:, 1]
-    u.values[sl] = np.broadcast_to(np.asarray(fn(xs, ys), dtype=float),
-                                   xs.shape)
+# error norms, component elimination, matrix output
 
 
 def error_norms(u, component, exact, exact_grad):

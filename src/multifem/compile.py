@@ -1,7 +1,8 @@
 """Lowering of integrals to interpreted kernels over all entities at once.
 
-A kernel evaluates one integral on every iteration entity (cell or facet of
-the measure's primal mesh) of its measure.  The integrand is linearized into
+A kernel evaluates one integral, for a linear form or a functional the sum
+of a group of integrals that the assembler fuses, on every iteration entity
+(cell or facet of the primal mesh) of its measure.  The integrand becomes
 a small tape of numpy operations whose registers carry a leading entity
 axis and a quadrature-point axis, so one pass of the tape produces the
 element tensors of a block of entities.  A subexpression that occurs more
@@ -10,9 +11,10 @@ emitted once, so e*e evaluates e once.  An Analytic source is evaluated at
 the physical points, scalar or, for shape (2,), a pair; a result of the
 wrong shape raises CompileError.  In a linear form or a functional the tape
 evaluates only argument-free values: the compiler factors the test function
-out of the integrand into terms, each an argument-free register times one
-argument table, contracted over quadrature points and components with one
-batched matmul.  On the primal cells of a cell measure a term
+out of the integrand into terms, one argument-free register per argument
+instruction, each contracted with its argument's planes over quadrature
+points and components by one (batched) matmul; coefficients on per-entity
+tables are contracted with theirs the same way.  On primal cells a term
 kappa inner(grad w, grad v), w a scalar coefficient component on v's side
 and kappa a scalar register or 1, is a metric term: the tape holds w's
 reference gradients, one GEMM, and the contraction applies the planes of
@@ -21,7 +23,7 @@ materializes its argument registers with dof axes.  Quadrature lives on the
 primal entities; every participating mesh gets reference points by pulling
 the physical quadrature points back through its own cell geometry, which
 is what aligns integration across meshes.  MeasureGeometry holds that
-geometry for all entities of a measure and is shared by every integral on it.
+geometry for all entities of a measure and is shared by every kernel on it.
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ class _Builder:
     instr the aval/agrad instruction of a basis of value shape bshape.  A
     term's value is c * basis, or sum_i c_i basis_i where c has the basis's
     shape, times the vector register post unless it is None.
-    contraction_terms lowers the metric terms and drops the registers that
-    only they read.  Bilinear tapes keep materializing argument registers
+    contraction_terms lowers the metric terms, sums the other terms that
+    read one argument instruction into one register, and drops the
+    registers that only metric terms read.  Bilinear tapes keep materializing argument registers
     bit for bit, the `inner` special case of _run_tape with them, until the
     benchmark's exact nnz check no longer pins their roundoff (ROADMAP
     items 1 and 3); then they move onto the same contraction and both go.
@@ -184,7 +187,7 @@ class _Builder:
 
     def _push(self, instr, vshape, argdeps=frozenset()):
         """One register per distinct instruction, constants told by bits."""
-        key = ("const", instr[1].hex()) if instr[0] == "const" else instr
+        key = ("const", instr[1].hex(), vshape) if instr[0] == "const" else instr
         if key not in self._pushed:
             self.tape.append(instr)
             self.vshapes.append(vshape)
@@ -232,6 +235,13 @@ class _Builder:
         slot = self._coeff_slot(func, component, pidx, side)
         return self._push((f"c{op}", slot, pidx, sidx, element), vshape)
 
+    def _const(self, value, shape=()):
+        """A fixed value's register, its (1, 1, 1, 1, *shape) array built
+        here once, read-only."""
+        array = np.full((1, 1, 1, 1) + shape, value)
+        array.setflags(write=False)
+        return self._push(("const", value, array), shape)
+
     def _deps(self, value):  # a list of terms depends on the test function
         return (frozenset([0]) if isinstance(value, list)
                 else self.argdeps[value])
@@ -260,10 +270,8 @@ class _Builder:
         return self._visited[expr, side]
 
     def _emit(self, expr, side):
-        if isinstance(expr, forms.Zero):
-            return self._push(("zero", expr.shape), expr.shape)
-        if isinstance(expr, forms.Constant):
-            return self._push(("const", expr.value), ())
+        if isinstance(expr, (forms.Zero, forms.Constant)):
+            return self._const(getattr(expr, "value", 0.0), expr.shape)
         if isinstance(expr, forms.Analytic):
             return self._push(("analytic", expr), expr.shape)
         if isinstance(expr, forms.FacetNormal):
@@ -306,12 +314,19 @@ class _Builder:
 
     def contraction_terms(self, out, on_cells):
         """The kernel's terms (c, instr, ref), ref None but in metric terms."""
-        one = self._push(("const", 1.0), ())
+        one = self._const(1.0)
         if not isinstance(out, list):  # a functional: one term without one
             return [(out, None, None)]
         freed = set()
         terms = [self._metric(one if c is None else c, instr, on_cells, freed)
                  for c, instr, _, _ in out]
+        merged = {}  # the other terms: one register per argument instruction
+        for c, instr, ref in terms:
+            if ref is None:
+                merged[instr] = c if instr not in merged else self._push(
+                    ("add", merged[instr], c), self.vshapes[c])
+        terms = [t for t in terms if t[2] is not None] + [
+            (c, instr, None) for instr, c in merged.items()]
         ops = [instr[1:3] if instr[0] in ("add", "mul", "inner") else ()
                for instr in self.tape]
         live = {r for c, _, ref in terms for r in (c, ref) if r is not None}
@@ -338,10 +353,11 @@ class _Builder:
         return kappa, instr, self._push(("cref",) + self.tape[grad][1:], (2,))
 
 
-def compile_integral(integral):
+def compile_integral(integral, check=True):
     """Compile one integral into a LocalKernel.  The integral is checked
-    here, once, by forms.validate_form; the first diagnostic raises."""
-    diagnostics = forms.validate_form(forms.Form([integral]))
+    here, once, by forms.validate_form; the first diagnostic raises.
+    check=False skips that for a sum of integrals already checked."""
+    diagnostics = check and forms.validate_form(forms.Form([integral]))
     if diagnostics:
         d = diagnostics[0]
         raise CompileError(f"invalid form: {integral.measure!r} at {d.path}: "
@@ -459,8 +475,8 @@ class _Side:
     """One participant side over all entities of a measure: its cells and,
     computed on first use, reference points, basis tables, inverse
     Jacobians, argument tables pushed forward and padded into their dof
-    axis, reference gradient planes, and outward facet normals.  Arrays carry a leading entity
-    axis of length E, or 1 where they are the same for every entity."""
+    axis, basis planes, and outward facet normals.  Arrays carry a leading
+    entity axis of length E, or 1 where they are the same for every entity."""
 
     def __init__(self, mesh, cells, facets, X, rule, primal_vertices,
                  primal_jinv):
@@ -524,14 +540,21 @@ class _Side:
             self._arguments[key] = table
         return table
 
-    def ref_planes(self, element):
-        """Reference gradients of a table shared by all entities as planes
-        (2 nq, ndofs), contiguous.  Computed once and read-only."""
-        planes = self._planes.get(element)
+    def planes(self, element, op):
+        """Basis values ('cval', 'aval'), reference gradients ('cgrad') or
+        physical gradients ('agrad') as contiguous planes (E|1, nq k,
+        ndofs), k values per point, for one (batched) matmul; for 'cref',
+        component-major (E|1, 2 nq, ndofs).  Computed once, read-only."""
+        key = (element, "cval" if op == "aval" else op)
+        planes = self._planes.get(key)
         if planes is None:
-            grads = self.tables(element)[1][0].transpose(2, 0, 1)
-            planes = self._planes[element] = np.ascontiguousarray(
-                grads).reshape(-1, element.num_dofs)
+            table = (self.argument(element, op, 0, element.num_dofs)
+                     if op == "agrad" else self.tables(element)[op in (
+                         "cgrad", "cref")])
+            table = (table.transpose(0, 3, 1, 2) if op == "cref"
+                     else np.moveaxis(table, 2, -1))
+            planes = self._planes[key] = np.ascontiguousarray(table).reshape(
+                len(table), -1, element.num_dofs)
             planes.setflags(write=False)
         return planes
 
@@ -613,15 +636,6 @@ def _block(a, lo, hi):
     return a if len(a) == 1 else a[lo:hi]
 
 
-def contract_dofs(table, w):
-    """sum_n table[e, q, n, ...] w[e, n] for tables (E|1, nq, ndofs, ...)
-    and dof values w (E, ndofs); a shared table contracts as one BLAS
-    product."""
-    if len(table) == 1:
-        return np.tensordot(w, table[0], axes=(1, 1))
-    return np.einsum("bqn...,bn->bq...", table, w)
-
-
 def push_forward(grads, jinv):
     """Physical gradients from reference gradients (E|1, nq, ..., 2) and
     inverse Jacobians (E, nq, 2, 2).  Products and the sum are separate
@@ -642,14 +656,15 @@ def _align_ndim(a, b):
 
 def _contract(kernel, geometry, regs, lo, hi):
     """Element vectors (B, test), or values (B, 1) of a functional, of
-    entities lo:hi.  A metric term applies D, times kappa, to its planes
-    and contracts them with the test element's by one GEMM; any other
-    term's register, times the weights, is contracted over points and
-    components with its argument's own table by one batched matmul, whose
-    (component, component) diagonal is kept."""
+    entities lo:hi.  A metric term applies D, times kappa, to its
+    reference gradients (2 nq, B) and contracts them with the test
+    element's planes by one GEMM; any other term's register, times the
+    weights, is contracted over points and components with its argument's
+    planes by one (batched) matmul."""
     B = hi - lo
     out = np.zeros((B, max(kernel.test_size, 1)))
     for reg, instr, ref in kernel.terms:
+        block = instr and instr[2]
         if ref is not None:
             g = regs[ref].reshape(2, -1, B)
             D = geometry.metric[..., lo:hi]
@@ -657,27 +672,19 @@ def _contract(kernel, geometry, regs, lo, hi):
             y += D[2] * g[::-1]
             if reg is not None:
                 y *= regs[reg].reshape(len(regs[reg]), -1).T
-            block = instr[2]
             out[:, block.offset:block.offset + block.ndofs] += y.reshape(
-                -1, B).T @ geometry.side(0, 0).ref_planes(block.element)
+                -1, B).T @ geometry.side(0, 0).planes(block.element, "cref")[0]
             continue
         c = regs[reg]
         m = geometry.wq[lo:hi, :, None] * c.reshape(c.shape[:2] + (-1,))
         if instr is None:
             out[:, 0] += m.sum(axis=(1, 2))
             continue
-        op, _, block, pidx, sidx = instr
-        table = geometry.side(pidx, sidx).argument(block.element, op, 0,
-                                                   block.ndofs)
-        nq, nc = m.shape[1:]
-        mt = np.swapaxes(m, 1, 2)  # (B, components, nq)
-        if len(table) == 1:
-            prod = mt.reshape(B * nc, nq) @ table[0].reshape(nq, -1)
-        else:
-            prod = mt @ table[lo:hi].reshape(B, nq, -1)
-        prod = prod.reshape(B, nc, block.ndofs, nc)
-        out[:, block.offset:block.offset + block.ndofs] += sum(
-            prod[:, i, :, i] for i in range(nc))
+        planes = _block(geometry.side(*instr[3:]).planes(block.element,
+                                                         instr[0]), lo, hi)
+        out[:, block.offset:block.offset + block.ndofs] += (
+            m.reshape(B, -1) @ planes[0] if len(planes) == 1
+            else (m.reshape(B, 1, -1) @ planes)[:, 0])
     return out
 
 
@@ -710,9 +717,7 @@ def _run_tape(kernel, geometry, w, lo, hi):
     for instr, vshape in zip(kernel.tape, kernel.reg_vshapes):
         op = instr[0]
         if op == "const":
-            val = np.full((1, 1, 1, 1), float(instr[1]))
-        elif op == "zero":
-            val = np.zeros((1, 1, 1, 1) + instr[1])
+            val = instr[2]
         elif op == "analytic":
             val = _analytic(instr[1], geometry.X[lo:hi])
         elif op == "normal":
@@ -722,16 +727,16 @@ def _run_tape(kernel, geometry, w, lo, hi):
         elif op in ("cval", "cgrad", "cref"):
             _, slot, pidx, sidx, element = instr
             side = geometry.side(pidx, sidx)
-            vals, grads = side.tables(element)
             wb = w[slot][lo:hi]
-            if op == "cref":  # reference gradient planes (2 nq, B)
-                regs.append(side.ref_planes(element) @ wb.T)
+            planes = _block(side.planes(element, op), lo, hi)
+            if op == "cref":  # reference gradients (2 nq, B)
+                regs.append(planes[0] @ wb.T)
                 continue
-            if op == "cval":
-                out = contract_dofs(_block(vals, lo, hi), wb)
-            else:
-                ref = contract_dofs(_block(grads, lo, hi), wb)
-                out = push_forward(ref, side.jinv[lo:hi])
+            out = (wb @ planes[0].T if len(planes) == 1  # one BLAS product
+                   else planes @ wb[:, :, None]).reshape((hi - lo, -1)
+                                                         + vshape)
+            if op == "cgrad":
+                out = push_forward(out, side.jinv[lo:hi])
             val = out.reshape(out.shape[:2] + (1, 1) + vshape)
         elif op in ("aval", "agrad"):
             _, number, block, pidx, sidx = instr

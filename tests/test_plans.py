@@ -187,15 +187,17 @@ class TestArgumentTables:
     @staticmethod
     def argument_instructions(forms_):
         """(geometry side, instruction, dof-axis size) of every aval/agrad
-        instruction in the cached plans of the forms' integrals."""
+        instruction in the forms' cached plans: one per integral of a
+        bilinear form, one per group of integrals of a linear one."""
         for form in forms_:
-            for integral in form.integrals:
-                kernel = integral._plan.kernel
+            plans, _ = form._plans
+            for plan in plans:
+                kernel = plan.kernel
                 sizes = (kernel.test_size, kernel.trial_size)
                 for instr in kernel.tape:
                     if instr[0] in ("aval", "agrad"):
                         _, number, block, pidx, sidx = instr
-                        yield (integral._plan.geometry.side(pidx, sidx),
+                        yield (plan.geometry.side(pidx, sidx),
                                instr, sizes[number])
 
     def test_each_side_pushes_each_argument_element_forward_once(

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from multifem import forms
-from multifem.compile import compile_integral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,16 +47,19 @@ def test_entity_count_hook_reads_the_iteration_set_size(asm, studies):
     # the tracer counts len() of _iteration_entities' result as entities
     problem = studies.build_split_interface_problem(1, 0)
     for itg in problem.residual.integrals:
-        entities = asm._iteration_entities(itg, compile_integral(itg))
+        entities = asm._iteration_entities(itg.measure)
         assert len(entities) == len(asm.iteration_set(itg)) > 0
 
 
 def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
     # reassembly-warm's pair, counted by the benchmark's own tracer: the
-    # five Jacobian kernels read no coefficient and the two source kernels
-    # read only pure sources, so after the first pair only the five
-    # residual kernels that read u rerun, and the constrained pattern and
-    # its Dirichlet dofs are kept
+    # residual runs five kernels, one per group of integrals sharing a
+    # rule, static-ness and iteration set (two cell stiffness kernels, two
+    # source kernels and one for the three interface integrals); the five
+    # Jacobian kernels read no coefficient and the two source kernels read
+    # only pure sources, so after the first pair only the three residual
+    # kernels that read u rerun, and the constrained pattern and its
+    # Dirichlet dofs are kept
     problem = studies.build_problem("quad-tri", 2, 2)
     jacobian = forms.derivative(problem.residual, problem.u)
     rng = np.random.default_rng(3)
@@ -71,7 +73,7 @@ def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
         metrics, _ = tracer.layer_metrics()
         calls.append((metrics["compile.kernel_calls"][0],
                       metrics["assemble.bcs_calls"][0]))
-    assert calls == [(12, 1), (5, 0), (5, 0)]
+    assert calls == [(10, 1), (3, 0), (3, 0)]
 
 
 def test_only_the_form_checker_states_measure_rules():
@@ -111,7 +113,7 @@ def test_only_the_mesh_module_reads_the_parent_chain():
 
 
 GEOMETRY_PATH = {"make_quadrature", "tabulate", "geometry_jacobian",
-                 "push_forward", "contract_dofs"}
+                 "push_forward", "planes"}
 
 
 def test_only_the_kernel_layer_evaluates_geometry():
