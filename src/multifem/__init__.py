@@ -8,7 +8,7 @@ correspondence through composed entity maps.
 
 from .assemble import (ConvergenceError, DirichletBC, NewtonConfig, assemble,
                        assemble_system, dirichlet_dofs, dump_matrix,
-                       eliminate_component, error_norms,
+                       eliminate_component, error_norms, interpolate,
                        iteration_set, newton_solve, solve_linear)
 from .compile import (CompileError, LocalKernel, align_interface_quadrature,
                       compile_integral, execute_kernel)
@@ -19,7 +19,8 @@ from .forms import (EVERYWHERE, Analytic, Argument, Coefficient, Constant,
                     Expr, FacetNormal, Form, FormDiagnostic, FunctionSpace,
                     Indexed, Integral, Measure, MeshSequence, MixedElement,
                     TestFunction, TrialFunction, Zero, avg, derivative, grad,
-                    inner, jump, restrict, split, validate_form)
+                    inner, jump, restrict, split, split_form_into_blocks,
+                    validate_form)
 from .mesh import (BOUNDARY_MARKER, INTERFACE_MARKER, CellType, EntityMap,
                    Mesh, build_hybrid_unit_square, build_split_unit_square,
                    classify_facets, compose_maps, extract_codim0_submesh,

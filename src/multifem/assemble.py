@@ -4,16 +4,16 @@ Assembly works on plans built on a form's first assembly, cached on it and
 reused by every later one: one per integral of a bilinear form and, for a
 linear form or functional, one per group of integrals that share a
 quadrature rule, static-ness and iteration set, compiled as one integral
-on the group's first measure, so ds(a)^ds(b) and ds(b)^ds(a) over the
-same facets run one kernel.  Iteration sets are resolved once per
-measure, as integer arrays: the primal entities and, per participating
-mesh, the matching cell or facet, found through the common root mesh:
-Mesh.root_entities composes each mesh's parent maps into a table of root
-entities, whose inverse leads back down.  A plan holds the dof index
-arrays of every argument block and coefficient slot and the measure's
-batched quadrature geometry (compile.MeasureGeometry), shared by every
-plan on the same measure and rule and cached on the root mesh.
-A form's scatter is cached on the form per set of bcs (component,
+on the group's first measure and quadrature degree, so ds(a)^ds(b) and
+ds(b)^ds(a) over the same facets run one kernel.  Iteration sets are
+resolved once per measure, as integer arrays: the primal entities and,
+per participating mesh, the matching cell or facet, found through the
+common root mesh: Mesh.root_entities composes each mesh's parent maps
+into a table of root entities, whose inverse leads back down.  A plan
+holds the dof index arrays of every argument block and coefficient slot
+and the measure's batched quadrature geometry (compile.MeasureGeometry),
+shared by every plan on the same measure and rule and cached on the root
+mesh.  A form's scatter is cached on the form per set of bcs (component,
 marker) pairs: a matrix's CSR pattern under its bcs, which drops the rows
 and columns of Dirichlet dofs and gives each a unit diagonal, so the
 constrained matrix is scattered, not edited; and the sum of its static
@@ -34,6 +34,8 @@ so the norms share the kernels' one geometry path.
 
 from __future__ import annotations
 
+import copy
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +46,7 @@ import scipy.sparse.linalg
 
 from . import fe, forms
 from .compile import (MeasureGeometry, compile_integral, execute_kernel,
-                      side_index)
+                      is_static, quadrature_rule, side_index)
 from .mesh import as_marker
 
 SOLVE_TOL = 1e-10
@@ -149,12 +151,11 @@ def _measure_geometry(measure, kernel):
     return cache[key]
 
 
-def _plan_for(integral, kernel=None):
-    """The integral's plan, cached on it; kernel is its kernel, if known."""
+def _plan_for(integral):
     plan = getattr(integral, "_plan", None)
     if plan is not None:
         return plan
-    kernel = kernel or compile_integral(integral)
+    kernel = compile_integral(integral)
     geometry = _measure_geometry(integral.measure, kernel)
 
     def dofs(space, component, pidx, side):
@@ -177,30 +178,30 @@ def _plan_for(integral, kernel=None):
 
 def _plans(form):
     """(plans, measures that matched no entities under a subdomain id) of a
-    form, cached on it.  Every integral is compiled, and so checked, on its
-    own.  A bilinear form gets a plan per integral; a form of arity <= 1,
-    one per group of integrals sharing a quadrature rule, static-ness
-    (LocalKernel.static) and iteration set (_iteration_set_key), in form
-    order, each compiled as one integral, their sum, on the first measure."""
+    form, cached on it: its integrals' plans if bilinear, else a plan per
+    group of integrals sharing a quadrature rule, static-ness and iteration
+    set (_iteration_set_key), in form order; a larger group's is that of
+    its integrands' sum, on its first measure at its first degree."""
     if "_plans" in form.__dict__:
         return form._plans
-    kernels = [compile_integral(integral) for integral in form.integrals]
-    args = kernels[0].arguments if kernels else {}
-    if any(kernel.arguments != args for kernel in kernels):
+    arguments = [forms.Form([i]).arguments() for i in form.integrals]
+    if any(args != arguments[0] for args in arguments):
         raise ValueError("every integral must use the form's arguments")
-    groups = {}  # key -> (integral, its kernel or None for a sum)
-    for k, (integral, kernel) in enumerate(zip(form.integrals, kernels)):
-        rule = kernel.quadrature
-        key = k if len(args) == 2 else (rule.cell, len(rule), kernel.static,
-                                        _iteration_set_key(integral.measure))
-        if key in groups:
-            first = groups[key][0]
-            integral, kernel = forms.Integral(forms.Sum(
-                first.integrand, integral.integrand), first.measure), None
-        groups[key] = (integral, kernel)
-    plans = [_plan_for(integral, kernel
-                       or compile_integral(integral, check=False))
-             for integral, kernel in groups.values()]
+    groups = {}
+    for key, integral in enumerate(form.integrals):
+        if len(arguments[0]) < 2:
+            _, _, rule = quadrature_rule(integral)
+            key = (rule.cell, len(rule), is_static(integral.integrand),
+                   _iteration_set_key(integral.measure))
+        groups.setdefault(key, []).append(integral)
+    plans = []
+    for first, *rest in groups.values():
+        if rest:
+            measure = copy.copy(first.measure)
+            measure.quadrature_degree = quadrature_rule(first)[1]
+            first = forms.Integral(functools.reduce(forms.Sum, [
+                i.integrand for i in [first] + rest]), measure)
+        plans.append(_plan_for(first))
     form._plans = plans, [i.measure for i in form.integrals if not len(
         _entities(i.measure)) and i.measure.subdomain_id != forms.EVERYWHERE]
     return form._plans
@@ -286,9 +287,9 @@ def assemble(form, bcs=()):
     Dirichlet conditions: matrix rows and columns of constrained dofs are
     zeroed with a unit diagonal (a symmetric application), which needs the
     trial space to be the test space; vector entries are set to the
-    boundary values.  Each integral is checked and compiled on its first
-    assembly (compile_integral); the form's arguments are those of its
-    integrals' kernels, which must all agree.
+    boundary values.  The form's plans are built, and their integrals
+    checked (compile_integral), on its first assembly; its integrals must
+    all use the same arguments.
     """
     plans, empty = _plans(form)
     for measure in empty:
@@ -530,7 +531,16 @@ def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
 
 
 # ---------------------------------------------------------------------------
-# error norms, component elimination, matrix output
+# error norms, interpolation, component elimination, matrix output
+
+
+def interpolate(fn, u, component):
+    """Set component dofs of u to fn evaluated at the dof nodes."""
+    sl = u.space.component_slice(component)
+    coords = u.space.dof_coords[sl]
+    xs, ys = coords[:, 0], coords[:, 1]
+    u.values[sl] = np.broadcast_to(np.asarray(fn(xs, ys), dtype=float),
+                                   xs.shape)
 
 
 def error_norms(u, component, exact, exact_grad):

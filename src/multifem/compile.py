@@ -80,6 +80,7 @@ class LocalKernel:
     # arity <= 1: (register, argument instruction or None, cref register
     # or None) triples whose contractions sum to the output; else None
     terms: list = None
+    static: bool = False  # is_static(integrand)
 
     def __post_init__(self):
         self.arity = len(self.arguments)
@@ -90,15 +91,23 @@ class LocalKernel:
         footprint = len(self.quadrature) * widest * (
             1 if self.terms is not None else self.test_size * self.trial_size)
         self.block_size = max(1, _BLOCK_VALUES // footprint)
-        # reads no coefficient and no impure Analytic source: fixed once
-        # planned, as Constants and pure sources are frozen
-        self.static = not any(op in ("cval", "cgrad", "cref") or (
-            op == "analytic" and not arg.pure) for op, arg, *_ in self.tape)
 
 
 def side_index(side):
     """Column of a restriction in a facet's (+, -) incident cells."""
     return 1 if side == "-" else 0
+
+
+def is_static(integrand):
+    """Whether an integrand reads no coefficient and no impure Analytic
+    source: its values are fixed once planned, as Constants and pure
+    sources are frozen."""
+    for node in forms.walk(integrand):
+        node = getattr(node, "function", node)  # an Indexed's function
+        if isinstance(node, forms.Coefficient) or (
+                isinstance(node, forms.Analytic) and not node.pure):
+            return False
+    return True
 
 
 def default_quadrature_degree(integral):
@@ -129,10 +138,11 @@ class _Builder:
     shape, times the vector register post unless it is None.
     contraction_terms lowers the metric terms, sums the other terms that
     read one argument instruction into one register, and drops the
-    registers that only metric terms read.  Bilinear tapes keep materializing argument registers
-    bit for bit, the `inner` special case of _run_tape with them, until the
-    benchmark's exact nnz check no longer pins their roundoff (ROADMAP
-    items 1 and 3); then they move onto the same contraction and both go.
+    registers that only metric terms read.  Bilinear tapes keep
+    materializing argument registers bit for bit, the `inner` special case
+    of _run_tape with them, until the benchmark's exact nnz check no longer
+    pins their roundoff (ROADMAP items 1 and 3); then they move onto the
+    same contraction and both go.
     """
 
     def __init__(self, integral):
@@ -187,7 +197,8 @@ class _Builder:
 
     def _push(self, instr, vshape, argdeps=frozenset()):
         """One register per distinct instruction, constants told by bits."""
-        key = ("const", instr[1].hex(), vshape) if instr[0] == "const" else instr
+        key = (("const", instr[1].hex(), vshape) if instr[0] == "const"
+               else instr)
         if key not in self._pushed:
             self.tape.append(instr)
             self.vshapes.append(vshape)
@@ -353,15 +364,10 @@ class _Builder:
         return kappa, instr, self._push(("cref",) + self.tape[grad][1:], (2,))
 
 
-def compile_integral(integral, check=True):
-    """Compile one integral into a LocalKernel.  The integral is checked
-    here, once, by forms.validate_form; the first diagnostic raises.
-    check=False skips that for a sum of integrals already checked."""
-    diagnostics = check and forms.validate_form(forms.Form([integral]))
-    if diagnostics:
-        d = diagnostics[0]
-        raise CompileError(f"invalid form: {integral.measure!r} at {d.path}: "
-                           f"{d.message}")
+def quadrature_rule(integral):
+    """(primal kind, degree, rule) of an integral: the rule on its primal
+    cells, or on an interval for facet and codim-1 primal entities, of the
+    measure's quadrature degree, else default_quadrature_degree."""
     measure = integral.measure
     if measure.integral_type == "dx":
         primal_kind = "cell2d" if measure.mesh.dim == 2 else "cell1d"
@@ -371,11 +377,22 @@ def compile_integral(integral, check=True):
     if qdeg is None:
         qdeg = default_quadrature_degree(integral)
     try:
-        rule = fe.make_quadrature(measure.mesh.cell_type if primal_kind
-                                  == "cell2d" else CellType.INTERVAL, qdeg)
+        return primal_kind, qdeg, fe.make_quadrature(
+            measure.mesh.cell_type if primal_kind == "cell2d"
+            else CellType.INTERVAL, qdeg)
     except ValueError as exc:
         raise CompileError(f"{measure!r}: {exc}") from exc
 
+
+def compile_integral(integral):
+    """Compile one integral into a LocalKernel.  The integral is checked
+    here, once, by forms.validate_form; the first diagnostic raises."""
+    diagnostics = forms.validate_form(forms.Form([integral]))
+    if diagnostics:
+        d = diagnostics[0]
+        raise CompileError(f"invalid form: {integral.measure!r} at {d.path}: "
+                           f"{d.message}")
+    primal_kind, _, rule = quadrature_rule(integral)
     builder = _Builder(integral)
     if 1 in builder.arguments and 0 not in builder.arguments:
         raise CompileError("integral has a trial function but no test function")
@@ -389,7 +406,8 @@ def compile_integral(integral, check=True):
                        out_reg=None if terms else out,
                        coeff_slots=builder.coeff_slots,
                        arguments=builder.arguments,
-                       arg_blocks=builder.arg_blocks, terms=terms)
+                       arg_blocks=builder.arg_blocks, terms=terms,
+                       static=is_static(integral.integrand))
 
 
 # ---------------------------------------------------------------------------

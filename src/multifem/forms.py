@@ -499,9 +499,9 @@ class Measure:
         return m
 
     def key(self):
+        """The entities integrated: the measure but its quadrature degree."""
         return (self.integral_type, self.mesh.id, self.subdomain_id,
-                tuple((t, m.id) for t, m in self.intersect_measures),
-                self.quadrature_degree)
+                tuple((t, m.id) for t, m in self.intersect_measures))
 
     def __repr__(self):
         parts = [f"{self.integral_type}({self.mesh.id})"]
@@ -651,7 +651,7 @@ def validate_form(form):
 
 
 # ---------------------------------------------------------------------------
-# differentiation
+# differentiation and block splitting
 
 
 def _add(a, b):
@@ -716,3 +716,49 @@ def derivative(form, coefficient, component=None):
             integrals.append(Integral(d, itg.measure))
     derivatives[key] = Form(integrals)
     return derivatives[key]
+
+
+def _filter_components(expr, targets):
+    """Zero out argument components other than the targeted ones.
+
+    targets maps argument number to the component index kept.
+    """
+    if isinstance(expr, Indexed):
+        if isinstance(expr.function, Argument):
+            number = expr.function.number
+            if number in targets and expr.component != targets[number]:
+                return Zero(expr.shape)
+        return expr
+    if not expr.operands:
+        return expr
+    return _rebuild(expr, [_filter_components(o, targets)
+                           for o in expr.operands])
+
+
+def split_form_into_blocks(form):
+    """Split a form by argument components.
+
+    Bilinear forms map (test_component, trial_component) to a sub-form;
+    linear forms map (test_component,) to a sub-form.  Every key is present,
+    empty blocks hold empty forms; summing all blocks reproduces the form.
+    """
+    args = form.arguments()
+    if 0 not in args:
+        raise ValueError("block splitting needs at least a test function")
+    m_test = args[0].space.num_components
+    keys = [(r,) for r in range(m_test)]
+    if 1 in args:
+        m_trial = args[1].space.num_components
+        keys = [(r, c) for r in range(m_test) for c in range(m_trial)]
+    blocks = {}
+    for key in keys:
+        targets = {0: key[0]}
+        if len(key) == 2:
+            targets[1] = key[1]
+        integrals = []
+        for itg in form.integrals:
+            filtered = _filter_components(itg.integrand, targets)
+            if not isinstance(filtered, Zero):
+                integrals.append(Integral(filtered, itg.measure))
+        blocks[key] = Form(integrals)
+    return blocks

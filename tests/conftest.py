@@ -114,15 +114,6 @@ def warped_studies():
         yield
 
 
-def interpolate(fn, u, component):
-    """Set component dofs of u to fn evaluated at the dof nodes."""
-    sl = u.space.component_slice(component)
-    coords = u.space.dof_coords[sl]
-    xs, ys = coords[:, 0], coords[:, 1]
-    u.values[sl] = np.broadcast_to(np.asarray(fn(xs, ys), dtype=float),
-                                   xs.shape)
-
-
 def dof_index_at(space, component, xy, tol=1e-10):
     """Global dof index of the component's dof at physical point xy."""
     lo, hi = space.offsets[component], space.offsets[component + 1]

@@ -433,7 +433,7 @@ class TestErrorNorms:
         for level in (0, 1):
             V = left_half_space(level)
             u = forms.Coefficient(V)
-            conftest.interpolate(studies.exact_solution, u, 0)
+            asm.interpolate(studies.exact_solution, u, 0)
             l2, h1 = asm.error_norms(u, 0, studies.exact_solution,
                                      studies.exact_gradient)
             errors.append((l2, h1))
@@ -445,7 +445,7 @@ class TestErrorNorms:
         for level in (0, 1):
             V = left_half_space(level)
             u = forms.Coefficient(V)
-            conftest.interpolate(studies.exact_solution, u, 0)
+            asm.interpolate(studies.exact_solution, u, 0)
             err, _ = asm.error_norms(u, 0, studies.exact_solution,
                                      studies.exact_gradient)
             l2.append(err)

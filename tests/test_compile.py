@@ -76,7 +76,7 @@ class TestCellKernels:
         V = conftest.scalar_space(m, "P", 2)
         u = forms.Coefficient(V)
         f = lambda x, y: x * x + 3 * x * y - y * y + x - 2 * y + 1
-        conftest.interpolate(f, u, 0)
+        asm.interpolate(f, u, 0)
         (u0,) = forms.split(u)
         value = asm.assemble(u0 * u0 * forms.Measure("dx", m))
         x, y = sympy.symbols("x y")
@@ -140,7 +140,7 @@ class TestInterfaceKernels:
                     conftest.cells_of(TRI, [(0, 1, 2), (1, 3, 2)]))
         V = conftest.scalar_space(m, "P", 1)
         u = forms.Coefficient(V)
-        conftest.interpolate(lambda x, y: x + 2 * y, u, 0)
+        asm.interpolate(lambda x, y: x + 2 * y, u, 0)
         (u0,) = forms.split(u)
         average = forms.avg([forms.restrict(u0, "+"),
                              forms.restrict(u0, "-")])

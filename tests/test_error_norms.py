@@ -113,7 +113,7 @@ class TestSharedSubexpressions:
         monkeypatch.setattr(comp, "_BLOCK_VALUES", 256)
         V = conftest.scalar_space(left_half(), "Q", 1)
         u = forms.Coefficient(V)
-        conftest.interpolate(studies.exact_solution, u, 0)
+        asm.interpolate(studies.exact_solution, u, 0)
         calls = {"exact": 0, "grad": 0}
 
         def exact(x, y):
@@ -181,7 +181,7 @@ class TestErrorNormOracles:
             V = conftest.scalar_space(m, "Q", 1)
             component = 0
         u = forms.Coefficient(V)
-        conftest.interpolate(lambda x, y: 2 * x - 3 * y + 0.5, u, component)
+        asm.interpolate(lambda x, y: 2 * x - 3 * y + 0.5, u, component)
         l2, h1 = asm.error_norms(u, component,
                                  lambda x, y: 2 * x - 3 * y + 0.5,
                                  lambda x, y: (2.0, -3.0))

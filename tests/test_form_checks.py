@@ -88,12 +88,18 @@ def test_forms_are_checked_once_per_integral(asm, studies, monkeypatch):
     validate = forms.validate_form
 
     def counted(form):
-        calls.append(len(form.integrals))
+        calls.extend(form.integrals)
         return validate(form)
 
     monkeypatch.setattr(forms, "validate_form", counted)
     r0, A0 = asm.assemble(problem.residual), asm.assemble(J, problem.bcs)
-    assert calls == [1] * (len(problem.residual.integrals) + len(J.integrals))
+    # one check per kernel: the residual's grouped integrals are checked
+    # as their group's sum, and every integral is in exactly one check
+    assert len(calls) == len(problem.residual._plans[0]) + len(J.integrals)
+    for integral in problem.residual.integrals + J.integrals:
+        assert sum(any(node is integral.integrand
+                       for node in forms.walk(checked.integrand))
+                   for checked in calls) == 1
 
     def no_walk(*args):
         raise AssertionError("expression tree walked on reassembly")

@@ -90,8 +90,8 @@ class TestSplit:
                                                         hybrid_spaces):
         _, mq, mt, V = hybrid_spaces
         u = forms.Coefficient(V)
-        conftest.interpolate(lambda x, y: 2 * x + y, u, 0)
-        conftest.interpolate(lambda x, y: x - 3 * y, u, 1)
+        asm.interpolate(lambda x, y: 2 * x + y, u, 0)
+        asm.interpolate(lambda x, y: x - 3 * y, u, 1)
         l2_q, _ = asm.error_norms(u, 0, lambda x, y: 2 * x + y,
                                   lambda x, y: (2.0, 1.0))
         l2_t, _ = asm.error_norms(u, 1, lambda x, y: x - 3 * y,
@@ -280,6 +280,56 @@ class TestDerivative:
             forms.derivative(u0 * t0 * v0 * dx, u)
 
 
+class TestBlockSplitting:
+    def test_interface_coupling_lands_off_diagonal(self, studies):
+        problem = studies.build_quad_tri_problem(1, 0)
+        J = forms.derivative(problem.residual, problem.u)
+        blocks = forms.split_form_into_blocks(J)
+        assert sorted(blocks.keys()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for key in ((0, 1), (1, 0)):
+            kinds = {itg.measure.integral_type
+                     for itg in blocks[key].integrals}
+            subs = {itg.measure.subdomain_id
+                    for itg in blocks[key].integrals}
+            assert kinds == {"ds"} and subs == {999}
+        for key in ((0, 0), (1, 1)):
+            kinds = {itg.measure.integral_type
+                     for itg in blocks[key].integrals}
+            assert "dx" in kinds
+
+    def test_single_component_form_is_one_block(self, asm):
+        V = conftest.scalar_space(two_triangle_square(), "P", 1)
+        v = forms.TestFunction(V)
+        t = forms.TrialFunction(V)
+        (v0,), (t0,) = forms.split(v), forms.split(t)
+        a = t0 * v0 * forms.Measure("dx", V.meshes[0])
+        blocks = forms.split_form_into_blocks(a)
+        assert list(blocks.keys()) == [(0, 0)]
+        assert np.allclose(asm.assemble(blocks[0, 0]).toarray(),
+                           asm.assemble(a).toarray(), atol=1e-15)
+
+    def test_linear_form_blocks_indexed_by_test_component(self,
+                                                          hybrid_spaces):
+        _, mq, mt, V = hybrid_spaces
+        v = forms.TestFunction(V)
+        vq, vt = forms.split(v)
+        F = vq * forms.Measure("dx", mq) + vt * forms.Measure("dx", mt)
+        blocks = forms.split_form_into_blocks(F)
+        assert sorted(blocks.keys()) == [(0,), (1,)]
+        assert len(blocks[(0,)].integrals) == 1
+        assert len(blocks[(1,)].integrals) == 1
+
+    def test_blocks_sum_back_to_the_whole_form(self, asm, studies):
+        problem = studies.build_quad_tri_problem(1, 0)
+        J = forms.derivative(problem.residual, problem.u)
+        blocks = forms.split_form_into_blocks(J)
+        total = sum(asm.assemble(b).toarray() for b in blocks.values()
+                    if b.integrals)
+        monolithic = asm.assemble(J).toarray()
+        scale = np.abs(monolithic).max()
+        assert np.abs(total - monolithic).max() <= 1e-14 * scale
+
+
 class TestAvgJump:
     @pytest.fixture()
     def interface(self):
@@ -302,8 +352,8 @@ class TestAvgJump:
     def test_jump_of_a_continuous_field_vanishes(self, asm, interface):
         V, mq, mt, ds = interface
         u = forms.Coefficient(V)
-        conftest.interpolate(lambda x, y: 1.0 + 2.0 * x - y, u, 0)
-        conftest.interpolate(lambda x, y: 1.0 + 2.0 * x - y, u, 1)
+        asm.interpolate(lambda x, y: 1.0 + 2.0 * x - y, u, 0)
+        asm.interpolate(lambda x, y: 1.0 + 2.0 * x - y, u, 1)
         uq, ut = forms.split(u)
         nq, nt = forms.FacetNormal(mq), forms.FacetNormal(mt)
         j = forms.jump([uq, ut], [nq, nt])
@@ -313,8 +363,8 @@ class TestAvgJump:
     def test_jump_measures_the_discontinuity(self, asm, interface):
         V, mq, mt, ds = interface
         u = forms.Coefficient(V)
-        conftest.interpolate(lambda x, y: 1.0, u, 0)
-        conftest.interpolate(lambda x, y: 3.0, u, 1)
+        asm.interpolate(lambda x, y: 1.0, u, 0)
+        asm.interpolate(lambda x, y: 3.0, u, 1)
         uq, ut = forms.split(u)
         j = forms.jump([uq, ut], [forms.FacetNormal(mq),
                                   forms.FacetNormal(mt)])

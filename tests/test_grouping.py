@@ -3,10 +3,12 @@
 A form of arity <= 1 is planned per group of integrals that share a
 quadrature rule, static-ness and iteration set, whichever participant of
 the measure is primal; each group runs one kernel, compiled from the sum
-of its integrands.  These tests check the grouped result against the
-per-integral plans, the groups the study forms get, what is never grouped,
-the empty-subdomain warning inside a group, and the constants the kernels
-keep by value.
+of its integrands at its first integral's quadrature degree.  These
+tests check the grouped result against the per-integral plans, the
+groups the study forms get, what is never grouped, the rule of a group
+whose members mix default and explicit degrees, the empty-subdomain
+warning inside a group, the constants the kernels keep by value, and
+the markers a DirichletBC takes.
 """
 
 import warnings
@@ -147,6 +149,26 @@ def test_other_quadrature_rules_are_not_grouped(asm, split_left):
             + u0 * v0 * forms.Measure("dx", m, quadrature_degree=6))
     asm.assemble(form)
     assert len(form._plans[0]) == 2
+
+
+@pytest.mark.parametrize("explicit_first", [False, True])
+def test_a_group_keeps_its_members_rule(asm, split_left, explicit_first):
+    # dx at Q1's default degree 4 and dx at degree 5 share one 3 x 3 Gauss
+    # rule; the sum reads a Q3 coefficient, whose default degree, 8, would
+    # take a 5 x 5 rule, so the group runs at its first member's degree
+    V, u, u0, v0 = split_left
+    m = V.meshes[0]
+    w = forms.Coefficient(conftest.scalar_space(m, "Q", 3))
+    w.values[:] = np.random.default_rng(6).standard_normal(len(w.values))
+    (w0,) = forms.split(w)
+    default = u0 * v0 * forms.Measure("dx", m)
+    explicit = w0 * v0 * forms.Measure("dx", m, quadrature_degree=5)
+    form = explicit + default if explicit_first else default + explicit
+    b = asm.assemble(form)
+    plans, _ = form._plans
+    assert len(plans) == 1 and len(plans[0].kernel.quadrature) == 9
+    expected = per_integral_sum(asm, form, len(b))
+    assert np.abs(b - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_bilinear_forms_get_one_kernel_per_integral(asm, studies):
