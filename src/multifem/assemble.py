@@ -45,8 +45,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import fe, forms
-from .compile import (MeasureGeometry, compile_integral, execute_kernel,
-                      is_static, quadrature_rule, side_index)
+from .compile import (CompileError, MeasureGeometry, compile_integral,
+                      execute_kernel, is_static, quadrature_rule, side_index)
 from .mesh import as_marker
 
 SOLVE_TOL = 1e-10
@@ -195,13 +195,19 @@ def _plans(form):
                    _iteration_set_key(integral.measure))
         groups.setdefault(key, []).append(integral)
     plans = []
-    for first, *rest in groups.values():
-        if rest:
+    for members in groups.values():
+        integral = first = members[0]
+        if len(members) > 1:
             measure = copy.copy(first.measure)
             measure.quadrature_degree = quadrature_rule(first)[1]
-            first = forms.Integral(functools.reduce(forms.Sum, [
-                i.integrand for i in [first] + rest]), measure)
-        plans.append(_plan_for(first))
+            integral = forms.Integral(functools.reduce(forms.Sum, [
+                i.integrand for i in members]), measure)
+        try:
+            plans.append(_plan_for(integral))
+        except CompileError:  # a member's own error names its term
+            for member in members:
+                compile_integral(member)
+            raise
     form._plans = plans, [i.measure for i in form.integrals if not len(
         _entities(i.measure)) and i.measure.subdomain_id != forms.EVERYWHERE]
     return form._plans

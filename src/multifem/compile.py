@@ -415,25 +415,25 @@ def compile_integral(integral):
 
 
 def _inv_2x2(J):
-    """Inverses and determinants of (..., 2, 2) matrices.  Raises where
-    |det J| is negligible against |J|_F^2, a test no scaling changes."""
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if np.any(np.abs(det) <= _SINGULAR_RTOL * np.sum(J * J, axis=(-2, -1))):
+    """Inverses and determinants of (..., 2, 2) matrices, entry by entry.
+    Raises where |det J| <= _SINGULAR_RTOL |J|_F^2, a scale-free test."""
+    (a, b), (c, d) = np.moveaxis(J, (-2, -1), (0, 1))
+    det = a * d - b * c
+    if np.any(np.abs(det) <= _SINGULAR_RTOL * (a * a + b * b + c * c + d * d)):
         raise ValueError("non-conforming or degenerate geometry")
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    inv[..., 1, 1] = J[..., 0, 0]
-    return inv / det[..., None, None], det
+    inv = np.empty(J.shape)
+    inv[..., 0, 0], inv[..., 0, 1] = d / det, -b / det
+    inv[..., 1, 0], inv[..., 1, 1] = -c / det, a / det
+    return inv, det
 
 
-def _diameter(verts):
-    """Largest vertex distance of (..., nverts, 2) cells, shaped (..., 1, 1)
-    to broadcast against (..., npts, 2) points."""
-    gaps = verts[..., :, None, :] - verts[..., None, :, :]
-    return np.sqrt(np.max(np.sum(gaps * gaps, axis=-1), axis=(-2, -1)))[
-        ..., None, None]
+def _cell_inverse(cell_type, vertices, ref):
+    """_inv_2x2 of the Jacobians of cells (E, nverts, 2) at points ref
+    (E|1, nq, 2): read-only (E, nq, 2, 2) and (E, nq) arrays."""
+    point = ref[:1, :1] if cell_type is CellType.TRIANGLE else ref
+    inv, det = _inv_2x2(fe.geometry_jacobian(cell_type, vertices, point))
+    shape = (len(vertices), ref.shape[1])
+    return np.broadcast_to(inv, shape + (2, 2)), np.broadcast_to(det, shape)
 
 
 def align_interface_quadrature(phys_points, cell_type, cell_vertices):
@@ -475,7 +475,9 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     if not phys.size:
         return ref
     check = fe.geometry_map(cell_type, verts, ref)
-    if np.any(np.abs(check - phys) > GEOMETRY_TOL * _diameter(verts)):
+    gaps = verts[..., :, None, :] - verts[..., None, :, :]  # for diameters
+    diameter = np.sqrt(np.max(np.sum(gaps * gaps, axis=-1), axis=(-2, -1)))
+    if np.any(np.abs(check - phys) > GEOMETRY_TOL * diameter[..., None, None]):
         raise CompileError("non-conforming or degenerate geometry: point "
                            "pullback did not converge")
     if cell_type is CellType.TRIANGLE:
@@ -492,9 +494,10 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
 class _Side:
     """One participant side over all entities of a measure: its cells and,
     computed on first use, reference points, basis tables, inverse
-    Jacobians, argument tables pushed forward and padded into their dof
-    axis, basis planes, and outward facet normals.  Arrays carry a leading
-    entity axis of length E, or 1 where they are the same for every entity."""
+    Jacobians (a triangle's once per cell, a zero stride over the points),
+    argument tables pushed forward and padded into their dof axis, basis
+    planes, and outward facet normals.  Arrays carry a leading entity axis
+    of length E, or 1 where they are the same for every entity."""
 
     def __init__(self, mesh, cells, facets, X, rule, primal_vertices,
                  primal_jinv):
@@ -535,8 +538,7 @@ class _Side:
 
     @cached_property
     def jinv(self):
-        return _inv_2x2(fe.geometry_jacobian(self.cell_type, self.vertices,
-                                             self.ref))[0]
+        return _cell_inverse(self.cell_type, self.vertices, self.ref)[0]
 
     def argument(self, element, op, offset, size):
         """Basis values ('aval') or physical gradients ('agrad') of an
@@ -595,7 +597,9 @@ class MeasureGeometry:
     participant, its resolved cell ('dx') or facet ('ds', 'dS').  The
     physical points X (E, nq, 2) and scaled weights wq (E, nq) live on the
     primal entities; side(p, s) is participant p's side s (0 is '+' or the
-    only side, 1 is '-').  Holds arrays only, no meshes.
+    only side, 1 is '-').  Holds arrays only, no meshes.  Jacobians and
+    their inverses are computed entry by entry, on (E, nq) planes; an
+    affine (triangle) map's once per cell, broadcast over the points.
     """
 
     def __init__(self, participants, primal_kind, rule, entities):
@@ -607,8 +611,8 @@ class MeasureGeometry:
             primal_vertices = primal.coords_of_cells(first)
             self.X = fe.geometry_map(primal.cell_type, primal_vertices,
                                      rule.points)
-            jinv, det = _inv_2x2(fe.geometry_jacobian(
-                primal.cell_type, primal_vertices, rule.points))
+            jinv, det = _cell_inverse(primal.cell_type, primal_vertices,
+                                      rule.points[None])
             self.wq = np.abs(det) * rule.weights
         else:
             if primal_kind == "cell1d":
@@ -661,8 +665,10 @@ def push_forward(grads, jinv):
     the one of a per-cell evaluation."""
     j = jinv.reshape(jinv.shape[:2] + (1,) * (grads.ndim - 3) + (2, 2))
     # per component: ufuncs over a trailing axis of length 2 are slow
-    return np.stack([grads[..., 0] * j[..., 0, k]
-                     + grads[..., 1] * j[..., 1, k] for k in (0, 1)], axis=-1)
+    out = np.empty(np.broadcast_shapes(grads.shape, j.shape[:-1]))
+    for k in (0, 1):
+        out[..., k] = grads[..., 0] * j[..., 0, k] + grads[..., 1] * j[..., 1, k]
+    return out
 
 
 def _align_ndim(a, b):

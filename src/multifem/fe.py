@@ -273,19 +273,19 @@ def geometry_jacobian(cell, vertices, ref_points):
 
     Returns (npts, 2, dim), or (E, npts, 2, dim) for batched inputs (see
     geometry_map): constant per cell for affine cells, pointwise for
-    bilinear quadrilaterals.
+    bilinear quadrilaterals, whose entries J[i, d] = sum_v x_vi dN_v/dxi_d
+    are each summed on one (E, npts) plane, over v = 0..3 in order.
     """
     cell = CellType(cell)
     vertices = np.asarray(vertices, dtype=float)
     pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
+    lead = np.broadcast_shapes(vertices.shape[:-2], pts.shape[:-2])
     if cell is not CellType.QUADRILATERAL:
         J = _affine_jacobian(cell, vertices)[..., None, :, :]
-        lead = np.broadcast_shapes(vertices.shape[:-2], pts.shape[:-2])
         return np.broadcast_to(J, lead + (pts.shape[-2],) + J.shape[-2:]).copy()
     x, y = pts[..., 0], pts[..., 1]
-    dN = np.empty(pts.shape[:-1] + (4, 2))
-    dN[..., 0, 0], dN[..., 0, 1] = -(1 - y), -(1 - x)
-    dN[..., 1, 0], dN[..., 1, 1] = (1 - y), -x
-    dN[..., 2, 0], dN[..., 2, 1] = y, x
-    dN[..., 3, 0], dN[..., 3, 1] = -y, (1 - x)
-    return np.einsum("...vi,...pvd->...pid", vertices, dN)
+    dN = ((-(1 - y), -(1 - x)), (1 - y, -x), (y, x), (-y, 1 - x))  # [v][d]
+    J = np.zeros((2, 2) + lead + pts.shape[-2:-1])
+    for v, i, d in itertools.product(range(4), range(2), range(2)):
+        J[i, d] += vertices[..., v, i, None] * dN[v][d]
+    return np.moveaxis(J, (0, 1), (-2, -1))

@@ -7,8 +7,9 @@ of its integrands at its first integral's quadrature degree.  These
 tests check the grouped result against the per-integral plans, the
 groups the study forms get, what is never grouped, the rule of a group
 whose members mix default and explicit degrees, the empty-subdomain
-warning inside a group, the constants the kernels keep by value, and
-the markers a DirichletBC takes.
+warning inside a group, the error an invalid member raises, the
+constants the kernels keep by value, and the markers a DirichletBC
+takes.
 """
 
 import warnings
@@ -194,6 +195,51 @@ def test_an_empty_measure_in_a_group_warns_once_per_integral(asm,
         assert "[4321]" in messages[0] and "[4322]" in messages[1]
         assert len(form._plans[0]) == 2  # the empty ones are one group
         assert np.array_equal(b, asm.assemble(u0 * v0 * ds))
+
+
+def test_an_invalid_member_reports_its_own_measure_and_path(asm, comp,
+                                                            split_left):
+    # the restriction is the second integral's; inside the group's sum it
+    # would sit at /Sum.1/... under the first integral's measure
+    V, u, u0, v0 = split_left
+    ds = forms.Measure("ds", V.meshes[0])
+    form = u0 * v0 * ds + forms.restrict(u0, "+") * v0 * ds
+    with pytest.raises(comp.CompileError) as info:
+        asm.assemble(form)
+    assert f"{ds!r} at /Product.0/Restricted[+]/Indexed" in str(info.value)
+    assert "Sum" not in str(info.value)
+
+
+def test_an_invalid_member_on_the_reversed_measure_names_it(asm, comp,
+                                                            studies):
+    # ds(t)^ds(q)[999] joins the group of ds(q)^ds(t)[999]
+    problem = studies.build_quad_tri_problem(1, 0)
+    quads = problem.space.meshes[0]
+    first, reversed_ = sorted({i.measure.key(): i.measure
+                               for i in problem.residual.integrals
+                               if i.measure.intersect_measures}.values(),
+                              key=lambda m: m.mesh is not quads)
+    (uq, _), (vq, _) = (forms.split(problem.u),
+                        forms.split(forms.TestFunction(problem.space)))
+    form = uq * vq * first + forms.restrict(uq, "+") * vq * reversed_
+    with pytest.raises(comp.CompileError) as info:
+        asm.assemble(form)
+    assert (f"{reversed_!r} at /Product.0/Restricted[+]/Indexed"
+            in str(info.value))
+
+
+def test_a_group_error_no_member_has_is_raised_as_it_is(asm, comp,
+                                                        split_left,
+                                                        monkeypatch):
+    V, u, u0, v0 = split_left
+    ds = forms.Measure("ds", V.meshes[0])
+
+    def failing(integral):
+        raise comp.CompileError("the group's own error")
+
+    monkeypatch.setattr(asm, "_plan_for", failing)
+    with pytest.raises(comp.CompileError, match="the group's own error"):
+        asm.assemble(u0 * v0 * ds + u0 * u0 * v0 * ds)
 
 
 def test_constants_are_kept_by_value(comp, split_left):

@@ -64,3 +64,16 @@ def test_collapsed_quadrilateral_still_raises(asm):
     with pytest.raises(ValueError, match="degenerate geometry"):
         asm.assemble(forms.inner(forms.grad(u), forms.grad(v))
                      * forms.Measure("dx", mesh))
+
+
+def test_collinear_triangle_still_raises(asm):
+    # one good triangle and one with collinear vertices: the Jacobian,
+    # inverted once per cell, is singular on the second
+    mesh = mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                [2.0, -1.0]]),
+                   conftest.cells_of(TRI, [(0, 1, 2), (1, 2, 3)]))
+    V = forms.FunctionSpace(mesh, fe.make_element(TRI, "P", 1))
+    u, v = forms.TrialFunction(V), forms.TestFunction(V)
+    with pytest.raises(ValueError, match="degenerate geometry"):
+        asm.assemble(forms.inner(forms.grad(u), forms.grad(v))
+                     * forms.Measure("dx", mesh))
