@@ -196,10 +196,10 @@ def _plans(form):
         groups.setdefault(key, []).append(integral)
     plans = []
     for members in groups.values():
-        integral = first = members[0]
+        integral = members[0]
         if len(members) > 1:
-            measure = copy.copy(first.measure)
-            measure.quadrature_degree = quadrature_rule(first)[1]
+            measure = copy.copy(integral.measure)
+            measure.quadrature_degree = quadrature_rule(integral)[1]
             integral = forms.Integral(functools.reduce(forms.Sum, [
                 i.integrand for i in members]), measure)
         try:
