@@ -47,9 +47,14 @@ import scipy.sparse.linalg
 from . import fe, forms
 from .compile import (CompileError, MeasureGeometry, compile_integral,
                       execute_kernel, is_static, quadrature_rule, side_index)
-from .mesh import as_marker
+from .mesh import as_int
 
 SOLVE_TOL = 1e-10
+# newton_solve stops once the residual norm is at most NEWTON_ABS_TOL or
+# NEWTON_REL_TOL times the first one, and fails after NEWTON_MAX_ITERS steps
+NEWTON_MAX_ITERS = 25
+NEWTON_ABS_TOL = 1e-10
+NEWTON_REL_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -152,9 +157,6 @@ def _measure_geometry(measure, kernel):
 
 
 def _plan_for(integral):
-    plan = getattr(integral, "_plan", None)
-    if plan is not None:
-        return plan
     kernel = compile_integral(integral)
     geometry = _measure_geometry(integral.measure, kernel)
 
@@ -171,9 +173,8 @@ def _plan_for(integral):
 
     coeff_dofs = [dofs(coeff.space, component, pidx, side)
                   for coeff, component, pidx, side in kernel.coeff_slots]
-    plan = integral._plan = _IntegralPlan(kernel, geometry, arg_dofs(0),
-                                          arg_dofs(1), coeff_dofs)
-    return plan
+    return _IntegralPlan(kernel, geometry, arg_dofs(0), arg_dofs(1),
+                         coeff_dofs)
 
 
 def _plans(form):
@@ -329,27 +330,6 @@ def assemble(form, bcs=()):
     return A
 
 
-def assemble_system(a_form, L_form, bcs=()):
-    """(A, b) for a linear problem with inhomogeneous Dirichlet data.
-
-    The matrix is assembled twice: under the bcs, constrained
-    symmetrically, and without them, to lift the boundary values into the
-    right-hand side (b -= A g) before b takes them.
-    """
-    A = assemble(a_form)
-    b = assemble(L_form)
-    if bcs:
-        constrained = assemble(a_form, bcs)
-        space = a_form.arguments()[0].space
-        dofs, values = dirichlet_dofs(space, bcs)
-        g = np.zeros(space.num_dofs)
-        g[dofs] = values
-        b = b - A @ g
-        b[dofs] = values
-        A = constrained
-    return A, b
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet boundary conditions
 
@@ -363,7 +343,7 @@ class DirichletBC:
     value: object  # callable (x, y) -> values
 
     def __post_init__(self):
-        object.__setattr__(self, "marker", as_marker(self.marker))
+        object.__setattr__(self, "marker", as_int(self.marker))
 
 
 def _codim0_mesh(space, k, what):
@@ -488,14 +468,7 @@ def solve_linear(A, b, spd=False):
     return x
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iters: int = 25
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-
-
-def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
+def newton_solve(F, u, bcs=(), solve=None):
     """Newton's method on the residual form F(u; v) = 0; returns the number
     of update steps taken.
 
@@ -521,18 +494,16 @@ def newton_solve(F, u, bcs=(), config=NewtonConfig(), solve=None):
         return r, np.linalg.norm(r)
 
     r, norm = residual_norm()
-    norm0 = norm
-    for it in range(config.max_iters):
-        if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
+    tol = max(NEWTON_ABS_TOL, NEWTON_REL_TOL * norm)
+    for it in range(NEWTON_MAX_ITERS):
+        if norm <= tol:
             return it
-        A = assemble(J, bcs)
-        delta = solve(A, -r)
-        u.values += delta
+        u.values += solve(assemble(J, bcs), -r)
         r, norm = residual_norm()
-    if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
-        return config.max_iters
+    if norm <= tol:
+        return NEWTON_MAX_ITERS
     raise ConvergenceError(
-        f"Newton did not converge in {config.max_iters} iterations "
+        f"Newton did not converge in {NEWTON_MAX_ITERS} iterations "
         f"(residual {norm:.3e})")
 
 

@@ -155,35 +155,25 @@ class _Builder:
         self._slot_index = {}
         self._visited = {}
         self._pushed = {}
-        self._layout_arguments(integral.integrand)
+        self._layout_arguments(integral)
         self.factored = len(self.arguments) < 2
 
-    def _layout_arguments(self, integrand):
-        """arguments (number -> Argument), arg_blocks (number -> blocks on
-        its dof axis) and the block of each (number, component, side)."""
-        # An explicit stack: a recursive closure would be a reference cycle
-        # keeping the arguments' spaces and meshes (and the plans cached on
-        # them) alive until the next full garbage collection.
-        used = {}
-        stack = [integrand]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.operands)
-            component = 0
-            if isinstance(node, forms.Indexed):
-                node, component = node.function, node.component
-            if isinstance(node, forms.Argument):
-                arg, comps = used.setdefault(node.number, (node, set()))
-                if arg is not node:
-                    raise CompileError("form mixes distinct arguments with "
-                                       "the same number")
-                comps.add(component)
-        self.arguments, self.arg_blocks, self._blocks = {}, {}, {}
-        for number, (arg, comps) in sorted(used.items()):
-            self.arguments[number] = arg
+    def _layout_arguments(self, integral):
+        """arguments (number -> Argument, as Form.arguments finds them),
+        arg_blocks (number -> blocks on its dof axis) and the block of each
+        (number, component, side)."""
+        self.arguments = dict(sorted(
+            forms.Form([integral]).arguments().items()))
+        used = {number: set() for number in self.arguments}
+        for node in forms.walk(integral.integrand):
+            arg = getattr(node, "function", node)  # an Indexed's function
+            if isinstance(arg, forms.Argument):
+                used[arg.number].add(getattr(node, "component", 0))
+        self.arg_blocks, self._blocks = {}, {}
+        for number, arg in self.arguments.items():
             layout = self.arg_blocks[number] = []
             offset = 0
-            for comp in sorted(comps):
+            for comp in sorted(used[number]):
                 pidx = self.pindex[arg.space.meshes[comp].id]
                 element = arg.space.element[comp]
                 sides = (("+", "-") if self.participants[pidx][0] == "dS"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CellType
+from .mesh import CellType, as_int
 
 MAX_DEGREE = 4
 MAX_QUADRATURE_DEGREE = 12
@@ -157,6 +157,7 @@ def make_element(cell, family, degree, value_shape=()):
     degrees 1 through 4.
     """
     cell = CellType(cell)
+    degree = as_int(degree, "an element's degree is an integer")
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree {degree} outside supported range "
                          f"1..{MAX_DEGREE}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fe
-from .mesh import Mesh, as_marker, first_use_labels
+from .mesh import Mesh, as_int, first_use_labels
 
 _function_counter = itertools.count()
 
@@ -445,6 +445,9 @@ class Measure:
         self.integral_type = integral_type
         self.mesh = mesh
         self.subdomain_id = subdomain_id
+        if quadrature_degree is not None:
+            quadrature_degree = as_int(quadrature_degree, "a Measure's "
+                                       "quadrature_degree is an integer")
         self.quadrature_degree = quadrature_degree
         norm = []
         for other in intersect_measures:
@@ -461,7 +464,7 @@ class Measure:
     def _validate(self):
         if not (isinstance(self.subdomain_id, str)
                 and self.subdomain_id == EVERYWHERE):
-            self.subdomain_id = as_marker(self.subdomain_id)
+            self.subdomain_id = as_int(self.subdomain_id)
         meshes = [self.mesh] + [m for _, m in self.intersect_measures]
         if len({m.id for m in meshes}) != len(meshes):
             raise ValueError("repeated mesh in intersection measure")
@@ -651,7 +654,7 @@ def validate_form(form):
 
 
 # ---------------------------------------------------------------------------
-# differentiation and block splitting
+# differentiation
 
 
 def _add(a, b):
@@ -716,49 +719,3 @@ def derivative(form, coefficient, component=None):
             integrals.append(Integral(d, itg.measure))
     derivatives[key] = Form(integrals)
     return derivatives[key]
-
-
-def _filter_components(expr, targets):
-    """Zero out argument components other than the targeted ones.
-
-    targets maps argument number to the component index kept.
-    """
-    if isinstance(expr, Indexed):
-        if isinstance(expr.function, Argument):
-            number = expr.function.number
-            if number in targets and expr.component != targets[number]:
-                return Zero(expr.shape)
-        return expr
-    if not expr.operands:
-        return expr
-    return _rebuild(expr, [_filter_components(o, targets)
-                           for o in expr.operands])
-
-
-def split_form_into_blocks(form):
-    """Split a form by argument components.
-
-    Bilinear forms map (test_component, trial_component) to a sub-form;
-    linear forms map (test_component,) to a sub-form.  Every key is present,
-    empty blocks hold empty forms; summing all blocks reproduces the form.
-    """
-    args = form.arguments()
-    if 0 not in args:
-        raise ValueError("block splitting needs at least a test function")
-    m_test = args[0].space.num_components
-    keys = [(r,) for r in range(m_test)]
-    if 1 in args:
-        m_trial = args[1].space.num_components
-        keys = [(r, c) for r in range(m_test) for c in range(m_trial)]
-    blocks = {}
-    for key in keys:
-        targets = {0: key[0]}
-        if len(key) == 2:
-            targets[1] = key[1]
-        integrals = []
-        for itg in form.integrals:
-            filtered = _filter_components(itg.integrand, targets)
-            if not isinstance(filtered, Zero):
-                integrals.append(Integral(filtered, itg.measure))
-        blocks[key] = Form(integrals)
-    return blocks

@@ -54,11 +54,12 @@ _CODE = {ctype: code for code, ctype in enumerate(CELL_TYPES)}
 _NUM_VERTICES = np.array([ctype.num_vertices for ctype in CELL_TYPES])
 
 
-def as_marker(value):
-    """A marker or subdomain id as an int; a bool, float or string, which
-    int() would truncate or parse into another marker, raises."""
+def as_int(value, rule="markers are integers"):
+    """A marker, subdomain id or degree as an int; a bool, float or string,
+    which int() would truncate or parse into another number, raises a
+    TypeError stating the rule."""
     if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-        raise TypeError(f"markers are integers, got {value!r}")
+        raise TypeError(f"{rule}, got {value!r}")
     return operator.index(value)
 
 
@@ -405,8 +406,8 @@ def extract_codim0_submesh(parent, marker):
     """
     if parent.dim != 2:
         raise ValueError("codim-0 extraction expects a 2D parent")
-    markers = ([as_marker(marker)] if np.isscalar(marker)
-               else [as_marker(m) for m in marker])
+    markers = ([as_int(marker)] if np.isscalar(marker)
+               else [as_int(m) for m in marker])
     table = np.flatnonzero(np.isin(parent.cell_markers, markers))
     if not len(table):
         raise ValueError(f"no entities matched marker {marker!r}")
@@ -432,7 +433,7 @@ def extract_codim1_submesh(parent, facet_marker):
     """
     if parent.dim != 2:
         raise ValueError("codim-1 extraction expects a 2D parent")
-    table = np.flatnonzero(parent.facet_markers == as_marker(facet_marker))
+    table = np.flatnonzero(parent.facet_markers == as_int(facet_marker))
     if not len(table):
         raise ValueError(f"no entities matched marker {facet_marker!r}")
     cells, new2parent = _renumber(parent.facet_vertex_ids[table])

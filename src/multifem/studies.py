@@ -301,16 +301,6 @@ def run_study(cfg, collect_matrix=False):
     return report
 
 
-def run_quad_tri_study(cfg=None, **kwargs):
-    cfg = cfg or StudyConfig(problem="quad-tri", **kwargs)
-    return run_study(cfg)
-
-
-def run_split_interface_study(cfg=None, **kwargs):
-    cfg = cfg or StudyConfig(problem="split-interface", **kwargs)
-    return run_study(cfg)
-
-
 # ---------------------------------------------------------------------------
 # report emission
 

@@ -24,16 +24,16 @@ def verdict(number, label, ok):
 @pytest.fixture(scope="module")
 def quad_tri_study(studies):
     start = time.perf_counter()
-    report = studies.run_quad_tri_study(degrees=(1, 2),
-                                        refinements=(0, 1, 2, 3))
+    report = studies.run_study(studies.StudyConfig(
+        "quad-tri", degrees=(1, 2), refinements=(0, 1, 2, 3)))
     return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def split_study(studies):
     start = time.perf_counter()
-    report = studies.run_split_interface_study(degrees=(1, 2),
-                                               refinements=(0, 1, 2, 3))
+    report = studies.run_study(studies.StudyConfig(
+        "split-interface", degrees=(1, 2), refinements=(0, 1, 2, 3)))
     return report, time.perf_counter() - start
 
 

@@ -52,6 +52,20 @@ class TestMakeElement:
         with pytest.raises(ValueError):
             fe.make_element(TRI, "P", degree)
 
+    # True would build a degree-1 element named QTrue; int() would
+    # truncate 2.5 or parse "2"
+    @pytest.mark.parametrize("degree", [True, np.bool_(True), 2.0, 2.5, "2",
+                                        np.float64(2.0)])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(TypeError, match="element's degree is an integer"):
+            fe.make_element(QUAD, "Q", degree)
+
+    def test_numpy_integer_degree_is_stored_as_an_int(self):
+        for degree in (np.int64(2), np.int32(2), np.uint8(2)):
+            elem = fe.make_element(QUAD, "Q", degree)
+            assert type(elem.degree) is int and elem.degree == 2
+            assert repr(elem) == "Q2(quadrilateral)" and elem.num_dofs == 9
+
     def test_vector_element_blocks_scalars(self):
         elem = fe.make_element(QUAD, "Q", 1, value_shape=(2,))
         assert elem.value_shape == (2,)

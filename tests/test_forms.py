@@ -158,6 +158,26 @@ class TestMeasure:
         with pytest.raises(TypeError, match="markers are integers"):
             forms.Measure("dx", m)(subdomain_id)
 
+    # numpy would fail at first assembly without naming the measure (2.0,
+    # 2.5), "2" would not compare, and True would mean degree 1
+    @pytest.mark.parametrize("degree", [2.5, 2.0, "2", True, np.bool_(True),
+                                        np.float64(2.0)])
+    def test_non_integer_quadrature_degrees_rejected(self, degree):
+        m = mm.build_split_unit_square(0)
+        with pytest.raises(TypeError, match="quadrature_degree is an "
+                                            "integer"):
+            forms.Measure("dx", m, quadrature_degree=degree)
+
+    def test_numpy_integer_quadrature_degrees_act_as_ints(self, asm):
+        m = mm.build_split_unit_square(0)
+        f = forms.Analytic(m, lambda x, y: x ** 5 * y ** 3, pure=True)
+        expected = asm.assemble(f * forms.Measure("dx", m,
+                                                  quadrature_degree=3))
+        for degree in (np.int64(3), np.int32(3), np.uint8(3)):
+            dx = forms.Measure("dx", m, quadrature_degree=degree)
+            assert type(dx.quadrature_degree) is int
+            assert asm.assemble(f * dx) == expected
+
     def test_numpy_integer_subdomain_ids_integrate_their_marker(self, asm):
         m = mm.build_split_unit_square(0)
         one = forms.Constant(1.0)
@@ -278,56 +298,6 @@ class TestDerivative:
         (t0,) = forms.split(forms.TrialFunction(V))
         with pytest.raises(ValueError):
             forms.derivative(u0 * t0 * v0 * dx, u)
-
-
-class TestBlockSplitting:
-    def test_interface_coupling_lands_off_diagonal(self, studies):
-        problem = studies.build_quad_tri_problem(1, 0)
-        J = forms.derivative(problem.residual, problem.u)
-        blocks = forms.split_form_into_blocks(J)
-        assert sorted(blocks.keys()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for key in ((0, 1), (1, 0)):
-            kinds = {itg.measure.integral_type
-                     for itg in blocks[key].integrals}
-            subs = {itg.measure.subdomain_id
-                    for itg in blocks[key].integrals}
-            assert kinds == {"ds"} and subs == {999}
-        for key in ((0, 0), (1, 1)):
-            kinds = {itg.measure.integral_type
-                     for itg in blocks[key].integrals}
-            assert "dx" in kinds
-
-    def test_single_component_form_is_one_block(self, asm):
-        V = conftest.scalar_space(two_triangle_square(), "P", 1)
-        v = forms.TestFunction(V)
-        t = forms.TrialFunction(V)
-        (v0,), (t0,) = forms.split(v), forms.split(t)
-        a = t0 * v0 * forms.Measure("dx", V.meshes[0])
-        blocks = forms.split_form_into_blocks(a)
-        assert list(blocks.keys()) == [(0, 0)]
-        assert np.allclose(asm.assemble(blocks[0, 0]).toarray(),
-                           asm.assemble(a).toarray(), atol=1e-15)
-
-    def test_linear_form_blocks_indexed_by_test_component(self,
-                                                          hybrid_spaces):
-        _, mq, mt, V = hybrid_spaces
-        v = forms.TestFunction(V)
-        vq, vt = forms.split(v)
-        F = vq * forms.Measure("dx", mq) + vt * forms.Measure("dx", mt)
-        blocks = forms.split_form_into_blocks(F)
-        assert sorted(blocks.keys()) == [(0,), (1,)]
-        assert len(blocks[(0,)].integrals) == 1
-        assert len(blocks[(1,)].integrals) == 1
-
-    def test_blocks_sum_back_to_the_whole_form(self, asm, studies):
-        problem = studies.build_quad_tri_problem(1, 0)
-        J = forms.derivative(problem.residual, problem.u)
-        blocks = forms.split_form_into_blocks(J)
-        total = sum(asm.assemble(b).toarray() for b in blocks.values()
-                    if b.integrals)
-        monolithic = asm.assemble(J).toarray()
-        scale = np.abs(monolithic).max()
-        assert np.abs(total - monolithic).max() <= 1e-14 * scale
 
 
 class TestAvgJump:

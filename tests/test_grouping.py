@@ -178,7 +178,15 @@ def test_bilinear_forms_get_one_kernel_per_integral(asm, studies):
     asm.assemble(J, problem.bcs)
     plans, _ = J._plans
     assert len(plans) == len(J.integrals) == 5
-    assert [p is i._plan for p, i in zip(plans, J.integrals)] == [True] * 5
+    # each plan is its own integral's: same geometry, dofs and entries as
+    # a plan built for that integral alone
+    for plan, integral in zip(plans, J.integrals):
+        own = asm._plan_for(integral)
+        assert plan.geometry is own.geometry
+        assert np.array_equal(plan.rows, own.rows)
+        assert np.array_equal(plan.cols, own.cols)
+        assert np.array_equal(asm._element_tensors(plan),
+                              asm._element_tensors(own))
 
 
 def test_an_empty_measure_in_a_group_warns_once_per_integral(asm,

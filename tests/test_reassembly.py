@@ -116,8 +116,6 @@ class TestConstrainedPattern:
     def test_each_bcs_set_gets_its_own_pattern(self, asm):
         V, _, dx = left_half()
         a = laplacian(V, dx)
-        (v0,) = forms.split(forms.TestFunction(V))
-        L = forms.Constant(1.0) * v0 * dx
         outer = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
         inner = [asm.DirichletBC(0, mm.INTERFACE_MARKER, 0.0)]
         sets = (outer, inner, outer + inner)
@@ -129,8 +127,6 @@ class TestConstrainedPattern:
         for k in (0, 1, 2, 0, 1, 2):
             assert np.array_equal(asm.assemble(a, sets[k]).toarray(),
                                   expected[k])
-            A, _ = asm.assemble_system(a, L, sets[k])
-            assert np.array_equal(A.toarray(), expected[k])
 
     def test_stored_zeros_are_dropped_as_by_constrain_matrix(self, asm,
                                                              studies):
@@ -185,9 +181,6 @@ class TestConstrainedPattern:
         for bcs, values in ((by_float, 2.0), (by_array, given)):
             assert np.array_equal(asm.assemble(L, bcs)[dofs],
                                   np.broadcast_to(values, dofs.shape))
-            _, b = asm.assemble_system(a, L, bcs)
-            assert np.array_equal(b[dofs], np.broadcast_to(values,
-                                                           dofs.shape))
 
     def test_newton_reads_new_boundary_values(self, asm):
         V, _, dx = left_half(1)

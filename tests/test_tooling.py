@@ -5,6 +5,8 @@ Loading it read-only here and resolving every hook against the package
 makes a rename of a traced function fail this suite, not only the
 benchmark's traced run.  The tracer's call counts of one warm reassembly
 pair are checked here too, so the suite sees the work the benchmark sees.
+The other checks read the source: which module may state a rule or walk a
+structure, and that the package exports nothing only tests run.
 """
 
 import ast
@@ -132,3 +134,37 @@ def test_only_the_kernel_layer_evaluates_geometry():
             if name in GEOMETRY_PATH:
                 offenders.append(f"{path.name}:{node.lineno} {name}()")
     assert not offenders
+
+
+# Exports that no library, CLI or benchmark code runs, each with the reason
+# it stays public; any other such export is surface only tests reach
+UNRUN_EXPORTS = {
+    "TrialFunction": "the form language",
+    "avg": "the form language",
+    "jump": "the form language",
+    "restrict": "the form language",
+    "compose_maps": "acceptance criterion 9 checks its laws",
+    "iteration_set": "the iteration-set oracle probe",
+    "interpolate": "a test helper, which conftest.py would only move",
+}
+
+
+def test_every_export_is_run_outside_the_tests():
+    # a name counts as run when src/ (but __init__) or perfbench/ (but its
+    # tests) names it in code, not in a docstring
+    init = ast.parse((ROOT / "src" / "multifem" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    paths = [p for p in (ROOT / "src" / "multifem").glob("*.py")
+             if p.name != "__init__.py"]
+    paths += [p for p in (ROOT / "perfbench").glob("*.py")
+              if not p.name.startswith("test_")]
+    referenced = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert set(UNRUN_EXPORTS) <= exported
+    assert sorted(exported - referenced - set(UNRUN_EXPORTS)) == []
