@@ -6,30 +6,31 @@ linear form or functional, one per group of integrals that share a
 quadrature rule, static-ness and iteration set, compiled as one integral
 on the group's first measure and quadrature degree, so ds(a)^ds(b) and
 ds(b)^ds(a) over the same facets run one kernel.  Iteration sets are
-resolved once per measure, as integer arrays: the primal entities and,
-per participating mesh, the matching cell or facet, found through the
-common root mesh: Mesh.root_entities composes each mesh's parent maps
-into a table of root entities, whose inverse leads back down.  A plan
-holds the dof index arrays of every argument block and coefficient slot
-and the measure's batched quadrature geometry (compile.MeasureGeometry),
-shared by every plan on the same measure and rule and cached on the root
-mesh.  A form's scatter is cached on the form per set of bcs (component,
-marker) pairs: a matrix's CSR pattern under its bcs, which drops the rows
-and columns of Dirichlet dofs and gives each a unit diagonal, so the
-constrained matrix is scattered, not edited; and the sum of its static
-kernels, those that read no coefficient and no impure Analytic source
-(Constants and pure sources are frozen), scattered once, with its zeros
-dropped under bcs when no dynamic kernel adds to it.  Each assembly
-gathers coefficient values, runs every dynamic kernel once over all its
-entities, so impure Analytic sources are evaluated afresh, scatters their
-entries with one np.bincount and adds the static sum.  Dirichlet dofs
-are found topologically, as the closure of the marked facets through the
-dofmap, cached per space; their values are evaluated on every call.
-Entities are scattered in ascending order and plans in form order, so
-results are bitwise reproducible.  newton_solve takes its Jacobian from
-forms.derivative, memoized per form, so repeated solves on one residual
-reuse all of the above.  error_norms is two functionals through assemble,
-so the norms share the kernels' one geometry path.
+resolved once per measure as integer arrays, the primal entities and the
+matching cell or facet of every other participant, through the common root
+mesh (Mesh.root_entities).  A plan holds the dof indices of every argument
+block and coefficient slot and the measure's batched quadrature geometry
+(compile.MeasureGeometry), shared by every plan on the same measure and
+rule and cached on the root mesh.  Static kernels, which read no
+coefficient and no impure Analytic source (Constants and pure sources are
+frozen), run once per form; a bilinear form keeps their element matrices,
+and a linear form's group homogeneous of degree one in a coefficient u is
+J u from those of J = forms.derivative(form, u), its own kernel never run.
+A form's scatter is cached on it per set of bcs (component, marker) pairs:
+a matrix's CSR pattern under its bcs, which drops the rows and columns of
+Dirichlet dofs and gives each a unit diagonal, so the constrained matrix
+is scattered, not edited; and the sum of its static element tensors, with
+its zeros dropped under bcs when no dynamic kernel adds to it.  Each
+assembly gathers coefficient values, runs every other dynamic kernel once
+over all its entities, so impure Analytic sources are evaluated afresh,
+scatters their entries with one np.bincount and adds the static sum.
+Dirichlet dofs are found topologically, as the closure of the marked
+facets through the dofmap, cached per space; their values are evaluated on
+every call.  Entities are scattered in ascending order and plans in form
+order, so results are bitwise reproducible.  newton_solve takes its
+Jacobian from forms.derivative, memoized per form, so repeated solves on
+one residual reuse all of the above.  error_norms is two functionals
+through assemble, so the norms share the kernels' one geometry path.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import scipy.sparse.linalg
 
 from . import fe, forms
 from .compile import (CompileError, MeasureGeometry, compile_integral,
-                      execute_kernel, is_static, quadrature_rule, side_index)
+                      coefficient_degree, execute_kernel, quadrature_rule,
+                      side_index)
 from .mesh import as_int
 
 SOLVE_TOL = 1e-10
@@ -141,6 +143,8 @@ class _IntegralPlan:
     rows: np.ndarray
     cols: np.ndarray
     coeff_dofs: list
+    kept: np.ndarray = None  # a static bilinear plan's element tensors
+    linear: tuple = None  # (u, J plans of its members), whose rows it has
 
 
 def _measure_geometry(measure, kernel):
@@ -182,7 +186,8 @@ def _plans(form):
     form, cached on it: its integrals' plans if bilinear, else a plan per
     group of integrals sharing a quadrature rule, static-ness and iteration
     set (_iteration_set_key), in form order; a larger group's is that of
-    its integrands' sum, on its first measure at its first degree."""
+    its integrands' sum, on its first measure at its first degree.  A group
+    of degree one in a coefficient u is J u, J = forms.derivative(form, u)."""
     if "_plans" in form.__dict__:
         return form._plans
     arguments = [forms.Form([i]).arguments() for i in form.integrals]
@@ -192,7 +197,8 @@ def _plans(form):
     for key, integral in enumerate(form.integrals):
         if len(arguments[0]) < 2:
             _, _, rule = quadrature_rule(integral)
-            key = (rule.cell, len(rule), is_static(integral.integrand),
+            key = (rule.cell, len(rule),
+                   coefficient_degree(integral.integrand) == (set(), 0),
                    _iteration_set_key(integral.measure))
         groups.setdefault(key, []).append(integral)
     plans = []
@@ -209,6 +215,18 @@ def _plans(form):
             for member in members:
                 compile_integral(member)
             raise
+        u, degree = coefficient_degree(integral.integrand)
+        if degree == 1 == len(u) and len(arguments[0]) == 1:
+            J = forms.derivative(form, *u)
+            by_source = dict(zip(J.sources, _plans(J)[0]))
+            derived = [by_source[form.integrals.index(i)] for i in members]
+            plans[-1].linear, plans[-1].rows = (*u, derived), np.concatenate(
+                [p.rows.ravel() for p in derived])
+    if plans and plans[0].kernel.arity == 2:
+        for plan, values in zip([p for p in plans if p.kernel.static],
+                                _static_pass(plans)):
+            plan.kept = values.reshape(plan.rows.shape + plan.cols.shape[1:])
+            plan.kept.setflags(write=False)
     form._plans = plans, [i.measure for i in form.integrals if not len(
         _entities(i.measure)) and i.measure.subdomain_id != forms.EVERYWHERE]
     return form._plans
@@ -220,9 +238,24 @@ def iteration_set(integral):
 
 
 def _element_tensors(plan):
+    if plan.linear:  # F(u) = J u, from the kept element matrices of J
+        u, derived = plan.linear
+        return np.concatenate([np.einsum("etc,ec->et", p.kept, u.values[
+            p.cols]).ravel() for p in derived])
     w = [coeff.values[dofs] for (coeff, *_), dofs
          in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
     return execute_kernel(plan.kernel, plan.geometry, w).ravel()
+
+
+def _static_pass(plans):
+    """The static plans' flat element tensors.  The argument tables and
+    planes built for them are dropped after: only dynamic kernels keep any."""
+    sides = [side for p in plans for side in p.geometry._sides.values()]
+    before = [dict(side._built) for side in sides]
+    values = [_element_tensors(p) for p in plans if p.kernel.static]
+    for side, built in zip(sides, before):
+        side._built = built
+    return values
 
 
 def _csr(keys, shape):
@@ -248,8 +281,8 @@ def _scatter(form, plans, shape, bcs):
     dof adds one unit-diagonal entry; under bcs, with no dynamic kernel,
     its stored zeros are dropped here, once.  A vector's data is itself
     (bcs set its values later), a functional's has length 1.  Cached on the
-    form per bcs (component, marker) pairs, () for none; the static kernels
-    run once per key."""
+    form per bcs (component, marker) pairs, () for none; a matrix's static
+    kernels run once per form, in _plans."""
     scatters = form.__dict__.setdefault("_scatters", {})
     key = tuple((bc.component, bc.marker) for bc in bcs)
     if key in scatters:
@@ -275,7 +308,8 @@ def _scatter(form, plans, shape, bcs):
     diagonal = len(keys) - sum(sizes)
     static = np.repeat([p.kernel.static for p in plans] + [True],
                        sizes + [diagonal])
-    values = [_element_tensors(p) for p in plans if p.kernel.static]
+    values = ([p.kept.ravel() for p in plans if p.kernel.static]
+              if len(shape) == 2 else _static_pass(plans))
     data = np.bincount(keys[static],
                        weights=np.concatenate(values + [np.ones(diagonal)]),
                        minlength=size)[:size].astype(float)  # int if empty
@@ -296,7 +330,8 @@ def assemble(form, bcs=()):
     trial space to be the test space; vector entries are set to the
     boundary values.  The form's plans are built, and their integrals
     checked (compile_integral), on its first assembly; its integrals must
-    all use the same arguments.
+    all use the same arguments.  A linear form's groups linear in a
+    coefficient u are applied by forms.derivative(form, u)'s kept matrices.
     """
     plans, empty = _plans(form)
     for measure in empty:
@@ -474,7 +509,9 @@ def newton_solve(F, u, bcs=(), solve=None):
 
     Boundary values are imposed on the first iterate, corrections are
     homogeneous.  The Jacobian is the Gateaux derivative of F with respect to
-    the whole Coefficient u, the same Form on every call.  Each update is
+    the whole Coefficient u, the same Form on every call, whose kept static
+    element matrices also apply F's groups linear in u, so that those never
+    run a kernel.  Each update is
     solve(A, b) on the constrained Jacobian A and the negated residual b;
     the default is solve_linear (sparse LU), looked up at call time.  A
     non-finite residual raises ConvergenceError at once.

@@ -80,7 +80,7 @@ class LocalKernel:
     # arity <= 1: (register, argument instruction or None, cref register
     # or None) triples whose contractions sum to the output; else None
     terms: list = None
-    static: bool = False  # is_static(integrand)
+    static: bool = False  # coefficient_degree(integrand) == (set(), 0)
 
     def __post_init__(self):
         self.arity = len(self.arguments)
@@ -98,16 +98,27 @@ def side_index(side):
     return 1 if side == "-" else 0
 
 
-def is_static(integrand):
-    """Whether an integrand reads no coefficient and no impure Analytic
-    source: its values are fixed once planned, as Constants and pure
-    sources are frozen."""
-    for node in forms.walk(integrand):
-        node = getattr(node, "function", node)  # an Indexed's function
-        if isinstance(node, forms.Coefficient) or (
-                isinstance(node, forms.Analytic) and not node.pure):
-            return False
-    return True
+def coefficient_degree(integrand):
+    """(coefficients read, degree in them), None if a sum is not homogeneous
+    or an impure Analytic is read: (set(), 0) is static, fixed once planned
+    like Constants and pure sources; ({u}, 1) is its u-derivative times u."""
+    found = set()
+    return found, _degree(integrand, found)
+
+
+def _degree(node, found):
+    """coefficient_degree's walk, adding the coefficients it meets to found
+    (not a closure: a recursive one is a reference cycle that holds them)."""
+    function = getattr(node, "function", node)  # an Indexed's function
+    if isinstance(function, forms.Coefficient):
+        found.add(function)
+        return 1
+    degrees = [_degree(operand, found) for operand in node.operands]
+    if None in degrees or not getattr(node, "pure", True):  # Analytic
+        return None
+    if isinstance(node, forms.Sum):  # homogeneous: of one degree
+        return degrees[0] if degrees[0] == degrees[1] else None
+    return sum(degrees)
 
 
 def default_quadrature_degree(integral):
@@ -397,7 +408,8 @@ def compile_integral(integral):
                        coeff_slots=builder.coeff_slots,
                        arguments=builder.arguments,
                        arg_blocks=builder.arg_blocks, terms=terms,
-                       static=is_static(integral.integrand))
+                       static=coefficient_degree(
+                           integral.integrand) == (set(), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +518,7 @@ class _Side:
         if self._identity and primal_jinv is not None:
             self.jinv = primal_jinv
         self._tables = {}
-        self._arguments = {}
-        self._planes = {}
+        self._built = {}  # argument tables and planes, by key
 
     @cached_property
     def ref(self):
@@ -536,7 +547,7 @@ class _Side:
         size and zero elsewhere: (E|1, nq, size, ...).  Computed once and
         read-only."""
         key = (element, op, offset, size)
-        table = self._arguments.get(key)
+        table = self._built.get(key)
         if table is None:
             if size == element.num_dofs:
                 vals, grads = self.tables(element)
@@ -547,7 +558,7 @@ class _Side:
                 table = np.zeros(own.shape[:2] + (size,) + own.shape[3:])
                 table[:, :, offset:offset + element.num_dofs] = own
             table.setflags(write=False)
-            self._arguments[key] = table
+            self._built[key] = table
         return table
 
     def planes(self, element, op):
@@ -556,14 +567,14 @@ class _Side:
         ndofs), k values per point, for one (batched) matmul; for 'cref',
         component-major (E|1, 2 nq, ndofs).  Computed once, read-only."""
         key = (element, "cval" if op == "aval" else op)
-        planes = self._planes.get(key)
+        planes = self._built.get(key)
         if planes is None:
             table = (self.argument(element, op, 0, element.num_dofs)
                      if op == "agrad" else self.tables(element)[op in (
                          "cgrad", "cref")])
             table = (table.transpose(0, 3, 1, 2) if op == "cref"
                      else np.moveaxis(table, 2, -1))
-            planes = self._planes[key] = np.ascontiguousarray(table).reshape(
+            planes = self._built[key] = np.ascontiguousarray(table).reshape(
                 len(table), -1, element.num_dofs)
             planes.setflags(write=False)
         return planes

@@ -199,6 +199,7 @@ def make_quadrature(cell, degree):
     (cell, degree) and shared: their arrays are read-only.
     """
     cell = CellType(cell)
+    degree = as_int(degree, "quadrature degrees are integers")
     if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
         raise ValueError(f"quadrature degree {degree} outside supported "
                          f"range 0..{MAX_QUADRATURE_DEGREE}")

@@ -703,7 +703,8 @@ def derivative(form, coefficient, component=None):
     Restricting to a single component (used for cross-checks) is available
     via the component argument.  Returns the empty form when the coefficient
     does not appear.  The result is memoized on the form, so repeated calls
-    return the same Form and reuse its compiled kernels and plans.
+    return the same Form and reuse its compiled kernels and plans; its
+    sources[k] is the index in form.integrals of its k-th integral's source.
     """
     derivatives = form.__dict__.setdefault("_derivatives", {})
     key = (coefficient.count, component)
@@ -712,10 +713,10 @@ def derivative(form, coefficient, component=None):
     if 1 in form.arguments():
         raise ValueError("form already has a trial function")
     direction = Argument(coefficient.space, 1)
-    integrals = []
-    for itg in form.integrals:
-        d = _linearize(itg.integrand, coefficient, direction, component)
-        if not isinstance(d, Zero):
-            integrals.append(Integral(d, itg.measure))
-    derivatives[key] = Form(integrals)
+    d = [_linearize(itg.integrand, coefficient, direction, component)
+         for itg in form.integrals]
+    sources = tuple(k for k, dk in enumerate(d) if not isinstance(dk, Zero))
+    derivatives[key] = Form([Integral(d[k], form.integrals[k].measure)
+                             for k in sources])
+    derivatives[key].sources = sources
     return derivatives[key]

@@ -1,0 +1,226 @@
+"""Residual groups linear in u, applied from the Jacobian's element matrices.
+
+A group of integrals of a linear form whose every member is homogeneous of
+degree one in one coefficient u (compile.coefficient_degree) equals its
+Gateaux derivative J applied to u.  Its assembly multiplies the element
+matrices that J's static plans keep by u's element values; its own kernel
+is compiled but never run.  These tests check that path against the
+groups' own kernels, which integrands keep the kernel path, that J's
+static kernels run once per form whatever is assembled first, that the
+argument tables only static kernels read are dropped, and that Newton still
+takes one step on the linear studies.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from multifem import forms
+from multifem import mesh as mm
+
+import conftest
+
+
+def no_linear_groups(degree):
+    """compile.coefficient_degree, but degree None where it is 1: no group
+    counts as linear in u, so every dynamic group runs its kernel."""
+    def patched(integrand):
+        found, d = degree(integrand)
+        return found, None if d == 1 else d
+    return patched
+
+
+def seeded(problem, seed):
+    problem.u.values[:] = np.random.default_rng(seed).standard_normal(
+        problem.space.num_dofs)
+
+
+@pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_linear_groups_match_their_own_kernels(asm, studies, monkeypatch,
+                                               name, degree):
+    for level in (0, 1, 2):
+        with monkeypatch.context() as patched:
+            patched.setattr(asm, "coefficient_degree",
+                            no_linear_groups(asm.coefficient_degree))
+            kernels = studies.build_problem(name, degree, level)
+            asm.assemble(kernels.residual)
+        problem = studies.build_problem(name, degree, level)
+        for seed in (1, 2):
+            seeded(problem, seed)
+            seeded(kernels, seed)
+            r, want = (asm.assemble(p.residual) for p in (problem, kernels))
+            assert np.abs(r - want).max() <= 1e-15 * np.abs(want).max()
+        plans, _ = problem.residual._plans
+        assert [p.linear is not None for p in plans] == [
+            not p.kernel.static for p in plans]
+        assert not any(p.linear for p in kernels.residual._plans[0])
+
+
+@pytest.fixture()
+def square():
+    """Q1 on the left half of the split square, a seeded u and its test
+    function's component."""
+    V = conftest.scalar_space(
+        mm.extract_codim0_submesh(mm.build_split_unit_square(1), 1)[0],
+        "Q", 1)
+    u = forms.Coefficient(V)
+    u.values[:] = np.random.default_rng(5).standard_normal(V.num_dofs)
+    (u0,), (v0,) = forms.split(u), forms.split(forms.TestFunction(V))
+    return V, u, u0, v0
+
+
+def counting(asm, monkeypatch):
+    runs = []
+    execute = asm.execute_kernel
+
+    def counted(kernel, geometry, w):
+        runs.append(kernel.arity)
+        return execute(kernel, geometry, w)
+
+    monkeypatch.setattr(asm, "execute_kernel", counted)
+    return runs
+
+
+class TestDetection:
+    def test_integrands_homogeneous_of_degree_one(self, comp, square):
+        V, u, u0, v0 = square
+        m = V.meshes[0]
+        pure = forms.Analytic(m, lambda x, y: x, pure=True)
+        for integrand in (u0 * v0, forms.inner(forms.grad(u0),
+                                               forms.grad(v0)),
+                          forms.Constant(2.0) * u0 * v0 + pure * u0 * v0,
+                          forms.inner(forms.grad(u0) * forms.Constant(3.0),
+                                      forms.FacetNormal(m)) * v0):
+            assert comp.coefficient_degree(integrand) == ({u}, 1)
+
+    @pytest.mark.parametrize("case, degree", [("affine", None),
+                                              ("square", 2), ("other", 2),
+                                              ("impure", None)])
+    def test_other_integrands_keep_their_kernels(self, asm, comp,
+                                                 monkeypatch, square, case,
+                                                 degree):
+        V, u, u0, v0 = square
+        m = V.meshes[0]
+        w = forms.Coefficient(V)
+        w.values[:] = 1.0 + np.arange(V.num_dofs) / V.num_dofs
+        (w0,) = forms.split(w)
+        impure = forms.Analytic(m, lambda x, y: x + y)
+        integrand = {"affine": (u0 + 1.0) * v0, "square": u0 * u0 * v0,
+                     "other": w0 * u0 * v0, "impure": impure * u0 * v0}[case]
+        found, got = comp.coefficient_degree(integrand)
+        assert got == degree
+        assert found == ({u, w} if case == "other" else {u})
+        form = integrand * forms.Measure("dx", m)
+        first = asm.assemble(form)
+        (plan,), _ = form._plans
+        assert plan.linear is None
+        runs = counting(asm, monkeypatch)
+        assert np.array_equal(asm.assemble(form), first)
+        assert runs == [1]  # the kernel reruns warm
+
+    def test_a_group_with_one_nonlinear_member_runs_its_kernel(
+            self, asm, monkeypatch, square):
+        V, u, u0, v0 = square
+        dx = forms.Measure("dx", V.meshes[0])
+        linear, mixed = u0 * v0 * dx, u0 * v0 * dx + u0 * u0 * v0 * dx
+        asm.assemble(linear)
+        asm.assemble(mixed)
+        assert linear._plans[0][0].linear is not None
+        assert mixed._plans[0][0].linear is None
+        runs = counting(asm, monkeypatch)
+        asm.assemble(linear)
+        asm.assemble(mixed)
+        assert runs == [1]
+
+
+def jacobian_bcs(problem):
+    return [problem.bcs, problem.bcs[:1]]
+
+
+def test_static_kernels_run_once_per_form(asm, studies, monkeypatch):
+    problem = studies.build_quad_tri_problem(2, 1)
+    J = forms.derivative(problem.residual, problem.u)
+    runs = counting(asm, monkeypatch)
+    seeded(problem, 3)
+    asm.assemble(problem.residual)
+    asm.assemble(J)
+    for bcs in jacobian_bcs(problem) * 2:
+        asm.assemble(J, bcs)
+    asm.assemble(problem.residual)
+    assert len(J._scatters) == 3
+    assert runs.count(2) == len(J.integrals) == 5
+    for plan in J._plans[0]:
+        assert plan.kept.shape == plan.rows.shape + plan.cols.shape[1:]
+        with pytest.raises(ValueError, match="read-only"):
+            plan.kept[0] = 0.0
+
+
+def test_the_csr_is_the_same_whichever_form_comes_first(asm, studies):
+    results = []
+    for jacobian_first in (False, True):
+        problem = studies.build_quad_tri_problem(2, 1)
+        J = forms.derivative(problem.residual, problem.u)
+        seeded(problem, 4)
+        if jacobian_first:
+            matrices = [asm.assemble(J, bcs) for bcs in jacobian_bcs(problem)]
+        r = asm.assemble(problem.residual)
+        if not jacobian_first:
+            matrices = [asm.assemble(J, bcs) for bcs in jacobian_bcs(problem)]
+        results.append((r, matrices))
+    (r, first), (r_j, second) = results
+    assert np.array_equal(r, r_j)
+    for A, B in zip(first, second):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, part), getattr(B, part))
+
+
+def argument_tables(form):
+    plans, _ = form._plans
+    geometries = {id(p.geometry): p.geometry for p in plans}.values()
+    return sum(len(side._built) for g in geometries
+               for side in g._sides.values())
+
+
+def test_tables_only_static_kernels_read_are_dropped(asm, studies):
+    problem = studies.build_quad_tri_problem(1, 1)
+    J = forms.derivative(problem.residual, problem.u)
+    asm.assemble(problem.residual)
+    asm.assemble(J, problem.bcs)
+    assert argument_tables(problem.residual) == argument_tables(J) == 0
+    # a dynamic kernel's tables stay, and are not built again
+    (u_q, _), (v_q, _) = (forms.split(problem.u),
+                          forms.split(problem.residual.arguments()[0]))
+    nonlinear = u_q * u_q * v_q * forms.Measure("dx",
+                                                problem.space.meshes[0])
+    asm.assemble(nonlinear)
+    kept = argument_tables(nonlinear)
+    assert kept > 0
+    asm.assemble(nonlinear)
+    assert argument_tables(nonlinear) == kept
+
+
+def test_a_solved_problem_is_freed_without_the_cycle_collector(studies):
+    # plans and the degree walk hold no reference cycle: one through a
+    # coefficient would keep its meshes and their geometry caches alive
+    # until a collection, which raised the sweeps' peak memory
+    gc.disable()
+    try:
+        problem = studies.build_quad_tri_problem(1, 1)
+        studies.solve_problem(problem)
+        studies.solution_errors(problem)
+        root = weakref.ref(problem.space.meshes[0].root())
+        del problem
+        assert root() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
+@pytest.mark.parametrize("degree, level", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_newton_takes_one_step_on_the_linear_studies(studies, name, degree,
+                                                     level):
+    problem = studies.build_problem(name, degree, level)
+    assert studies.solve_problem(problem) == 1

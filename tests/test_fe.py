@@ -149,6 +149,16 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             fe.make_quadrature(TRI, 13)
 
+    @pytest.mark.parametrize("degree", [True, 2.0, "2"])
+    def test_non_integer_degrees_raise(self, degree):
+        # True would give the 1-point rule, 2.0 and "2" fail inside numpy
+        with pytest.raises(TypeError, match="quadrature degrees are integers"):
+            fe.make_quadrature(QUAD, degree)
+
+    def test_numpy_integer_degrees_act_as_ints(self):
+        assert fe.make_quadrature(TRI, np.int64(4)) is fe.make_quadrature(
+            TRI, 4)
+
     @pytest.mark.parametrize("cell", [INTERVAL, TRI, QUAD])
     def test_rules_are_shared_and_read_only(self, cell):
         rule = fe.make_quadrature(cell, 5)

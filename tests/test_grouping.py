@@ -101,16 +101,18 @@ def split_left():
     return V, u, u0, v0
 
 
-def test_static_and_dynamic_integrals_stay_two_kernels(asm, comp,
-                                                       split_left,
-                                                       monkeypatch):
+def warm_kernel_runs(asm, monkeypatch, split_left, nonlinear):
+    """The static-ness of each kernel a warm assembly of stiffness, pure
+    source and mass (u0 u0 v0 if nonlinear) runs; the source is evaluated
+    once, and the warm result equals the first."""
     V, u, u0, v0 = split_left
     calls = []
     source = forms.Analytic(V.meshes[0], lambda x, y: calls.append(1) or x,
                             pure=True)
     dx = forms.Measure("dx", V.meshes[0])
+    mass = (u0 * u0 if nonlinear else u0) * v0 * dx
     form = (forms.inner(forms.grad(u0), forms.grad(v0)) * dx
-            + source * v0 * dx + u0 * v0 * dx)
+            + source * v0 * dx + mass)
     first = asm.assemble(form)
     plans, _ = form._plans
     assert [p.kernel.static for p in plans] == [False, True]
@@ -124,7 +126,22 @@ def test_static_and_dynamic_integrals_stay_two_kernels(asm, comp,
 
     monkeypatch.setattr(asm, "execute_kernel", counted)
     assert np.array_equal(asm.assemble(form), first)
-    assert runs == [False] and calls == [1]
+    assert calls == [1]
+    return runs
+
+
+def test_static_and_dynamic_integrals_stay_two_kernels(asm, comp,
+                                                       split_left,
+                                                       monkeypatch):
+    # the dynamic group is linear in u and applied from the Jacobian's
+    # kept element matrices, so no kernel reruns
+    assert warm_kernel_runs(asm, monkeypatch, split_left, False) == []
+
+
+def test_a_nonlinear_dynamic_group_reruns_its_kernel(asm, split_left,
+                                                     monkeypatch):
+    # the twin with u0 u0 v0 for u0 v0: the group is not linear in u
+    assert warm_kernel_runs(asm, monkeypatch, split_left, True) == [False]
 
 
 def test_measures_with_other_entities_are_not_grouped(asm, split_left):

@@ -225,10 +225,17 @@ class TestArgumentTables:
                         g is table for g in pushed)
             return counts
 
+        # the residual is linear in u and runs no kernel, so a form
+        # nonlinear in u pushes coefficient gradients forward
+        (u_q, _), (v_q, _) = (forms.split(problem.u),
+                              forms.split(forms.TestFunction(problem.space)))
+        nonlinear = forms.inner(forms.grad(u_q), forms.grad(u_q)) * v_q * \
+            forms.Measure("dx", problem.space.meshes[0])
         for _ in range(2):
             asm.assemble(problem.residual)
             asm.assemble(jacobian, problem.bcs)
             asm.assemble(problem.residual)
+            asm.assemble(nonlinear)
             counts = argument_pushes()
             assert len(counts) >= 4  # both meshes' cells and interface
             assert set(counts.values()) == {1}

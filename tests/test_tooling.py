@@ -53,29 +53,50 @@ def test_entity_count_hook_reads_the_iteration_set_size(asm, studies):
         assert len(entities) == len(asm.iteration_set(itg)) > 0
 
 
-def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
-    # reassembly-warm's pair, counted by the benchmark's own tracer: the
-    # residual runs five kernels, one per group of integrals sharing a
-    # rule, static-ness and iteration set (two cell stiffness kernels, two
-    # source kernels and one for the three interface integrals); the five
-    # Jacobian kernels read no coefficient and the two source kernels read
-    # only pure sources, so after the first pair only the three residual
-    # kernels that read u rerun, and the constrained pattern and its
-    # Dirichlet dofs are kept
-    problem = studies.build_problem("quad-tri", 2, 2)
-    jacobian = forms.derivative(problem.residual, problem.u)
+def warm_pair_calls(asm, problem, residual):
+    """(kernel calls, dirichlet_dofs calls) of three seeded pairs of
+    residual and constrained Jacobian, counted by the benchmark's own
+    tracer."""
+    jacobian = forms.derivative(residual, problem.u)
     rng = np.random.default_rng(3)
     calls = []
     for _ in range(3):
         problem.u.values[:] = rng.standard_normal(problem.space.num_dofs)
         tracer = TRACING.Tracer()
         with tracer.installed():
-            asm.assemble(problem.residual)
+            asm.assemble(residual)
             asm.assemble(jacobian, problem.bcs)
         metrics, _ = tracer.layer_metrics()
         calls.append((metrics["compile.kernel_calls"][0],
                       metrics["assemble.bcs_calls"][0]))
-    assert calls == [(10, 1), (3, 0), (3, 0)]
+    return calls
+
+
+def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
+    # reassembly-warm's pair: the residual has five groups of integrals
+    # sharing a rule, static-ness and iteration set (two cell stiffness
+    # groups, two source groups and one for the three interface
+    # integrals); the three that read u are linear in it, so they are
+    # applied from the Jacobian's kept element matrices and their kernels
+    # never run.  The first pair runs the five Jacobian kernels and the two
+    # source kernels once; later pairs run none and keep the constrained
+    # pattern and its Dirichlet dofs
+    problem = studies.build_problem("quad-tri", 2, 2)
+    calls = warm_pair_calls(asm, problem, problem.residual)
+    assert calls == [(7, 1), (0, 0), (0, 0)]
+
+
+def test_warm_pair_reruns_the_kernels_nonlinear_in_u(asm, studies):
+    # the nonlinear twin: u^2 v joins the quadrilateral stiffness group,
+    # which is no longer linear in u, so that group's kernel and the
+    # derivative's 2 u du v kernel rerun on every pair
+    problem = studies.build_problem("quad-tri", 2, 2)
+    mesh = problem.space.meshes[0]
+    (u_q, _), (v_q, _) = (forms.split(problem.u),
+                          forms.split(problem.residual.arguments()[0]))
+    residual = problem.residual + u_q * u_q * v_q * forms.Measure("dx", mesh)
+    calls = warm_pair_calls(asm, problem, residual)
+    assert calls == [(9, 1), (2, 0), (2, 0)]
 
 
 def test_only_the_form_checker_states_measure_rules():
