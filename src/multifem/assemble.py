@@ -3,34 +3,28 @@
 Assembly works on plans built on a form's first assembly, cached on it and
 reused by every later one: one per integral of a bilinear form and, for a
 linear form or functional, one per group of integrals that share a
-quadrature rule, static-ness and iteration set, compiled as one integral
-on the group's first measure and quadrature degree, so ds(a)^ds(b) and
-ds(b)^ds(a) over the same facets run one kernel.  Iteration sets are
-resolved once per measure as integer arrays, the primal entities and the
-matching cell or facet of every other participant, through the common root
-mesh (Mesh.root_entities).  A plan holds the dof indices of every argument
-block and coefficient slot and the measure's batched quadrature geometry
-(compile.MeasureGeometry), shared by every plan on the same measure and
-rule and cached on the root mesh.  Static kernels, which read no
-coefficient and no impure Analytic source (Constants and pure sources are
-frozen), run once per form; a bilinear form keeps their element matrices,
-and a linear form's group homogeneous of degree one in a coefficient u is
-J u from those of J = forms.derivative(form, u), its own kernel never run.
-A form's scatter is cached on it per set of bcs (component, marker) pairs:
-a matrix's CSR pattern under its bcs, which drops the rows and columns of
-Dirichlet dofs and gives each a unit diagonal, so the constrained matrix
-is scattered, not edited; and the sum of its static element tensors, with
-its zeros dropped under bcs when no dynamic kernel adds to it.  Each
-assembly gathers coefficient values, runs every other dynamic kernel once
-over all its entities, so impure Analytic sources are evaluated afresh,
-scatters their entries with one np.bincount and adds the static sum.
-Dirichlet dofs are found topologically, as the closure of the marked
-facets through the dofmap, cached per space; their values are evaluated on
-every call.  Entities are scattered in ascending order and plans in form
-order, so results are bitwise reproducible.  newton_solve takes its
-Jacobian from forms.derivative, memoized per form, so repeated solves on
-one residual reuse all of the above.  error_norms is two functionals
-through assemble, so the norms share the kernels' one geometry path.
+quadrature rule, coefficient_degree and iteration set, compiled as one
+integral on the group's first measure and quadrature degree, so
+ds(a)^ds(b) and ds(b)^ds(a) over the same facets run one kernel.
+Iteration sets are resolved once per measure as integer arrays through the
+common root mesh (Mesh.root_entities).  A plan holds the dof indices of
+every argument block and coefficient slot and the measure's batched
+quadrature geometry (compile.MeasureGeometry), shared by every plan on the
+same measure and rule and cached on the root mesh.  Static kernels, which
+read no coefficient and no impure Analytic source, run once per form.  A
+bilinear form sums theirs on its unconstrained CSR pattern; its scatter
+per set of bcs (component, marker) pairs masks that pattern, dropping the
+rows and columns of Dirichlet dofs but for a unit diagonal.  A linear
+form's groups of degree one in a coefficient u alone add one sparse
+matvec, L u, L from J = forms.derivative(form, u), and never run their
+kernels.  Each assembly runs every other dynamic kernel once over all its
+entities, so impure Analytic sources are evaluated afresh, scatters their
+entries with one np.bincount and adds the static sum.  Dirichlet dofs are
+the closure of the marked facets through the dofmap, cached per space;
+their values are evaluated on every call.  Entities are scattered in
+ascending order and plans in form order, so results are bitwise
+reproducible.  newton_solve's Jacobian is forms.derivative's, memoized
+per form.  error_norms is two functionals through assemble.
 """
 
 from __future__ import annotations
@@ -143,8 +137,7 @@ class _IntegralPlan:
     rows: np.ndarray
     cols: np.ndarray
     coeff_dofs: list
-    kept: np.ndarray = None  # a static bilinear plan's element tensors
-    linear: tuple = None  # (u, J plans of its members), whose rows it has
+    linear: object = None  # u, if its group is J u: applied, never run
 
 
 def _measure_geometry(measure, kernel):
@@ -168,9 +161,9 @@ def _plan_for(integral):
         cells = geometry.side(pidx, side_index(side)).cells
         return space.offsets[component] + space.dofmaps[component][cells]
 
-    def arg_dofs(number):
+    def arg_dofs(number):  # a functional's rows are its one entry, 0
         if number not in kernel.arguments:
-            return None
+            return None if number else np.zeros((len(geometry), 1), int)
         space = kernel.arguments[number].space
         return np.concatenate([dofs(space, b.component, b.participant, b.side)
                                for b in kernel.arg_blocks[number]], axis=1)
@@ -184,10 +177,11 @@ def _plan_for(integral):
 def _plans(form):
     """(plans, measures that matched no entities under a subdomain id) of a
     form, cached on it: its integrals' plans if bilinear, else a plan per
-    group of integrals sharing a quadrature rule, static-ness and iteration
-    set (_iteration_set_key), in form order; a larger group's is that of
-    its integrands' sum, on its first measure at its first degree.  A group
-    of degree one in a coefficient u is J u, J = forms.derivative(form, u)."""
+    group of integrals sharing a quadrature rule, coefficient_degree and
+    iteration set (_iteration_set_key), in form order; a larger group's is
+    that of its integrands' sum, on its first measure at its first degree.
+    A group of degree one in one coefficient u alone is linear (J u, J =
+    forms.derivative(form, u)); a bilinear form's _pattern is built here."""
     if "_plans" in form.__dict__:
         return form._plans
     arguments = [forms.Form([i]).arguments() for i in form.integrals]
@@ -197,12 +191,12 @@ def _plans(form):
     for key, integral in enumerate(form.integrals):
         if len(arguments[0]) < 2:
             _, _, rule = quadrature_rule(integral)
-            key = (rule.cell, len(rule),
-                   coefficient_degree(integral.integrand) == (set(), 0),
+            found, degree = coefficient_degree(integral.integrand)
+            key = (rule.cell, len(rule), frozenset(found), degree,
                    _iteration_set_key(integral.measure))
         groups.setdefault(key, []).append(integral)
     plans = []
-    for members in groups.values():
+    for key, members in groups.items():
         integral = members[0]
         if len(members) > 1:
             measure = copy.copy(integral.measure)
@@ -215,18 +209,10 @@ def _plans(form):
             for member in members:
                 compile_integral(member)
             raise
-        u, degree = coefficient_degree(integral.integrand)
-        if degree == 1 == len(u) and len(arguments[0]) == 1:
-            J = forms.derivative(form, *u)
-            by_source = dict(zip(J.sources, _plans(J)[0]))
-            derived = [by_source[form.integrals.index(i)] for i in members]
-            plans[-1].linear, plans[-1].rows = (*u, derived), np.concatenate(
-                [p.rows.ravel() for p in derived])
+        if len(arguments[0]) == 1 and key[3] == 1 == len(key[2]):
+            (plans[-1].linear,) = key[2]
     if plans and plans[0].kernel.arity == 2:
-        for plan, values in zip([p for p in plans if p.kernel.static],
-                                _static_pass(plans)):
-            plan.kept = values.reshape(plan.rows.shape + plan.cols.shape[1:])
-            plan.kept.setflags(write=False)
+        form._pattern = _pattern(form, plans)
     form._plans = plans, [i.measure for i in form.integrals if not len(
         _entities(i.measure)) and i.measure.subdomain_id != forms.EVERYWHERE]
     return form._plans
@@ -238,21 +224,18 @@ def iteration_set(integral):
 
 
 def _element_tensors(plan):
-    if plan.linear:  # F(u) = J u, from the kept element matrices of J
-        u, derived = plan.linear
-        return np.concatenate([np.einsum("etc,ec->et", p.kept, u.values[
-            p.cols]).ravel() for p in derived])
     w = [coeff.values[dofs] for (coeff, *_), dofs
          in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
     return execute_kernel(plan.kernel, plan.geometry, w).ravel()
 
 
 def _static_pass(plans):
-    """The static plans' flat element tensors.  The argument tables and
-    planes built for them are dropped after: only dynamic kernels keep any."""
+    """Static plans' flat element tensors, None for others.  The argument
+    tables and planes built for them then go; dynamic kernels keep theirs."""
     sides = [side for p in plans for side in p.geometry._sides.values()]
     before = [dict(side._built) for side in sides]
-    values = [_element_tensors(p) for p in plans if p.kernel.static]
+    values = [_element_tensors(p) if p.kernel.static else None
+              for p in plans]
     for side, built in zip(sides, before):
         side._built = built
     return values
@@ -260,65 +243,98 @@ def _static_pass(plans):
 
 def _csr(keys, shape):
     """(slot, indices, indptr): the CSR structure of entries at flat
-    positions keys of a matrix and each entry's slot in it; keys past the
-    end get slot len(indices)."""
+    positions keys of a matrix and each entry's slot in it.  Keys sort as
+    int32 where they fit, for the same slots."""
     n, m = shape
-    unique, slot = np.unique(keys, return_inverse=True)
-    unique = unique[unique < n * m]
+    unique, slot = np.unique(keys.astype(np.int32) if n * m < 2 ** 31
+                             else keys, return_inverse=True)
     index = np.int32 if max(n, m, len(unique)) < 2 ** 31 else np.int64
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(unique // m, minlength=n), out=indptr[1:])
-    return slot.ravel().astype(index), (unique % m).astype(index), indptr
+    return slot.astype(index), (unique % m).astype(index), indptr
+
+
+def _pattern(form, plans):
+    """(S, L, slot, indices, indptr, diagonal, hit) of a bilinear form, on
+    a CSR structure over its element entries' and diagonal's keys: the sum
+    S of its static kernels' entries, L that of those whose source
+    (forms.derivative) is of degree one in its coefficient u alone, so L u
+    sums those (S if all are, None if none is); the slots of its dynamic
+    entries in assembly order and of the diagonal; the slots entries hit."""
+    shape = [plans[0].kernel.arguments[k].space.num_dofs for k in (0, 1)]
+    keys = [(p.rows[:, :, None] * shape[1] + p.cols[:, None, :]).ravel()
+            for p in plans]
+    sizes = [len(k) for k in keys]
+    slot, indices, indptr = _csr(np.concatenate(
+        keys + [np.arange(min(shape)) * (shape[1] + 1)]), shape)
+    slot, diagonal = slot[:sum(sizes)], slot[sum(sizes):].copy()
+    values = _static_pass(plans)
+    u, sources = getattr(form, "sources", (None, ()))
+    static = [p.kernel.static for p in plans]
+    linear = [coefficient_degree(s.integrand) == ({u}, 1) for s in sources]
+
+    def summed(chosen):  # read-only
+        S = np.bincount(slot[np.repeat(chosen, sizes)], weights=np.concatenate(
+            [v for v, c in zip(values, chosen) if c] + [np.empty(0)]),
+            minlength=len(indices)).astype(float)  # int if empty
+        S.setflags(write=False)
+        return S
+
+    S = summed(static)
+    L = S if linear == static else summed(linear) if any(linear) else None
+    return (S, L, slot[~np.repeat(static, sizes)], indices, indptr, diagonal,
+            np.bincount(slot, minlength=len(S)) > 0)
 
 
 def _scatter(form, plans, shape, bcs):
-    """(static, slot, indices, indptr): where a form's element entries go
-    under bcs.  slot holds the index in the assembled data of each entry of
-    its dynamic kernels, in assembly order; static holds the entries of its
-    static kernels already scattered there, read-only.  A matrix's data is
-    its CSR structure (indices, indptr): an entry in a Dirichlet dof's row
-    or column gets slot len(indices), which is dropped, and each Dirichlet
-    dof adds one unit-diagonal entry; under bcs, with no dynamic kernel,
-    its stored zeros are dropped here, once.  A vector's data is itself
-    (bcs set its values later), a functional's has length 1.  Cached on the
-    form per bcs (component, marker) pairs, () for none; a matrix's static
-    kernels run once per form, in _plans."""
+    """(static, slot, indices, indptr, linear) of a form under bcs: its
+    static kernels' sum, read-only; the index there of each entry of its
+    dynamic kernels, in assembly order, past its end if dropped; and (u, L)
+    per coefficient u of its linear groups, which add L u.  A matrix's is
+    its _pattern masked: Dirichlet dofs' rows and columns go but for a unit
+    diagonal; every kept slot sums the same entries in the same order.  A
+    vector's data is itself (bcs set its values later), a functional's has
+    length 1.  Cached on the form per bcs (component, marker) pairs."""
     scatters = form.__dict__.setdefault("_scatters", {})
     key = tuple((bc.component, bc.marker) for bc in bcs)
     if key in scatters:
         return scatters[key]
-    keys = [np.zeros(len(p.geometry), dtype=int) if p.rows is None
-            else p.rows.ravel() if p.cols is None
-            else (p.rows[:, :, None] * shape[1] + p.cols[:, None, :]).ravel()
-            for p in plans]
-    sizes = [len(k) for k in keys]
-    keys = np.concatenate(keys + [np.empty(0, dtype=int)])
-    size, indices, indptr = (shape or (1,))[0], None, None
     if len(shape) == 2:
-        n, m = shape
-        if bcs:
-            dofs = dirichlet_dofs(plans[0].kernel.arguments[0].space, bcs)[0]
-            fixed = np.zeros(n, dtype=bool)
-            fixed[dofs] = True
-            keys[fixed[keys // m] | fixed[keys % m]] = n * m  # past the end
-            keys = np.append(keys, dofs * (m + 1))
-        keys, indices, indptr = _csr(keys, shape)
-        size = len(indices)
-    # after the element entries, the Dirichlet diagonal: static
-    diagonal = len(keys) - sum(sizes)
-    static = np.repeat([p.kernel.static for p in plans] + [True],
-                       sizes + [diagonal])
-    values = ([p.kept.ravel() for p in plans if p.kernel.static]
-              if len(shape) == 2 else _static_pass(plans))
-    data = np.bincount(keys[static],
-                       weights=np.concatenate(values + [np.ones(diagonal)]),
-                       minlength=size)[:size].astype(float)  # int if empty
-    if bcs and static.all():  # no kernel adds to it: drop its zeros once
-        A = scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
-        A.eliminate_zeros()
-        data, indices, indptr = A.data, A.indices, A.indptr
+        static, _, slot, indices, indptr, diagonal, hit = form._pattern
+        dofs = dirichlet_dofs(plans[0].kernel.arguments[0].space, bcs)[0]
+        free = np.ones(shape[0], dtype=bool)
+        free[dofs] = False
+        keep = hit & np.repeat(free, np.diff(indptr))
+        if bcs:  # square; with no dynamic kernel, its zeros go here, once
+            keep &= free[indices] & ((static != 0) | bool(len(slot)))
+        live = keep.copy()  # where dynamic entries go
+        keep[diagonal[dofs]] = True
+        at = np.cumsum(keep, dtype=indptr.dtype)
+        static = static[keep]
+        static[at[diagonal[dofs]] - 1] = 1.0
+        static.setflags(write=False)
+        slot = np.where(live[slot], at[slot] - 1, len(static))
+        indices, indptr = indices[keep], np.insert(at, 0, 0)[indptr]
+        scatters[key] = static, slot, indices, indptr, ()
+        return scatters[key]
+
+    def keys(static):
+        return np.concatenate([p.rows.ravel() for p in plans if (
+            p.kernel.static == static and not p.linear)] + [np.empty(0, int)])
+
+    size = (shape or (1,))[0]
+    data = np.bincount(keys(True), weights=np.concatenate([
+        v for v in _static_pass(plans) if v is not None] + [np.empty(0)]),
+        minlength=size).astype(float)
     data.setflags(write=False)
-    scatters[key] = (data, keys[~static], indices, indptr)
+    linear = []
+    for u in dict.fromkeys(p.linear for p in plans if p.linear):
+        J = forms.derivative(form, u)
+        if _plans(J)[0] and J._pattern[1] is not None:  # else they add 0
+            _, L, _, indices, indptr, *_ = J._pattern
+            linear.append((u, scipy.sparse.csr_matrix(
+                (L, indices, indptr), shape=(size, len(u.values)))))
+    scatters[key] = data, keys(False), None, None, linear
     return scatters[key]
 
 
@@ -331,7 +347,7 @@ def assemble(form, bcs=()):
     boundary values.  The form's plans are built, and their integrals
     checked (compile_integral), on its first assembly; its integrals must
     all use the same arguments.  A linear form's groups linear in a
-    coefficient u are applied by forms.derivative(form, u)'s kept matrices.
+    coefficient u add one matvec by forms.derivative(form, u)'s static sum.
     """
     plans, empty = _plans(form)
     for measure in empty:
@@ -343,13 +359,16 @@ def assemble(form, bcs=()):
         raise ValueError("Dirichlet conditions on a bilinear form need its "
                          "trial space to be its test space")
     shape = tuple(args[k].space.num_dofs for k in range(arity))
-    static, slot, indices, indptr = _scatter(form, plans, shape,
-                                             bcs if arity == 2 else ())
+    static, slot, indices, indptr, linear = _scatter(
+        form, plans, shape, bcs if arity == 2 else ())
     data = static.copy()
-    dynamic = [_element_tensors(p) for p in plans if not p.kernel.static]
+    dynamic = [_element_tensors(p) for p in plans
+               if not (p.kernel.static or p.linear)]
     if dynamic:
         data += np.bincount(slot, weights=np.concatenate(dynamic),
                             minlength=len(data))[:len(data)]
+    for u, L in linear:
+        data += L @ u.values
     if arity == 0:
         return float(data[0])
     if arity == 1:
@@ -509,9 +528,8 @@ def newton_solve(F, u, bcs=(), solve=None):
 
     Boundary values are imposed on the first iterate, corrections are
     homogeneous.  The Jacobian is the Gateaux derivative of F with respect to
-    the whole Coefficient u, the same Form on every call, whose kept static
-    element matrices also apply F's groups linear in u, so that those never
-    run a kernel.  Each update is
+    the whole Coefficient u, the same Form on every call, whose static
+    sum also applies F's groups linear in u as one matvec.  Each update is
     solve(A, b) on the constrained Jacobian A and the negated residual b;
     the default is solve_linear (sparse LU), looked up at call time.  A
     non-finite residual raises ConvergenceError at once.

@@ -703,8 +703,9 @@ def derivative(form, coefficient, component=None):
     Restricting to a single component (used for cross-checks) is available
     via the component argument.  Returns the empty form when the coefficient
     does not appear.  The result is memoized on the form, so repeated calls
-    return the same Form and reuse its compiled kernels and plans; its
-    sources[k] is the index in form.integrals of its k-th integral's source.
+    return the same Form and reuse its compiled kernels and plans.  Its
+    sources are (coefficient, or None for a component's derivative, the
+    integral of form each of its integrals comes from).
     """
     derivatives = form.__dict__.setdefault("_derivatives", {})
     key = (coefficient.count, component)
@@ -715,8 +716,9 @@ def derivative(form, coefficient, component=None):
     direction = Argument(coefficient.space, 1)
     d = [_linearize(itg.integrand, coefficient, direction, component)
          for itg in form.integrals]
-    sources = tuple(k for k, dk in enumerate(d) if not isinstance(dk, Zero))
-    derivatives[key] = Form([Integral(d[k], form.integrals[k].measure)
-                             for k in sources])
-    derivatives[key].sources = sources
+    kept = [(itg, dk) for itg, dk in zip(form.integrals, d)
+            if not isinstance(dk, Zero)]
+    derivatives[key] = Form([Integral(dk, itg.measure) for itg, dk in kept])
+    derivatives[key].sources = (coefficient if component is None else None,
+                                [itg for itg, _ in kept])
     return derivatives[key]

@@ -1,14 +1,17 @@
-"""Residual groups linear in u, applied from the Jacobian's element matrices.
+"""Residual groups linear in u, applied as one sparse matvec.
 
 A group of integrals of a linear form whose every member is homogeneous of
-degree one in one coefficient u (compile.coefficient_degree) equals its
-Gateaux derivative J applied to u.  Its assembly multiplies the element
-matrices that J's static plans keep by u's element values; its own kernel
-is compiled but never run.  These tests check that path against the
-groups' own kernels, which integrands keep the kernel path, that J's
-static kernels run once per form whatever is assembled first, that the
-argument tables only static kernels read are dropped, and that Newton still
-takes one step on the linear studies.
+degree one in one coefficient u alone (compile.coefficient_degree, which
+also keys the groups) equals its Gateaux derivative J applied to u.  Its
+assembly adds L u, L the sum of J's static kernels whose source integral
+is such a member, on J's unconstrained CSR pattern; its own kernel is
+compiled but never run.  These tests check that path against the groups'
+own kernels, also on a form where L is not every static kernel of J, which
+integrands keep the kernel path, that J's static kernels run once per form
+whatever is assembled first, that a constrained J is its unconstrained one
+with the rows and columns masked, that the argument tables only static
+kernels read are dropped, and that Newton still takes one step on the
+linear studies.
 """
 
 import gc
@@ -121,23 +124,58 @@ class TestDetection:
         assert np.array_equal(asm.assemble(form), first)
         assert runs == [1]  # the kernel reruns warm
 
-    def test_a_group_with_one_nonlinear_member_runs_its_kernel(
-            self, asm, monkeypatch, square):
+    def test_a_nonlinear_member_gets_its_own_group(self, asm, monkeypatch,
+                                                   square):
+        # u0 v0 and u0 u0 v0 share a rule and entities but not a degree,
+        # so the linear one is still applied by the matvec
         V, u, u0, v0 = square
         dx = forms.Measure("dx", V.meshes[0])
         linear, mixed = u0 * v0 * dx, u0 * v0 * dx + u0 * u0 * v0 * dx
         asm.assemble(linear)
-        asm.assemble(mixed)
-        assert linear._plans[0][0].linear is not None
-        assert mixed._plans[0][0].linear is None
+        first = asm.assemble(mixed)
+        assert [p.linear for p in linear._plans[0]] == [u]
+        assert [p.linear for p in mixed._plans[0]] == [u, None]
         runs = counting(asm, monkeypatch)
         asm.assemble(linear)
-        asm.assemble(mixed)
-        assert runs == [1]
+        assert np.array_equal(asm.assemble(mixed), first)
+        assert runs == [1]  # u0 u0 v0's kernel only
 
 
 def jacobian_bcs(problem):
     return [problem.bcs, problem.bcs[:1]]
+
+
+def test_mixed_degrees_match_their_own_kernels(asm, monkeypatch):
+    # linear, affine (u + 1) v on another rule, an impure source and u^2 v:
+    # J's static kernels are du v twice, and only the linear one's source
+    # is linear in u, so L is not their sum S, which would count the affine
+    # integral's du v twice
+    def mixed(V, u):
+        (u0,), (v0,) = forms.split(u), forms.split(forms.TestFunction(V))
+        m = V.meshes[0]
+        dx = forms.Measure("dx", m)
+        impure = forms.Analytic(m, lambda x, y: np.sin(3.0 * x) + y)
+        return (forms.inner(forms.grad(u0), forms.grad(v0)) * dx
+                + (u0 + 1.0) * v0 * forms.Measure("dx", m, quadrature_degree=9)
+                + impure * v0 * dx + u0 * u0 * v0 * dx)
+
+    quads, _ = mm.extract_codim0_submesh(
+        conftest.warp(mm.build_hybrid_unit_square(1)), 1)
+    V = conftest.scalar_space(quads, "Q", 2)
+    u = forms.Coefficient(V)
+    with monkeypatch.context() as patched:
+        patched.setattr(asm, "coefficient_degree",
+                        no_linear_groups(asm.coefficient_degree))
+        kernels = mixed(V, u)
+        asm.assemble(kernels)
+    F = mixed(V, u)
+    for seed in (1, 2):
+        u.values[:] = np.random.default_rng(seed).standard_normal(V.num_dofs)
+        r, want = asm.assemble(F), asm.assemble(kernels)
+        assert np.abs(r - want).max() <= 1e-15 * np.abs(want).max()
+    assert [p.linear for p in F._plans[0]] == [u, None, None, None]
+    S, L = forms.derivative(F, u)._pattern[:2]
+    assert L is not S and np.abs(L).sum() < np.abs(S).sum()
 
 
 def test_static_kernels_run_once_per_form(asm, studies, monkeypatch):
@@ -152,10 +190,30 @@ def test_static_kernels_run_once_per_form(asm, studies, monkeypatch):
     asm.assemble(problem.residual)
     assert len(J._scatters) == 3
     assert runs.count(2) == len(J.integrals) == 5
-    for plan in J._plans[0]:
-        assert plan.kept.shape == plan.rows.shape + plan.cols.shape[1:]
-        with pytest.raises(ValueError, match="read-only"):
-            plan.kept[0] = 0.0
+
+
+@pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
+@pytest.mark.parametrize("degree, level", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_a_constrained_jacobian_is_its_masked_pattern(asm, studies, name,
+                                                      degree, level):
+    problem = studies.build_problem(name, degree, level)
+    J = forms.derivative(problem.residual, problem.u)
+    A = asm.assemble(J)
+    asm.assemble(problem.residual)
+    for bcs in jacobian_bcs(problem):
+        dofs, _ = asm.dirichlet_dofs(problem.space, bcs)
+        got, want = asm.assemble(J, bcs), conftest.constrain_matrix(A, dofs)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+    # every static kernel of J has a source linear in u alone: L is S, the
+    # one read-only sum, and no plan keeps element matrices
+    S, L = J._pattern[:2]
+    assert L is S and np.array_equal(S, A.data)
+    with pytest.raises(ValueError, match="read-only"):
+        S[0] = 0.0
+    for plan in J._plans[0] + problem.residual._plans[0]:
+        assert not [a for a in vars(plan).values()
+                    if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
 
 
 def test_the_csr_is_the_same_whichever_form_comes_first(asm, studies):

@@ -1,15 +1,16 @@
 """One kernel per group of integrals in linear forms and functionals.
 
 A form of arity <= 1 is planned per group of integrals that share a
-quadrature rule, static-ness and iteration set, whichever participant of
-the measure is primal; each group runs one kernel, compiled from the sum
-of its integrands at its first integral's quadrature degree.  These
-tests check the grouped result against the per-integral plans, the
-groups the study forms get, what is never grouped, the rule of a group
-whose members mix default and explicit degrees, the empty-subdomain
-warning inside a group, the error an invalid member raises, the
-constants the kernels keep by value, and the markers a DirichletBC
-takes.
+quadrature rule, coefficient degree (compile.coefficient_degree) and
+iteration set, whichever participant of the measure is primal; each group
+runs one kernel, compiled from the sum of its integrands at its first
+integral's quadrature degree, but for a group linear in u, which is added
+as a matvec (test_affine.py).  These tests check the grouped result
+against the per-integral plans, the groups the study forms get, what is
+never grouped, the rule of a group whose members' degrees differ, the
+empty-subdomain warning inside a group, the error an invalid member
+raises, the constants the kernels keep by value, and the markers a
+DirichletBC takes.
 """
 
 import warnings
@@ -115,7 +116,11 @@ def warm_kernel_runs(asm, monkeypatch, split_left, nonlinear):
             + source * v0 * dx + mass)
     first = asm.assemble(form)
     plans, _ = form._plans
-    assert [p.kernel.static for p in plans] == [False, True]
+    # u0 u0 v0 is of degree two in u: its own group, never the stiffness's
+    assert [p.kernel.static for p in plans] == [False, True, False][
+        :2 + nonlinear]
+    assert [p.linear is u for p in plans] == [True, False, False][
+        :2 + nonlinear]
     assert calls == [1]
     runs = []
     execute = asm.execute_kernel
@@ -140,7 +145,7 @@ def test_static_and_dynamic_integrals_stay_two_kernels(asm, comp,
 
 def test_a_nonlinear_dynamic_group_reruns_its_kernel(asm, split_left,
                                                      monkeypatch):
-    # the twin with u0 u0 v0 for u0 v0: the group is not linear in u
+    # the twin with u0 u0 v0 for u0 v0: that group is not linear in u
     assert warm_kernel_runs(asm, monkeypatch, split_left, True) == [False]
 
 
@@ -155,9 +160,13 @@ def test_measures_with_other_entities_are_not_grouped(asm, split_left):
     assert len(plans) == 2
     assert np.abs(b - per_integral_sum(asm, form, len(b))).max() \
         <= 1e-15 * np.abs(b).max()
-    same = u0 * v0 * ds(1) + u0 * u0 * v0 * ds(1)
+    same = u0 * u0 * v0 * ds(1) + forms.Constant(2.0) * u0 * u0 * v0 * ds(1)
     asm.assemble(same)
     assert len(same._plans[0]) == 1
+    # of other degrees in u: not grouped, so a group is linear in u or not
+    other = u0 * v0 * ds(1) + u0 * u0 * v0 * ds(1)
+    asm.assemble(other)
+    assert [p.linear for p in other._plans[0]] == [u, None]
 
 
 def test_other_quadrature_rules_are_not_grouped(asm, split_left):
@@ -169,24 +178,32 @@ def test_other_quadrature_rules_are_not_grouped(asm, split_left):
     assert len(form._plans[0]) == 2
 
 
-@pytest.mark.parametrize("explicit_first", [False, True])
-def test_a_group_keeps_its_members_rule(asm, split_left, explicit_first):
-    # dx at Q1's default degree 4 and dx at degree 5 share one 3 x 3 Gauss
-    # rule; the sum reads a Q3 coefficient, whose default degree, 8, would
-    # take a 5 x 5 rule, so the group runs at its first member's degree
+@pytest.mark.parametrize("lower_first", [False, True])
+def test_a_group_keeps_its_members_rule(asm, split_left, lower_first):
+    # dx at degrees 4 and 5 share one 3 x 3 Gauss rule; the sum reads a Q3
+    # coefficient, whose default degree, 8, would take a 5 x 5 rule, so the
+    # group runs at its first member's degree.  A member at Q1's default
+    # degree 4 cannot join them: it would not read w, as a group's members
+    # all do
     V, u, u0, v0 = split_left
     m = V.meshes[0]
     w = forms.Coefficient(conftest.scalar_space(m, "Q", 3))
     w.values[:] = np.random.default_rng(6).standard_normal(len(w.values))
     (w0,) = forms.split(w)
-    default = u0 * v0 * forms.Measure("dx", m)
-    explicit = w0 * v0 * forms.Measure("dx", m, quadrature_degree=5)
-    form = explicit + default if explicit_first else default + explicit
+    lower = w0 * v0 * forms.Measure("dx", m, quadrature_degree=4)
+    higher = (forms.Constant(2.0) * w0 * v0
+              * forms.Measure("dx", m, quadrature_degree=5))
+    form = lower + higher if lower_first else higher + lower
     b = asm.assemble(form)
     plans, _ = form._plans
     assert len(plans) == 1 and len(plans[0].kernel.quadrature) == 9
+    assert len(asm._plan_for(forms.Integral(
+        w0 * v0, forms.Measure("dx", m))).kernel.quadrature) == 25
     expected = per_integral_sum(asm, form, len(b))
     assert np.abs(b - expected).max() <= 1e-15 * np.abs(expected).max()
+    mixed = u0 * v0 * forms.Measure("dx", m) + lower
+    asm.assemble(mixed)
+    assert [p.linear for p in mixed._plans[0]] == [u, w]
 
 
 def test_bilinear_forms_get_one_kernel_per_integral(asm, studies):
@@ -210,7 +227,7 @@ def test_an_empty_measure_in_a_group_warns_once_per_integral(asm,
                                                              split_left):
     V, u, u0, v0 = split_left
     ds = forms.Measure("ds", V.meshes[0])
-    form = u0 * v0 * ds(4321) + u0 * u0 * v0 * ds(4322) + u0 * v0 * ds
+    form = u0 * u0 * v0 * ds(4321) + u0 * u0 * v0 * ds(4322) + u0 * v0 * ds
     for _ in range(2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

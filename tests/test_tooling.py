@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from multifem import forms
 
@@ -74,10 +75,10 @@ def warm_pair_calls(asm, problem, residual):
 
 def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
     # reassembly-warm's pair: the residual has five groups of integrals
-    # sharing a rule, static-ness and iteration set (two cell stiffness
-    # groups, two source groups and one for the three interface
+    # sharing a rule, coefficient degree and iteration set (two cell
+    # stiffness groups, two source groups and one for the three interface
     # integrals); the three that read u are linear in it, so they are
-    # applied from the Jacobian's kept element matrices and their kernels
+    # applied as one matvec by the Jacobian's static sum and their kernels
     # never run.  The first pair runs the five Jacobian kernels and the two
     # source kernels once; later pairs run none and keep the constrained
     # pattern and its Dirichlet dofs
@@ -87,8 +88,8 @@ def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
 
 
 def test_warm_pair_reruns_the_kernels_nonlinear_in_u(asm, studies):
-    # the nonlinear twin: u^2 v joins the quadrilateral stiffness group,
-    # which is no longer linear in u, so that group's kernel and the
+    # the nonlinear twin: u^2 v, of degree two in u, is a group of its own
+    # beside the linear quadrilateral stiffness group, so its kernel and the
     # derivative's 2 u du v kernel rerun on every pair
     problem = studies.build_problem("quad-tri", 2, 2)
     mesh = problem.space.meshes[0]
@@ -97,6 +98,36 @@ def test_warm_pair_reruns_the_kernels_nonlinear_in_u(asm, studies):
     residual = problem.residual + u_q * u_q * v_q * forms.Measure("dx", mesh)
     calls = warm_pair_calls(asm, problem, residual)
     assert calls == [(9, 1), (2, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
+def test_a_warm_linear_residual_is_one_matvec_per_coefficient(
+        asm, studies, monkeypatch, name):
+    # its groups linear in u add L u, L the Jacobian's static sum on its
+    # unconstrained pattern: no kernel, no scatter; a second coefficient w
+    # read linearly adds a second matvec
+    problem = studies.build_problem(name, 1, 1)
+    mesh = problem.space.meshes[0]
+    w = forms.Coefficient(problem.space)
+    (w_0, *_), (v_0, *_) = (forms.split(w),
+                            forms.split(problem.residual.arguments()[0]))
+    two = problem.residual + w_0 * v_0 * forms.Measure("dx", mesh)
+    rng = np.random.default_rng(4)
+    for residual, coefficients in ((problem.residual, 1), (two, 2)):
+        asm.assemble(residual)
+        calls = []
+        for module, attr in ((asm, "execute_kernel"), (np, "bincount"),
+                             (scipy.sparse.csr_matrix, "__matmul__")):
+            def counted(*args, _f=getattr(module, attr), _name=attr, **kw):
+                calls.append(_name)
+                return _f(*args, **kw)
+            monkeypatch.setattr(module, attr, counted)
+        for values in (problem.u.values, w.values):
+            values[:] = rng.standard_normal(len(values))
+        r = asm.assemble(residual)
+        monkeypatch.undo()
+        assert calls == ["__matmul__"] * coefficients
+        assert np.array_equal(r, asm.assemble(residual))
 
 
 def test_only_the_form_checker_states_measure_rules():
