@@ -12,19 +12,20 @@ every argument block and coefficient slot and the measure's batched
 quadrature geometry (compile.MeasureGeometry), shared by every plan on the
 same measure and rule and cached on the root mesh.  Static kernels, which
 read no coefficient and no impure Analytic source, run once per form.  A
-bilinear form sums theirs on its unconstrained CSR pattern; its scatter
-per set of bcs (component, marker) pairs masks that pattern, dropping the
-rows and columns of Dirichlet dofs but for a unit diagonal.  A linear
-form's groups of degree one in a coefficient u alone add one sparse
-matvec, L u, L from J = forms.derivative(form, u), and never run their
-kernels.  Each assembly runs every other dynamic kernel once over all its
-entities, so impure Analytic sources are evaluated afresh, scatters their
-entries with one np.bincount and adds the static sum.  Dirichlet dofs are
-the closure of the marked facets through the dofmap, cached per space;
+bilinear form sums theirs on its unconstrained CSR pattern; its scatter per
+set of bcs (component, marker) pairs masks that pattern, dropping the rows
+and columns of Dirichlet dofs but for a unit diagonal; with no dynamic
+kernel it is one read-only CSR whose arrays every returned matrix shares.
+A linear form's groups of degree one in a coefficient u alone add one
+sparse matvec, L u, L from J = forms.derivative(form, u), and never run
+their kernels.  Each assembly runs every other dynamic kernel once over all
+its entities, so impure Analytic sources are evaluated afresh, scatters
+their entries with one np.bincount and adds the static sum.  Dirichlet dofs
+are the closure of the marked facets through the dofmap, cached per space;
 their values are evaluated on every call.  Entities are scattered in
 ascending order and plans in form order, so results are bitwise
-reproducible.  newton_solve's Jacobian is forms.derivative's, memoized
-per form.  error_norms is two functionals through assemble.
+reproducible.  newton_solve's Jacobian is forms.derivative's, memoized per
+form.  error_norms is two functionals through assemble.
 """
 
 from __future__ import annotations
@@ -211,6 +212,7 @@ def _plans(form):
             raise
         if len(arguments[0]) == 1 and key[3] == 1 == len(key[2]):
             (plans[-1].linear,) = key[2]
+            plans[-1].rows = plans[-1].coeff_dofs = None  # nothing reads
     if plans and plans[0].kernel.arity == 2:
         form._pattern = _pattern(form, plans)
     form._plans = plans, [i.measure for i in form.integrals if not len(
@@ -288,13 +290,13 @@ def _pattern(form, plans):
 
 def _scatter(form, plans, shape, bcs):
     """(static, slot, indices, indptr, linear) of a form under bcs: its
-    static kernels' sum, read-only; the index there of each entry of its
-    dynamic kernels, in assembly order, past its end if dropped; and (u, L)
-    per coefficient u of its linear groups, which add L u.  A matrix's is
-    its _pattern masked: Dirichlet dofs' rows and columns go but for a unit
-    diagonal; every kept slot sums the same entries in the same order.  A
-    vector's data is itself (bcs set its values later), a functional's has
-    length 1.  Cached on the form per bcs (component, marker) pairs."""
+    static kernels' sum, read-only, a csr_matrix if all are; the index
+    there of each entry of its dynamic kernels, in assembly order, past its
+    end if dropped; and (u, L) per coefficient u of its linear groups,
+    which add L u.  A matrix's is its _pattern masked: Dirichlet dofs' rows
+    and columns go but for a unit diagonal; every kept slot sums the same
+    entries in the same order.  A vector's data is itself, a functional's
+    has length 1.  Cached on the form per bcs (component, marker) pairs."""
     scatters = form.__dict__.setdefault("_scatters", {})
     key = tuple((bc.component, bc.marker) for bc in bcs)
     if key in scatters:
@@ -315,6 +317,11 @@ def _scatter(form, plans, shape, bcs):
         static.setflags(write=False)
         slot = np.where(live[slot], at[slot] - 1, len(static))
         indices, indptr = indices[keep], np.insert(at, 0, 0)[indptr]
+        if not len(slot):  # no dynamic kernel: one matrix, read-only
+            indices.setflags(write=False)
+            indptr.setflags(write=False)
+            static = scipy.sparse.csr_matrix((static, indices, indptr), shape)
+            static.has_canonical_format = True
         scatters[key] = static, slot, indices, indptr, ()
         return scatters[key]
 
@@ -348,6 +355,7 @@ def assemble(form, bcs=()):
     checked (compile_integral), on its first assembly; its integrals must
     all use the same arguments.  A linear form's groups linear in a
     coefficient u add one matvec by forms.derivative(form, u)'s static sum.
+    A static matrix shares cached read-only arrays: copy before editing.
     """
     plans, empty = _plans(form)
     for measure in empty:
@@ -361,6 +369,8 @@ def assemble(form, bcs=()):
     shape = tuple(args[k].space.num_dofs for k in range(arity))
     static, slot, indices, indptr, linear = _scatter(
         form, plans, shape, bcs if arity == 2 else ())
+    if scipy.sparse.issparse(static):  # a new object on the shared arrays
+        return copy.copy(static)
     data = static.copy()
     dynamic = [_element_tensors(p) for p in plans
                if not (p.kernel.static or p.linear)]

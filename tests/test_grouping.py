@@ -67,6 +67,9 @@ def test_study_residuals_run_one_interface_kernel(asm, studies, name,
     assert len(problem.residual.integrals) == integrals
     assert len(plans) == 5 and dynamic_kernels(plans) == dynamic
     assert not empty
+    # a linear group's kernel is checked, never run: its plan keeps no dofs
+    linear = [p for p in plans if p.linear]
+    assert linear and all(p.rows is p.coeff_dofs is None for p in linear)
     interface = [p for p in plans if len(p.kernel.participants) > 1]
     assert len(interface) == 1
     first = next(i for i in problem.residual.integrals

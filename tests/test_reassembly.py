@@ -1,12 +1,17 @@
 """Reassembly on a fixed mesh: what is kept across assemblies, what is not.
 
-The element tensors of a kernel that reads no coefficient and no Analytic
-source are kept after its first assembly, and the constrained CSR pattern
-is kept per form and per the bcs' (component, marker) pairs.  These tests
-check that nothing a later assembly must read again is kept: coefficient
-values, Analytic sources, Dirichlet values, and what the caller does with
-a returned matrix.
+The summed entries of the kernels that read no coefficient and no impure
+Analytic source are kept after a form's first assembly, and the
+constrained CSR pattern is kept per form and per the bcs' (component,
+marker) pairs; a matrix with no dynamic kernel is a new object on that
+pattern's read-only arrays.
+These tests check that nothing a later assembly must read again is kept:
+coefficient values, Analytic sources, Dirichlet values, and what the
+caller does with a returned matrix or vector.
 """
+
+import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -93,23 +98,39 @@ class TestStaticKernels:
             assert np.abs(first).max() > 0
             assert np.array_equal(second, -2.0 * first)
 
-    def test_returned_arrays_do_not_alias_the_caches(self, asm):
+    def test_static_matrices_share_read_only_arrays(self, asm):
+        # an all-static matrix is a new object on the arrays kept per bcs
+        # key: a stored entry cannot be written, and an edit that rebuilds
+        # the structure replaces the object's own arrays, not the kept ones
         V, _, dx = left_half()
         a = laplacian(V, dx)
         (v0,) = forms.split(forms.TestFunction(V))
         L = forms.Constant(1.0) * v0 * dx
-        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
-        for assemble in (lambda: asm.assemble(a), lambda: asm.assemble(a, bcs),
-                         lambda: asm.assemble(L)):
-            out = assemble()
-            kept = out.copy()
-            if hasattr(out, "indices"):
-                for array in (out.data, out.indices, out.indptr):
-                    array[:] = 7
-                assert_same_csr(assemble(), kept)
-            else:
-                out[:] = 7.0
-                assert np.array_equal(assemble(), kept)
+        for bcs in ((), [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]):
+            first = asm.assemble(a, bcs).copy()
+            A, B = asm.assemble(a, bcs), asm.assemble(a, bcs)
+            assert A is not B
+            for name in ("data", "indices", "indptr"):
+                assert getattr(A, name) is getattr(B, name)
+            with pytest.raises(ValueError, match="read-only"):
+                A[0, 0] = 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                A.data[0] = 7.0
+            n = A.shape[0]
+            A.setdiag(7.0, k=n // 2)  # mostly new slots: a rebuild
+            assert A.data is not B.data and A[0, n // 2] == 7.0
+            col = np.setdiff1d(np.arange(n), B.indices[:B.indptr[1]])[0]
+            with warnings.catch_warnings(), contextlib.suppress(ValueError):
+                # scipy either refuses a new slot or rebuilds B's arrays
+                warnings.simplefilter("ignore", scipy.sparse.SparseWarning)
+                B[0, col] = 7.0
+            assert_same_csr(asm.assemble(a, bcs), first)
+        out = asm.assemble(L)
+        kept = out.copy()
+        out[:] = 7.0  # vectors are fresh and writable
+        again = asm.assemble(L)
+        assert np.array_equal(again, kept)
+        assert again.flags.writeable and not np.shares_memory(again, out)
 
 
 class TestConstrainedPattern:
@@ -202,7 +223,8 @@ class TestFormScatter:
     def test_warm_static_jacobian_runs_no_kernel_and_no_scatter(
             self, asm, studies, monkeypatch):
         # every Jacobian kernel of the linear problem is static: its sum is
-        # scattered once per bcs key, so a warm assembly copies it
+        # scattered once per bcs key into one read-only matrix, whose arrays
+        # a warm assembly shares with a new matrix object
         problem = studies.build_problem("quad-tri", 1, 1)
         J = forms.derivative(problem.residual, problem.u)
         first = asm.assemble(J, problem.bcs)
@@ -221,9 +243,11 @@ class TestFormScatter:
         monkeypatch.setattr(np, "bincount", counted_bincount)
         for _ in range(2):
             A = asm.assemble(J, problem.bcs)
-            assert_same_csr(A, first)
-            for array in (A.data, A.indices, A.indptr):
-                array[:] = 7
+            assert A is not first and A.has_canonical_format
+            for name in ("data", "indices", "indptr"):
+                array = getattr(A, name)
+                assert array is getattr(first, name)
+                assert not array.flags.writeable
         assert kernels == [] and scatters == []
         problem.u.values[:] = 1.0  # no kernel reads it
         assert_same_csr(asm.assemble(J, problem.bcs), first)
@@ -252,6 +276,35 @@ class TestFormScatter:
             assert (np.abs(asm.assemble(a, bcs).toarray() - constrained).max()
                     <= 1e-14 * scale)
             assert np.abs(asm.assemble(L) - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_dynamic_matrices_are_fresh_and_drop_assembled_zeros(self, asm):
+        # a bilinear form with a kernel that reads u gets new, writable
+        # arrays on every assembly; under bcs, entries that sum to zero go
+        V, _, dx = left_half()
+        u = forms.Coefficient(V)
+        (u0,) = forms.split(u)
+        (v0,) = forms.split(forms.TestFunction(V))
+        (t0,) = forms.split(forms.TrialFunction(V))
+        mass = u0 * t0 * v0 * dx
+        stiffness = forms.inner(forms.grad(t0), forms.grad(v0)) * dx
+        a = stiffness + mass
+        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
+        u.values[:] = 1.0
+        for given in ((), bcs):
+            A, B = asm.assemble(a, given), asm.assemble(a, given)
+            kept = B.copy()
+            for name in ("data", "indices", "indptr"):
+                array = getattr(A, name)
+                assert array.flags.writeable
+                assert not np.shares_memory(array, getattr(B, name))
+                array[:] = 7
+            assert_same_csr(asm.assemble(a, given), kept)
+        u.values[:] = 0.0  # every entry of mass is an assembled zero
+        dofs, _ = asm.dirichlet_dofs(V, bcs)
+        assert asm.assemble(mass).count_nonzero() == 0
+        zero = asm.assemble(mass, bcs)
+        assert zero.nnz == len(dofs) and zero.count_nonzero() == len(dofs)
+        assert_same_csr(asm.assemble(a, bcs), asm.assemble(stiffness, bcs))
 
 
 class TestDerivativeMemo:

@@ -12,6 +12,7 @@ structure, and that the package exports nothing only tests run.
 import ast
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,21 @@ def test_warm_pair_reruns_the_kernels_nonlinear_in_u(asm, studies):
     residual = problem.residual + u_q * u_q * v_q * forms.Measure("dx", mesh)
     calls = warm_pair_calls(asm, problem, residual)
     assert calls == [(9, 1), (2, 0), (2, 0)]
+
+
+def test_a_warm_static_jacobian_copies_no_array(asm, studies):
+    # the pair's constrained Jacobian is a new matrix object on the arrays
+    # kept for its bcs: it allocates under an eighth of one float per entry
+    problem = studies.build_problem("quad-tri", 1, 1)
+    J = forms.derivative(problem.residual, problem.u)
+    nnz = asm.assemble(J, problem.bcs).nnz
+    tracemalloc.start()
+    try:
+        asm.assemble(J, problem.bcs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * nnz / 8
 
 
 @pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
