@@ -1,22 +1,18 @@
 """Global assembly over intersection measures, boundary conditions, solvers.
 
 Assembly works on plans built on a form's first assembly, cached on it and
-reused by every later one: one per integral of a bilinear form and, for a
-linear form or functional, one per group of integrals that share a
-quadrature rule, coefficient_degree and iteration set, compiled as one
-integral on the group's first measure and quadrature degree, so
-ds(a)^ds(b) and ds(b)^ds(a) over the same facets run one kernel.
-Iteration sets are resolved once per measure as integer arrays through the
-common root mesh (Mesh.root_entities).  A plan holds the dof indices of
-every argument block and coefficient slot and the measure's batched
-quadrature geometry (compile.MeasureGeometry), shared by every plan on the
-same measure and rule and cached on the root mesh.  Static kernels, which
-read no coefficient and no impure Analytic source, run once per form.  A
-bilinear form sums theirs on its unconstrained CSR pattern; its scatter per
-set of bcs (component, marker) pairs masks that pattern, dropping the rows
-and columns of Dirichlet dofs but for a unit diagonal; with no dynamic
-kernel it is one read-only CSR whose arrays every returned matrix shares.
-A linear form's groups of degree one in a coefficient u alone add one
+reused by every later one: one per integral, in form order, whatever the
+form's arity.  Iteration sets are resolved once per measure as integer
+arrays through the common root mesh (Mesh.root_entities).  A plan holds the
+dof indices of every argument block and coefficient slot and the measure's
+batched quadrature geometry (compile.MeasureGeometry), shared by every plan
+on the same measure and rule and cached on the root mesh.  Static kernels,
+which read no coefficient and no impure Analytic source, run once per form.
+A bilinear form sums theirs on its unconstrained CSR pattern; its scatter
+per set of bcs (component, marker) pairs masks that pattern, dropping the
+rows and columns of Dirichlet dofs but for a unit diagonal; with no dynamic
+kernel it is one read-only CSR whose arrays every returned matrix shares.  A
+linear form's integrals of degree one in a coefficient u alone add one
 sparse matvec, L u, L from J = forms.derivative(form, u), and never run
 their kernels.  Each assembly runs every other dynamic kernel once over all
 its entities, so impure Analytic sources are evaluated afresh, scatters
@@ -31,7 +27,6 @@ form.  error_norms is two functionals through assemble.
 from __future__ import annotations
 
 import copy
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,9 +36,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import fe, forms
-from .compile import (CompileError, MeasureGeometry, compile_integral,
-                      coefficient_degree, execute_kernel, quadrature_rule,
-                      side_index)
+from .compile import (MeasureGeometry, compile_integral, coefficient_degree,
+                      execute_kernel, side_index)
 from .mesh import as_int
 
 SOLVE_TOL = 1e-10
@@ -112,33 +106,22 @@ def _entities(measure):
     return cache[measure.key()]
 
 
-def _iteration_set_key(measure):
-    """The measure's participants and entity rows, the columns in mesh
-    order and the rows ascending: one key for one set of entities,
-    whichever participant is primal."""
-    participants = measure.participants()
-    order = np.argsort([mesh.id for _, mesh in participants])
-    rows = _entities(measure)[:, order]
-    return (tuple((participants[k][0], participants[k][1].id) for k in order),
-            rows[np.lexsort(rows.T[::-1])].tobytes())
-
-
 # ---------------------------------------------------------------------------
 # assembly plans
 
 
 @dataclass
 class _IntegralPlan:
-    """What every assembly of an integral (or a group compiled as one)
-    reuses: its kernel, the measure geometry, and (E, ndofs) global dof
-    indices of the test (rows) and trial (cols) blocks and coefficients."""
+    """What every assembly of an integral reuses: its kernel, the measure
+    geometry, and (E, ndofs) global dof indices of the test (rows) and
+    trial (cols) blocks and coefficients."""
 
     kernel: object
     geometry: MeasureGeometry
     rows: np.ndarray
     cols: np.ndarray
     coeff_dofs: list
-    linear: object = None  # u, if its group is J u: applied, never run
+    linear: object = None  # u, if it is J u: applied, never run
 
 
 def _measure_geometry(measure, kernel):
@@ -177,42 +160,21 @@ def _plan_for(integral):
 
 def _plans(form):
     """(plans, measures that matched no entities under a subdomain id) of a
-    form, cached on it: its integrals' plans if bilinear, else a plan per
-    group of integrals sharing a quadrature rule, coefficient_degree and
-    iteration set (_iteration_set_key), in form order; a larger group's is
-    that of its integrands' sum, on its first measure at its first degree.
-    A group of degree one in one coefficient u alone is linear (J u, J =
-    forms.derivative(form, u)); a bilinear form's _pattern is built here."""
+    form, cached on it: one plan per integral, in form order.  A linear
+    form's integral of degree one in one coefficient u alone is linear (J u,
+    J = forms.derivative(form, u)); a bilinear form's _pattern is built
+    here."""
     if "_plans" in form.__dict__:
         return form._plans
     arguments = [forms.Form([i]).arguments() for i in form.integrals]
     if any(args != arguments[0] for args in arguments):
         raise ValueError("every integral must use the form's arguments")
-    groups = {}
-    for key, integral in enumerate(form.integrals):
-        if len(arguments[0]) < 2:
-            _, _, rule = quadrature_rule(integral)
-            found, degree = coefficient_degree(integral.integrand)
-            key = (rule.cell, len(rule), frozenset(found), degree,
-                   _iteration_set_key(integral.measure))
-        groups.setdefault(key, []).append(integral)
-    plans = []
-    for key, members in groups.items():
-        integral = members[0]
-        if len(members) > 1:
-            measure = copy.copy(integral.measure)
-            measure.quadrature_degree = quadrature_rule(integral)[1]
-            integral = forms.Integral(functools.reduce(forms.Sum, [
-                i.integrand for i in members]), measure)
-        try:
-            plans.append(_plan_for(integral))
-        except CompileError:  # a member's own error names its term
-            for member in members:
-                compile_integral(member)
-            raise
-        if len(arguments[0]) == 1 and key[3] == 1 == len(key[2]):
-            (plans[-1].linear,) = key[2]
-            plans[-1].rows = plans[-1].coeff_dofs = None  # nothing reads
+    plans = [_plan_for(integral) for integral in form.integrals]
+    for plan, integral in zip(plans, form.integrals):
+        found, degree = coefficient_degree(integral.integrand)
+        if plan.kernel.arity == 1 and degree == 1 == len(found):
+            (plan.linear,) = found
+            plan.rows = plan.coeff_dofs = None  # nothing reads them
     if plans and plans[0].kernel.arity == 2:
         form._pattern = _pattern(form, plans)
     form._plans = plans, [i.measure for i in form.integrals if not len(
@@ -292,7 +254,7 @@ def _scatter(form, plans, shape, bcs):
     """(static, slot, indices, indptr, linear) of a form under bcs: its
     static kernels' sum, read-only, a csr_matrix if all are; the index
     there of each entry of its dynamic kernels, in assembly order, past its
-    end if dropped; and (u, L) per coefficient u of its linear groups,
+    end if dropped; and (u, L) per coefficient u of its linear plans,
     which add L u.  A matrix's is its _pattern masked: Dirichlet dofs' rows
     and columns go but for a unit diagonal; every kept slot sums the same
     entries in the same order.  A vector's data is itself, a functional's
@@ -353,7 +315,7 @@ def assemble(form, bcs=()):
     trial space to be the test space; vector entries are set to the
     boundary values.  The form's plans are built, and their integrals
     checked (compile_integral), on its first assembly; its integrals must
-    all use the same arguments.  A linear form's groups linear in a
+    all use the same arguments.  A linear form's integrals linear in a
     coefficient u add one matvec by forms.derivative(form, u)'s static sum.
     A static matrix shares cached read-only arrays: copy before editing.
     """
@@ -539,7 +501,7 @@ def newton_solve(F, u, bcs=(), solve=None):
     Boundary values are imposed on the first iterate, corrections are
     homogeneous.  The Jacobian is the Gateaux derivative of F with respect to
     the whole Coefficient u, the same Form on every call, whose static
-    sum also applies F's groups linear in u as one matvec.  Each update is
+    sum also applies F's integrals linear in u as one matvec.  Each update is
     solve(A, b) on the constrained Jacobian A and the negated residual b;
     the default is solve_linear (sparse LU), looked up at call time.  A
     non-finite residual raises ConvergenceError at once.

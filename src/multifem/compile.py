@@ -1,29 +1,29 @@
 """Lowering of integrals to interpreted kernels over all entities at once.
 
-A kernel evaluates one integral, for a linear form or a functional the sum
-of a group of integrals that the assembler fuses, on every iteration entity
-(cell or facet of the primal mesh) of its measure.  The integrand becomes
-a small tape of numpy operations whose registers carry a leading entity
-axis and a quadrature-point axis, so one pass of the tape produces the
-element tensors of a block of entities.  A subexpression that occurs more
-than once in an integrand (the same Expr under the same restriction) is
-emitted once, so e*e evaluates e once.  An Analytic source is evaluated at
-the physical points, scalar or, for shape (2,), a pair; a result of the
-wrong shape raises CompileError.  In a linear form or a functional the tape
-evaluates only argument-free values: the compiler factors the test function
-out of the integrand into terms, one argument-free register per argument
-instruction, each contracted with its argument's planes over quadrature
-points and components by one (batched) matmul; coefficients on per-entity
-tables are contracted with theirs the same way.  On primal cells a term
-kappa inner(grad w, grad v), w a scalar coefficient component on v's side
-and kappa a scalar register or 1, is a metric term: the tape holds w's
-reference gradients, one GEMM, and the contraction applies the planes of
-D = wq J^-1 J^-T, times kappa, then one GEMM with v's.  A bilinear tape
-materializes its argument registers with dof axes.  Quadrature lives on the
-primal entities; every participating mesh gets reference points by pulling
-the physical quadrature points back through its own cell geometry, which
-is what aligns integration across meshes.  MeasureGeometry holds that
-geometry for all entities of a measure and is shared by every kernel on it.
+A kernel evaluates one integral on every iteration entity (cell or facet of
+the primal mesh) of its measure; the assembler plans one per integral.  The
+integrand becomes a small tape of numpy operations whose registers carry a
+leading entity axis and a quadrature-point axis, so one pass of the tape
+produces the element tensors of a block of entities.  A subexpression that
+occurs more than once in an integrand (the same Expr under the same
+restriction) is emitted once, so e*e evaluates e once.  An Analytic source
+is evaluated at the physical points, scalar or, for shape (2,), a pair; a
+result of the wrong shape raises CompileError.  In a linear form or a
+functional the tape evaluates only argument-free values: the compiler
+factors the test function out of the integrand into terms, one
+argument-free register per argument instruction, each contracted with its
+argument's planes over quadrature points and components by one (batched)
+matmul; coefficients on per-entity tables are contracted with theirs the
+same way.  On primal cells a term kappa inner(grad w, grad v), w a scalar
+coefficient component on v's side and kappa a scalar register or 1, is a
+metric term: the tape holds w's reference gradients, one GEMM, and the
+contraction applies the planes of D = wq J^-1 J^-T, times kappa, then one
+GEMM with v's.  A bilinear tape materializes its argument registers with
+dof axes.  Quadrature lives on the primal entities; every participating
+mesh gets reference points by pulling the physical quadrature points back
+through its own cell geometry, which is what aligns integration across
+meshes.  MeasureGeometry holds that geometry for all entities of a measure
+and is shared by every kernel on it.
 """
 
 from __future__ import annotations
@@ -365,35 +365,28 @@ class _Builder:
         return kappa, instr, self._push(("cref",) + self.tape[grad][1:], (2,))
 
 
-def quadrature_rule(integral):
-    """(primal kind, degree, rule) of an integral: the rule on its primal
-    cells, or on an interval for facet and codim-1 primal entities, of the
-    measure's quadrature degree, else default_quadrature_degree."""
+def compile_integral(integral):
+    """Compile one integral into a LocalKernel.  The integral is checked
+    here, once, by forms.validate_form; the first diagnostic raises.  The
+    rule is on its primal cells, or on an interval for facet and codim-1
+    primal entities, of the measure's quadrature degree, else
+    default_quadrature_degree."""
+    diagnostics = forms.validate_form(forms.Form([integral]))
     measure = integral.measure
-    if measure.integral_type == "dx":
-        primal_kind = "cell2d" if measure.mesh.dim == 2 else "cell1d"
-    else:
-        primal_kind = "facet"
+    if diagnostics:
+        d = diagnostics[0]
+        raise CompileError(f"invalid form: {measure!r} at {d.path}: "
+                           f"{d.message}")
+    primal_kind = ("facet" if measure.integral_type != "dx" else
+                   "cell2d" if measure.mesh.dim == 2 else "cell1d")
     qdeg = measure.quadrature_degree
     if qdeg is None:
         qdeg = default_quadrature_degree(integral)
     try:
-        return primal_kind, qdeg, fe.make_quadrature(
-            measure.mesh.cell_type if primal_kind == "cell2d"
-            else CellType.INTERVAL, qdeg)
+        rule = fe.make_quadrature(measure.mesh.cell_type if primal_kind ==
+                                  "cell2d" else CellType.INTERVAL, qdeg)
     except ValueError as exc:
         raise CompileError(f"{measure!r}: {exc}") from exc
-
-
-def compile_integral(integral):
-    """Compile one integral into a LocalKernel.  The integral is checked
-    here, once, by forms.validate_form; the first diagnostic raises."""
-    diagnostics = forms.validate_form(forms.Form([integral]))
-    if diagnostics:
-        d = diagnostics[0]
-        raise CompileError(f"invalid form: {integral.measure!r} at {d.path}: "
-                           f"{d.message}")
-    primal_kind, _, rule = quadrature_rule(integral)
     builder = _Builder(integral)
     if 1 in builder.arguments and 0 not in builder.arguments:
         raise CompileError("integral has a trial function but no test function")

@@ -1,17 +1,16 @@
-"""Residual groups linear in u, applied as one sparse matvec.
+"""Residual integrals linear in u, applied as one sparse matvec.
 
-A group of integrals of a linear form whose every member is homogeneous of
-degree one in one coefficient u alone (compile.coefficient_degree, which
-also keys the groups) equals its Gateaux derivative J applied to u.  Its
-assembly adds L u, L the sum of J's static kernels whose source integral
-is such a member, on J's unconstrained CSR pattern; its own kernel is
-compiled but never run.  These tests check that path against the groups'
-own kernels, also on a form where L is not every static kernel of J, which
-integrands keep the kernel path, that J's static kernels run once per form
-whatever is assembled first, that a constrained J is its unconstrained one
-with the rows and columns masked, that the argument tables only static
-kernels read are dropped, and that Newton still takes one step on the
-linear studies.
+A linear form is planned one integral at a time.  An integral homogeneous of
+degree one in one coefficient u alone (compile.coefficient_degree) equals
+its Gateaux derivative J applied to u.  Its assembly adds L u, L the sum of
+J's static kernels whose source integral is such an integral, on J's
+unconstrained CSR pattern; its own kernel is compiled but never run.  These
+tests check that path against the integrals' own kernels, also on a form
+where L is not every static kernel of J, which integrands keep the kernel
+path, that J's static kernels run once per form whatever is assembled first,
+that a constrained J is its unconstrained one with the rows and columns
+masked, that the argument tables only static kernels read are dropped, and
+that Newton still takes one step on the linear studies.
 """
 
 import gc
@@ -26,9 +25,9 @@ from multifem import mesh as mm
 import conftest
 
 
-def no_linear_groups(degree):
-    """compile.coefficient_degree, but degree None where it is 1: no group
-    counts as linear in u, so every dynamic group runs its kernel."""
+def no_linear_plans(degree):
+    """compile.coefficient_degree, but degree None where it is 1: no
+    integral counts as linear in u, so every dynamic one runs its kernel."""
     def patched(integrand):
         found, d = degree(integrand)
         return found, None if d == 1 else d
@@ -42,12 +41,12 @@ def seeded(problem, seed):
 
 @pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_linear_groups_match_their_own_kernels(asm, studies, monkeypatch,
-                                               name, degree):
+def test_linear_integrals_match_their_own_kernels(asm, studies, monkeypatch,
+                                                  name, degree):
     for level in (0, 1, 2):
         with monkeypatch.context() as patched:
             patched.setattr(asm, "coefficient_degree",
-                            no_linear_groups(asm.coefficient_degree))
+                            no_linear_plans(asm.coefficient_degree))
             kernels = studies.build_problem(name, degree, level)
             asm.assemble(kernels.residual)
         problem = studies.build_problem(name, degree, level)
@@ -124,8 +123,8 @@ class TestDetection:
         assert np.array_equal(asm.assemble(form), first)
         assert runs == [1]  # the kernel reruns warm
 
-    def test_a_nonlinear_member_gets_its_own_group(self, asm, monkeypatch,
-                                                   square):
+    def test_a_nonlinear_integral_beside_a_linear_one_runs_alone(
+            self, asm, monkeypatch, square):
         # u0 v0 and u0 u0 v0 share a rule and entities but not a degree,
         # so the linear one is still applied by the matvec
         V, u, u0, v0 = square
@@ -165,7 +164,7 @@ def test_mixed_degrees_match_their_own_kernels(asm, monkeypatch):
     u = forms.Coefficient(V)
     with monkeypatch.context() as patched:
         patched.setattr(asm, "coefficient_degree",
-                        no_linear_groups(asm.coefficient_degree))
+                        no_linear_plans(asm.coefficient_degree))
         kernels = mixed(V, u)
         asm.assemble(kernels)
     F = mixed(V, u)

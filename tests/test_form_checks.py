@@ -93,8 +93,8 @@ def test_forms_are_checked_once_per_integral(asm, studies, monkeypatch):
 
     monkeypatch.setattr(forms, "validate_form", counted)
     r0, A0 = asm.assemble(problem.residual), asm.assemble(J, problem.bcs)
-    # one check per kernel: the residual's grouped integrals are checked
-    # as their group's sum, and every integral is in exactly one check
+    # one check per kernel, and so per integral: every integral is in
+    # exactly one check
     assert len(calls) == len(problem.residual._plans[0]) + len(J.integrals)
     for integral in problem.residual.integrals + J.integrals:
         assert sum(any(node is integral.integrand

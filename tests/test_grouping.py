@@ -1,16 +1,14 @@
-"""One kernel per group of integrals in linear forms and functionals.
+"""One plan per integral, whatever the form's arity.
 
-A form of arity <= 1 is planned per group of integrals that share a
-quadrature rule, coefficient degree (compile.coefficient_degree) and
-iteration set, whichever participant of the measure is primal; each group
-runs one kernel, compiled from the sum of its integrands at its first
-integral's quadrature degree, but for a group linear in u, which is added
-as a matvec (test_affine.py).  These tests check the grouped result
-against the per-integral plans, the groups the study forms get, what is
-never grouped, the rule of a group whose members' degrees differ, the
-empty-subdomain warning inside a group, the error an invalid member
-raises, the constants the kernels keep by value, and the markers a
-DirichletBC takes.
+Every form is planned integral by integral, in form order: a bilinear
+form's, a linear form's and a functional's plans are each their own
+integral's (assemble._plan_for), but for a linear form's integral of degree
+one in one coefficient u, which is added as a matvec (test_affine.py) and
+keeps no dof arrays.  These tests check the plans the study forms and an
+error functional get, a form with a nonlinear integral against the sum of
+its integrals, the kernels a warm assembly reruns, the empty-subdomain
+warning, the error an invalid integral raises, the constants the kernels
+keep by value, and the markers a DirichletBC takes.
 """
 
 import warnings
@@ -35,61 +33,57 @@ def per_integral_sum(asm, form, size):
     return total
 
 
-def dynamic_kernels(plans):
-    return sum(not plan.kernel.static for plan in plans)
+def error_functional(studies, problem):
+    """error_norms' two integrands summed per error component, at its
+    quadrature degree: two integrals on each component's dx."""
+    parts = []
+    for k in problem.error_components:
+        mesh = problem.space.meshes[k]
+        u_k = forms.Indexed(problem.u, k)
+        e = u_k - forms.Analytic(mesh, studies.exact_solution)
+        g = forms.grad(u_k) - forms.Analytic(mesh, studies.exact_gradient,
+                                             shape=(2,))
+        dx = forms.Measure("dx", mesh, quadrature_degree=2
+                           * problem.space.element[k].degree + 4)
+        parts.append(e * e * dx + forms.inner(g, g) * dx)
+    return sum(parts[1:], parts[0])
 
 
+@pytest.mark.parametrize("kind", ["residual", "jacobian", "errors"])
 @pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
-@pytest.mark.parametrize("degree", [1, 2, 3])
-def test_grouped_residual_is_the_sum_of_the_integrals(asm, studies, name,
-                                                      degree):
-    problem = studies.build_problem(name, degree, 1)
-    rng = np.random.default_rng(10 * degree + len(name))
-    problem.u.values[:] = rng.standard_normal(problem.space.num_dofs)
-    r = asm.assemble(problem.residual)
-    plans, _ = problem.residual._plans
-    assert len(plans) < len(problem.residual.integrals)
-    expected = per_integral_sum(asm, problem.residual, len(r))
-    assert np.abs(r - expected).max() <= 1e-15 * np.abs(expected).max()
-
-
-@pytest.mark.parametrize("name, integrals, dynamic",
-                         [("quad-tri", 7, 3), ("split-interface", 8, 3)])
-def test_study_residuals_run_one_interface_kernel(asm, studies, name,
-                                                  integrals, dynamic):
-    # quad-tri: ds(q)^ds(t)[999] twice and ds(t)^ds(q)[999] once go into
-    # one kernel laid out on the first measure; split-interface: its four
-    # dz integrals go into one; the cell stiffness and source integrals
-    # stay apart, as one reads u and the other does not
-    problem = studies.build_problem(name, 2, 1)
-    asm.assemble(problem.residual)
-    plans, empty = problem.residual._plans
-    assert len(problem.residual.integrals) == integrals
-    assert len(plans) == 5 and dynamic_kernels(plans) == dynamic
-    assert not empty
-    # a linear group's kernel is checked, never run: its plan keeps no dofs
-    linear = [p for p in plans if p.linear]
-    assert linear and all(p.rows is p.coeff_dofs is None for p in linear)
-    interface = [p for p in plans if len(p.kernel.participants) > 1]
-    assert len(interface) == 1
-    first = next(i for i in problem.residual.integrals
-                 if i.measure.intersect_measures)
-    assert interface[0].kernel.participants == first.measure.participants()
-    # one contraction per argument instruction
-    instrs = [instr for _, instr, _ in interface[0].kernel.terms]
-    assert len(instrs) == len(set(instrs))
-
-
-def test_measures_over_one_entity_set_share_a_key(asm, studies):
-    problem = studies.build_quad_tri_problem(1, 0)
-    ds_a, ds_b = {i.measure.mesh.id: i.measure
-                  for i in problem.residual.integrals
-                  if i.measure.intersect_measures}.values()
-    assert ds_a.key() != ds_b.key()
-    assert asm._iteration_set_key(ds_a) == asm._iteration_set_key(ds_b)
-    rows_a, rows_b = asm._entities(ds_a), asm._entities(ds_b)
-    assert len(rows_a) > 0
-    assert sorted(map(tuple, rows_a[:, ::-1])) == sorted(map(tuple, rows_b))
+def test_every_form_gets_one_plan_per_integral(asm, studies, name, kind):
+    problem = studies.build_problem(name, 1, 0)
+    problem.u.values[:] = np.random.default_rng(7).standard_normal(
+        problem.space.num_dofs)
+    if kind == "residual":
+        form = problem.residual
+    elif kind == "jacobian":
+        form = forms.derivative(problem.residual, problem.u)
+    else:
+        form = error_functional(studies, problem)
+    asm.assemble(form)
+    plans, empty = form._plans
+    assert len(plans) == len(form.integrals) and not empty
+    assert any(p.linear for p in plans) == (kind == "residual")
+    # each plan, in form order, is its own integral's: same geometry and
+    # dofs as a plan built for that integral alone, and same entries but
+    # for a linear plan, which is applied as L u and keeps no dof arrays
+    for plan, integral in zip(plans, form.integrals):
+        own = asm._plan_for(integral)
+        assert plan.geometry is own.geometry
+        assert plan.cols is own.cols is None or np.array_equal(plan.cols,
+                                                               own.cols)
+        if kind == "residual":  # one contraction per argument instruction
+            instrs = [instr for _, instr, _ in plan.kernel.terms]
+            assert len(instrs) == len(set(instrs))
+        if plan.linear:
+            assert plan.rows is plan.coeff_dofs is None
+            continue
+        assert np.array_equal(plan.rows, own.rows)
+        assert len(plan.coeff_dofs) == len(own.coeff_dofs)
+        assert all(map(np.array_equal, plan.coeff_dofs, own.coeff_dofs))
+        assert np.array_equal(asm._element_tensors(plan),
+                              asm._element_tensors(own))
 
 
 @pytest.fixture()
@@ -119,11 +113,9 @@ def warm_kernel_runs(asm, monkeypatch, split_left, nonlinear):
             + source * v0 * dx + mass)
     first = asm.assemble(form)
     plans, _ = form._plans
-    # u0 u0 v0 is of degree two in u: its own group, never the stiffness's
-    assert [p.kernel.static for p in plans] == [False, True, False][
-        :2 + nonlinear]
-    assert [p.linear is u for p in plans] == [True, False, False][
-        :2 + nonlinear]
+    # u0 v0 is linear in u, as the stiffness is; u0 u0 v0 is not
+    assert [p.kernel.static for p in plans] == [False, True, False]
+    assert [p.linear is u for p in plans] == [True, False, not nonlinear]
     assert calls == [1]
     runs = []
     execute = asm.execute_kernel
@@ -141,93 +133,33 @@ def warm_kernel_runs(asm, monkeypatch, split_left, nonlinear):
 def test_static_and_dynamic_integrals_stay_two_kernels(asm, comp,
                                                        split_left,
                                                        monkeypatch):
-    # the dynamic group is linear in u and applied from the Jacobian's
-    # kept element matrices, so no kernel reruns
+    # the dynamic integrals are linear in u and applied as one sparse
+    # matvec by the Jacobian's static sum, so no kernel reruns
     assert warm_kernel_runs(asm, monkeypatch, split_left, False) == []
 
 
-def test_a_nonlinear_dynamic_group_reruns_its_kernel(asm, split_left,
-                                                     monkeypatch):
-    # the twin with u0 u0 v0 for u0 v0: that group is not linear in u
+def test_a_nonlinear_dynamic_integral_reruns_its_kernel(asm, split_left,
+                                                        monkeypatch):
+    # the twin with u0 u0 v0 for u0 v0: that integral is not linear in u
     assert warm_kernel_runs(asm, monkeypatch, split_left, True) == [False]
 
 
-def test_measures_with_other_entities_are_not_grouped(asm, split_left):
+def test_a_nonlinear_integral_beside_linear_ones_is_their_sum(asm,
+                                                              split_left):
+    # the matvec of the linear integrals, the static source and the
+    # nonlinear kernel together equal every integral's own kernel
     V, u, u0, v0 = split_left
-    m = V.meshes[0]
-    ds = forms.Measure("ds", m)
-    form = u0 * v0 * ds(mm.BOUNDARY_MARKER) + u0 * v0 * ds(
-        mm.INTERFACE_MARKER)
+    dx = forms.Measure("dx", V.meshes[0])
+    source = forms.Analytic(V.meshes[0], lambda x, y: x * y, pure=True)
+    form = (forms.inner(forms.grad(u0), forms.grad(v0)) * dx
+            + source * v0 * dx + u0 * u0 * v0 * dx + u0 * v0 * dx)
     b = asm.assemble(form)
-    plans, _ = form._plans
-    assert len(plans) == 2
-    assert np.abs(b - per_integral_sum(asm, form, len(b))).max() \
-        <= 1e-15 * np.abs(b).max()
-    same = u0 * u0 * v0 * ds(1) + forms.Constant(2.0) * u0 * u0 * v0 * ds(1)
-    asm.assemble(same)
-    assert len(same._plans[0]) == 1
-    # of other degrees in u: not grouped, so a group is linear in u or not
-    other = u0 * v0 * ds(1) + u0 * u0 * v0 * ds(1)
-    asm.assemble(other)
-    assert [p.linear for p in other._plans[0]] == [u, None]
-
-
-def test_other_quadrature_rules_are_not_grouped(asm, split_left):
-    V, u, u0, v0 = split_left
-    m = V.meshes[0]
-    form = (u0 * v0 * forms.Measure("dx", m, quadrature_degree=2)
-            + u0 * v0 * forms.Measure("dx", m, quadrature_degree=6))
-    asm.assemble(form)
-    assert len(form._plans[0]) == 2
-
-
-@pytest.mark.parametrize("lower_first", [False, True])
-def test_a_group_keeps_its_members_rule(asm, split_left, lower_first):
-    # dx at degrees 4 and 5 share one 3 x 3 Gauss rule; the sum reads a Q3
-    # coefficient, whose default degree, 8, would take a 5 x 5 rule, so the
-    # group runs at its first member's degree.  A member at Q1's default
-    # degree 4 cannot join them: it would not read w, as a group's members
-    # all do
-    V, u, u0, v0 = split_left
-    m = V.meshes[0]
-    w = forms.Coefficient(conftest.scalar_space(m, "Q", 3))
-    w.values[:] = np.random.default_rng(6).standard_normal(len(w.values))
-    (w0,) = forms.split(w)
-    lower = w0 * v0 * forms.Measure("dx", m, quadrature_degree=4)
-    higher = (forms.Constant(2.0) * w0 * v0
-              * forms.Measure("dx", m, quadrature_degree=5))
-    form = lower + higher if lower_first else higher + lower
-    b = asm.assemble(form)
-    plans, _ = form._plans
-    assert len(plans) == 1 and len(plans[0].kernel.quadrature) == 9
-    assert len(asm._plan_for(forms.Integral(
-        w0 * v0, forms.Measure("dx", m))).kernel.quadrature) == 25
+    assert [p.linear for p in form._plans[0]] == [u, None, None, u]
     expected = per_integral_sum(asm, form, len(b))
     assert np.abs(b - expected).max() <= 1e-15 * np.abs(expected).max()
-    mixed = u0 * v0 * forms.Measure("dx", m) + lower
-    asm.assemble(mixed)
-    assert [p.linear for p in mixed._plans[0]] == [u, w]
 
 
-def test_bilinear_forms_get_one_kernel_per_integral(asm, studies):
-    problem = studies.build_quad_tri_problem(1, 0)
-    J = forms.derivative(problem.residual, problem.u)
-    asm.assemble(J, problem.bcs)
-    plans, _ = J._plans
-    assert len(plans) == len(J.integrals) == 5
-    # each plan is its own integral's: same geometry, dofs and entries as
-    # a plan built for that integral alone
-    for plan, integral in zip(plans, J.integrals):
-        own = asm._plan_for(integral)
-        assert plan.geometry is own.geometry
-        assert np.array_equal(plan.rows, own.rows)
-        assert np.array_equal(plan.cols, own.cols)
-        assert np.array_equal(asm._element_tensors(plan),
-                              asm._element_tensors(own))
-
-
-def test_an_empty_measure_in_a_group_warns_once_per_integral(asm,
-                                                             split_left):
+def test_empty_measures_warn_once_per_integral(asm, split_left):
     V, u, u0, v0 = split_left
     ds = forms.Measure("ds", V.meshes[0])
     form = u0 * u0 * v0 * ds(4321) + u0 * u0 * v0 * ds(4322) + u0 * v0 * ds
@@ -238,14 +170,14 @@ def test_an_empty_measure_in_a_group_warns_once_per_integral(asm,
         messages = [str(w.message) for w in caught]
         assert len(messages) == 2
         assert "[4321]" in messages[0] and "[4322]" in messages[1]
-        assert len(form._plans[0]) == 2  # the empty ones are one group
+        assert len(form._plans[0]) == 3  # one per integral, empty or not
         assert np.array_equal(b, asm.assemble(u0 * v0 * ds))
 
 
 def test_an_invalid_member_reports_its_own_measure_and_path(asm, comp,
                                                             split_left):
-    # the restriction is the second integral's; inside the group's sum it
-    # would sit at /Sum.1/... under the first integral's measure
+    # the restriction is the second integral's: the error names its own
+    # measure and path, not a path inside a sum of both
     V, u, u0, v0 = split_left
     ds = forms.Measure("ds", V.meshes[0])
     form = u0 * v0 * ds + forms.restrict(u0, "+") * v0 * ds
@@ -257,7 +189,7 @@ def test_an_invalid_member_reports_its_own_measure_and_path(asm, comp,
 
 def test_an_invalid_member_on_the_reversed_measure_names_it(asm, comp,
                                                             studies):
-    # ds(t)^ds(q)[999] joins the group of ds(q)^ds(t)[999]
+    # ds(t)^ds(q)[999] covers the facets of ds(q)^ds(t)[999]
     problem = studies.build_quad_tri_problem(1, 0)
     quads = problem.space.meshes[0]
     first, reversed_ = sorted({i.measure.key(): i.measure
@@ -271,20 +203,6 @@ def test_an_invalid_member_on_the_reversed_measure_names_it(asm, comp,
         asm.assemble(form)
     assert (f"{reversed_!r} at /Product.0/Restricted[+]/Indexed"
             in str(info.value))
-
-
-def test_a_group_error_no_member_has_is_raised_as_it_is(asm, comp,
-                                                        split_left,
-                                                        monkeypatch):
-    V, u, u0, v0 = split_left
-    ds = forms.Measure("ds", V.meshes[0])
-
-    def failing(integral):
-        raise comp.CompileError("the group's own error")
-
-    monkeypatch.setattr(asm, "_plan_for", failing)
-    with pytest.raises(comp.CompileError, match="the group's own error"):
-        asm.assemble(u0 * v0 * ds + u0 * u0 * v0 * ds)
 
 
 def test_constants_are_kept_by_value(comp, split_left):

@@ -187,8 +187,7 @@ class TestArgumentTables:
     @staticmethod
     def argument_instructions(forms_):
         """(geometry side, instruction, dof-axis size) of every aval/agrad
-        instruction in the forms' cached plans: one per integral of a
-        bilinear form, one per group of integrals of a linear one."""
+        instruction in the forms' cached plans, one per integral."""
         for form in forms_:
             plans, _ = form._plans
             for plan in plans:

@@ -325,8 +325,8 @@ class TestDerivativeMemo:
                                                   monkeypatch):
         # the Jacobian form, and with it its kernels, plans, CSR pattern
         # and static element tensors, is the one of the first solve; the
-        # first solve compiles the residual's 5 kernels, one the sum of its
-        # 3 interface integrals, and the Jacobian's 5 integrals
+        # first solve compiles the residual's 7 integrals and the
+        # Jacobian's 5
         problem = studies.build_problem("quad-tri", 2, 2)
         compiled = []
         compile_integral = asm.compile_integral
@@ -344,4 +344,4 @@ class TestDerivativeMemo:
                                           problem.bcs))
             counts.append(len(compiled) - before)
         assert steps == [1, 1]
-        assert counts == [10, 0]
+        assert counts == [12, 0]

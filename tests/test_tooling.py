@@ -5,13 +5,16 @@ Loading it read-only here and resolving every hook against the package
 makes a rename of a traced function fail this suite, not only the
 benchmark's traced run.  The tracer's call counts of one warm reassembly
 pair are checked here too, so the suite sees the work the benchmark sees.
-The other checks read the source: which module may state a rule or walk a
-structure, and that the package exports nothing only tests run.
+The coarsest study cells' outputs are checked against the committed
+FINGERPRINTS.json (tools/fingerprint.py).  The other checks read the
+source: which module may state a rule or walk a structure, and that the
+package exports nothing only tests run.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -24,15 +27,15 @@ from multifem import forms
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING = _load_tracing()
+TRACING = _load("perfbench_tracing", "perfbench/tracing.py")
+FINGERPRINT = _load("fingerprint", "tools/fingerprint.py")
 HOOKS = TRACING.HOOKS
 
 
@@ -75,23 +78,21 @@ def warm_pair_calls(asm, problem, residual):
 
 
 def test_warm_pair_reruns_only_the_kernels_that_read_u(asm, studies):
-    # reassembly-warm's pair: the residual has five groups of integrals
-    # sharing a rule, coefficient degree and iteration set (two cell
-    # stiffness groups, two source groups and one for the three interface
-    # integrals); the three that read u are linear in it, so they are
-    # applied as one matvec by the Jacobian's static sum and their kernels
-    # never run.  The first pair runs the five Jacobian kernels and the two
-    # source kernels once; later pairs run none and keep the constrained
-    # pattern and its Dirichlet dofs
+    # reassembly-warm's pair: the residual has seven integrals, one plan
+    # each (two cell stiffness, two source and three interface integrals);
+    # the five that read u are linear in it, so they are applied as one
+    # matvec by the Jacobian's static sum and their kernels never run.  The
+    # first pair runs the five Jacobian kernels and the two source kernels
+    # once; later pairs run none and keep the constrained pattern and its
+    # Dirichlet dofs
     problem = studies.build_problem("quad-tri", 2, 2)
     calls = warm_pair_calls(asm, problem, problem.residual)
     assert calls == [(7, 1), (0, 0), (0, 0)]
 
 
 def test_warm_pair_reruns_the_kernels_nonlinear_in_u(asm, studies):
-    # the nonlinear twin: u^2 v, of degree two in u, is a group of its own
-    # beside the linear quadrilateral stiffness group, so its kernel and the
-    # derivative's 2 u du v kernel rerun on every pair
+    # the nonlinear twin: u^2 v, of degree two in u, is not linear in u, so
+    # its kernel and the derivative's 2 u du v kernel rerun on every pair
     problem = studies.build_problem("quad-tri", 2, 2)
     mesh = problem.space.meshes[0]
     (u_q, _), (v_q, _) = (forms.split(problem.u),
@@ -119,7 +120,7 @@ def test_a_warm_static_jacobian_copies_no_array(asm, studies):
 @pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
 def test_a_warm_linear_residual_is_one_matvec_per_coefficient(
         asm, studies, monkeypatch, name):
-    # its groups linear in u add L u, L the Jacobian's static sum on its
+    # its integrals linear in u add L u, L the Jacobian's static sum on its
     # unconstrained pattern: no kernel, no scatter; a second coefficient w
     # read linearly adds a second matvec
     problem = studies.build_problem(name, 1, 1)
@@ -236,3 +237,18 @@ def test_every_export_is_run_outside_the_tests():
                 referenced.add(node.attr)
     assert set(UNRUN_EXPORTS) <= exported
     assert sorted(exported - referenced - set(UNRUN_EXPORTS)) == []
+
+
+@pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
+def test_the_coarsest_cells_match_their_fingerprints(name):
+    # max|x| and the 2-norm of every output of the p=1, n=0 cell, to 1e-12
+    # relative; tools/fingerprint.py --compare checks every cell's hashes
+    want = json.loads((ROOT / "FINGERPRINTS.json").read_text())[
+        f"{name} p=1 n=0"]
+    got = FINGERPRINT.cell_fingerprints(name, 1, 0)
+    assert got.keys() == want.keys()
+    for output, record in want.items():
+        assert got[output]["dtype"] == record["dtype"], output
+        for stat in ("max", "norm"):
+            assert abs(got[output][stat] - record[stat]) <= (
+                1e-12 * record[stat]), output
