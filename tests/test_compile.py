@@ -244,3 +244,60 @@ class TestCompileContracts:
         assert np.array_equal(first.data, second.data)
         assert np.array_equal(first.indices, second.indices)
         assert np.array_equal(first.indptr, second.indptr)
+
+
+# a study residual's integral per kind of primal entity, and the cell of the
+# rule its kernel takes: 2D cells their own, facets and codim-1 cells an
+# interval
+PRIMAL_ENTITIES = {
+    "quadrilateral cells": ("quad-tri", QUAD, lambda m: m.integral_type
+                            == "dx" and m.mesh.cell_type is QUAD),
+    "triangle cells": ("quad-tri", TRI, lambda m: m.integral_type == "dx"
+                       and m.mesh.cell_type is TRI),
+    "facets": ("quad-tri", mm.CellType.INTERVAL,
+               lambda m: m.integral_type == "ds"),
+    "codim-1 cells": ("split-interface", mm.CellType.INTERVAL,
+                      lambda m: m.mesh.dim == 1),
+}
+
+
+def with_degree(integral, degree):
+    """The integral on a copy of its measure at quadrature degree degree."""
+    m = integral.measure
+    measure = forms.Measure(
+        m.integral_type, m.mesh, m.subdomain_id,
+        tuple(forms.Measure(t, mesh) for t, mesh in m.intersect_measures),
+        quadrature_degree=degree)
+    return forms.Integral(integral.integrand, measure)
+
+
+def study_integral(studies, primal):
+    name, cell, matches = PRIMAL_ENTITIES[primal]
+    problem = studies.build_problem(name, 1, 0)
+    return cell, next(i for i in problem.residual.integrals
+                      if matches(i.measure))
+
+
+@pytest.mark.parametrize("given", [None, 7])
+@pytest.mark.parametrize("primal", sorted(PRIMAL_ENTITIES))
+def test_a_kernel_takes_its_measures_rule(comp, studies, primal, given):
+    # the measure's quadrature degree, else default_quadrature_degree, on
+    # the primal entities' reference cell; rules are shared per (cell,
+    # degree), so the kernel holds the very rule
+    cell, integral = study_integral(studies, primal)
+    default = default_quadrature_degree(integral)
+    assert default != 7
+    kernel = comp.compile_integral(with_degree(integral, given))
+    degree = default if given is None else given
+    assert kernel.quadrature is fe.make_quadrature(cell, degree)
+
+
+@pytest.mark.parametrize("primal", ["triangle cells", "codim-1 cells"])
+def test_an_unsupported_degree_names_its_measure(comp, studies, primal):
+    _, integral = study_integral(studies, primal)
+    integral = with_degree(integral, fe.MAX_QUADRATURE_DEGREE + 1)
+    with pytest.raises(CompileError) as info:
+        comp.compile_integral(integral)
+    assert str(info.value).startswith(f"{integral.measure!r}: quadrature "
+                                      f"degree {fe.MAX_QUADRATURE_DEGREE + 1}"
+                                      " outside supported range")
