@@ -14,12 +14,8 @@ factors the test function out of the integrand into terms, one
 argument-free register per argument instruction, each contracted with its
 argument's planes over quadrature points and components by one (batched)
 matmul; coefficients on per-entity tables are contracted with theirs the
-same way.  On primal cells a term kappa inner(grad w, grad v), w a scalar
-coefficient component on v's side and kappa a scalar register or 1, is a
-metric term: the tape holds w's reference gradients, one GEMM, and the
-contraction applies the planes of D = wq J^-1 J^-T, times kappa, then one
-GEMM with v's.  A bilinear tape materializes its argument registers with
-dof axes.  Quadrature lives on the primal entities; every participating
+same way.  A bilinear tape materializes its argument registers with dof
+axes.  Quadrature lives on the primal entities; every participating
 mesh gets reference points by pulling the physical quadrature points back
 through its own cell geometry, which is what aligns integration across
 meshes.  MeasureGeometry holds that geometry for all entities of a measure
@@ -77,8 +73,8 @@ class LocalKernel:
     coeff_slots: list  # (coefficient, component, participant, side)
     arguments: dict  # argument number -> Argument
     arg_blocks: dict  # argument number -> list of ArgBlock
-    # arity <= 1: (register, argument instruction or None, cref register
-    # or None) triples whose contractions sum to the output; else None
+    # arity <= 1: (register, argument instruction or None) pairs whose
+    # contractions sum to the output; else None
     terms: list = None
     static: bool = False  # coefficient_degree(integrand) == (set(), 0)
 
@@ -147,13 +143,12 @@ class _Builder:
     instr the aval/agrad instruction of a basis of value shape bshape.  A
     term's value is c * basis, or sum_i c_i basis_i where c has the basis's
     shape, times the vector register post unless it is None.
-    contraction_terms lowers the metric terms, sums the other terms that
-    read one argument instruction into one register, and drops the
-    registers that only metric terms read.  Bilinear tapes keep
-    materializing argument registers bit for bit, the `inner` special case
-    of _run_tape with them, until the benchmark's exact nnz check no longer
-    pins their roundoff (ROADMAP items 1 and 3); then they move onto the
-    same contraction and both go.
+    contraction_terms sums the terms that read one argument instruction
+    into one register.  Bilinear tapes keep materializing argument
+    registers bit for bit, the `inner` special case of _run_tape with
+    them, until the benchmark's exact nnz check no longer pins their
+    roundoff (ROADMAP items 1 and 3); then they move onto the same
+    contraction and both go.
     """
 
     def __init__(self, integral):
@@ -324,45 +319,19 @@ class _Builder:
             return self._push(("inner", a, b), (), deps)
         raise CompileError(f"unsupported node kind: {type(expr).__name__}")
 
-    def contraction_terms(self, out, on_cells):
-        """The kernel's terms (c, instr, ref), ref None but in metric terms."""
+    def contraction_terms(self, out):
+        """The kernel's terms (c, instr): one register per argument
+        instruction, in the order of first use; a functional's one term
+        has instr None."""
         one = self._const(1.0)
-        if not isinstance(out, list):  # a functional: one term without one
-            return [(out, None, None)]
-        freed = set()
-        terms = [self._metric(one if c is None else c, instr, on_cells, freed)
-                 for c, instr, _, _ in out]
-        merged = {}  # the other terms: one register per argument instruction
-        for c, instr, ref in terms:
-            if ref is None:
-                merged[instr] = c if instr not in merged else self._push(
-                    ("add", merged[instr], c), self.vshapes[c])
-        terms = [t for t in terms if t[2] is not None] + [
-            (c, instr, None) for instr, c in merged.items()]
-        ops = [instr[1:3] if instr[0] in ("add", "mul", "inner") else ()
-               for instr in self.tape]
-        live = {r for c, _, ref in terms for r in (c, ref) if r is not None}
-        for r in reversed(range(len(self.tape))):  # readers follow operands
-            if r in live or r not in freed:
-                live.update((r,) + ops[r])
-        new = {r: k for k, r in enumerate(sorted(live))}
-        self.tape = [(instr[0], *map(new.get, ops[r])) if ops[r] else instr
-                     for r, instr in enumerate(self.tape) if r in new]
-        self.vshapes = [v for r, v in enumerate(self.vshapes) if r in new]
-        return [(new.get(c), instr, new.get(ref)) for c, instr, ref in terms]
-
-    def _metric(self, c, instr, on_cells, freed):
-        """The term (c, instr, None), or the metric term (kappa or None,
-        instr, cref register of w) if c . grad v is kappa grad w . grad v."""
-        kappa, grad = (sorted(self.tape[c][1:], key=lambda r: self.vshapes[r])
-                       if self.tape[c][0] == "mul" else (None, c))
-        if (not on_cells or instr[0] != "agrad" or instr[3]
-                or self.tape[grad][0] != "cgrad" or self.tape[grad][2]
-                or self.vshapes[grad] != (2,)
-                or kappa is not None and self.vshapes[kappa]):
-            return c, instr, None
-        freed.update((c, grad))
-        return kappa, instr, self._push(("cref",) + self.tape[grad][1:], (2,))
+        if not isinstance(out, list):  # a functional
+            return [(out, None)]
+        merged = {}
+        for c, instr, _, _ in out:
+            c = one if c is None else c
+            merged[instr] = c if instr not in merged else self._push(
+                ("add", merged[instr], c), self.vshapes[c])
+        return [(c, instr) for instr, c in merged.items()]
 
 
 def compile_integral(integral):
@@ -393,7 +362,7 @@ def compile_integral(integral):
     out = builder.visit(integral.integrand)
     terms = None
     if builder.factored:
-        terms = builder.contraction_terms(out, primal_kind == "cell2d")
+        terms = builder.contraction_terms(out)
     return LocalKernel(participants=builder.participants,
                        primal_kind=primal_kind, quadrature=rule,
                        tape=builder.tape, reg_vshapes=builder.vshapes,
@@ -557,18 +526,15 @@ class _Side:
     def planes(self, element, op):
         """Basis values ('cval', 'aval'), reference gradients ('cgrad') or
         physical gradients ('agrad') as contiguous planes (E|1, nq k,
-        ndofs), k values per point, for one (batched) matmul; for 'cref',
-        component-major (E|1, 2 nq, ndofs).  Computed once, read-only."""
+        ndofs), k values per point, for one (batched) matmul.  Computed
+        once, read-only."""
         key = (element, "cval" if op == "aval" else op)
         planes = self._built.get(key)
         if planes is None:
             table = (self.argument(element, op, 0, element.num_dofs)
-                     if op == "agrad" else self.tables(element)[op in (
-                         "cgrad", "cref")])
-            table = (table.transpose(0, 3, 1, 2) if op == "cref"
-                     else np.moveaxis(table, 2, -1))
-            planes = self._built[key] = np.ascontiguousarray(table).reshape(
-                len(table), -1, element.num_dofs)
+                     if op == "agrad" else self.tables(element)[op == "cgrad"])
+            planes = self._built[key] = np.ascontiguousarray(np.moveaxis(
+                table, 2, -1)).reshape(len(table), -1, element.num_dofs)
             planes.setflags(write=False)
         return planes
 
@@ -631,16 +597,6 @@ class MeasureGeometry:
     def side(self, pidx, sidx):
         return self._sides[(pidx, sidx)]
 
-    @cached_property
-    def metric(self):
-        """The primal cells' symmetric wq J^-1 J^-T as read-only planes
-        (D00, D11, D01) of shape (3, nq, E), which metric terms apply."""
-        j = self.side(0, 0).jinv.T  # j[k, a] is J^-1[a, k], (nq, E)
-        D = np.array([self.wq.T * (j[0, a] * j[0, b] + j[1, a] * j[1, b])
-                      for a, b in ((0, 0), (1, 1), (0, 1))])
-        D.setflags(write=False)
-        return D
-
 
 # ---------------------------------------------------------------------------
 # kernel execution
@@ -674,30 +630,18 @@ def _align_ndim(a, b):
 
 def _contract(kernel, geometry, regs, lo, hi):
     """Element vectors (B, test), or values (B, 1) of a functional, of
-    entities lo:hi.  A metric term applies D, times kappa, to its
-    reference gradients (2 nq, B) and contracts them with the test
-    element's planes by one GEMM; any other term's register, times the
-    weights, is contracted over points and components with its argument's
-    planes by one (batched) matmul."""
+    entities lo:hi: each term's register, times the weights, is contracted
+    over points and components with its argument's planes by one (batched)
+    matmul."""
     B = hi - lo
     out = np.zeros((B, max(kernel.test_size, 1)))
-    for reg, instr, ref in kernel.terms:
-        block = instr and instr[2]
-        if ref is not None:
-            g = regs[ref].reshape(2, -1, B)
-            D = geometry.metric[..., lo:hi]
-            y = D[:2] * g
-            y += D[2] * g[::-1]
-            if reg is not None:
-                y *= regs[reg].reshape(len(regs[reg]), -1).T
-            out[:, block.offset:block.offset + block.ndofs] += y.reshape(
-                -1, B).T @ geometry.side(0, 0).planes(block.element, "cref")[0]
-            continue
+    for reg, instr in kernel.terms:
         c = regs[reg]
         m = geometry.wq[lo:hi, :, None] * c.reshape(c.shape[:2] + (-1,))
         if instr is None:
             out[:, 0] += m.sum(axis=(1, 2))
             continue
+        block = instr[2]
         planes = _block(geometry.side(*instr[3:]).planes(block.element,
                                                          instr[0]), lo, hi)
         out[:, block.offset:block.offset + block.ndofs] += (
@@ -742,14 +686,11 @@ def _run_tape(kernel, geometry, w, lo, hi):
             _, pidx, sidx = instr
             nrm = geometry.side(pidx, sidx).normal[lo:hi]
             val = nrm.reshape(len(nrm), 1, 1, 1, 2)
-        elif op in ("cval", "cgrad", "cref"):
+        elif op in ("cval", "cgrad"):
             _, slot, pidx, sidx, element = instr
             side = geometry.side(pidx, sidx)
             wb = w[slot][lo:hi]
             planes = _block(side.planes(element, op), lo, hi)
-            if op == "cref":  # reference gradients (2 nq, B)
-                regs.append(planes[0] @ wb.T)
-                continue
             out = (wb @ planes[0].T if len(planes) == 1  # one BLAS product
                    else planes @ wb[:, :, None]).reshape((hi - lo, -1)
                                                          + vshape)

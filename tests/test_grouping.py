@@ -74,7 +74,7 @@ def test_every_form_gets_one_plan_per_integral(asm, studies, name, kind):
         assert plan.cols is own.cols is None or np.array_equal(plan.cols,
                                                                own.cols)
         if kind == "residual":  # one contraction per argument instruction
-            instrs = [instr for _, instr, _ in plan.kernel.terms]
+            instrs = [instr for _, instr in plan.kernel.terms]
             assert len(instrs) == len(set(instrs))
         if plan.linear:
             assert plan.rows is plan.coeff_dofs is None

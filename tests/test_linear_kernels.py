@@ -166,11 +166,11 @@ def test_extra_bilinear_integrands_match_the_materialized_oracle(asm):
         assert_matches_oracle(asm, integral)
 
 
-def metric_forms():
-    """Integrands of metric terms kappa grad w . grad v on the primal cells:
-    non-affine quadrilaterals, kappa = 1 + u^2 on either side of the inner
-    product and a Constant kappa, and a P1 coefficient against a P2 test
-    function on triangles."""
+def stiffness_forms():
+    """Integrands kappa grad w . grad v on the primal cells: non-affine
+    quadrilaterals, kappa = 1 + u^2 on either side of the inner product and
+    a Constant kappa, and a P1 coefficient against a P2 test function on
+    triangles."""
     ml, _ = mm.extract_codim0_submesh(
         conftest.warp(mm.build_split_unit_square(1)), 1)
     mt, _ = mm.extract_codim0_submesh(mm.build_hybrid_unit_square(1), 2)
@@ -195,52 +195,20 @@ def metric_forms():
     ]
 
 
-def test_metric_terms_match_the_materialized_oracle(asm):
-    for form in metric_forms():
+def test_cell_stiffness_terms_match_the_materialized_oracle(asm):
+    for form in stiffness_forms():
         (integral,) = form.integrals
-        kernel = asm._plan_for(integral).kernel
-        assert [ref is not None for *_, ref in kernel.terms] == [True]
-        ops = [instr[0] for instr in kernel.tape]
-        assert "cref" in ops and "cgrad" not in ops and not kernel.static
+        assert not asm._plan_for(integral).kernel.static
         assert_matches_oracle(asm, integral)
-
-
-@pytest.mark.parametrize("problem", ["quad-tri", "split-interface"])
-def test_only_primal_cell_gradient_terms_take_the_metric_path(
-        asm, studies, problem):
-    # the study dx stiffness kernels do; their ds and codim-1 dz kernels,
-    # the dS kernels of extra_forms and every materialized tape do not
-    built = studies.build_problem(problem, 2, 1)
-    jacobian = forms.derivative(built.residual, built.u)
-
-    def lowered(integral):
-        kernel = asm._plan_for(integral).kernel
-        cref = any(instr[0] == "cref" for instr in kernel.tape)
-        assert cref == any(ref is not None for *_, ref in kernel.terms or [])
-        return cref
-
-    def on_cells(integral):
-        return (integral.measure.integral_type == "dx"
-                and integral.measure.mesh.dim == 2)
-
-    for integral in built.residual.integrals:
-        grads = any(isinstance(node, forms.Grad)
-                    for node in forms.walk(integral.integrand))
-        assert lowered(integral) == (on_cells(integral) and grads)
-    assert sum(map(lowered, built.residual.integrals)) == 2
-    others = [itg for form in [jacobian] + extra_forms()
-              for itg in form.integrals]
-    assert not any(lowered(itg) for itg in others if not on_cells(itg))
-    assert not any(map(lowered, jacobian.integrals))
-    assert sum(map(lowered, others)) == 3  # of extra_forms' dx kernels
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("problem", ["quad-tri", "split-interface"])
 def test_the_residual_moves_by_the_jacobian_action(asm, studies, problem,
                                                    degree):
-    # the residual's metric terms and the materialized Jacobian contract
-    # differently; F is linear in u, so r(u) - r(0) = J u up to roundoff
+    # the residual's term contractions and the materialized Jacobian sum
+    # in different orders; F is linear in u, so r(u) - r(0) = J u up to
+    # roundoff
     built = studies.build_problem(problem, degree, 1)
     J = asm.assemble(forms.derivative(built.residual, built.u))
     built.u.values[:] = 0.0
