@@ -166,10 +166,9 @@ def _plans(form):
     here."""
     if "_plans" in form.__dict__:
         return form._plans
-    arguments = [forms.Form([i]).arguments() for i in form.integrals]
-    if any(args != arguments[0] for args in arguments):
-        raise ValueError("every integral must use the form's arguments")
     plans = [_plan_for(integral) for integral in form.integrals]
+    if any(p.kernel.arguments != plans[0].kernel.arguments for p in plans):
+        raise ValueError("every integral must use the form's arguments")
     for plan, integral in zip(plans, form.integrals):
         found, degree = coefficient_degree(integral.integrand)
         if plan.kernel.arity == 1 and degree == 1 == len(found):

@@ -20,12 +20,22 @@ mesh gets reference points by pulling the physical quadrature points back
 through its own cell geometry, which is what aligns integration across
 meshes.  MeasureGeometry holds that geometry for all entities of a measure
 and is shared by every kernel on it.
+
+Kernels are compiled once per signature and kept, mesh-free, in a module
+cache of at most KERNEL_CACHE_SIZE, least recently used out first.  A
+signature is the integrand DAG with its shared nodes, elements, each
+Constant's bits, each Analytic's function, shape and purity, and the
+measure's participant kinds, dims, cell types and quadrature degree, so
+integrals of one signature compile to one tape and a new C/h compiles
+anew.  compile_integral binds a kept kernel to its integral's meshes and
+terminals: the cache holds no mesh or form terminal.  Sides at a rule's
+own points share basis tables per element and rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +56,8 @@ _NEWTON_MAXIT = 25
 # Register values per entity block: bounds the kernel's temporaries to a
 # few MB whatever the mesh size.
 _BLOCK_VALUES = 1 << 16
+KERNEL_CACHE_SIZE = 256
+_kernels = {}  # signature -> mesh-free LocalKernel, least recently used first
 
 
 class CompileError(ValueError):
@@ -77,6 +89,9 @@ class LocalKernel:
     # contractions sum to the output; else None
     terms: list = None
     static: bool = False  # coefficient_degree(integrand) == (set(), 0)
+    # signature terminals, which 'analytic' instructions and a kept
+    # kernel's slots and arguments give by number, components by rank
+    terminals: list = None
 
     def __post_init__(self):
         self.arity = len(self.arguments)
@@ -151,9 +166,11 @@ class _Builder:
     contraction and both go.
     """
 
-    def __init__(self, integral):
+    def __init__(self, integral, terminals, components):  # signature's
         participants = self.participants = integral.measure.participants()
         self.pindex = {mesh.id: i for i, (_, mesh) in enumerate(participants)}
+        self.number = {id(t): k for k, t in enumerate(terminals)}
+        self.components = components
         self.tape = []
         self.vshapes = []
         self.argdeps = []
@@ -170,22 +187,18 @@ class _Builder:
         (number, component, side)."""
         self.arguments = dict(sorted(
             forms.Form([integral]).arguments().items()))
-        used = {number: set() for number in self.arguments}
-        for node in forms.walk(integral.integrand):
-            arg = getattr(node, "function", node)  # an Indexed's function
-            if isinstance(arg, forms.Argument):
-                used[arg.number].add(getattr(node, "component", 0))
         self.arg_blocks, self._blocks = {}, {}
         for number, arg in self.arguments.items():
             layout = self.arg_blocks[number] = []
             offset = 0
-            for comp in sorted(used[number]):
+            for rank, comp in enumerate(
+                    self.components[self.number[id(arg)]]):
                 pidx = self.pindex[arg.space.meshes[comp].id]
                 element = arg.space.element[comp]
                 sides = (("+", "-") if self.participants[pidx][0] == "dS"
                          else (None,))
                 for side in sides:
-                    block = ArgBlock(comp, pidx, side, offset,
+                    block = ArgBlock(rank, pidx, side, offset,
                                      element.num_dofs, element)
                     layout.append(block)
                     self._blocks[(number, comp, side)] = block
@@ -203,13 +216,12 @@ class _Builder:
         return self._pushed[key]
 
     def _coeff_slot(self, coeff, component, pidx, side):
-        key = (coeff.count, component, side_index(side))
-        slot = self._slot_index.get(key)
-        if slot is None:
-            slot = len(self.coeff_slots)
-            self._slot_index[key] = slot
-            self.coeff_slots.append((coeff, component, pidx, side))
-        return slot
+        t = self.number[id(coeff)]
+        slot = (t, self.components[t].index(component), pidx, side)
+        if slot not in self._slot_index:
+            self._slot_index[slot] = len(self.coeff_slots)
+            self.coeff_slots.append(slot)
+        return self._slot_index[slot]
 
     def _resolve_function(self, expr, side):
         """Unwrap restrictions/indexing down to (function, component, side)."""
@@ -280,7 +292,8 @@ class _Builder:
         if isinstance(expr, (forms.Zero, forms.Constant)):
             return self._const(getattr(expr, "value", 0.0), expr.shape)
         if isinstance(expr, forms.Analytic):
-            return self._push(("analytic", expr), expr.shape)
+            return self._push(("analytic", self.number[id(expr)]),
+                              expr.shape)
         if isinstance(expr, forms.FacetNormal):
             return self._push(("normal", self.pindex[expr.mesh.id],
                                side_index(side)), (2,))
@@ -323,9 +336,9 @@ class _Builder:
         """The kernel's terms (c, instr): one register per argument
         instruction, in the order of first use; a functional's one term
         has instr None."""
-        one = self._const(1.0)
         if not isinstance(out, list):  # a functional
             return [(out, None)]
+        one = self._const(1.0)
         merged = {}
         for c, instr, _, _ in out:
             c = one if c is None else c
@@ -334,18 +347,78 @@ class _Builder:
         return [(c, instr) for instr, c in merged.items()]
 
 
+def signature(integral):
+    """(key, terminals, components): the integral's signature (module
+    docstring), its Coefficients, Arguments and Analytics by first
+    appearance and the sorted components each is read at.  The key numbers
+    terminals so, components from each terminal's first one (which keeps
+    their order) and meshes by participant."""
+    measure = integral.measure
+    pindex = {m.id: i for i, (_, m) in enumerate(measure.participants())}
+    key = [measure.quadrature_degree] + [(t, m.dim, frozenset(
+        m.cell_type_set)) for t, m in measure.participants()]
+    root = integral.integrand
+    numbers, nodes, found = {id(root): 0}, [root], {}
+    for node in nodes:  # a loop that grows nodes, not a recursive closure
+        for operand in node.operands:  # which would hold the meshes
+            if id(operand) not in numbers:
+                numbers[id(operand)] = len(nodes)
+                nodes.append(operand)
+        function = getattr(node, "function", node)  # an Indexed's function
+        k = getattr(node, "component", 0)
+        attrs = (node.shape, getattr(node, "side", None))
+        if isinstance(function, (forms._Function, forms.Analytic)):
+            t, _, first, used = found.setdefault(
+                id(function), (len(found), function, k, set()))
+            used.add(k)
+            attrs += (t, k - first)
+        if isinstance(function, forms._Function):
+            attrs += (type(function), getattr(function, "number", None),
+                      function.space.element[k],
+                      pindex[function.space.meshes[k].id])
+        elif isinstance(node, forms.Analytic):
+            attrs += (node.fn, node.pure)
+        elif isinstance(node, forms.Constant):
+            attrs += (node.value.hex(),)
+        elif isinstance(node, forms.FacetNormal):
+            attrs += (pindex[node.mesh.id],)
+        key.append((type(node), attrs,  # a type fixes its operand count
+                    *[numbers[id(o)] for o in node.operands]))
+    return (tuple(key), [entry[1] for entry in found.values()],
+            [sorted(entry[3]) for entry in found.values()])
+
+
 def compile_integral(integral):
     """Compile one integral into a LocalKernel.  The integral is checked
     here, once, by forms.validate_form; the first diagnostic raises.  The
     rule is on its primal cells, or on an interval for facet and codim-1
     primal entities, of the measure's quadrature degree, else
-    default_quadrature_degree."""
+    default_quadrature_degree.  Its tape is kept per signature."""
     diagnostics = forms.validate_form(forms.Form([integral]))
     measure = integral.measure
     if diagnostics:
         d = diagnostics[0]
         raise CompileError(f"invalid form: {measure!r} at {d.path}: "
                            f"{d.message}")
+    key, terminals, components = signature(integral)
+    kernel = (_kernels.pop(key, None)
+              or _compile(integral, terminals, components))
+    _kernels[key] = kernel
+    if len(_kernels) > KERNEL_CACHE_SIZE:
+        del _kernels[next(iter(_kernels))]
+    return replace(
+        kernel, participants=measure.participants(), terminals=terminals,
+        coeff_slots=[(terminals[t], components[t][rank], *rest)
+                     for t, rank, *rest in kernel.coeff_slots],
+        arguments={n: terminals[t] for n, t in kernel.arguments.items()},
+        arg_blocks={n: [replace(b, component=components[t][b.component])
+                        for b in kernel.arg_blocks[n]]
+                    for n, t in kernel.arguments.items()})
+
+
+def _compile(integral, terminals, components):
+    """compile_integral's kept, mesh-free kernel of an integral."""
+    measure = integral.measure
     primal_kind = ("facet" if measure.integral_type != "dx" else
                    "cell2d" if measure.mesh.dim == 2 else "cell1d")
     qdeg = measure.quadrature_degree
@@ -356,19 +429,20 @@ def compile_integral(integral):
                                   "cell2d" else CellType.INTERVAL, qdeg)
     except ValueError as exc:
         raise CompileError(f"{measure!r}: {exc}") from exc
-    builder = _Builder(integral)
+    builder = _Builder(integral, terminals, components)
     if 1 in builder.arguments and 0 not in builder.arguments:
         raise CompileError("integral has a trial function but no test function")
     out = builder.visit(integral.integrand)
     terms = None
     if builder.factored:
         terms = builder.contraction_terms(out)
-    return LocalKernel(participants=builder.participants,
-                       primal_kind=primal_kind, quadrature=rule,
-                       tape=builder.tape, reg_vshapes=builder.vshapes,
+    return LocalKernel(participants=None, primal_kind=primal_kind,
+                       quadrature=rule, tape=builder.tape,
+                       reg_vshapes=builder.vshapes,
                        out_reg=None if terms else out,
                        coeff_slots=builder.coeff_slots,
-                       arguments=builder.arguments,
+                       arguments={n: builder.number[id(a)]
+                                  for n, a in builder.arguments.items()},
                        arg_blocks=builder.arg_blocks, terms=terms,
                        static=coefficient_degree(
                            integral.integrand) == (set(), 0))
@@ -479,7 +553,9 @@ class _Side:
                           and np.array_equal(self.vertices, primal_vertices))
         if self._identity and primal_jinv is not None:
             self.jinv = primal_jinv
-        self._tables = {}
+        # an identity side's tables are kept on its rule, per element
+        self._tables = (rule.__dict__.setdefault("_tables", {})
+                        if self._identity else {})
         self._built = {}  # argument tables and planes, by key
 
     @cached_property
@@ -490,13 +566,16 @@ class _Side:
                                           self.vertices)
 
     def tables(self, element):
-        """Basis values and reference gradients, (E|1, nq, ndofs, ...)."""
+        """Basis values and reference gradients, (E|1, nq, ndofs, ...),
+        read-only."""
         tab = self._tables.get(element)
         if tab is None:
             lead = self.ref.shape[:2]
             tab = self._tables[element] = tuple(
                 t.reshape(lead + t.shape[1:]) for t in element.tabulate(
                     self.ref.reshape(-1, self.ref.shape[-1])))
+            for table in tab:
+                table.setflags(write=False)
         return tab
 
     @cached_property
@@ -681,7 +760,8 @@ def _run_tape(kernel, geometry, w, lo, hi):
         if op == "const":
             val = instr[2]
         elif op == "analytic":
-            val = _analytic(instr[1], geometry.X[lo:hi])
+            val = _analytic(kernel.terminals[instr[1]],
+                            geometry.X[lo:hi])
         elif op == "normal":
             _, pidx, sidx = instr
             nrm = geometry.side(pidx, sidx).normal[lo:hi]

@@ -84,7 +84,8 @@ class ReferenceElement:
     """Nodal Lagrange element; value_shape () for scalars, (2,) for vectors.
 
     Vector elements are blocked scalars: basis function 2*i + c is the scalar
-    basis function i placed in component c.
+    basis function i placed in component c.  Its arrays are read-only, as
+    make_element shares one per (cell, family, degree, value shape).
     """
 
     def __init__(self, cell, family, degree, value_shape=()):
@@ -92,10 +93,13 @@ class ReferenceElement:
         self.family = family
         self.degree = degree
         self.value_shape = tuple(value_shape)
-        self.exponents = _monomial_exponents(cell, degree)
-        self.node_points, self.node_tags = _node_lattice(cell, degree)
+        self.exponents = tuple(_monomial_exponents(cell, degree))
+        self.node_points, tags = _node_lattice(cell, degree)
+        self.node_tags = tuple(tags)
         vand, _ = _eval_monomials(self.exponents, self.node_points)
         self.coefficients = np.linalg.inv(vand)
+        for array in (self.node_points, self.coefficients):
+            array.setflags(write=False)
 
     @property
     def num_scalar_dofs(self):
@@ -151,7 +155,8 @@ class ReferenceElement:
 
 
 def make_element(cell, family, degree, value_shape=()):
-    """Construct a Lagrange element.
+    """The shared, read-only Lagrange element of a (cell, family, degree,
+    value shape).
 
     family 'P' lives on intervals and triangles, 'Q' on quadrilaterals;
     degrees 1 through 4.
@@ -171,7 +176,10 @@ def make_element(cell, family, degree, value_shape=()):
         raise ValueError(f"unknown element family {family!r}")
     if tuple(value_shape) not in ((), (2,)):
         raise ValueError(f"unsupported value shape {value_shape!r}")
-    return ReferenceElement(cell, family, degree, value_shape)
+    return _element(cell, family, degree, tuple(value_shape))
+
+
+_element = functools.lru_cache(maxsize=None)(ReferenceElement)
 
 
 @dataclass(frozen=True)

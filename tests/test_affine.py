@@ -259,18 +259,36 @@ def test_tables_only_static_kernels_read_are_dropped(asm, studies):
     assert argument_tables(nonlinear) == kept
 
 
-def test_a_solved_problem_is_freed_without_the_cycle_collector(studies):
-    # plans and the degree walk hold no reference cycle: one through a
-    # coefficient would keep its meshes and their geometry caches alive
-    # until a collection, which raised the sweeps' peak memory
+@pytest.mark.parametrize("name, solver", [("quad-tri", "lu"),
+                                          ("split-interface", "cg-fieldsplit")])
+def test_a_solved_problem_is_freed_without_the_cycle_collector(
+        studies, comp, monkeypatch, name, solver):
+    # plans, the degree walk and the kernel signatures hold no reference
+    # cycle: one through a coefficient would keep its meshes and their
+    # geometry caches alive until a collection, which raised the sweeps'
+    # peak memory.  The second build of the cell compiles nothing: its
+    # kernels all come from the cache, which must not keep them either.
+    compile_, misses = comp._compile, []
+
+    def counted(*args):
+        misses.append(None)
+        return compile_(*args)
+
+    monkeypatch.setattr(comp, "_kernels", {})
+    monkeypatch.setattr(comp, "_compile", counted)
     gc.disable()
     try:
-        problem = studies.build_quad_tri_problem(1, 1)
-        studies.solve_problem(problem)
-        studies.solution_errors(problem)
-        root = weakref.ref(problem.space.meshes[0].root())
-        del problem
-        assert root() is None
+        roots = []
+        for build in range(2):
+            problem = studies.build_problem(name, 1, 1)
+            studies.solve_problem(problem, solver)
+            studies.solution_errors(problem)
+            roots.append(weakref.ref(problem.space.meshes[0].root()))
+            if build == 0:
+                first = len(misses)
+            del problem
+        assert first > 0 and len(misses) == first
+        assert [root() for root in roots] == [None, None]
     finally:
         gc.enable()
 
