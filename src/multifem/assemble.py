@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -634,4 +633,5 @@ def eliminate_component(A, offsets, component, b=None):
 
 def dump_matrix(A, path):
     """Write a matrix in MatrixMarket coordinate format."""
+    import scipy.io  # only --dump-matrix pays for its import
     scipy.io.mmwrite(path, scipy.sparse.coo_matrix(A), symmetry="general")

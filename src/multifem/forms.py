@@ -475,12 +475,6 @@ class Measure:
             if mesh.dim == 2 and itype == "dx" and self.is_facet_measure():
                 raise ValueError("codim-0 meshes participate in facet "
                                  "measures through 'ds' or 'dS'")
-        if not self.is_facet_measure():
-            # pure cell measure: every participant iterates cells of 2D meshes
-            for itype, mesh in self.participants():
-                if itype != "dx" or mesh.dim != 2:
-                    raise ValueError("cell intersection measures take codim-0 "
-                                     "meshes only")
 
     def participants(self):
         """All (integral_type, mesh) pairs, primal first."""

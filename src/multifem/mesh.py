@@ -4,9 +4,10 @@ Meshes go in and come out as integer arrays and are read-only from
 construction: a cell type code and a row of vertex ids per cell, and a row
 of sorted vertex ids per facet (codimension-1 entity).  Facets are numbered
 by first occurrence in cell order, so a facet's first incident cell is its
-lower-index ('+') side.  A mesh may be a submesh of a parent, in which case
-it carries an entity map back to the parent; chains of extractions share a
-common root mesh through which unrelated submeshes can be connected.
+lower-index ('+') side.  The constructor takes arrays only: an extraction
+attaches the parent and the entity map relating a submesh to it, off which
+a codim-0 submesh reads its facets' parent facets.  Chains of extractions
+share a common root mesh through which unrelated submeshes can be connected.
 """
 
 from __future__ import annotations
@@ -107,12 +108,17 @@ class Mesh:
     to the widest cell), facet_vertex_ids (sorted rows), cell_facets (padded
     with -1), facet_sides/facet_local (incident cells in ascending order and
     their local facets, -1 past the first on exterior facets), facet_exterior.
+
+    An extraction sets parent, parent_map (its EntityMap) and, on a codim-0
+    submesh, facet_to_parent; a mesh built here has them None.
     """
 
     def __init__(self, dim, vertices, cells, cell_markers=None,
-                 facet_markers=None, *, parent=None, vertex_to_parent=None):
+                 facet_markers=None):
         self.id = next(_mesh_counter)
-        self.dim = int(dim)
+        self.dim = as_int(dim, "a mesh's dimension is an integer")
+        if self.dim not in (1, 2):
+            raise ValueError(f"a mesh's dimension is 1 or 2, not {dim!r}")
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
@@ -143,11 +149,7 @@ class Mesh:
                                               return_index=True)[1]
             self.facet_markers[found[last]] = values[last]
 
-        self.parent = parent
-        self.parent_map = None  # an extraction sets its EntityMap here
-        self.vertex_to_parent = (None if vertex_to_parent is None
-                                 else np.array(vertex_to_parent, dtype=int))
-        self._facet_to_parent = None
+        self.parent = self.parent_map = self.facet_to_parent = None
         for value in vars(self).values():  # plans and dofmaps rely on them
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -293,24 +295,6 @@ class Mesh:
         """The top of the parent chain (self if not a submesh)."""
         return self if self.parent is None else self.parent.root()
 
-    def facet_to_parent(self):
-        """Per-facet indices into the parent's facets (same-dimension parents).
-
-        Computed from the vertex map; cached.
-        """
-        if self.parent is None or self.vertex_to_parent is None:
-            raise ValueError("mesh carries no vertex map to a parent")
-        if self._facet_to_parent is None:
-            table = self.parent.locate_facets(
-                self.vertex_to_parent[self.facet_vertex_ids])
-            missing = np.flatnonzero(table < 0)
-            if len(missing):
-                key = tuple(self.facet_vertex_ids[missing[0]].tolist())
-                raise ValueError(f"facet {key!r} has no parent facet")
-            table.setflags(write=False)
-            self._facet_to_parent = table
-        return self._facet_to_parent
-
     def root_entities(self, entity):
         """(kind, table): this mesh's cells (entity 'cell') or facets
         ('facet') as entities of the root mesh, of kind 'cell' or 'facet'.
@@ -320,7 +304,10 @@ class Mesh:
             size = self.num_cells if entity == "cell" else self.num_facets
             return entity, np.arange(size)
         if entity == "facet":
-            table = self.facet_to_parent()
+            if self.facet_to_parent is None:
+                raise ValueError("a codim-1 submesh's facets are no entities "
+                                 "of its parent")
+            table = self.facet_to_parent
         else:
             table = self.parent_map.table
             if self.parent_map.kind == "cell->facet":
@@ -414,11 +401,15 @@ def extract_codim0_submesh(parent, marker):
     cells, new2parent = _renumber(parent.cell_vertex_ids[table])
     sub = Mesh(2, parent.vertices[new2parent],
                (parent.cell_type_codes[table], cells),
-               cell_markers=parent.cell_markers[table],
-               parent=parent, vertex_to_parent=new2parent)
+               cell_markers=parent.cell_markers[table])
     emap = EntityMap(sub.id, parent.id, "cell->cell", table)
-    sub.parent_map = emap
-    sub.facet_markers = parent.facet_markers[sub.facet_to_parent()]
+    sub.parent, sub.parent_map = parent, emap
+    # a cell keeps its vertex order, so local facet k of a facet's first
+    # cell is local facet k of that cell's parent
+    sub.facet_to_parent = parent.cell_facets[emap.table[sub.facet_sides[:, 0]],
+                                             sub.facet_local[:, 0]]
+    sub.facet_markers = parent.facet_markers[sub.facet_to_parent]
+    sub.facet_to_parent.setflags(write=False)
     sub.facet_markers.setflags(write=False)
     return sub, emap
 
@@ -439,10 +430,9 @@ def extract_codim1_submesh(parent, facet_marker):
     cells, new2parent = _renumber(parent.facet_vertex_ids[table])
     sub = Mesh(1, parent.vertices[new2parent],
                (np.full(len(table), _CODE[CellType.INTERVAL]), cells),
-               cell_markers=parent.facet_markers[table],
-               parent=parent, vertex_to_parent=new2parent)
+               cell_markers=parent.facet_markers[table])
     emap = EntityMap(sub.id, parent.id, "cell->facet", table)
-    sub.parent_map = emap
+    sub.parent, sub.parent_map = parent, emap
     return sub, emap
 
 

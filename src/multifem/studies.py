@@ -28,7 +28,7 @@ from .assemble import (DirichletBC, assemble, eliminate_component,
 from .fe import make_element
 from .forms import (Analytic, Coefficient, Constant, FacetNormal,
                     FunctionSpace, Measure, MeshSequence, MixedElement,
-                    TestFunction, grad, inner, split)
+                    TestFunction, avg, grad, inner, jump, split)
 from .mesh import (BOUNDARY_MARKER, INTERFACE_MARKER, CellType,
                    build_hybrid_unit_square, build_split_unit_square,
                    extract_codim0_submesh, extract_codim1_submesh)
@@ -99,10 +99,10 @@ def build_sipg_problem(mesh_a, elem_a, mesh_b, elem_b, penalty, h):
     C_h = Constant(penalty / h)
     F = (inner(grad(u_a), grad(v_a)) * dx_a
          + inner(grad(u_b), grad(v_b)) * dx_b
-         - inner((grad(u_a) + grad(u_b)) / 2,
-                 v_a * n_a + v_b * n_b) * ds_a(INTERFACE_MARKER)
-         - inner(u_a * n_a + u_b * n_b,
-                 (grad(v_a) + grad(v_b)) / 2) * ds_b(INTERFACE_MARKER)
+         - inner(avg([grad(u_a), grad(u_b)]),
+                 jump([v_a, v_b], [n_a, n_b])) * ds_a(INTERFACE_MARKER)
+         - inner(jump([u_a, u_b], [n_a, n_b]),
+                 avg([grad(v_a), grad(v_b)])) * ds_b(INTERFACE_MARKER)
          + C_h * (u_a - u_b) * (v_a - v_b) * ds_a(INTERFACE_MARKER)
          - f_a * v_a * dx_a
          - f_b * v_b * dx_b)
@@ -156,13 +156,13 @@ def build_split_interface_problem(degree, level, penalty=DEFAULT_PENALTY):
     f_l = Analytic(mesh_l, source_term, pure=True)
     f_r = Analytic(mesh_r, source_term, pure=True)
     C_h = Constant(penalty / mesh_size(level))
-    jump_u = u_l * n_l + u_r * n_r
-    jump_v = v_l * n_l + v_r * n_r
-    flux_u = (inner(grad(u_l), n_l) - inner(grad(u_r), n_r)) / 2
+    jump_u = jump([u_l, u_r], [n_l, n_r])
+    jump_v = jump([v_l, v_r], [n_l, n_r])
+    flux_u = avg([inner(grad(u_l), n_l), -inner(grad(u_r), n_r)])
     F = (inner(grad(u_l), grad(v_l)) * dx_l
          + inner(grad(u_r), grad(v_r)) * dx_r
          - u_i * (v_l - v_r) * dz
-         - inner(jump_u, (grad(v_l) + grad(v_r)) / 2) * dz
+         - inner(jump_u, avg([grad(v_l), grad(v_r)])) * dz
          + C_h * inner(jump_u, jump_v) * dz
          - (flux_u - u_i) * v_i * dz
          - f_l * v_l * dx_l

@@ -235,8 +235,30 @@ class TestLinearSolvers:
         with pytest.raises(ValueError, match="diagonal"):
             asm.solve_linear(A, np.ones(4), spd=True)
 
+    def test_cg_returns_zero_for_a_zero_right_hand_side(self, asm):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        x = asm.solve_linear(A, np.zeros(2), spd=True)
+        assert x.tolist() == [0.0, 0.0]
+
+    def test_cg_gives_up_after_ten_n_iterations(self, asm):
+        # not symmetric, but a positive diagonal: CG's recurrences cycle
+        # without breaking down
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [-2.0, 1.0]]))
+        with pytest.raises(asm.ConvergenceError,
+                           match="CG did not converge within 20 iterations"):
+            asm.solve_linear(A, np.ones(2), spd=True)
+
 
 class TestNewton:
+    def test_converging_on_the_last_allowed_step_counts_it(
+            self, asm, studies, monkeypatch):
+        # a linear cell converges after one update: with one allowed, the
+        # check after the loop accepts it
+        problem = studies.build_quad_tri_problem(1, 0)
+        monkeypatch.setattr(asm, "NEWTON_MAX_ITERS", 1)
+        assert asm.newton_solve(problem.residual, problem.u,
+                                bcs=problem.bcs) == 1
+
     def test_linear_problem_takes_one_update(self, asm, studies):
         problem = studies.build_quad_tri_problem(1, 0)
         iterations = asm.newton_solve(problem.residual, problem.u,
@@ -437,6 +459,19 @@ class TestEliminateComponent:
         assert np.allclose(reduced.rhs, [2.0], atol=1e-15)  # 5 - 1*3
         full = reduced.expand(np.array([1.0]))
         assert np.allclose(full, [1.0, 2.0], atol=1e-14)  # back-substituted
+
+    @pytest.mark.parametrize("offsets", [[0, 1], [0, 1, 3]])
+    def test_offsets_must_match_the_matrix(self, asm, offsets):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="offsets do not match"):
+            asm.eliminate_component(A, offsets, 0)
+
+    def test_expand_needs_a_right_hand_side(self, asm):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        reduced = asm.eliminate_component(A, [0, 1, 2], 1)
+        assert reduced.rhs is None
+        with pytest.raises(ValueError, match="built without a rhs"):
+            reduced.expand(np.array([1.0]))
 
     def test_block_diagonal_elimination_is_a_restriction(self, asm):
         rng = np.random.default_rng(29)

@@ -69,6 +69,24 @@ def test_depth_two_facets_are_the_root_facets_at_their_place(chains, name):
             == _rows(mesh.coords_of_facets(np.arange(mesh.num_facets))))
 
 
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("problem", ["quad-tri", "split-interface"])
+def test_study_submesh_facets_name_the_parent_facet_at_their_place(
+        studies, problem, level):
+    # an extraction reads facet_to_parent off its cell map; row f must name
+    # the parent facet whose vertex coordinates are facet f's
+    meshes = [mesh for mesh in studies.build_problem(
+        problem, 1, level).space.meshes if mesh.dim == 2]
+    assert len(meshes) == 2
+    for mesh in meshes:
+        own = mesh.coords_of_facets(np.arange(mesh.num_facets))
+        theirs = mesh.parent.coords_of_facets(mesh.facet_to_parent)
+        assert np.all(np.all(own == theirs, axis=(1, 2))
+                      | np.all(own == theirs[:, ::-1], axis=(1, 2)))
+        assert np.array_equal(mesh.facet_markers,
+                              mesh.parent.facet_markers[mesh.facet_to_parent])
+
+
 def test_codim1_cells_on_a_copy_are_root_facets(chains):
     # a cell->facet map below a cell->cell map: the interval cells are the
     # root's interface facets, decided by the map's kind

@@ -189,6 +189,18 @@ class TestQuadratureAlignment:
                            match="non-conforming or degenerate"):
             align_interface_quadrature(np.array([[5.0, 5.0]]), QUAD, verts)
 
+    @pytest.mark.parametrize("cell,verts", [
+        (TRI, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        (QUAD, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        (mm.CellType.INTERVAL, [[0.0, 0.0], [1.0, 0.0]])])
+    def test_zero_points_map_to_zero_reference_points(self, cell, verts):
+        verts = np.array(verts)
+        ref = align_interface_quadrature(np.zeros((0, 2)), cell, verts)
+        assert ref.shape == (0, cell.dim)
+        batched = align_interface_quadrature(
+            np.zeros((3, 0, 2)), cell, np.stack([verts] * 3))
+        assert batched.shape == (3, 0, cell.dim)
+
 
 class TestCompileContracts:
     def test_nonlinear_argument_rejected(self, asm):
@@ -235,6 +247,50 @@ class TestCompileContracts:
             f * forms.Measure("dx", m, quadrature_degree=2))
         assert exact == pytest.approx(1.0 / 9.0, abs=1e-14)
         assert abs(coarse - 1.0 / 9.0) > 1e-4
+
+    def test_grad_of_a_constant_names_the_node(self, asm):
+        m = conftest.single_cell_mesh(
+            QUAD, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        (v0,) = forms.split(forms.TestFunction(
+            conftest.scalar_space(m, "Q", 1)))
+        g = forms.grad(forms.Constant(1.0))
+        with pytest.raises(CompileError, match="differential operator: "
+                                               "Constant"):
+            asm.assemble(forms.inner(g, forms.grad(v0))
+                         * forms.Measure("dx", m))
+
+    def test_grad_on_the_interface_mesh_rejected(self, asm, studies):
+        problem = studies.build_split_interface_problem(1, 0)
+        _, u_i, _ = forms.split(problem.u)
+        (dz,) = {i.measure for i in problem.residual.integrals
+                 if i.measure.mesh.dim == 1}
+        with pytest.raises(CompileError, match="gradients on codim-1 meshes"):
+            asm.assemble(forms.inner(forms.grad(u_i), forms.grad(u_i)) * dz)
+
+    @pytest.mark.parametrize("arity", [0, 1, 2])
+    def test_restricting_inside_or_outside_grad_gives_equal_tensors(
+            self, asm, comp, monkeypatch, arity):
+        # grad(restrict(w, '+')) and restrict(grad(w), '+') read the same
+        # side's gradient, of a Coefficient or a trial function; each
+        # integral compiles with a cold cache
+        m = mm.build_split_unit_square(0)
+        V = conftest.scalar_space(m, "Q", 2)
+        u = forms.Coefficient(V)
+        u.values[:] = np.random.default_rng(7).standard_normal(V.num_dofs)
+        (u0,) = forms.split(u)
+        (t0,) = forms.split(forms.TrialFunction(V))
+        (v0,) = forms.split(forms.TestFunction(V))
+        plus = t0 if arity == 2 else u0
+        minus = u0 if arity == 0 else v0
+        tensors = []
+        for g in (forms.grad(forms.restrict(plus, "+")),
+                  forms.restrict(forms.grad(plus), "+")):
+            (integral,) = (forms.inner(g, forms.grad(forms.restrict(
+                minus, "-"))) * forms.Measure("dS", m)).integrals
+            with monkeypatch.context() as patch:
+                patch.setattr(comp, "_kernels", {})
+                tensors.append(asm._element_tensors(asm._plan_for(integral)))
+        assert tensors[0].size and np.array_equal(*tensors)
 
     def test_assembly_is_bit_deterministic(self, asm, studies):
         problem = studies.build_quad_tri_problem(1, 0)

@@ -60,6 +60,16 @@ class TestMakeElement:
         with pytest.raises(TypeError, match="element's degree is an integer"):
             fe.make_element(QUAD, "Q", degree)
 
+    @pytest.mark.parametrize("cell,family,shape,message", [
+        (TRI, "X", (), "unknown element family 'X'"),
+        (TRI, "p", (), "unknown element family 'p'"),
+        (QUAD, "Q", (3,), r"unsupported value shape \(3,\)"),
+        (TRI, "P", (2, 2), r"unsupported value shape \(2, 2\)")])
+    def test_input_checks_raise_with_their_rule(self, cell, family, shape,
+                                                message):
+        with pytest.raises(ValueError, match=message):
+            fe.make_element(cell, family, 1, value_shape=shape)
+
     def test_numpy_integer_degree_is_stored_as_an_int(self):
         for degree in (np.int64(2), np.int32(2), np.uint8(2)):
             elem = fe.make_element(QUAD, "Q", degree)

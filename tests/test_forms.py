@@ -342,6 +342,21 @@ class TestAvgJump:
         # |jump| = 2 along a unit facet
         assert energy == pytest.approx(4.0, abs=1e-12)
 
+    def test_helpers_sign_like_the_operators_they_stand_for(self, comp,
+                                                           interface):
+        # the studies' SIPG terms keep their kernel signatures, and so
+        # their kernels and fingerprints, written either way
+        V, mq, mt, ds = interface
+        uq, ut = forms.split(forms.Coefficient(V))
+        vq, vt = forms.split(forms.TestFunction(V))
+        nq, nt = forms.FacetNormal(mq), forms.FacetNormal(mt)
+        by_helpers = forms.inner(forms.avg([forms.grad(uq), forms.grad(ut)]),
+                                 forms.jump([vq, vt], [nq, nt])) * ds
+        by_operators = forms.inner((forms.grad(uq) + forms.grad(ut)) / 2,
+                                   vq * nq + vt * nt) * ds
+        (a,), (b,) = by_helpers.integrals, by_operators.integrals
+        assert comp.signature(a)[0] == comp.signature(b)[0]
+
     def test_shape_mismatch_rejected(self, interface):
         V, mq, mt, ds = interface
         u = forms.Coefficient(V)
@@ -380,3 +395,93 @@ class TestValidator:
             assert forms.validate_form(problem.residual) == []
             J = forms.derivative(problem.residual, problem.u)
             assert forms.validate_form(J) == []
+
+
+def checks_setting():
+    """A triangle mesh, a second mesh, a P1 space on the first and a
+    two-component space on both."""
+    m, other = two_triangle_square(), conftest.single_cell_mesh(
+        QUAD, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    V = conftest.scalar_space(m, "P", 1)
+    W = conftest.make_space([m, other], [fe.make_element(TRI, "P", 1),
+                                         fe.make_element(QUAD, "Q", 1)])
+    return m, other, V, W
+
+
+def _nested(m, other):
+    inner_ = forms.Measure("ds", other, intersect_measures=(
+        forms.Measure("ds", m),))
+    return forms.Measure("ds", m, intersect_measures=(inner_,))
+
+
+INPUT_CHECKS = {
+    "empty-mesh-sequence": (lambda m, o, V, W: forms.MeshSequence([]),
+                            ValueError, "empty mesh sequence"),
+    "repeated-mesh-in-sequence": (
+        lambda m, o, V, W: forms.MeshSequence([m, m]),
+        ValueError, "repeated mesh in sequence"),
+    "empty-mixed-element": (lambda m, o, V, W: forms.MixedElement([]),
+                            ValueError, "empty element list"),
+    "element-count": (
+        lambda m, o, V, W: forms.FunctionSpace(
+            forms.MeshSequence([m, o]),
+            forms.MixedElement([fe.make_element(TRI, "P", 1)])),
+        ValueError, "one element per mesh required"),
+    "division-by-an-expression": (
+        lambda m, o, V, W: forms.Constant(1.0) / forms.Constant(2.0),
+        TypeError, "division by expressions is not supported"),
+    "argument-number": (lambda m, o, V, W: forms.Argument(V, 2), ValueError,
+                        r"argument number must be 0 \(test\) or 1 \(trial\)"),
+    "index-a-non-function": (
+        lambda m, o, V, W: forms.Indexed(forms.Constant(1.0), 0),
+        TypeError, "only product-space functions can be indexed"),
+    "component-out-of-range": (
+        lambda m, o, V, W: forms.Indexed(forms.Coefficient(W), 2),
+        IndexError, "component 2 out of range"),
+    "grad-of-an-unsplit-function": (
+        lambda m, o, V, W: forms.grad(forms.Coefficient(W)), ValueError,
+        r"split\(\) the function before taking gradients"),
+    "product-of-an-unsplit-function": (
+        lambda m, o, V, W: forms.Coefficient(W) * 2.0, ValueError,
+        r"split\(\) the function before multiplying"),
+    "product-of-two-vectors": (
+        lambda m, o, V, W: forms.FacetNormal(m) * forms.FacetNormal(m),
+        ValueError, "at least one product factor must be scalar"),
+    "sum-of-two-shapes": (
+        lambda m, o, V, W: forms.FacetNormal(m) + forms.Constant(1.0),
+        ValueError, r"cannot add shapes \(2,\) and \(\)"),
+    "restriction-side": (
+        lambda m, o, V, W: forms.restrict(forms.Constant(1.0), "left"),
+        ValueError, "restriction side must be '\\+' or '-'"),
+    "jump-normal-count": (
+        lambda m, o, V, W: forms.jump(forms.split(forms.Coefficient(W)),
+                                      [forms.FacetNormal(m)]),
+        ValueError, "one normal per expression required"),
+    "unknown-integral-type": (lambda m, o, V, W: forms.Measure("dX", m),
+                              ValueError, "unknown integral type 'dX'"),
+    "intersect-a-mesh": (
+        lambda m, o, V, W: forms.Measure("ds", m, intersect_measures=(o,)),
+        TypeError, "intersect_measures must contain Measures"),
+    "nested-intersection": (lambda m, o, V, W: _nested(m, o), ValueError,
+                            "intersected measures cannot nest"),
+    "codim0-dx-in-a-facet-measure": (
+        lambda m, o, V, W: forms.Measure("ds", m, intersect_measures=(
+            forms.Measure("dx", o),)),
+        ValueError, "codim-0 meshes participate in facet measures"),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_CHECKS))
+def test_input_checks_raise_with_their_rule(name):
+    build, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error, match=message):
+        build(*checks_setting())
+
+
+def test_negation_and_subtraction_from_a_number_by_value(asm):
+    m = two_triangle_square()
+    dx = forms.Measure("dx", m)
+    x = forms.Analytic(m, lambda x, y: x)
+    assert asm.assemble(-x * dx) == pytest.approx(-0.5, abs=1e-15)
+    assert asm.assemble((3.0 - x) * dx) == pytest.approx(2.5, abs=1e-15)
+    assert asm.assemble(-(1.0 - x) * dx) == pytest.approx(-0.5, abs=1e-15)

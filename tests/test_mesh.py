@@ -271,3 +271,82 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="dimension"):
             mm.Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0]]),
                     conftest.cells_of(mm.CellType.INTERVAL, [(0, 1)]))
+
+
+def interface_mesh():
+    return mm.extract_codim1_submesh(mm.build_split_unit_square(0),
+                                     mm.INTERFACE_MARKER)[0]
+
+
+def unit_quad_mesh_with(**given):
+    m = unit_quad_mesh()
+    return mm.Mesh(2, m.vertices, (m.cell_type_codes, m.cell_vertex_ids),
+                   **given)
+
+
+def marked(rows):
+    rows = np.array(rows)
+    return unit_quad_mesh_with(facet_markers=(rows, np.ones(len(rows), int)))
+
+
+def entity_map(table):
+    return mm.EntityMap(0, 1, "cell->cell", np.array(table))
+
+
+INPUT_CHECKS = {
+    "vertices-not-nv-by-2": (
+        lambda: mm.Mesh(2, np.zeros((4, 3)),
+                        conftest.cells_of(QUAD, [(0, 1, 2, 3)])),
+        ValueError, r"vertices must be an \(nv, 2\) array"),
+    "dimension-3": (
+        lambda: mm.Mesh(3, np.zeros((0, 2)), (np.zeros(0, int),
+                                              np.zeros((0, 0), int))),
+        ValueError, "a mesh's dimension is 1 or 2, not 3"),
+    "dimension-true": (
+        lambda: mm.Mesh(True, np.zeros((2, 2)), conftest.cells_of(
+            mm.CellType.INTERVAL, [(0, 1)])),
+        TypeError, "a mesh's dimension is an integer, got True"),
+    "cell-markers-length": (
+        lambda: unit_quad_mesh_with(cell_markers=np.array([1, 2])),
+        ValueError, "cell_markers length mismatch"),
+    "marked-diagonal": (lambda: marked([[2, 0]]), ValueError,
+                        r"marked facet \(2, 0\) not in mesh"),
+    "marked-vertex-out-of-range": (lambda: marked([[0, 4]]), ValueError,
+                                   r"marked facet \(0, 4\) not in mesh"),
+    "marked-row-of-three": (lambda: marked([[0, 1, 2]]), ValueError,
+                            r"marked facet \(0, 1, 2\) not in mesh"),
+    "marked-row-of-one": (lambda: marked([[0]]), ValueError,
+                          r"marked facet \(0,\) not in mesh"),
+    "parent-argument": (lambda: unit_quad_mesh_with(parent=unit_quad_mesh()),
+                        TypeError, "unexpected keyword argument 'parent'"),
+    "vertex-map-argument": (
+        lambda: unit_quad_mesh_with(vertex_to_parent=np.arange(4)),
+        TypeError, "unexpected keyword argument 'vertex_to_parent'"),
+    "hybrid-cell-type": (lambda: mm.build_hybrid_unit_square(0).cell_type,
+                         ValueError, "mesh is hybrid, no unique cell type"),
+    "map-table-2d": (lambda: entity_map([[0, 1]]), ValueError,
+                     "entity map table must be one-dimensional"),
+    "map-table-negative": (lambda: entity_map([0, -1]), ValueError,
+                           "entity map table has negative entries"),
+    "composed-image-too-large": (
+        lambda: mm.compose_maps(entity_map([0, 3]), mm.EntityMap(
+            1, 2, "cell->cell", np.arange(3))),
+        ValueError, "first map's image exceeds second's domain"),
+    "codim0-of-a-1d-parent": (
+        lambda: mm.extract_codim0_submesh(interface_mesh(),
+                                          mm.INTERFACE_MARKER),
+        ValueError, "codim-0 extraction expects a 2D parent"),
+    "codim1-of-a-1d-parent": (
+        lambda: mm.extract_codim1_submesh(interface_mesh(), 0),
+        ValueError, "codim-1 extraction expects a 2D parent"),
+    "facets-of-a-codim1-submesh-in-the-root": (
+        lambda: interface_mesh().root_entities("facet"), ValueError,
+        "a codim-1 submesh's facets are no entities of its parent"),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_CHECKS))
+def test_input_checks_raise_with_their_rule(name):
+    build, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error, match=message):
+        build()

@@ -26,9 +26,7 @@ MESH_ARRAYS = ("vertices", "cell_type_codes", "cell_vertex_ids",
 def mesh_arrays(mesh):
     arrays = [getattr(mesh, name) for name in MESH_ARRAYS]
     if mesh.parent is not None:
-        arrays += [mesh.vertex_to_parent,
-                   mesh.parent_map and mesh.parent_map.table,
-                   mesh.facet_to_parent() if mesh.dim == 2 else None]
+        arrays += [mesh.parent_map.table, mesh.facet_to_parent]
     arrays += [value for value in vars(mesh).values()
                if isinstance(value, np.ndarray)]
     return [a for a in arrays if a is not None]
@@ -76,18 +74,17 @@ def test_mesh_and_space_arrays_are_read_only_from_construction(name):
 
 def test_caller_arrays_are_copied_not_frozen():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    vertex_to_parent = np.array([0, 1, 2])
     cells = conftest.cells_of(mm.CellType.TRIANGLE, [(0, 1, 2)])
-    parent = mm.Mesh(2, vertices, cells)
-    child = mm.Mesh(2, vertices, cells,
-                    parent=parent, vertex_to_parent=vertex_to_parent)
-    assert vertices.flags.writeable and vertex_to_parent.flags.writeable
+    markers = np.array([4])
+    mesh = mm.Mesh(2, vertices, cells, cell_markers=markers)
+    assert vertices.flags.writeable and markers.flags.writeable
     assert all(flags(cells))
-    assert not any(flags(mesh_arrays(child)))
-    vertex_to_parent[0] = 2
-    assert child.vertex_to_parent.tolist() == [0, 1, 2]
+    assert not any(flags(mesh_arrays(mesh)))
+    vertices[0, 0], cells[1][0, 0], markers[0] = 7.0, 2, 5
+    assert mesh.vertices[0, 0] == 0.0 and mesh.cell_markers.tolist() == [4]
+    assert mesh.cell_vertex_ids[0].tolist() == [0, 1, 2]
     table = np.array([0])
-    emap = mm.EntityMap(child.id, parent.id, "cell->cell", table)
+    emap = mm.EntityMap(mesh.id, mesh.id, "cell->cell", table)
     assert table.flags.writeable and not emap.table.flags.writeable
 
 

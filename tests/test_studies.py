@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +269,32 @@ class TestCli:
         assert code == 0
         A = scipy.io.mmread(mtx).tocsr()
         assert A.shape[0] == A.shape[1] > 0
+
+    def test_no_matrix_is_dumped_when_no_cell_solved(
+            self, tmp_path, studies, monkeypatch, capsys):
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(studies, "solve_problem", explode)
+        mtx = tmp_path / "system.mtx"
+        code, out = self.run(tmp_path, "--dump-matrix", str(mtx))
+        assert code == 2
+        assert out.exists() and not mtx.exists()
+        assert ("error: no cell solved; matrix not dumped"
+                in capsys.readouterr().err)
+
+    def test_starting_the_cli_imports_no_matrix_market_writer(self):
+        # only --dump-matrix writes MatrixMarket files, and dump_matrix
+        # imports scipy.io when it does
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = ("import sys, multifem.cli; print(sorted(name for name in "
+                "sys.modules if name.startswith('scipy.io')))")
+        loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout
+        assert loaded.strip() == "[]"
 
     def test_field_split_solver(self, tmp_path):
         code, out = self.run(tmp_path, "--solver", "cg-fieldsplit",

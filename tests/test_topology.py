@@ -269,13 +269,12 @@ def test_codim0_extraction_matches_reference(seed, markers):
     sub, emap = mm.extract_codim0_submesh(parent, markers)
     cells, new2parent, table, facet_markers = ref_codim0(parent, markers)
     assert mesh_cells(sub) == cells
-    assert sub.vertex_to_parent.tolist() == new2parent
     assert emap.table.tolist() == table
     assert sub.facet_markers.tolist() == facet_markers
     assert np.array_equal(sub.vertices, parent.vertices[new2parent])
     assert_topology_matches(sub)
     _, _, pindex = ref_facets(mesh_cells(parent))
-    assert sub.facet_to_parent().tolist() == [
+    assert sub.facet_to_parent.tolist() == [
         pindex[tuple(sorted(new2parent[v] for v in key))]
         for key in sub.facet_vertex_ids.tolist()]
 
@@ -289,9 +288,12 @@ def test_codim1_extraction_matches_reference(seed, marker):
     sub, emap = mm.extract_codim1_submesh(parent, marker)
     cells, new2parent, table = ref_codim1(parent, marker)
     assert mesh_cells(sub) == cells
-    assert sub.vertex_to_parent.tolist() == new2parent
+    assert np.array_equal(sub.vertices, parent.vertices[new2parent])
     assert emap.table.tolist() == table
     assert np.array_equal(sub.cell_markers, [marker] * len(table))
+    assert sub.facet_to_parent is None
+    with pytest.raises(ValueError, match="codim-1 submesh's facets"):
+        sub.root_entities("facet")
     assert_topology_matches(sub)
 
 
