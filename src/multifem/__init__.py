@@ -18,7 +18,7 @@ from .forms import (EVERYWHERE, Analytic, Argument, Coefficient, Constant,
                     Expr, FacetNormal, Form, FormDiagnostic, FunctionSpace,
                     Indexed, Integral, Measure, MeshSequence, MixedElement,
                     TestFunction, TrialFunction, Zero, avg, derivative, grad,
-                    inner, jump, restrict, split, validate_form)
+                    inner, jump, restrict, split)
 from .mesh import (BOUNDARY_MARKER, INTERFACE_MARKER, CellType, EntityMap,
                    Mesh, build_hybrid_unit_square, build_split_unit_square,
                    classify_facets, compose_maps, extract_codim0_submesh,

@@ -35,8 +35,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import fe, forms
-from .compile import (MeasureGeometry, compile_integral, coefficient_degree,
-                      execute_kernel, side_index)
+from .compile import (MeasureGeometry, compile_integral, execute_kernel,
+                      side_index)
 from .mesh import as_int
 
 SOLVE_TOL = 1e-10
@@ -168,8 +168,8 @@ def _plans(form):
     plans = [_plan_for(integral) for integral in form.integrals]
     if any(p.kernel.arguments != plans[0].kernel.arguments for p in plans):
         raise ValueError("every integral must use the form's arguments")
-    for plan, integral in zip(plans, form.integrals):
-        found, degree = coefficient_degree(integral.integrand)
+    for plan in plans:
+        found, degree = plan.kernel.degree
         if plan.kernel.arity == 1 and degree == 1 == len(found):
             (plan.linear,) = found
             plan.rows = plan.coeff_dofs = None  # nothing reads them
@@ -233,7 +233,7 @@ def _pattern(form, plans):
     values = _static_pass(plans)
     u, sources = getattr(form, "sources", (None, ()))
     static = [p.kernel.static for p in plans]
-    linear = [coefficient_degree(s.integrand) == ({u}, 1) for s in sources]
+    linear = [forms.analyze(s).degree == ({u}, 1) for s in sources]
 
     def summed(chosen):  # read-only
         S = np.bincount(slot[np.repeat(chosen, sizes)], weights=np.concatenate(

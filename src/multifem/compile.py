@@ -23,19 +23,22 @@ and is shared by every kernel on it.
 
 Kernels are compiled once per signature and kept, mesh-free, in a module
 cache of at most KERNEL_CACHE_SIZE, least recently used out first.  A
-signature is the integrand DAG with its shared nodes, elements, each
-Constant's bits, each Analytic's function, shape and purity, and the
-measure's participant kinds, dims, cell types and quadrature degree, so
-integrals of one signature compile to one tape and a new C/h compiles
-anew.  compile_integral binds a kept kernel to its integral's meshes and
-terminals: the cache holds no mesh or form terminal.  Sides at a rule's
-own points share basis tables per element and rule.
+signature (the key of forms.analyze, which also gives every other fact the
+compiler reads of an integrand) is the integrand DAG with its shared
+nodes, elements, each Constant's bits, each Analytic's function, shape
+and purity, and the measure's participant kinds, dims, cell types and
+quadrature degree, so integrals of one signature compile to one tape and
+a new C/h compiles anew.  compile_integral binds a kept kernel to its
+integral's meshes, terminals and degree: the cache holds no mesh or form
+terminal.  Sides at a rule's own points share basis tables per element
+and rule.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,10 +91,10 @@ class LocalKernel:
     # arity <= 1: (register, argument instruction or None) pairs whose
     # contractions sum to the output; else None
     terms: list = None
-    static: bool = False  # coefficient_degree(integrand) == (set(), 0)
-    # signature terminals, which 'analytic' instructions and a kept
-    # kernel's slots and arguments give by number, components by rank
+    # analysis terminals, which 'analytic' instructions and a kept kernel's
+    # slots and arguments give by number, components by rank
     terminals: list = None
+    degree: tuple = None  # bound only: its integral's Analysis.degree
 
     def __post_init__(self):
         self.arity = len(self.arguments)
@@ -103,54 +106,20 @@ class LocalKernel:
             1 if self.terms is not None else self.test_size * self.trial_size)
         self.block_size = max(1, _BLOCK_VALUES // footprint)
 
+    @property
+    def static(self):  # reads no coefficient and no impure Analytic
+        return self.degree == (set(), 0)
+
 
 def side_index(side):
     """Column of a restriction in a facet's (+, -) incident cells."""
     return 1 if side == "-" else 0
 
 
-def coefficient_degree(integrand):
-    """(coefficients read, degree in them), None if a sum is not homogeneous
-    or an impure Analytic is read: (set(), 0) is static, fixed once planned
-    like Constants and pure sources; ({u}, 1) is its u-derivative times u."""
-    found = set()
-    return found, _degree(integrand, found)
-
-
-def _degree(node, found):
-    """coefficient_degree's walk, adding the coefficients it meets to found
-    (not a closure: a recursive one is a reference cycle that holds them)."""
-    function = getattr(node, "function", node)  # an Indexed's function
-    if isinstance(function, forms.Coefficient):
-        found.add(function)
-        return 1
-    degrees = [_degree(operand, found) for operand in node.operands]
-    if None in degrees or not getattr(node, "pure", True):  # Analytic
-        return None
-    if isinstance(node, forms.Sum):  # homogeneous: of one degree
-        return degrees[0] if degrees[0] == degrees[1] else None
-    return sum(degrees)
-
-
-def default_quadrature_degree(integral):
-    """2 * the largest degree of an element component in the integrand,
-    plus 2 on bilinear geometry."""
-    pmax = 1
-    for node in forms.walk(integral.integrand):
-        if isinstance(node, forms.Indexed):
-            pmax = max(pmax, node.function.space.element[node.component].degree)
-        elif isinstance(node, forms._Function):  # of a one-component space
-            pmax = max(pmax, node.space.element[0].degree)
-    qgeom = 0
-    for _, mesh in integral.measure.participants():
-        if mesh.dim == 2 and CellType.QUADRILATERAL in mesh.cell_type_set:
-            qgeom = 2
-    return 2 * pmax + qgeom
-
-
 class _Builder:
-    """Builds the instruction tape for one integral that validate_form
-    accepts.
+    """Builds the instruction tape for one integral that forms.analyze
+    finds no fault in, from that analysis (terminals, components,
+    arguments).
 
     With at most one argument the tape holds argument-free registers only:
     visit returns a test-function-dependent value as a list of terms
@@ -166,11 +135,12 @@ class _Builder:
     contraction and both go.
     """
 
-    def __init__(self, integral, terminals, components):  # signature's
+    def __init__(self, integral, analysis):
         participants = self.participants = integral.measure.participants()
         self.pindex = {mesh.id: i for i, (_, mesh) in enumerate(participants)}
-        self.number = {id(t): k for k, t in enumerate(terminals)}
-        self.components = components
+        self.number = {id(t): k for k, t in enumerate(analysis.terminals)}
+        self.components = analysis.components
+        self.arguments = dict(sorted(analysis.arguments.items()))
         self.tape = []
         self.vshapes = []
         self.argdeps = []
@@ -178,15 +148,12 @@ class _Builder:
         self._slot_index = {}
         self._visited = {}
         self._pushed = {}
-        self._layout_arguments(integral)
+        self._layout_arguments()
         self.factored = len(self.arguments) < 2
 
-    def _layout_arguments(self, integral):
-        """arguments (number -> Argument, as Form.arguments finds them),
-        arg_blocks (number -> blocks on its dof axis) and the block of each
-        (number, component, side)."""
-        self.arguments = dict(sorted(
-            forms.Form([integral]).arguments().items()))
+    def _layout_arguments(self):
+        """arg_blocks (number -> blocks on its dof axis) and the block of
+        each (number, component, side)."""
         self.arg_blocks, self._blocks = {}, {}
         for number, arg in self.arguments.items():
             layout = self.arg_blocks[number] = []
@@ -347,89 +314,50 @@ class _Builder:
         return [(c, instr) for instr, c in merged.items()]
 
 
-def signature(integral):
-    """(key, terminals, components): the integral's signature (module
-    docstring), its Coefficients, Arguments and Analytics by first
-    appearance and the sorted components each is read at.  The key numbers
-    terminals so, components from each terminal's first one (which keeps
-    their order) and meshes by participant."""
-    measure = integral.measure
-    pindex = {m.id: i for i, (_, m) in enumerate(measure.participants())}
-    key = [measure.quadrature_degree] + [(t, m.dim, frozenset(
-        m.cell_type_set)) for t, m in measure.participants()]
-    root = integral.integrand
-    numbers, nodes, found = {id(root): 0}, [root], {}
-    for node in nodes:  # a loop that grows nodes, not a recursive closure
-        for operand in node.operands:  # which would hold the meshes
-            if id(operand) not in numbers:
-                numbers[id(operand)] = len(nodes)
-                nodes.append(operand)
-        function = getattr(node, "function", node)  # an Indexed's function
-        k = getattr(node, "component", 0)
-        attrs = (node.shape, getattr(node, "side", None))
-        if isinstance(function, (forms._Function, forms.Analytic)):
-            t, _, first, used = found.setdefault(
-                id(function), (len(found), function, k, set()))
-            used.add(k)
-            attrs += (t, k - first)
-        if isinstance(function, forms._Function):
-            attrs += (type(function), getattr(function, "number", None),
-                      function.space.element[k],
-                      pindex[function.space.meshes[k].id])
-        elif isinstance(node, forms.Analytic):
-            attrs += (node.fn, node.pure)
-        elif isinstance(node, forms.Constant):
-            attrs += (node.value.hex(),)
-        elif isinstance(node, forms.FacetNormal):
-            attrs += (pindex[node.mesh.id],)
-        key.append((type(node), attrs,  # a type fixes its operand count
-                    *[numbers[id(o)] for o in node.operands]))
-    return (tuple(key), [entry[1] for entry in found.values()],
-            [sorted(entry[3]) for entry in found.values()])
-
-
 def compile_integral(integral):
-    """Compile one integral into a LocalKernel.  The integral is checked
-    here, once, by forms.validate_form; the first diagnostic raises.  The
-    rule is on its primal cells, or on an interval for facet and codim-1
-    primal entities, of the measure's quadrature degree, else
-    default_quadrature_degree.  Its tape is kept per signature."""
-    diagnostics = forms.validate_form(forms.Form([integral]))
+    """Compile one integral into a LocalKernel.  The integral is read by
+    forms.analyze, whose first fault raises.  The rule is on its primal
+    cells, or on an interval for facet and codim-1 primal entities, of the
+    analysis' quadrature degree.  Its tape is kept per signature, and bound
+    here to the integral's participants, terminals, components and
+    degree."""
+    analysis = forms.analyze(integral)
     measure = integral.measure
-    if diagnostics:
-        d = diagnostics[0]
-        raise CompileError(f"invalid form: {measure!r} at {d.path}: "
-                           f"{d.message}")
-    key, terminals, components = signature(integral)
-    kernel = (_kernels.pop(key, None)
-              or _compile(integral, terminals, components))
-    _kernels[key] = kernel
+    if analysis.problems:
+        path, message = analysis.problems[0]
+        raise CompileError(f"invalid form: {measure!r} at {path}: {message}")
+    kernel = (_kernels.pop(analysis.key, None)
+              or _compile(integral, analysis))
+    _kernels[analysis.key] = kernel
     if len(_kernels) > KERNEL_CACHE_SIZE:
         del _kernels[next(iter(_kernels))]
-    return replace(
-        kernel, participants=measure.participants(), terminals=terminals,
-        coeff_slots=[(terminals[t], components[t][rank], *rest)
-                     for t, rank, *rest in kernel.coeff_slots],
-        arguments={n: terminals[t] for n, t in kernel.arguments.items()},
-        arg_blocks={n: [replace(b, component=components[t][b.component])
-                        for b in kernel.arg_blocks[n]]
-                    for n, t in kernel.arguments.items()})
+    terminals, components = analysis.terminals, analysis.components
+    bound = copy.copy(kernel)
+    bound.participants = measure.participants()
+    bound.terminals = terminals
+    bound.coeff_slots = [(terminals[t], components[t][rank], *rest)
+                         for t, rank, *rest in kernel.coeff_slots]
+    bound.arguments = analysis.arguments
+    bound.arg_blocks = {n: [ArgBlock(
+        components[t][b.component], b.participant, b.side, b.offset,
+        b.ndofs, b.element) for b in kernel.arg_blocks[n]]
+        for n, t in kernel.arguments.items()}
+    bound.degree = analysis.degree
+    return bound
 
 
-def _compile(integral, terminals, components):
+def _compile(integral, analysis):
     """compile_integral's kept, mesh-free kernel of an integral."""
     measure = integral.measure
     primal_kind = ("facet" if measure.integral_type != "dx" else
                    "cell2d" if measure.mesh.dim == 2 else "cell1d")
-    qdeg = measure.quadrature_degree
-    if qdeg is None:
-        qdeg = default_quadrature_degree(integral)
     try:
         rule = fe.make_quadrature(measure.mesh.cell_type if primal_kind ==
-                                  "cell2d" else CellType.INTERVAL, qdeg)
+                                  "cell2d" else CellType.INTERVAL,
+                                  analysis.quadrature_degree)
     except ValueError as exc:
         raise CompileError(f"{measure!r}: {exc}") from exc
-    builder = _Builder(integral, terminals, components)
+    builder = _Builder(integral, analysis)
     if 1 in builder.arguments and 0 not in builder.arguments:
         raise CompileError("integral has a trial function but no test function")
     out = builder.visit(integral.integrand)
@@ -443,9 +371,7 @@ def _compile(integral, terminals, components):
                        coeff_slots=builder.coeff_slots,
                        arguments={n: builder.number[id(a)]
                                   for n, a in builder.arguments.items()},
-                       arg_blocks=builder.arg_blocks, terms=terms,
-                       static=coefficient_degree(
-                           integral.integrand) == (set(), 0))
+                       arg_blocks=builder.arg_blocks, terms=terms)
 
 
 # ---------------------------------------------------------------------------

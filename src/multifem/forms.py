@@ -13,11 +13,12 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fe
-from .mesh import Mesh, as_int, first_use_labels
+from .mesh import CellType, Mesh, as_int, first_use_labels
 
 _function_counter = itertools.count()
 
@@ -547,13 +548,9 @@ class Form:
         found = {}
         for itg in self.integrals:
             for node in walk(itg.integrand):
-                if isinstance(node, Indexed):
-                    node = node.function
+                node = getattr(node, "function", node)  # an Indexed's
                 if isinstance(node, Argument):
-                    prev = found.setdefault(node.number, node)
-                    if prev is not node:
-                        raise ValueError("form mixes distinct arguments with "
-                                         "the same number")
+                    _add_argument(found, node)
         return found
 
     def __repr__(self):
@@ -583,68 +580,148 @@ class FormDiagnostic:
         return f"integrals[{self.integral_index}] at {self.path}: {self.message}"
 
 
-def _terminal_meshes(node):
-    """Meshes a terminal is attached to (several for unsplit functions)."""
-    if isinstance(node, Indexed):
-        return [node.function.space.meshes[node.component]]
-    if isinstance(node, (Coefficient, Argument)):
-        return list(node.space.meshes)
-    if isinstance(node, (FacetNormal, Analytic)):
-        return [node.mesh]
-    return []
+def _add_argument(found, argument):
+    """found[argument.number] = argument, which must be the one there."""
+    if found.setdefault(argument.number, argument) is not argument:
+        raise ValueError("form mixes distinct arguments with the same number")
+
+
+class Analysis(NamedTuple):
+    """What analyze finds in an integral.  degree is (Coefficients read,
+    degree in them), None if a sum is not homogeneous or an impure Analytic
+    is read: (set(), 0) is static, fixed once planned like Constants and
+    pure sources; ({u}, 1) is its u-derivative times u."""
+
+    problems: list  # (path, message) of each fault, in walk order
+    key: tuple  # the kernel signature (the compile module docstring)
+    terminals: list  # Coefficients, Arguments and Analytics by first use
+    components: list  # per terminal, the sorted components it is read at
+    arguments: dict  # argument number -> Argument
+    degree: tuple
+    # the measure's, else 2 * the largest element degree, + 2 on quadrilaterals
+    quadrature_degree: int
+
+
+# (integral type of a participant, restricted?) -> the fault of its terminal
+_RESTRICTION_FAULTS = {
+    ("dS", False): "missing restriction on interior-facet participant",
+    ("ds", True): "restriction on exterior-facet participant",
+    ("dx", True): "restriction on cell participant"}
+
+
+def analyze(integral):
+    """The Analysis of an integral, from its one walk, kept on it.  The walk
+    is depth first, operands in order, and reads each node once per
+    restriction side it is reached under: a node reached again is a back
+    reference in the key and is not checked again.  The key numbers nodes
+    by first visit, terminals by first use, components from each
+    terminal's first one (which keeps their order) and meshes by
+    participant.  Raises ValueError if the integrand mixes distinct
+    arguments with the same number."""
+    if "_analysis" in integral.__dict__:
+        return integral._analysis
+    measure = integral.measure
+    participants = measure.participants()
+    roles = {mesh.id: (p, t) for p, (t, mesh) in enumerate(participants)}
+    key = [measure.quadrature_degree] + [(t, m.dim, frozenset(
+        m.cell_type_set)) for t, m in participants]
+    problems, found, seen, degrees = [], {}, {}, []
+    stack = [(integral.integrand, None, "")]
+    while stack:  # a loop, not a recursive closure, which would hold meshes
+        node, side, path = stack.pop()
+        if path is None:  # the operands are done: the node's degree
+            inner = getattr(node, "side", side)  # a restriction's own
+            d = [degrees[seen[o, inner]] for o in node.operands]
+            if isinstance(node, Sum):  # homogeneous: of one degree
+                d = d[:1] if d[0] == d[1] else [None]
+            degrees[seen[node, side]] = None if None in d else sum(d)
+            continue
+        if (node, side) in seen:
+            key.append(seen[node, side])
+            continue
+        seen[node, side] = len(degrees)
+        degrees.append(0)
+        if node.operands:
+            stack.append((node, side, None))
+        if isinstance(node, Restricted):
+            if side is not None:
+                problems.append((path, "nested restriction"))
+            key.append((Restricted, node.shape, node.side))
+            stack.append((node.operands[0], node.side,
+                          f"{path}/Restricted[{node.side}]"))
+            continue
+        here = f"{path}/{type(node).__name__}"
+        entry = (type(node), node.shape)
+        function = getattr(node, "function", node)  # an Indexed's function
+        mesh = getattr(node, "mesh", None)  # a FacetNormal's or Analytic's
+        if isinstance(function, (_Function, Analytic)):
+            k = getattr(node, "component", 0)
+            t, _, first, used = found.setdefault(
+                id(function), (len(found), function, k, set()))
+            used.add(k)
+            entry += (t, k - first)
+        if isinstance(function, _Function):
+            mesh = function.space.meshes[k]
+            entry += (type(function), getattr(function, "number", None),
+                      function.space.element[k], roles.get(mesh.id))
+            degrees[-1] = int(isinstance(function, Coefficient))
+        elif isinstance(node, Analytic):
+            entry += (node.fn, node.pure)
+            degrees[-1] = 0 if node.pure else None
+        elif isinstance(node, Constant):
+            entry += (node.value.hex(),)
+        role = roles.get(getattr(mesh, "id", None), (None, None))[1]
+        if isinstance(node, FacetNormal):
+            entry += (roles.get(mesh.id),)
+            if mesh.dim != 2 or role == "dx":
+                problems.append((here, "FacetNormal requires a codim-0 mesh"
+                                 if mesh.dim != 2 else "FacetNormal of a "
+                                 "mesh participating through cells"))
+        if mesh is not None and role is None:
+            problems.append((here, f"mesh {mesh.id} does not participate in "
+                                   f"the measure"))
+        elif (role, side is not None) in _RESTRICTION_FAULTS:
+            problems.append((here, _RESTRICTION_FAULTS[role,
+                                                       side is not None]))
+        key.append(entry)  # a type fixes its operand count
+        operands = node.operands
+        for i in range(len(operands) - 1, -1, -1):
+            stack.append((operands[i], side, f"{here}.{i}"))
+    terminals = [entry[1] for entry in found.values()]
+    arguments = {}
+    for argument in terminals:
+        if isinstance(argument, Argument):
+            _add_argument(arguments, argument)
+    quadrature_degree = measure.quadrature_degree
+    if quadrature_degree is None:  # Analysis.quadrature_degree
+        quadrature_degree = 2 * max([1] + [
+            f.space.element[k].degree for _, f, _, used in found.values()
+            if isinstance(f, _Function) for k in used]) + 2 * any(
+            m.dim == 2 and CellType.QUADRILATERAL in m.cell_type_set
+            for _, m in participants)
+    integral._analysis = Analysis(
+        problems, tuple(key), terminals,
+        [sorted(entry[3]) for entry in found.values()], arguments,
+        ({f for f in terminals if isinstance(f, Coefficient)}, degrees[0]),
+        quadrature_degree)
+    return integral._analysis
 
 
 def validate_form(form):
     """Check integrand/measure consistency; returns a list of diagnostics.
 
-    The one owner of these rules: compile_integral runs it on every
-    integral it compiles.  An empty list means the form is valid.  Checks
-    per integral: every terminal's mesh participates in the measure;
-    terminals of interior-facet participants are restricted; terminals of
-    cell or exterior-facet participants are not; a FacetNormal's mesh is
-    codim-0 and participates through its facets.
+    An empty list means the form is valid.  The rules live in analyze,
+    which compile_integral runs on every integral it compiles.  Checks per
+    integral: every terminal's mesh participates in the measure; terminals
+    of interior-facet participants are restricted; terminals of cell or
+    exterior-facet participants are not; a FacetNormal's mesh is codim-0
+    and participates through its facets.  Diagnostics come in depth-first
+    order, operands in order; a subexpression reached twice under one
+    restriction side is checked once, at its first path.
     """
-    diagnostics = []
-
-    def visit(node, idx, roles, side, path):
-        if isinstance(node, Restricted):
-            if side is not None:
-                diagnostics.append(FormDiagnostic(idx, path, "nested restriction"))
-            visit(node.operands[0], idx, roles,
-                  node.side, path + f"/Restricted[{node.side}]")
-            return
-        here = path + "/" + type(node).__name__
-        if isinstance(node, FacetNormal):
-            if node.mesh.dim != 2:
-                diagnostics.append(FormDiagnostic(
-                    idx, here, "FacetNormal requires a codim-0 mesh"))
-            elif roles.get(node.mesh.id) == "dx":
-                diagnostics.append(FormDiagnostic(
-                    idx, here, "FacetNormal of a mesh participating through "
-                               "cells"))
-        for mesh in _terminal_meshes(node):
-            role = roles.get(mesh.id)
-            if role is None:
-                diagnostics.append(FormDiagnostic(
-                    idx, here, f"mesh {mesh.id} does not participate in the "
-                               f"measure"))
-            elif role == "dS" and side is None:
-                diagnostics.append(FormDiagnostic(
-                    idx, here, "missing restriction on interior-facet "
-                               "participant"))
-            elif role == "ds" and side is not None:
-                diagnostics.append(FormDiagnostic(
-                    idx, here, "restriction on exterior-facet participant"))
-            elif role == "dx" and side is not None:
-                diagnostics.append(FormDiagnostic(
-                    idx, here, "restriction on cell participant"))
-        for i, child in enumerate(node.operands):
-            visit(child, idx, roles, side, here + f".{i}")
-
-    for idx, itg in enumerate(form.integrals):
-        roles = {mesh.id: itype for itype, mesh in itg.measure.participants()}
-        visit(itg.integrand, idx, roles, None, "")
-    return diagnostics
+    return [FormDiagnostic(idx, path, message)
+            for idx, itg in enumerate(form.integrals)
+            for path, message in analyze(itg).problems]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Residual integrals linear in u, applied as one sparse matvec.
 
 A linear form is planned one integral at a time.  An integral homogeneous of
-degree one in one coefficient u alone (compile.coefficient_degree) equals
-its Gateaux derivative J applied to u.  Its assembly adds L u, L the sum of
-J's static kernels whose source integral is such an integral, on J's
-unconstrained CSR pattern; its own kernel is compiled but never run.  These
-tests check that path against the integrals' own kernels, also on a form
-where L is not every static kernel of J, which integrands keep the kernel
-path, that J's static kernels run once per form whatever is assembled first,
-that a constrained J is its unconstrained one with the rows and columns
-masked, that the argument tables only static kernels read are dropped, and
-that Newton still takes one step on the linear studies.
+degree one in one coefficient u alone (the degree forms.analyze finds, which
+its kernel carries) equals its Gateaux derivative J applied to u.  Its
+assembly adds L u, L the sum of J's static kernels whose source integral is
+such an integral, on J's unconstrained CSR pattern; its own kernel is
+compiled but never run.  These tests check that path against the integrals'
+own kernels, also on a form where L is not every static kernel of J and
+where one kernel serves integrals of two coefficients, which integrands
+keep the kernel path, that J's static kernels run once per form whatever is
+assembled first, that a constrained J is its unconstrained one with the
+rows and columns masked, that the argument tables only static kernels read
+are dropped, and that Newton still takes one step on the linear studies.
 """
 
 import gc
@@ -25,12 +26,15 @@ from multifem import mesh as mm
 import conftest
 
 
-def no_linear_plans(degree):
-    """compile.coefficient_degree, but degree None where it is 1: no
-    integral counts as linear in u, so every dynamic one runs its kernel."""
-    def patched(integrand):
-        found, d = degree(integrand)
-        return found, None if d == 1 else d
+def no_linear_plans(compile_integral):
+    """compile.compile_integral, but its kernel's degree None where it is
+    1: no integral counts as linear in u, so every dynamic one runs its
+    kernel."""
+    def patched(integral):
+        kernel = compile_integral(integral)
+        found, d = kernel.degree
+        kernel.degree = found, None if d == 1 else d
+        return kernel
     return patched
 
 
@@ -45,8 +49,8 @@ def test_linear_integrals_match_their_own_kernels(asm, studies, monkeypatch,
                                                   name, degree):
     for level in (0, 1, 2):
         with monkeypatch.context() as patched:
-            patched.setattr(asm, "coefficient_degree",
-                            no_linear_plans(asm.coefficient_degree))
+            patched.setattr(asm, "compile_integral",
+                            no_linear_plans(asm.compile_integral))
             kernels = studies.build_problem(name, degree, level)
             asm.assemble(kernels.residual)
         problem = studies.build_problem(name, degree, level)
@@ -87,23 +91,24 @@ def counting(asm, monkeypatch):
 
 
 class TestDetection:
-    def test_integrands_homogeneous_of_degree_one(self, comp, square):
+    def test_integrands_homogeneous_of_degree_one(self, square):
         V, u, u0, v0 = square
         m = V.meshes[0]
+        dx = forms.Measure("dx", m)
         pure = forms.Analytic(m, lambda x, y: x, pure=True)
         for integrand in (u0 * v0, forms.inner(forms.grad(u0),
                                                forms.grad(v0)),
                           forms.Constant(2.0) * u0 * v0 + pure * u0 * v0,
                           forms.inner(forms.grad(u0) * forms.Constant(3.0),
                                       forms.FacetNormal(m)) * v0):
-            assert comp.coefficient_degree(integrand) == ({u}, 1)
+            assert forms.analyze((integrand * dx).integrals[0]).degree == (
+                {u}, 1)
 
     @pytest.mark.parametrize("case, degree", [("affine", None),
                                               ("square", 2), ("other", 2),
                                               ("impure", None)])
-    def test_other_integrands_keep_their_kernels(self, asm, comp,
-                                                 monkeypatch, square, case,
-                                                 degree):
+    def test_other_integrands_keep_their_kernels(self, asm, monkeypatch,
+                                                 square, case, degree):
         V, u, u0, v0 = square
         m = V.meshes[0]
         w = forms.Coefficient(V)
@@ -112,10 +117,10 @@ class TestDetection:
         impure = forms.Analytic(m, lambda x, y: x + y)
         integrand = {"affine": (u0 + 1.0) * v0, "square": u0 * u0 * v0,
                      "other": w0 * u0 * v0, "impure": impure * u0 * v0}[case]
-        found, got = comp.coefficient_degree(integrand)
+        form = integrand * forms.Measure("dx", m)
+        found, got = forms.analyze(form.integrals[0]).degree
         assert got == degree
         assert found == ({u, w} if case == "other" else {u})
-        form = integrand * forms.Measure("dx", m)
         first = asm.assemble(form)
         (plan,), _ = form._plans
         assert plan.linear is None
@@ -138,6 +143,30 @@ class TestDetection:
         asm.assemble(linear)
         assert np.array_equal(asm.assemble(mixed), first)
         assert runs == [1]  # u0 u0 v0's kernel only
+
+
+def test_one_kernel_is_bound_to_each_integrals_coefficient(asm, monkeypatch,
+                                                           square):
+    # u0 v0 and w0 v0 have one signature, so one kept kernel, whose degree
+    # each integral binds to its own coefficient: each is applied as the
+    # matvec of its own, as the kernel path computes it
+    V, u, u0, v0 = square
+    w = forms.Coefficient(V)
+    w.values[:] = np.random.default_rng(6).standard_normal(V.num_dofs)
+    (w0,) = forms.split(w)
+    dx = forms.Measure("dx", V.meshes[0])
+    F = u0 * v0 * dx + w0 * v0 * dx
+    r = asm.assemble(F)
+    plans, _ = F._plans
+    assert plans[0].kernel.tape is plans[1].kernel.tape
+    assert [p.linear for p in plans] == [u, w]
+    with monkeypatch.context() as patched:
+        patched.setattr(asm, "compile_integral",
+                        no_linear_plans(asm.compile_integral))
+        kernels = u0 * v0 * dx + w0 * v0 * dx
+        want = asm.assemble(kernels)
+    assert not any(p.linear for p in kernels._plans[0])
+    assert np.abs(r - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def jacobian_bcs(problem):
@@ -163,8 +192,8 @@ def test_mixed_degrees_match_their_own_kernels(asm, monkeypatch):
     V = conftest.scalar_space(quads, "Q", 2)
     u = forms.Coefficient(V)
     with monkeypatch.context() as patched:
-        patched.setattr(asm, "coefficient_degree",
-                        no_linear_plans(asm.coefficient_degree))
+        patched.setattr(asm, "compile_integral",
+                        no_linear_plans(asm.compile_integral))
         kernels = mixed(V, u)
         asm.assemble(kernels)
     F = mixed(V, u)

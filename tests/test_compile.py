@@ -7,8 +7,7 @@ import sympy
 import conftest
 from multifem import fe, forms
 from multifem import mesh as mm
-from multifem.compile import (CompileError, align_interface_quadrature,
-                              default_quadrature_degree)
+from multifem.compile import CompileError, align_interface_quadrature
 
 TRI = mm.CellType.TRIANGLE
 QUAD = mm.CellType.QUADRILATERAL
@@ -226,7 +225,7 @@ class TestCompileContracts:
         v = forms.TestFunction(V2)
         (v0,) = forms.split(v)
         itg = (v0 * forms.Measure("dx", ml)).integrals[0]
-        assert default_quadrature_degree(itg) == 6  # 2p + 2 on quads
+        assert forms.analyze(itg).quadrature_degree == 6  # 2p + 2 on quads
 
         tri_parent = mm.build_hybrid_unit_square(0)
         mt, _ = mm.extract_codim0_submesh(tri_parent, 2)
@@ -234,7 +233,7 @@ class TestCompileContracts:
         w = forms.TestFunction(V3)
         (w0,) = forms.split(w)
         itg = (w0 * forms.Measure("dx", mt)).integrals[0]
-        assert default_quadrature_degree(itg) == 6  # 2p on affine cells
+        assert forms.analyze(itg).quadrature_degree == 6  # 2p on affine cells
 
     def test_quadrature_degree_override_changes_the_result(self, asm):
         # x^8 needs degree 8; a degree-2 rule must visibly disagree
@@ -337,11 +336,11 @@ def study_integral(studies, primal):
 @pytest.mark.parametrize("given", [None, 7])
 @pytest.mark.parametrize("primal", sorted(PRIMAL_ENTITIES))
 def test_a_kernel_takes_its_measures_rule(comp, studies, primal, given):
-    # the measure's quadrature degree, else default_quadrature_degree, on
+    # the measure's quadrature degree, else forms.analyze's default, on
     # the primal entities' reference cell; rules are shared per (cell,
     # degree), so the kernel holds the very rule
     cell, integral = study_integral(studies, primal)
-    default = default_quadrature_degree(integral)
+    default = forms.analyze(integral).quadrature_degree
     assert default != 7
     kernel = comp.compile_integral(with_degree(integral, given))
     degree = default if given is None else given

@@ -1,5 +1,6 @@
-"""One form checker: forms.validate_form owns the integrand/measure rules,
-and assembly applies it through compile_integral, once per integral."""
+"""One form checker: forms.analyze owns the integrand/measure rules, which
+forms.validate_form reports and assembly applies through compile_integral,
+once per integral."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import conftest
 from multifem import fe, forms
 from multifem import mesh as mm
-from multifem.compile import CompileError, default_quadrature_degree
+from multifem.compile import CompileError
 
 QUAD = mm.CellType.QUADRILATERAL
 
@@ -31,6 +32,86 @@ def test_assemble_rejects_what_the_validator_rejects(asm, name, form,
     message = str(info.value)
     assert first in message
     assert any(fragment in message for fragment in expected), message
+
+
+# every diagnostic of each rejected catalog form, as (integral index, path,
+# message)
+PINNED = {
+    "unrestricted-interior-facet-participant": [
+        (0, "/Product.0/Coefficient",
+         "missing restriction on interior-facet participant")],
+    "restricted-exterior-facet-participant": [
+        (0, "/Product.1/Restricted[+]/Coefficient",
+         "restriction on exterior-facet participant")],
+    "nested-restriction": [(0, "/Product.0/Restricted[-]",
+                            "nested restriction")],
+    "facet-normal-of-a-codim1-mesh": [
+        (0, "/Inner.1/FacetNormal", "FacetNormal requires a codim-0 mesh")],
+    "restricted-cell-participant": [
+        (0, "/Product.1/Restricted[+]/Coefficient",
+         "restriction on cell participant")],
+}
+
+
+def reported(form):
+    return [(d.integral_index, d.path, d.message)
+            for d in forms.validate_form(form)]
+
+
+def test_every_rejected_case_is_pinned():
+    assert sorted(PINNED) == sorted(case[0] for case in REJECTED)
+
+
+@pytest.mark.parametrize("name,form,expected", REJECTED,
+                         ids=[c[0] for c in REJECTED])
+def test_the_validator_reports_exactly_these(name, form, expected):
+    assert reported(form) == PINNED[name]
+
+
+@pytest.fixture()
+def facets():
+    """(Coefficient on a mesh, interior-facet participant full, exterior-
+    facet participant left, unrelated right, the measure dS(full) ^
+    ds(left))."""
+    parent = mm.build_split_unit_square(0)
+    full, left, right = (mm.extract_codim0_submesh(parent, ids)[0]
+                         for ids in ((1, 2), 1, 2))
+    measure = forms.Measure("dS", full, 999, intersect_measures=(
+        forms.Measure("ds", left),))
+
+    def scalar(mesh):
+        return forms.Coefficient(conftest.scalar_space(mesh, "Q", 1))
+
+    return scalar, full, left, right, measure
+
+
+def test_faults_are_reported_in_walk_order(facets):
+    # depth first, operands in order, integral by integral
+    scalar, full, left, right, dS = facets
+    u, w, z = scalar(full), scalar(left), scalar(right)
+    form = (forms.restrict(u, "+") * w * dS
+            + forms.restrict(w, "+") * (u + z) * dS)
+    assert reported(form) == [
+        (1, "/Product.0/Restricted[+]/Coefficient",
+         "restriction on exterior-facet participant"),
+        (1, "/Product.1/Sum.0/Coefficient",
+         "missing restriction on interior-facet participant"),
+        (1, "/Product.1/Sum.1/Coefficient",
+         f"mesh {right.id} does not participate in the measure")]
+
+
+def test_a_shared_faulty_node_is_reported_once_per_side(facets):
+    # e * e reads e twice under no restriction: the walk checks each node
+    # once per side, so e's fault is reported once, at the first path that
+    # reaches it (the recursive checker reported it once per path); under
+    # '+' and '-' it is checked under each, and restricted there
+    scalar, full, _, _, dS = facets
+    e = forms.Constant(2.0) * scalar(full)
+    assert reported(e * e * dS) == [
+        (0, "/Product.0/Product.1/Coefficient",
+         "missing restriction on interior-facet participant")]
+    assert reported(forms.restrict(e, "+") * forms.restrict(e, "-")
+                    * dS) == []
 
 
 @pytest.mark.parametrize("name,form,expected", ACCEPTED,
@@ -85,13 +166,14 @@ def test_forms_are_checked_once_per_integral(asm, studies, monkeypatch):
     problem = studies.build_quad_tri_problem(1, 0)
     J = forms.derivative(problem.residual, problem.u)
     calls = []
-    validate = forms.validate_form
+    analyze = forms.analyze
 
-    def counted(form):
-        calls.extend(form.integrals)
-        return validate(form)
+    def counted(integral):
+        if "_analysis" not in vars(integral):  # walked, not read as kept
+            calls.append(integral)
+        return analyze(integral)
 
-    monkeypatch.setattr(forms, "validate_form", counted)
+    monkeypatch.setattr(forms, "analyze", counted)
     r0, A0 = asm.assemble(problem.residual), asm.assemble(J, problem.bcs)
     # one check per kernel, and so per integral: every integral is in
     # exactly one check
@@ -105,7 +187,7 @@ def test_forms_are_checked_once_per_integral(asm, studies, monkeypatch):
         raise AssertionError("expression tree walked on reassembly")
 
     # later assemblies reuse the plans: no check and no tree walk
-    monkeypatch.setattr(forms, "validate_form", no_walk)
+    monkeypatch.setattr(forms, "analyze", no_walk)
     monkeypatch.setattr(forms, "walk", no_walk)
     r1, A1 = asm.assemble(problem.residual), asm.assemble(J, problem.bcs)
     assert np.array_equal(r0, r1)
@@ -121,5 +203,5 @@ def test_component_quadrature_degree_ignores_other_components():
     v_left, v_right = forms.split(forms.TestFunction(V))
     low = (v_left * forms.Measure("dx", left)).integrals[0]
     high = (v_right * forms.Measure("dx", right)).integrals[0]
-    assert default_quadrature_degree(low) == 4  # 2 * 1 + 2 on quads
-    assert default_quadrature_degree(high) == 8  # 2 * 3 + 2 on quads
+    assert forms.analyze(low).quadrature_degree == 4  # 2 * 1 + 2 on quads
+    assert forms.analyze(high).quadrature_degree == 8  # 2 * 3 + 2 on quads

@@ -1,8 +1,8 @@
 """Kernels compiled once per signature and kept, mesh-free, process-wide.
 
-compile.signature keys an integral by its integrand DAG with meshes
-numbered by participant and Coefficients, Arguments and Analytics by first
-appearance, plus its elements, Constant bits, Analytic functions and the
+forms.analyze keys an integral by its integrand DAG with meshes numbered
+by participant and Coefficients, Arguments and Analytics by first use,
+plus its elements, Constant bits, Analytic functions and the
 measure's participant kinds, cell types and quadrature degree.
 compile_integral keeps one kernel per key and binds it to each integral.
 Checked here: structurally equal integrals share one tape and give the
@@ -116,7 +116,7 @@ class TestSharing:
 class TestMisses:
     @staticmethod
     def key(comp, integrand, measure):
-        return comp.signature((integrand * measure).integrals[0])[0]
+        return forms.analyze((integrand * measure).integrals[0]).key
 
     @pytest.fixture
     def setting(self):
@@ -209,12 +209,25 @@ class TestBinding:
         valid, invalid = (forms.Analytic(mesh, source) * v * dx
                           for mesh in (left, right))
         comp.compile_integral(valid.integrals[0])
-        assert (comp.signature(invalid.integrals[0])[0]
-                in comp._kernels)
+        assert forms.analyze(invalid.integrals[0]).key in comp._kernels
         with pytest.raises(comp.CompileError,
                            match=f"mesh {right.id} does not participate"):
             asm.assemble(invalid)
         assert len(cold) == 1
+
+    def test_a_static_kernel_from_the_cache_is_static(self, comp, cold):
+        # the second integral's kernel is a hit on the first's, bound to
+        # the second's own degree: no coefficient, so static
+        m = left_half()
+        (v,) = forms.split(forms.TestFunction(conftest.scalar_space(m, "Q",
+                                                                    1)))
+        first, second = ((forms.Constant(2.0) * v
+                          * forms.Measure("dx", m)).integrals[0]
+                         for _ in range(2))
+        assert comp.compile_integral(first).static is True
+        kernel = comp.compile_integral(second)
+        assert len(cold) == 1
+        assert kernel.static is True and kernel.degree == (set(), 0)
 
     def test_a_wrong_shape_names_the_integrals_own_analytic(
             self, asm, comp, cold):
@@ -245,7 +258,7 @@ class TestBounds:
                      for c in range(5)]
         for k in (0, 1, 2, 0, 3, 4):
             comp.compile_integral(integrals[k])
-        assert list(comp._kernels) == [comp.signature(integrals[k])[0]
+        assert list(comp._kernels) == [forms.analyze(integrals[k]).key
                                        for k in (0, 3, 4)]
         assert len(cold) == 5
 

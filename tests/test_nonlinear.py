@@ -17,6 +17,9 @@ from multifem.studies import DEFAULT_PENALTY, Problem
 
 STEPS = 5  # Newton steps in every cell, p <= 2, n <= 2
 RATE_BOUND = 0.10  # criterion 1
+# |r_{k+1}| / |r_k|^2 on the last two steps: 0.04-0.13 on p <= 2, n <= 2;
+# a linearly converging Newton reads about 1e5 there
+QUADRATIC_BOUND = 0.5
 
 
 def source(x, y):
@@ -102,3 +105,28 @@ def test_the_residual_moves_by_the_jacobian_action_to_second_order():
             mf.assemble(problem.residual) - r - eps * Jd))
     ratios = np.array(remainders[:-1]) / remainders[1:]
     assert np.all(np.abs(ratios - 4.0) <= 0.05), ratios
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_last_newton_steps_converge_quadratically(p):
+    # the residual norms Newton's solves are given, and the final one.  The
+    # three integrals that read k(u) (no degree: 1 + u^2 is not
+    # homogeneous) rerun their kernels, the two of degree 1 are applied
+    # from the Jacobian and the two pure sources are static, so a degree
+    # bound to the wrong plan breaks the convergence
+    problem = build_nonlinear_quad_tri(p, 1)
+    norms = []
+
+    def solve(A, b):
+        norms.append(np.linalg.norm(b))
+        return mf.solve_linear(A, b)
+
+    steps = mf.newton_solve(problem.residual, problem.u, problem.bcs,
+                            solve=solve)
+    dofs, _ = mf.dirichlet_dofs(problem.space, problem.bcs)
+    r = mf.assemble(problem.residual)
+    r[dofs] = 0.0
+    norms.append(np.linalg.norm(r))
+    assert steps == len(norms) - 1 == STEPS
+    ratios = np.array(norms[1:]) / np.array(norms[:-1]) ** 2
+    assert np.all(ratios[-2:] <= QUADRATIC_BOUND), ratios

@@ -148,9 +148,9 @@ def test_a_warm_linear_residual_is_one_matvec_per_coefficient(
 
 
 def test_only_the_form_checker_states_measure_rules():
-    # participation and restriction rules live in forms.validate_form,
-    # which compile_integral runs; a raise about them in the compiler or
-    # the assembler would be a second copy that can disagree with it
+    # participation and restriction rules live in forms.analyze, which
+    # compile_integral runs; a raise about them in the compiler or the
+    # assembler would be a second copy that can disagree with it
     offenders = []
     for name in ("compile.py", "assemble.py"):
         tree = ast.parse((ROOT / "src" / "multifem" / name).read_text())
@@ -164,6 +164,73 @@ def test_only_the_form_checker_states_measure_rules():
             if "participat" in message or "restrict" in message:
                 offenders.append(f"{name}:{node.lineno} {message!r}")
     assert not offenders
+
+
+# the readers of an expression's operands, by module: the one analysis walk,
+# the node iterator, differentiation and the tape builder
+OPERAND_READERS = {"forms.py": {"analyze", "walk", "_linearize", "_rebuild"},
+                   "compile.py": {"_Builder"}}
+
+
+def test_only_the_analysis_walk_and_its_peers_read_operands():
+    # every fact kept about an integrand (its checks, signature, terminals,
+    # arguments, degree and quadrature degree) comes from forms.analyze; a
+    # node may read its own operands (self.operands), any other reader
+    # would be a second walk
+    offenders = []
+    for path in sorted((ROOT / "src" / "multifem").glob("*.py")):
+        allowed = OPERAND_READERS.get(path.name, set())
+        for top in ast.parse(path.read_text()).body:
+            if getattr(top, "name", None) in allowed:
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr == "operands"
+                        and isinstance(node.ctx, ast.Load)
+                        and getattr(node.value, "id", None) != "self"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
+def test_a_warm_plan_walks_each_integral_once(asm, comp, studies,
+                                              monkeypatch):
+    # with every kernel in the cache, compile_integral walks each integral
+    # of the residual and the Jacobian once (forms.analyze, which keeps its
+    # analysis on the integral) and _plans walks none: linear plans read
+    # their kernels' kept degree, the Jacobian's pattern its sources' kept
+    # analyses
+    warm = studies.build_problem("quad-tri", 1, 1)
+    asm.assemble(warm.residual)
+    asm.assemble(forms.derivative(warm.residual, warm.u), warm.bcs)
+    problem = studies.build_problem("quad-tri", 1, 1)
+    J = forms.derivative(problem.residual, problem.u)
+    walks, compiling = [], []
+    analyze, compile_integral = forms.analyze, asm.compile_integral
+
+    def counted(integral):
+        if "_analysis" not in vars(integral):
+            walks.append((integral, bool(compiling)))
+        return analyze(integral)
+
+    def compiled(integral):
+        compiling.append(integral)
+        try:
+            return compile_integral(integral)
+        finally:
+            compiling.pop()
+
+    def missed(*args):
+        raise AssertionError("a warm kernel cache missed")
+
+    monkeypatch.setattr(forms, "analyze", counted)
+    monkeypatch.setattr(asm, "compile_integral", compiled)
+    monkeypatch.setattr(comp, "_compile", missed)
+    asm.assemble(problem.residual)
+    asm.assemble(J, problem.bcs)
+    integrals = problem.residual.integrals + J.integrals
+    assert len(walks) == len(integrals)
+    assert all(walked is integral and in_compile for (walked, in_compile),
+               integral in zip(walks, integrals))
 
 
 PARENT_CHAIN = {"parent", "parent_map", "facet_to_parent"}
