@@ -611,6 +611,9 @@ class ReducedSystem:
         return self.A_kk.diagonal()
 
     def dense(self):
+        """The Schur complement as a dense array.  No src/ code calls it: it
+        serves acceptance criterion 3, the Schur complement equals the
+        interior-penalty operator."""
         return (self.A_kk.toarray()
                 - self.A_km @ self._lu.solve(self.A_mk.toarray()))
 

@@ -23,15 +23,16 @@ and is shared by every kernel on it.
 
 Kernels are compiled once per signature and kept, mesh-free, in a module
 cache of at most KERNEL_CACHE_SIZE, least recently used out first.  A
-signature (the key of forms.analyze, which also gives every other fact the
-compiler reads of an integrand) is the integrand DAG with its shared
-nodes, elements, each Constant's bits, each Analytic's function, shape
-and purity, and the measure's participant kinds, dims, cell types and
-quadrature degree, so integrals of one signature compile to one tape and
-a new C/h compiles anew.  compile_integral binds a kept kernel to its
-integral's meshes, terminals and degree: the cache holds no mesh or form
-terminal.  Sides at a rule's own points share basis tables per element
-and rule.
+signature, the key of forms.analyze, is the integrand as rows in post
+order (one per node and restriction side, operands by row index, with
+elements, each Constant's bits and each Analytic's function and purity),
+the final quadrature degree and the measure's participant kinds, dims and
+cell types.  _compile builds a kernel from its signature alone, so no key
+can leave out a fact the builder reads: integrals of one signature compile
+to one tape and a new C/h compiles anew.  compile_integral binds a kept
+kernel to its integral's meshes, terminals and degree: the cache holds no
+mesh or form terminal.  Sides at a rule's own points share basis tables
+per element and rule.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class LocalKernel:
     # contractions sum to the output; else None
     terms: list = None
     # analysis terminals, which 'analytic' instructions and a kept kernel's
-    # slots and arguments give by number, components by rank
+    # slots and arguments give by number, components by Analysis.firsts + k
     terminals: list = None
     degree: tuple = None  # bound only: its integral's Analysis.degree
 
@@ -117,9 +118,10 @@ def side_index(side):
 
 
 class _Builder:
-    """Builds the instruction tape for one integral that forms.analyze
-    finds no fault in, from that analysis (terminals, components,
-    arguments).
+    """Builds the instruction tape of one kernel signature (forms.analyze's
+    key, whose rules it has passed) from its rows alone.  Rows are visited
+    from the last one, the integrand's, depth first, operands in order,
+    each once; a function row reached only under Grad emits no value.
 
     With at most one argument the tape holds argument-free registers only:
     visit returns a test-function-dependent value as a list of terms
@@ -135,91 +137,60 @@ class _Builder:
     contraction and both go.
     """
 
-    def __init__(self, integral, analysis):
-        participants = self.participants = integral.measure.participants()
-        self.pindex = {mesh.id: i for i, (_, mesh) in enumerate(participants)}
-        self.number = {id(t): k for k, t in enumerate(analysis.terminals)}
-        self.components = analysis.components
-        self.arguments = dict(sorted(analysis.arguments.items()))
-        self.tape = []
-        self.vshapes = []
-        self.argdeps = []
-        self.coeff_slots = []
-        self._slot_index = {}
-        self._visited = {}
-        self._pushed = {}
+    def __init__(self, kinds, rows):
+        self.kinds, self.rows = kinds, rows
+        self.tape, self.vshapes, self.coeff_slots = [], [], []
+        self._slot_index, self._visited, self._pushed = {}, {}, {}
         self._layout_arguments()
         self.factored = len(self.arguments) < 2
 
     def _layout_arguments(self):
-        """arg_blocks (number -> blocks on its dof axis) and the block of
-        each (number, component, side)."""
+        """arguments (number -> terminal), arg_blocks (number -> blocks on
+        its dof axis) and the block of each (number, offset k, side)."""
+        read = {}  # number -> (terminal, {component offset: row})
+        for row in self.rows:
+            if row[0] in forms._FUNCTIONS and row[7] is not None:
+                read.setdefault(row[7], (row[3], {}))[1][row[4]] = row
+        self.arguments = {n: read[n][0] for n in sorted(read)}
         self.arg_blocks, self._blocks = {}, {}
-        for number, arg in self.arguments.items():
+        for number in self.arguments:
             layout = self.arg_blocks[number] = []
             offset = 0
-            for rank, comp in enumerate(
-                    self.components[self.number[id(arg)]]):
-                pidx = self.pindex[arg.space.meshes[comp].id]
-                element = arg.space.element[comp]
-                sides = (("+", "-") if self.participants[pidx][0] == "dS"
-                         else (None,))
+            for k, row in sorted(read[number][1].items()):
+                element, pidx = row[5:7]
+                sides = ("+", "-") if self.kinds[pidx][0] == "dS" else (None,)
                 for side in sides:
-                    block = ArgBlock(rank, pidx, side, offset,
+                    block = ArgBlock(k, pidx, side, offset,
                                      element.num_dofs, element)
                     layout.append(block)
-                    self._blocks[(number, comp, side)] = block
+                    self._blocks[(number, k, side)] = block
                     offset += element.num_dofs
 
-    def _push(self, instr, vshape, argdeps=frozenset()):
+    def _push(self, instr, vshape):
         """One register per distinct instruction, constants told by bits."""
         key = (("const", instr[1].hex(), vshape) if instr[0] == "const"
                else instr)
         if key not in self._pushed:
             self.tape.append(instr)
             self.vshapes.append(vshape)
-            self.argdeps.append(argdeps)
             self._pushed[key] = len(self.tape) - 1
         return self._pushed[key]
 
-    def _coeff_slot(self, coeff, component, pidx, side):
-        t = self.number[id(coeff)]
-        slot = (t, self.components[t].index(component), pidx, side)
+    def _function_value(self, row, op, vshape):
+        _, _, side, t, k, element, pidx, number = row
+        sidx = side_index(side)
+        if number is not None:
+            instr = (f"a{op}", number, self._blocks[(number, k, side)], pidx,
+                     sidx)
+            if self.factored:
+                return [(None, instr, vshape, None)]
+            return self._push(instr, vshape)
+        slot = (t, k, pidx, side)
         if slot not in self._slot_index:
             self._slot_index[slot] = len(self.coeff_slots)
             self.coeff_slots.append(slot)
-        return self._slot_index[slot]
-
-    def _resolve_function(self, expr, side):
-        """Unwrap restrictions/indexing down to (function, component, side)."""
-        while isinstance(expr, forms.Restricted):
-            side = expr.side
-            expr = expr.operands[0]
-        if isinstance(expr, forms.Indexed):
-            return expr.function, expr.component, side
-        if isinstance(expr, forms._Function):
-            return expr, 0, side
-        raise CompileError(f"unsupported node kind under a differential "
-                           f"operator: {type(expr).__name__}")
-
-    def _function_value(self, func, component, side, op):
-        mesh = func.space.meshes[component]
-        element = func.space.element[component]
-        pidx = self.pindex[mesh.id]
-        if op != "val" and mesh.dim != 2:
-            raise CompileError("gradients on codim-1 meshes are not supported")
-        vshape = element.value_shape
-        if op == "grad":
-            vshape = vshape + (2,)
-        sidx = side_index(side)
-        if isinstance(func, forms.Argument):
-            block = self._blocks[(func.number, component, side)]
-            instr = (f"a{op}", func.number, block, pidx, sidx)
-            if self.factored:
-                return [(None, instr, vshape, None)]
-            return self._push(instr, vshape, frozenset([func.number]))
-        slot = self._coeff_slot(func, component, pidx, side)
-        return self._push((f"c{op}", slot, pidx, sidx, element), vshape)
+        return self._push((f"c{op}", self._slot_index[slot], pidx, sidx,
+                           element), vshape)
 
     def _const(self, value, shape=()):
         """A fixed value's register, its (1, 1, 1, 1, *shape) array built
@@ -227,10 +198,6 @@ class _Builder:
         array = np.full((1, 1, 1, 1) + shape, value)
         array.setflags(write=False)
         return self._push(("const", value, array), shape)
-
-    def _deps(self, value):  # a list of terms depends on the test function
-        return (frozenset([0]) if isinstance(value, list)
-                else self.argdeps[value])
 
     def _mul(self, c, f):
         return f if c is None else self._push(
@@ -248,56 +215,36 @@ class _Builder:
             return self._push(("inner", f, c), ()), instr, bshape, None
         return self._mul(c, f), instr, bshape, post
 
-    def visit(self, expr, side=None):
-        """expr's register or terms, emitted on its first visit under side
-        and reused on every later one; expressions compare by identity."""
-        if (expr, side) not in self._visited:
-            self._visited[expr, side] = self._emit(expr, side)
-        return self._visited[expr, side]
+    def visit(self, r):
+        """Row r's register or terms, emitted on its first visit."""
+        if r not in self._visited:
+            self._visited[r] = self._emit(self.rows[r])
+        return self._visited[r]
 
-    def _emit(self, expr, side):
-        if isinstance(expr, (forms.Zero, forms.Constant)):
-            return self._const(getattr(expr, "value", 0.0), expr.shape)
-        if isinstance(expr, forms.Analytic):
-            return self._push(("analytic", self.number[id(expr)]),
-                              expr.shape)
-        if isinstance(expr, forms.FacetNormal):
-            return self._push(("normal", self.pindex[expr.mesh.id],
-                               side_index(side)), (2,))
-        if isinstance(expr, (forms.Indexed, forms._Function)):
-            func, component, side = self._resolve_function(expr, side)
-            return self._function_value(func, component, side, "val")
-        if isinstance(expr, forms.Grad):
-            func, component, side = self._resolve_function(expr.operands[0],
-                                                           side)
-            return self._function_value(func, component, side, "grad")
-        if isinstance(expr, forms.Restricted):
-            return self.visit(expr.operands[0], expr.side)
-        if isinstance(expr, forms.Sum):
-            a = self.visit(expr.operands[0], side)
-            b = self.visit(expr.operands[1], side)
-            if self._deps(a) != self._deps(b):
-                raise CompileError("a sum mixes terms that depend on "
-                                   "different arguments")
-            if isinstance(a, list):
-                return a + b
-            return self._push(("add", a, b), self.vshapes[a] or self.vshapes[b],
-                              self.argdeps[a])
-        if isinstance(expr, (forms.Product, forms.Inner)):
-            a = self.visit(expr.operands[0], side)
-            b = self.visit(expr.operands[1], side)
-            if self._deps(a) & self._deps(b):
-                raise CompileError("form is nonlinear in an argument")
-            if isinstance(a, list) or isinstance(b, list):
-                terms, f = (a, b) if isinstance(a, list) else (b, a)
-                inner = isinstance(expr, forms.Inner)
-                return [self._scale(t, f, inner) for t in terms]
-            deps = self.argdeps[a] | self.argdeps[b]
-            if isinstance(expr, forms.Product):
-                vshape = self.vshapes[a] if self.vshapes[a] else self.vshapes[b]
-                return self._push(("mul", a, b), vshape, deps)
-            return self._push(("inner", a, b), (), deps)
-        raise CompileError(f"unsupported node kind: {type(expr).__name__}")
+    def _emit(self, row):
+        kind, shape = row[:2]
+        if kind is forms.Constant or kind is forms.Zero:
+            return self._const(float.fromhex(row[2]), shape)
+        if kind is forms.Analytic:
+            return self._push(("analytic", row[3]), shape)
+        if kind is forms.FacetNormal:
+            return self._push(("normal", row[3], side_index(row[2])), shape)
+        if kind is forms.Grad:
+            return self._function_value(self.rows[row[2]], "grad", shape)
+        if kind not in (forms.Sum, forms.Product, forms.Inner):
+            return self._function_value(row, "val", shape)
+        a, b = self.visit(row[2]), self.visit(row[3])
+        if kind is forms.Sum:
+            return a + b if isinstance(a, list) else self._push(
+                ("add", a, b), self.vshapes[a] or self.vshapes[b])
+        if isinstance(a, list) or isinstance(b, list):
+            terms, f = (a, b) if isinstance(a, list) else (b, a)
+            inner = kind is forms.Inner
+            return [self._scale(t, f, inner) for t in terms]
+        if kind is forms.Product:
+            vshape = self.vshapes[a] if self.vshapes[a] else self.vshapes[b]
+            return self._push(("mul", a, b), vshape)
+        return self._push(("inner", a, b), ())
 
     def contraction_terms(self, out):
         """The kernel's terms (c, instr): one register per argument
@@ -316,61 +263,59 @@ class _Builder:
 
 def compile_integral(integral):
     """Compile one integral into a LocalKernel.  The integral is read by
-    forms.analyze, whose first fault raises.  The rule is on its primal
-    cells, or on an interval for facet and codim-1 primal entities, of the
-    analysis' quadrature degree.  Its tape is kept per signature, and bound
-    here to the integral's participants, terminals, components and
-    degree."""
+    forms.analyze, whose first fault raises; its key's kept kernel is bound
+    here to its participants, terminals, components and degree."""
     analysis = forms.analyze(integral)
     measure = integral.measure
     if analysis.problems:
         path, message = analysis.problems[0]
         raise CompileError(f"invalid form: {measure!r} at {path}: {message}")
-    kernel = (_kernels.pop(analysis.key, None)
-              or _compile(integral, analysis))
+    kernel = _kernels.pop(analysis.key, None)
+    if kernel is None:
+        try:
+            kernel = _compile(analysis.key)
+        except ValueError as exc:  # no rule of the key's degree or cell
+            raise CompileError(f"{measure!r}: {exc}") from exc
     _kernels[analysis.key] = kernel
     if len(_kernels) > KERNEL_CACHE_SIZE:
         del _kernels[next(iter(_kernels))]
-    terminals, components = analysis.terminals, analysis.components
+    terminals, firsts = analysis.terminals, analysis.firsts
     bound = copy.copy(kernel)
     bound.participants = measure.participants()
     bound.terminals = terminals
-    bound.coeff_slots = [(terminals[t], components[t][rank], *rest)
-                         for t, rank, *rest in kernel.coeff_slots]
+    bound.coeff_slots = [(terminals[t], firsts[t] + k, *rest)
+                         for t, k, *rest in kernel.coeff_slots]
     bound.arguments = analysis.arguments
     bound.arg_blocks = {n: [ArgBlock(
-        components[t][b.component], b.participant, b.side, b.offset,
+        firsts[t] + b.component, b.participant, b.side, b.offset,
         b.ndofs, b.element) for b in kernel.arg_blocks[n]]
         for n, t in kernel.arguments.items()}
     bound.degree = analysis.degree
     return bound
 
 
-def _compile(integral, analysis):
-    """compile_integral's kept, mesh-free kernel of an integral."""
-    measure = integral.measure
-    primal_kind = ("facet" if measure.integral_type != "dx" else
-                   "cell2d" if measure.mesh.dim == 2 else "cell1d")
-    try:
-        rule = fe.make_quadrature(measure.mesh.cell_type if primal_kind ==
-                                  "cell2d" else CellType.INTERVAL,
-                                  analysis.quadrature_degree)
-    except ValueError as exc:
-        raise CompileError(f"{measure!r}: {exc}") from exc
-    builder = _Builder(integral, analysis)
-    if 1 in builder.arguments and 0 not in builder.arguments:
-        raise CompileError("integral has a trial function but no test function")
-    out = builder.visit(integral.integrand)
-    terms = None
-    if builder.factored:
-        terms = builder.contraction_terms(out)
+def _compile(key):
+    """The kept, mesh-free kernel of a signature, from it alone.  The rule
+    is on the primal cells, or on an interval for facet and codim-1 primal
+    entities, of the key's quadrature degree."""
+    degree, kinds, rows = key
+    itype, dim, cells = kinds[0]
+    primal_kind = ("facet" if itype != "dx" else
+                   "cell2d" if dim == 2 else "cell1d")
+    if primal_kind != "cell2d":
+        cells = {CellType.INTERVAL}
+    if len(cells) != 1:
+        raise ValueError("mesh is hybrid, no unique cell type")
+    rule = fe.make_quadrature(next(iter(cells)), degree)
+    builder = _Builder(kinds, rows)
+    out = builder.visit(len(rows) - 1)
+    terms = builder.contraction_terms(out) if builder.factored else None
     return LocalKernel(participants=None, primal_kind=primal_kind,
                        quadrature=rule, tape=builder.tape,
                        reg_vshapes=builder.vshapes,
                        out_reg=None if terms else out,
                        coeff_slots=builder.coeff_slots,
-                       arguments={n: builder.number[id(a)]
-                                  for n, a in builder.arguments.items()},
+                       arguments=builder.arguments,
                        arg_blocks=builder.arg_blocks, terms=terms)
 
 

@@ -592,15 +592,22 @@ class Analysis(NamedTuple):
     is read: (set(), 0) is static, fixed once planned like Constants and
     pure sources; ({u}, 1) is its u-derivative times u."""
 
-    problems: list  # (path, message) of each fault, in walk order
-    key: tuple  # the kernel signature (the compile module docstring)
+    problems: list  # (path, message) of each fault (validate_form's order)
+    # the kernel signature, the compiler's only input: (quadrature_degree,
+    # per participant (integral type, dim, cell types), the rows)
+    key: tuple
     terminals: list  # Coefficients, Arguments and Analytics by first use
-    components: list  # per terminal, the sorted components it is read at
+    firsts: list  # per terminal, the component it is first read at
     arguments: dict  # argument number -> Argument
     degree: tuple
     # the measure's, else 2 * the largest element degree, + 2 on quadrilaterals
     quadrature_degree: int
 
+
+# the kinds of node analyze knows, and those whose rows are a function's
+_FUNCTIONS = (Indexed, Coefficient, Argument)
+_KINDS = {Zero, Constant, FacetNormal, Analytic, Grad, Sum, Product, Inner,
+          Restricted, *_FUNCTIONS}
 
 # (integral type of a participant, restricted?) -> the fault of its terminal
 _RESTRICTION_FAULTS = {
@@ -610,100 +617,133 @@ _RESTRICTION_FAULTS = {
 
 
 def analyze(integral):
-    """The Analysis of an integral, from its one walk, kept on it.  The walk
-    is depth first, operands in order, and reads each node once per
-    restriction side it is reached under: a node reached again is a back
-    reference in the key and is not checked again.  The key numbers nodes
-    by first visit, terminals by first use, components from each
-    terminal's first one (which keeps their order) and meshes by
-    participant.  Raises ValueError if the integrand mixes distinct
+    """The Analysis of an integral, from its one walk, kept on it: the
+    rules of validate_form are checked here alone.  The walk is depth
+    first, operands in order, and reads each node once per restriction side
+    it is reached under.  Each (node, side) becomes one row of the key once
+    its operands are done, so rows come in post order, the integrand's
+    last; a restriction stands for its operand's row under its own side.  A
+    row is (kind, shape, ...): an operator's operand rows; a Constant's
+    bits; a FacetNormal's side and participant; a terminal's side, number
+    (by first use) and component offset from its first, then an Analytic's
+    function and purity or a function's element, participant (None if its
+    mesh does not participate) and argument number (None for a
+    Coefficient).  Raises ValueError if the integrand mixes distinct
     arguments with the same number."""
     if "_analysis" in integral.__dict__:
         return integral._analysis
     measure = integral.measure
     participants = measure.participants()
     roles = {mesh.id: (p, t) for p, (t, mesh) in enumerate(participants)}
-    key = [measure.quadrature_degree] + [(t, m.dim, frozenset(
-        m.cell_type_set)) for t, m in participants]
-    problems, found, seen, degrees = [], {}, {}, []
-    stack = [(integral.integrand, None, "")]
+    kinds = tuple((t, m.dim, m.cell_type_set) for t, m in participants)
+    # per row: arguments read (bit n for number n) and degree
+    problems, found, seen, rows, masks, degrees = [], {}, {}, [], [], []
+    stack = [(integral.integrand, None, "", False)]
     while stack:  # a loop, not a recursive closure, which would hold meshes
-        node, side, path = stack.pop()
-        if path is None:  # the operands are done: the node's degree
-            inner = getattr(node, "side", side)  # a restriction's own
-            d = [degrees[seen[o, inner]] for o in node.operands]
-            if isinstance(node, Sum):  # homogeneous: of one degree
-                d = d[:1] if d[0] == d[1] else [None]
-            degrees[seen[node, side]] = None if None in d else sum(d)
-            continue
-        if (node, side) in seen:
-            key.append(seen[node, side])
-            continue
-        seen[node, side] = len(degrees)
-        degrees.append(0)
-        if node.operands:
-            stack.append((node, side, None))
-        if isinstance(node, Restricted):
-            if side is not None:
-                problems.append((path, "nested restriction"))
-            key.append((Restricted, node.shape, node.side))
-            stack.append((node.operands[0], node.side,
-                          f"{path}/Restricted[{node.side}]"))
-            continue
-        here = f"{path}/{type(node).__name__}"
-        entry = (type(node), node.shape)
-        function = getattr(node, "function", node)  # an Indexed's function
-        mesh = getattr(node, "mesh", None)  # a FacetNormal's or Analytic's
-        if isinstance(function, (_Function, Analytic)):
+        node, side, path, done = stack.pop()
+        kind = type(node)
+        if not done:  # reached: a leaf's row now, an operator's operands
+            if (node, side) in seen:
+                continue
+            if kind is Restricted:
+                if side is not None:
+                    problems.append((path, "nested restriction"))
+                here = f"{path}/Restricted[{node.side}]"
+                stack.append((node, side, here, True))
+                stack.append((node.operands[0], node.side, here, False))
+                continue
+            here = f"{path}/{kind.__name__}"
+            if kind not in _KINDS:
+                problems.append((here, "unsupported node kind: "
+                                 + kind.__name__))
+            operands = node.operands
+            if operands:
+                stack.append((node, side, here, True))
+                for i in range(len(operands) - 1, -1, -1):
+                    stack.append((operands[i], side, f"{here}.{i}", False))
+                continue
+            function = getattr(node, "function", node)  # an Indexed's
+            mesh = getattr(node, "mesh", None)  # a FacetNormal's, Analytic's
             k = getattr(node, "component", 0)
-            t, _, first, used = found.setdefault(
-                id(function), (len(found), function, k, set()))
-            used.add(k)
-            entry += (t, k - first)
-        if isinstance(function, _Function):
-            mesh = function.space.meshes[k]
-            entry += (type(function), getattr(function, "number", None),
-                      function.space.element[k], roles.get(mesh.id))
-            degrees[-1] = int(isinstance(function, Coefficient))
-        elif isinstance(node, Analytic):
-            entry += (node.fn, node.pure)
-            degrees[-1] = 0 if node.pure else None
-        elif isinstance(node, Constant):
-            entry += (node.value.hex(),)
-        role = roles.get(getattr(mesh, "id", None), (None, None))[1]
-        if isinstance(node, FacetNormal):
-            entry += (roles.get(mesh.id),)
-            if mesh.dim != 2 or role == "dx":
-                problems.append((here, "FacetNormal requires a codim-0 mesh"
-                                 if mesh.dim != 2 else "FacetNormal of a "
-                                 "mesh participating through cells"))
-        if mesh is not None and role is None:
-            problems.append((here, f"mesh {mesh.id} does not participate in "
-                                   f"the measure"))
-        elif (role, side is not None) in _RESTRICTION_FAULTS:
-            problems.append((here, _RESTRICTION_FAULTS[role,
-                                                       side is not None]))
-        key.append(entry)  # a type fixes its operand count
-        operands = node.operands
-        for i in range(len(operands) - 1, -1, -1):
-            stack.append((operands[i], side, f"{here}.{i}"))
+            if isinstance(function, _Function):
+                mesh = function.space.meshes[k]
+            p, role = roles.get(getattr(mesh, "id", None), (None, None))
+            row, mask, degree = (kind, node.shape, side), 0, 0
+            if isinstance(function, (_Function, Analytic)):
+                t, _, first = found.setdefault(id(function),
+                                               (len(found), function, k))
+                row += (t, k - first)
+            if isinstance(function, _Function):
+                number = getattr(function, "number", None)
+                row += (function.space.element[k], p, number)
+                degree, mask = (1, 0) if number is None else (0, 1 << number)
+            elif isinstance(node, Analytic):
+                row += (node.fn, node.pure)
+                degree = 0 if node.pure else None
+            elif isinstance(node, FacetNormal):
+                row += (p,)
+                if mesh.dim != 2 or role == "dx":
+                    problems.append((here, "FacetNormal of a mesh "
+                                     "participating through cells" if
+                                     mesh.dim == 2 else "FacetNormal "
+                                     "requires a codim-0 mesh"))
+            else:
+                row = (kind, node.shape, getattr(node, "value", 0.0).hex())
+            if mesh is not None and role is None:
+                problems.append((here, f"mesh {mesh.id} does not "
+                                       f"participate in the measure"))
+            elif (role, side is not None) in _RESTRICTION_FAULTS:
+                problems.append((here, _RESTRICTION_FAULTS[
+                    role, side is not None]))
+        elif kind is Restricted:
+            seen[node, side] = seen[node.operands[0], node.side]
+            continue
+        else:  # the operands are done, and path is the node's own
+            ops = tuple([seen[o, side] for o in node.operands])
+            a, b = ops[0], ops[-1]
+            row, mask = (kind, node.shape) + ops, masks[a] | masks[b]
+            d = [degrees[r] for r in ops]
+            if kind is Sum:  # homogeneous: of one degree
+                d = d[:1] if d[0] == d[1] else [None]
+                if masks[a] != masks[b]:
+                    problems.append((path, "a sum mixes terms that depend "
+                                           "on different arguments"))
+            elif kind is Grad:
+                if rows[a][0] not in _FUNCTIONS:
+                    problems.append((path, "unsupported node kind under a "
+                                     "differential operator: "
+                                     + rows[a][0].__name__))
+                elif rows[a][6] is not None and kinds[rows[a][6]][1] != 2:
+                    problems.append((path, "gradients on codim-1 meshes "
+                                           "are not supported"))
+            elif masks[a] & masks[b] and kind in (Product, Inner):
+                problems.append((path, "form is nonlinear in an argument"))
+            degree = None if None in d else sum(d)
+        seen[node, side] = len(rows)
+        rows.append(row)
+        masks.append(mask)
+        degrees.append(degree)
     terminals = [entry[1] for entry in found.values()]
     arguments = {}
     for argument in terminals:
         if isinstance(argument, Argument):
             _add_argument(arguments, argument)
+    root = integral.integrand
+    if 1 in arguments and 0 not in arguments:  # at the integrand's path
+        side = f"[{root.side}]" if isinstance(root, Restricted) else ""
+        problems.append((f"/{type(root).__name__}{side}",
+                         "integral has a trial function but no test function"))
     quadrature_degree = measure.quadrature_degree
     if quadrature_degree is None:  # Analysis.quadrature_degree
         quadrature_degree = 2 * max([1] + [
-            f.space.element[k].degree for _, f, _, used in found.values()
-            if isinstance(f, _Function) for k in used]) + 2 * any(
-            m.dim == 2 and CellType.QUADRILATERAL in m.cell_type_set
-            for _, m in participants)
+            row[5].degree for row in rows if row[0] in _FUNCTIONS]) + 2 * any(
+            dim == 2 and CellType.QUADRILATERAL in cells
+            for _, dim, cells in kinds)
     integral._analysis = Analysis(
-        problems, tuple(key), terminals,
-        [sorted(entry[3]) for entry in found.values()], arguments,
-        ({f for f in terminals if isinstance(f, Coefficient)}, degrees[0]),
-        quadrature_degree)
+        problems, (quadrature_degree, kinds, tuple(rows)), terminals,
+        [entry[2] for entry in found.values()], arguments,
+        ({f for f in terminals if isinstance(f, Coefficient)},
+         degrees[seen[root, None]]), quadrature_degree)
     return integral._analysis
 
 
@@ -713,11 +753,16 @@ def validate_form(form):
     An empty list means the form is valid.  The rules live in analyze,
     which compile_integral runs on every integral it compiles.  Checks per
     integral: every terminal's mesh participates in the measure; terminals
-    of interior-facet participants are restricted; terminals of cell or
-    exterior-facet participants are not; a FacetNormal's mesh is codim-0
-    and participates through its facets.  Diagnostics come in depth-first
-    order, operands in order; a subexpression reached twice under one
-    restriction side is checked once, at its first path.
+    of interior-facet participants are restricted, of cell or
+    exterior-facet participants not; a FacetNormal's mesh is codim-0 and
+    participates through its facets; the compiler knows every node kind; a
+    sum's terms read the same arguments, a product's factors none in
+    common; grad takes a function, on a codim-0 mesh if it participates; a
+    trial function comes with a test function.  Diagnostics come in
+    depth-first order, operands in order: a node's own fault when it is
+    reached, a sum's, product's or gradient's once its operands are done,
+    and a missing test function last.  A subexpression reached twice under
+    one restriction side is checked once, at its first path.
     """
     return [FormDiagnostic(idx, path, message)
             for idx, itg in enumerate(form.integrals)

@@ -274,12 +274,15 @@ class Mesh:
         return self.vertices[self.facet_vertex_ids[facets]]
 
     def cell_coords(self, c):
-        """(num_vertices, 2) coordinates of cell c."""
+        """(num_vertices, 2) coordinates of cell c, hybrid meshes too.  No
+        src/ code calls it: it serves the brute-force coordinate
+        intersection in tests/conftest.py (acceptance criterion 6)."""
         row = self.cell_vertex_ids[c]
         return self.vertices[row[row >= 0]]
 
     def total_volume(self):
-        """Total length (dim 1) or area (dim 2) of the cells."""
+        """Total length (dim 1) or area (dim 2) of the cells.  No src/ code
+        calls it: it serves the area checks in tests/test_mesh.py."""
         ids = self.cell_vertex_ids
         xy = self.vertices[np.where(ids < 0, ids[:, :1], ids)]
         if self.dim == 1:

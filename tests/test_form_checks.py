@@ -205,3 +205,111 @@ def test_component_quadrature_degree_ignores_other_components():
     high = (v_right * forms.Measure("dx", right)).integrals[0]
     assert forms.analyze(low).quadrature_degree == 4  # 2 * 1 + 2 on quads
     assert forms.analyze(high).quadrature_degree == 8  # 2 * 3 + 2 on quads
+
+
+class Opaque(forms.Expr):
+    """A node kind the compiler does not know."""
+
+
+def argument_and_gradient_faults(studies):
+    """(name, form, expected diagnostics (path, message)) of integrands whose
+    argument, gradient or node-kind fault only the compiler once raised."""
+    m = unit_square()
+    V = conftest.scalar_space(m, "Q", 1)
+    (v,), (w,) = (forms.split(forms.TestFunction(V)),
+                  forms.split(forms.TrialFunction(V)))
+    dx = forms.Measure("dx", m)
+    problem = studies.build_split_interface_problem(1, 0)
+    _, u_i, _ = forms.split(problem.u)
+    (dz,) = {i.measure for i in problem.residual.integrals
+             if i.measure.mesh.dim == 1}
+    codim1 = "gradients on codim-1 meshes are not supported"
+    return [
+        ("test-function-squared", v * v * dx,
+         [("/Product", "form is nonlinear in an argument")]),
+        ("test-plus-trial", (v + w) * dx,
+         [("/Sum", "a sum mixes terms that depend on different arguments")]),
+        ("trial-alone", w * dx,
+         [("/Indexed", "integral has a trial function but no test "
+                       "function")]),
+        ("grad-of-a-constant",
+         forms.inner(forms.grad(forms.Constant(1.0)), forms.grad(v)) * dx,
+         [("/Inner.0/Grad", "unsupported node kind under a differential "
+                            "operator: Constant")]),
+        ("grad-on-the-interface-mesh",
+         forms.inner(forms.grad(u_i), forms.grad(u_i)) * dz,
+         [("/Inner.0/Grad", codim1), ("/Inner.1/Grad", codim1)]),
+        ("unknown-node-kind", Opaque() * v * dx,
+         [("/Product.0/Opaque", "unsupported node kind: Opaque")]),
+    ]
+
+
+def test_the_validator_reports_what_the_compiler_rejects(asm, studies):
+    # every integrand fault that compile_integral raises is one that
+    # validate_form lists, at the node's own path; assemble raises the first
+    for name, form, expected in argument_and_gradient_faults(studies):
+        assert reported(form) == [(0, *fault) for fault in expected], name
+        (measure,) = {i.measure for i in form.integrals}
+        path, message = expected[0]
+        with pytest.raises(CompileError) as info:
+            asm.assemble(form)
+        assert str(info.value) == (f"invalid form: {measure!r} at {path}: "
+                                   f"{message}"), name
+
+
+def test_post_order_faults_follow_the_faults_below_them(facets):
+    # a measure fault inside a nonlinear product comes first: the product's
+    # own fault is found once its operands are done; a product's fault
+    # comes before a later operand's
+    _, full, left, right, _ = facets
+    V = conftest.make_space([left, right], [fe.make_element(QUAD, "Q", 1)] * 2)
+    (v_l, v_r), (u_l, u_r) = (forms.split(forms.TestFunction(V)),
+                              forms.split(forms.Coefficient(V)))
+    dx = forms.Measure("dx", left)
+    outside = f"mesh {right.id} does not participate in the measure"
+    nonlinear = "form is nonlinear in an argument"
+    assert reported((v_l + v_r) * v_l * dx + v_l * v_l * u_r * dx) == [
+        (0, "/Product.0/Sum.1/Indexed", outside),
+        (0, "/Product", nonlinear),
+        (1, "/Product.0/Product", nonlinear),
+        (1, "/Product.1/Indexed", outside)]
+
+
+def test_a_gradient_reports_only_its_operands_fault(asm, studies, facets):
+    # grad of a function on a mesh that does not participate (a codim-1
+    # one too), or under a faulty restriction, reports that fault alone:
+    # its row has no participant, which no gradient rule may read
+    _, full, left, right, dS = facets
+    problem = studies.build_split_interface_problem(1, 0)
+    _, u_i, _ = forms.split(problem.u)
+    interface = problem.space.meshes[1]
+
+    def scalar(mesh):
+        return forms.split(forms.Coefficient(conftest.scalar_space(
+            mesh, "Q", 1)))[0]
+
+    dx = forms.Measure("dx", left)
+    plus, minus = (lambda e: forms.restrict(e, "+"),
+                   lambda e: forms.restrict(e, "-"))
+    cases = [
+        (forms.inner(forms.grad(scalar(right)), forms.grad(scalar(left)))
+         * dx, ("/Inner.0/Grad.0/Indexed",
+                f"mesh {right.id} does not participate in the measure")),
+        (forms.inner(forms.grad(u_i), forms.grad(scalar(left))) * dx,
+         ("/Inner.0/Grad.0/Indexed",
+          f"mesh {interface.id} does not participate in the measure")),
+        (forms.inner(forms.grad(plus(scalar(left))), forms.grad(
+            scalar(left))) * dx, ("/Inner.0/Grad.0/Restricted[+]/Indexed",
+                                  "restriction on cell participant")),
+        (forms.inner(forms.grad(minus(plus(scalar(full)))), forms.grad(
+            minus(scalar(full)))) * dS, ("/Inner.0/Grad.0/Restricted[-]",
+                                         "nested restriction")),
+        (forms.inner(forms.grad(scalar(full)), forms.grad(
+            minus(scalar(full)))) * dS,
+         ("/Inner.0/Grad.0/Indexed",
+          "missing restriction on interior-facet participant")),
+    ]
+    for form, fault in cases:
+        assert reported(form) == [(0, *fault)]
+        with pytest.raises(CompileError, match="invalid form"):
+            asm.assemble(form)

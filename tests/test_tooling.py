@@ -23,6 +23,7 @@ import pytest
 import scipy.sparse
 
 from multifem import forms
+from multifem import mesh as mm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -166,10 +167,38 @@ def test_only_the_form_checker_states_measure_rules():
     assert not offenders
 
 
+# the one distinctive fragment of each integrand rule that once lived in the
+# tape builder and now lives in forms.analyze
+MOVED_RULES = ("a sum mixes terms", "nonlinear in an argument",
+               "under a differential operator", "gradients on codim-1 meshes",
+               "trial function but no test", "unsupported node kind")
+
+
+def test_only_the_form_checker_states_integrand_rules():
+    # the argument, gradient and node-kind rules live in forms.analyze,
+    # which validate_form reports: a raise of one in the compiler would be
+    # a fault that assemble rejects and validate_form does not list
+    stated = [node.value for node in ast.walk(ast.parse(
+        (ROOT / "src" / "multifem" / "forms.py").read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert all(any(fragment in text for text in stated)
+               for fragment in MOVED_RULES)
+    offenders = []
+    tree = ast.parse((ROOT / "src" / "multifem" / "compile.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            message = " ".join(
+                part.value for part in ast.walk(node.exc)
+                if isinstance(part, ast.Constant) and isinstance(part.value,
+                                                                 str))
+            offenders += [f"compile.py:{node.lineno} {fragment!r}"
+                          for fragment in MOVED_RULES if fragment in message]
+    assert not offenders
+
+
 # the readers of an expression's operands, by module: the one analysis walk,
-# the node iterator, differentiation and the tape builder
-OPERAND_READERS = {"forms.py": {"analyze", "walk", "_linearize", "_rebuild"},
-                   "compile.py": {"_Builder"}}
+# the node iterator and differentiation (the tape builder reads key rows)
+OPERAND_READERS = {"forms.py": {"analyze", "walk", "_linearize", "_rebuild"}}
 
 
 def test_only_the_analysis_walk_and_its_peers_read_operands():
@@ -231,6 +260,50 @@ def test_a_warm_plan_walks_each_integral_once(asm, comp, studies,
     assert len(walks) == len(integrals)
     assert all(walked is integral and in_compile for (walked, in_compile),
                integral in zip(walks, integrals))
+
+
+def _contents(value):
+    """Every object inside nested tuples, lists, sets and frozensets."""
+    if isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            yield from _contents(item)
+    else:
+        yield value
+
+
+def _same_instructions(tape, other):
+    return len(tape) == len(other) and all(
+        len(a) == len(b) and all(
+            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+            for x, y in zip(a, b)) for a, b in zip(tape, other))
+
+
+def test_a_kernel_is_compiled_from_its_key_alone(comp, studies, monkeypatch):
+    # the key holds no mesh, space or expression node, and compiling an
+    # equal key of another level anew gives the cached kernel instruction
+    # by instruction: the builder reads nothing the key leaves out
+    monkeypatch.setattr(comp, "_kernels", {})
+    levels, compared = {}, 0
+    for name in studies.PROBLEMS:
+        for degree in (1, 2):
+            for level in (0, 1):
+                problem = studies.build_problem(name, degree, level)
+                J = forms.derivative(problem.residual, problem.u)
+                for integral in problem.residual.integrals + J.integrals:
+                    key = forms.analyze(integral).key
+                    assert not [x for x in _contents(key) if isinstance(
+                        x, (forms.Expr, mm.Mesh, forms.FunctionSpace))]
+                    comp.compile_integral(integral)
+                    if levels.setdefault(key, level) == level:
+                        continue
+                    fresh, cached = comp._compile(key), comp._kernels[key]
+                    assert fresh.tape is not cached.tape
+                    assert _same_instructions(fresh.tape, cached.tape)
+                    for part in ("reg_vshapes", "coeff_slots", "arguments",
+                                 "arg_blocks", "terms", "out_reg"):
+                        assert getattr(fresh, part) == getattr(cached, part)
+                    compared += 1
+    assert compared
 
 
 PARENT_CHAIN = {"parent", "parent_map", "facet_to_parent"}
