@@ -7,21 +7,23 @@ arrays through the common root mesh (Mesh.root_entities).  A plan holds the
 dof indices of every argument block and coefficient slot and the measure's
 batched quadrature geometry (compile.MeasureGeometry), shared by every plan
 on the same measure and rule and cached on the root mesh.  Static kernels,
-which read no coefficient and no impure Analytic source, run once per form.
-A bilinear form sums theirs on its unconstrained CSR pattern; its scatter
-per set of bcs (component, marker) pairs masks that pattern, dropping the
-rows and columns of Dirichlet dofs but for a unit diagonal; with no dynamic
-kernel it is one read-only CSR whose arrays every returned matrix shares.  A
-linear form's integrals of degree one in a coefficient u alone add one
-sparse matvec, L u, L from J = forms.derivative(form, u), and never run
-their kernels.  Each assembly runs every other dynamic kernel once over all
-its entities, so impure Analytic sources are evaluated afresh, scatters
-their entries with one np.bincount and adds the static sum.  Dirichlet dofs
-are the closure of the marked facets through the dofmap, cached per space;
-their values are evaluated on every call.  Entities are scattered in
-ascending order and plans in form order, so results are bitwise
-reproducible.  newton_solve's Jacobian is forms.derivative's, memoized per
-form.  error_norms is two functionals through assemble.
+which read no coefficient and no impure Analytic source, run once per form,
+and one np.bincount sums theirs on the form's pattern, built with its plans:
+a functional's one entry, a vector's rows or a matrix's unconstrained CSR
+pattern.  A matrix's scatter per set of bcs (component, marker) pairs masks
+that pattern, dropping the rows and columns of Dirichlet dofs but for a unit
+diagonal; with no dynamic kernel it is one read-only CSR whose arrays every
+returned matrix shares.  A linear form's integrals of degree one in a
+coefficient u alone add one sparse matvec, L u, L from J =
+forms.derivative(form, u), and never run their kernels.  Each assembly runs
+every other dynamic kernel once over all its entities, so impure Analytic
+sources are evaluated afresh, scatters their entries with one np.bincount
+and adds the static sum.  Dirichlet dofs are the closure of the marked
+facets through the dofmap, cached per space; their values are evaluated on
+every call.  Entities are scattered in ascending order and plans in form
+order, so results are bitwise reproducible.  newton_solve's Jacobian is
+forms.derivative's, memoized per form.  error_norms is two functionals
+through assemble.
 """
 
 from __future__ import annotations
@@ -161,8 +163,7 @@ def _plans(form):
     """(plans, measures that matched no entities under a subdomain id) of a
     form, cached on it: one plan per integral, in form order.  A linear
     form's integral of degree one in one coefficient u alone is linear (J u,
-    J = forms.derivative(form, u)); a bilinear form's _pattern is built
-    here."""
+    J = forms.derivative(form, u)).  The form's _pattern is built here."""
     if "_plans" in form.__dict__:
         return form._plans
     plans = [_plan_for(integral) for integral in form.integrals]
@@ -173,8 +174,7 @@ def _plans(form):
         if plan.kernel.arity == 1 and degree == 1 == len(found):
             (plan.linear,) = found
             plan.rows = plan.coeff_dofs = None  # nothing reads them
-    if plans and plans[0].kernel.arity == 2:
-        form._pattern = _pattern(form, plans)
+    form._pattern = _pattern(form, plans)
     form._plans = plans, [i.measure for i in form.integrals if not len(
         _entities(i.measure)) and i.measure.subdomain_id != forms.EVERYWHERE]
     return form._plans
@@ -217,91 +217,91 @@ def _csr(keys, shape):
 
 
 def _pattern(form, plans):
-    """(S, L, slot, indices, indptr, diagonal, hit) of a bilinear form, on
-    a CSR structure over its element entries' and diagonal's keys: the sum
-    S of its static kernels' entries, L that of those whose source
-    (forms.derivative) is of degree one in its coefficient u alone, so L u
-    sums those (S if all are, None if none is); the slots of its dynamic
-    entries in assembly order and of the diagonal; the slots entries hit."""
-    shape = [plans[0].kernel.arguments[k].space.num_dofs for k in (0, 1)]
-    keys = [(p.rows[:, :, None] * shape[1] + p.cols[:, None, :]).ravel()
-            for p in plans]
-    sizes = [len(k) for k in keys]
-    slot, indices, indptr = _csr(np.concatenate(
-        keys + [np.arange(min(shape)) * (shape[1] + 1)]), shape)
-    slot, diagonal = slot[:sum(sizes)], slot[sum(sizes):].copy()
-    values = _static_pass(plans)
-    u, sources = getattr(form, "sources", (None, ()))
-    static = [p.kernel.static for p in plans]
-    linear = [forms.analyze(s).degree == ({u}, 1) for s in sources]
-
-    def summed(chosen):  # read-only
-        S = np.bincount(slot[np.repeat(chosen, sizes)], weights=np.concatenate(
-            [v for v, c in zip(values, chosen) if c] + [np.empty(0)]),
-            minlength=len(indices)).astype(float)  # int if empty
-        S.setflags(write=False)
-        return S
-
-    S = summed(static)
-    L = S if linear == static else summed(linear) if any(linear) else None
-    return (S, L, slot[~np.repeat(static, sizes)], indices, indptr, diagonal,
-            np.bincount(slot, minlength=len(S)) > 0)
-
-
-def _scatter(form, plans, shape, bcs):
-    """(static, slot, indices, indptr, linear) of a form under bcs: its
-    static kernels' sum, read-only, a csr_matrix if all are; the index
-    there of each entry of its dynamic kernels, in assembly order, past its
-    end if dropped; and (u, L) per coefficient u of its linear plans,
-    which add L u.  A matrix's is its _pattern masked: Dirichlet dofs' rows
-    and columns go but for a unit diagonal; every kept slot sums the same
-    entries in the same order.  A vector's data is itself, a functional's
-    has length 1.  Cached on the form per bcs (component, marker) pairs."""
-    scatters = form.__dict__.setdefault("_scatters", {})
-    key = tuple((bc.component, bc.marker) for bc in bcs)
-    if key in scatters:
-        return scatters[key]
-    if len(shape) == 2:
-        static, _, slot, indices, indptr, diagonal, hit = form._pattern
-        dofs = dirichlet_dofs(plans[0].kernel.arguments[0].space, bcs)[0]
-        free = np.ones(shape[0], dtype=bool)
-        free[dofs] = False
-        keep = hit & np.repeat(free, np.diff(indptr))
-        if bcs:  # square; with no dynamic kernel, its zeros go here, once
-            keep &= free[indices] & ((static != 0) | bool(len(slot)))
-        live = keep.copy()  # where dynamic entries go
-        keep[diagonal[dofs]] = True
-        at = np.cumsum(keep, dtype=indptr.dtype)
-        static = static[keep]
-        static[at[diagonal[dofs]] - 1] = 1.0
-        static.setflags(write=False)
-        slot = np.where(live[slot], at[slot] - 1, len(static))
-        indices, indptr = indices[keep], np.insert(at, 0, 0)[indptr]
-        if not len(slot):  # no dynamic kernel: one matrix, read-only
-            indices.setflags(write=False)
-            indptr.setflags(write=False)
-            static = scipy.sparse.csr_matrix((static, indices, indptr), shape)
-            static.has_canonical_format = True
-        scatters[key] = static, slot, indices, indptr, ()
-        return scatters[key]
-
-    def keys(static):
-        return np.concatenate([p.rows.ravel() for p in plans if (
-            p.kernel.static == static and not p.linear)] + [np.empty(0, int)])
-
-    size = (shape or (1,))[0]
-    data = np.bincount(keys(True), weights=np.concatenate([
-        v for v in _static_pass(plans) if v is not None] + [np.empty(0)]),
-        minlength=size).astype(float)
-    data.setflags(write=False)
-    linear = []
+    """(S, L, slot, indices, indptr, diagonal, hit, matvecs) of a form: the
+    sum S of its static kernels' entries, read-only; the slot there of each
+    entry of its dynamic kernels, in assembly order; and (u, L) per
+    coefficient u of a vector's linear plans, which add L u, L from
+    forms.derivative(form, u)'s pattern.  A functional's slots are 0 and a
+    vector's its rows, the rest None.  A matrix's are on a CSR structure
+    (indices, indptr) over its element entries' and diagonal's keys, with
+    the diagonal's slots and where entries hit; L sums the entries whose
+    source (forms.derivative) is of degree one in its coefficient u alone,
+    so L u sums those (S if all are, None if none is)."""
+    args = plans[0].kernel.arguments if plans else {}
+    shape = [args[k].space.num_dofs for k in range(len(args))]
+    matvecs = []  # first: they plan J and run its static pass
     for u in dict.fromkeys(p.linear for p in plans if p.linear):
         J = forms.derivative(form, u)
         if _plans(J)[0] and J._pattern[1] is not None:  # else they add 0
             _, L, _, indices, indptr, *_ = J._pattern
-            linear.append((u, scipy.sparse.csr_matrix(
-                (L, indices, indptr), shape=(size, len(u.values)))))
-    scatters[key] = data, keys(False), None, None, linear
+            matvecs.append((u, scipy.sparse.csr_matrix(
+                (L, indices, indptr), shape=(shape[0], len(u.values)))))
+    plans = [p for p in plans if not p.linear]
+    matrix = len(shape) == 2
+    keys = [(p.rows[:, :, None] * shape[1] + p.cols[:, None, :]).ravel()
+            if matrix else p.rows.ravel() for p in plans]
+    sizes = [len(k) for k in keys]
+    if matrix:
+        slot, indices, indptr = _csr(np.concatenate(
+            keys + [np.arange(min(shape)) * (shape[1] + 1)]), shape)
+        slot, diagonal = slot[:sum(sizes)], slot[sum(sizes):].copy()
+    else:
+        slot = np.concatenate(keys + [np.empty(0, int)])
+        indices = indptr = diagonal = None
+    size = len(indices) if matrix else (shape or [1])[0]
+    values = _static_pass(plans)
+    static = [p.kernel.static for p in plans]
+
+    def summed(chosen):  # read-only
+        S = np.bincount(slot[np.repeat(np.array(chosen, bool), sizes)],
+                        weights=np.concatenate([v for v, c in zip(
+                            values, chosen) if c] + [np.empty(0)]),
+                        minlength=size).astype(float)  # int if empty
+        S.setflags(write=False)
+        return S
+
+    S = summed(static)
+    dynamic = slot[~np.repeat(np.array(static, bool), sizes)]
+    if not matrix:
+        return S, None, dynamic, None, None, None, None, matvecs
+    u, sources = getattr(form, "sources", (None, ()))
+    linear = [forms.analyze(s).degree == ({u}, 1) for s in sources]
+    L = S if linear == static else summed(linear) if any(linear) else None
+    return (S, L, dynamic, indices, indptr, diagonal,
+            np.bincount(slot, minlength=size) > 0, matvecs)
+
+
+def _scatter(form, space, shape, bcs):
+    """(static, slot, indices, indptr) of a matrix under bcs, cached on the
+    form per bcs (component, marker) pairs: its _pattern masked.  Dirichlet
+    dofs' rows and columns go but for a unit diagonal; every kept slot sums
+    the same entries in the same order, and a dropped entry's slot is past
+    the end.  static is read-only, a csr_matrix if every kernel is static."""
+    scatters = form.__dict__.setdefault("_scatters", {})
+    key = tuple((bc.component, bc.marker) for bc in bcs)
+    if key in scatters:
+        return scatters[key]
+    static, _, slot, indices, indptr, diagonal, hit, _ = form._pattern
+    dofs = dirichlet_dofs(space, bcs)[0]
+    free = np.ones(shape[0], dtype=bool)
+    free[dofs] = False
+    keep = hit & np.repeat(free, np.diff(indptr))
+    if bcs:  # square; with no dynamic kernel, its zeros go here, once
+        keep &= free[indices] & ((static != 0) | bool(len(slot)))
+    live = keep.copy()  # where dynamic entries go
+    keep[diagonal[dofs]] = True
+    at = np.cumsum(keep, dtype=indptr.dtype)
+    static = static[keep]
+    static[at[diagonal[dofs]] - 1] = 1.0
+    static.setflags(write=False)
+    slot = np.where(live[slot], at[slot] - 1, len(static))
+    indices, indptr = indices[keep], np.insert(at, 0, 0)[indptr]
+    if not len(slot):  # no dynamic kernel: one matrix, read-only
+        indices.setflags(write=False)
+        indptr.setflags(write=False)
+        static = scipy.sparse.csr_matrix((static, indices, indptr), shape)
+        static.has_canonical_format = True
+    scatters[key] = static, slot, indices, indptr
     return scatters[key]
 
 
@@ -327,8 +327,10 @@ def assemble(form, bcs=()):
         raise ValueError("Dirichlet conditions on a bilinear form need its "
                          "trial space to be its test space")
     shape = tuple(args[k].space.num_dofs for k in range(arity))
-    static, slot, indices, indptr, linear = _scatter(
-        form, plans, shape, bcs if arity == 2 else ())
+    static, _, slot, indices, indptr, *_, matvecs = form._pattern
+    if arity == 2:
+        static, slot, indices, indptr = _scatter(form, args[0].space, shape,
+                                                 bcs)
     if scipy.sparse.issparse(static):  # a new object on the shared arrays
         return copy.copy(static)
     data = static.copy()
@@ -337,7 +339,7 @@ def assemble(form, bcs=()):
     if dynamic:
         data += np.bincount(slot, weights=np.concatenate(dynamic),
                             minlength=len(data))[:len(data)]
-    for u, L in linear:
+    for u, L in matvecs:
         data += L @ u.values
     if arity == 0:
         return float(data[0])

@@ -544,26 +544,16 @@ class Form:
                               i.measure) for i in self.integrals])
 
     def arguments(self):
-        """Distinct Arguments in the form, keyed by number."""
+        """Distinct Arguments in the form, keyed by number: those of each
+        integral's analyze(...), kept on it for the compiler."""
         found = {}
         for itg in self.integrals:
-            for node in walk(itg.integrand):
-                node = getattr(node, "function", node)  # an Indexed's
-                if isinstance(node, Argument):
-                    _add_argument(found, node)
+            for argument in analyze(itg).arguments.values():
+                _add_argument(found, argument)
         return found
 
     def __repr__(self):
         return f"Form({len(self.integrals)} integrals)"
-
-
-def walk(expr):
-    """Depth-first iteration over all nodes of an expression."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.operands)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,31 @@ def test_static_kernels_run_once_per_form(asm, studies, monkeypatch):
     assert runs.count(2) == len(J.integrals) == 5
 
 
+def test_only_matrices_keep_a_scatter_per_bcs(asm, studies, monkeypatch):
+    # a vector's and a functional's static sum and slots are their pattern,
+    # whatever the bcs; a matrix's pattern is masked once per bcs set
+    problem = studies.build_quad_tri_problem(1, 0)
+    J = forms.derivative(problem.residual, problem.u)
+    asm.assemble(problem.residual)
+    asm.assemble(J)
+    asm.assemble(J, problem.bcs)
+    asm.assemble(problem.residual, problem.bcs)
+    functionals, assemble = [], asm.assemble
+
+    def recorded(form, bcs=()):
+        functionals.append(form)
+        return assemble(form, bcs)
+
+    monkeypatch.setattr(asm, "assemble", recorded)
+    asm.error_norms(problem.u, 0, studies.exact_solution,
+                    studies.exact_gradient)
+    assert len(functionals) == 2
+    for form in [problem.residual] + functionals:
+        assert "_scatters" not in vars(form)
+    assert list(J._scatters) == [
+        (), tuple((bc.component, bc.marker) for bc in problem.bcs)]
+
+
 @pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
 @pytest.mark.parametrize("degree, level", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_a_constrained_jacobian_is_its_masked_pattern(asm, studies, name,

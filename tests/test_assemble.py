@@ -219,6 +219,15 @@ class TestLinearSolvers:
         with pytest.raises(ValueError, match="eliminated block is singular"):
             asm.eliminate_component(A, [0, 1, 3], 1)
 
+    def test_an_inaccurate_lu_solve_raises(self, asm):
+        # the 13 x 13 Hilbert matrix, condition number about 1e18: with
+        # b = ones, LU's residual reads 1.0e-7, about 280 times the
+        # tolerance 1e-10 |b|
+        k = np.arange(13)
+        A = sp.csr_matrix(1.0 / (k[:, None] + k + 1.0))
+        with pytest.raises(asm.ConvergenceError, match="exceeds tolerance"):
+            asm.solve_linear(A, np.ones(13))
+
     def test_lu_pivots_off_a_zero_diagonal(self, asm):
         # a cyclic shift plus a small strictly upper part: every diagonal
         # entry is zero, so no symmetric ordering avoids a zero pivot and

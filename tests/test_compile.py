@@ -356,3 +356,13 @@ def test_an_unsupported_degree_names_its_measure(comp, studies, primal):
     assert str(info.value).startswith(f"{integral.measure!r}: quadrature "
                                       f"degree {fe.MAX_QUADRATURE_DEGREE + 1}"
                                       " outside supported range")
+
+
+def test_a_hybrid_primal_names_its_measure(asm):
+    # a cell kernel needs one reference cell, and a primal mesh of
+    # quadrilaterals and triangles has none
+    measure = forms.Measure("dx", mm.build_hybrid_unit_square(0))
+    with pytest.raises(CompileError) as info:
+        asm.assemble(forms.Constant(1.0) * measure)
+    assert str(info.value) == (f"{measure!r}: mesh is hybrid, no unique "
+                               "cell type")

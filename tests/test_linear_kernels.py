@@ -142,10 +142,9 @@ def test_extra_integrands_match_the_materialized_oracle(asm):
 
 
 def coefficients(form):
-    return {node.function for itg in form.integrals
-            for node in forms.walk(itg.integrand)
-            if isinstance(node, forms.Indexed)
-            and isinstance(node.function, forms.Coefficient)}
+    return {terminal for itg in form.integrals
+            for terminal in forms.analyze(itg).terminals
+            if isinstance(terminal, forms.Coefficient)}
 
 
 def test_extra_bilinear_integrands_match_the_materialized_oracle(asm):
@@ -223,8 +222,9 @@ def test_warm_functional_and_vector_follow_the_coefficient(asm):
     # the terms are re-contracted on every assembly
     forms_ = extra_forms()
     functional, vector = forms_[-3], forms_[1]
-    u = next(node for node in forms.walk(functional.integrals[0].integrand)
-             if isinstance(node, forms.Indexed)).function
+    u = next(terminal for terminal
+             in forms.analyze(functional.integrals[0]).terminals
+             if isinstance(terminal, forms.Coefficient))
     first = asm.assemble(functional), asm.assemble(vector)
     u.values *= -2.0  # quadratic in u: exact scalings
     second = asm.assemble(functional), asm.assemble(vector)

@@ -196,9 +196,9 @@ def test_only_the_form_checker_states_integrand_rules():
     assert not offenders
 
 
-# the readers of an expression's operands, by module: the one analysis walk,
-# the node iterator and differentiation (the tape builder reads key rows)
-OPERAND_READERS = {"forms.py": {"analyze", "walk", "_linearize", "_rebuild"}}
+# the readers of an expression's operands, by module: the one analysis walk
+# and differentiation (the tape builder reads key rows)
+OPERAND_READERS = {"forms.py": {"analyze", "_linearize", "_rebuild"}}
 
 
 def test_only_the_analysis_walk_and_its_peers_read_operands():
@@ -223,16 +223,16 @@ def test_only_the_analysis_walk_and_its_peers_read_operands():
 
 def test_a_warm_plan_walks_each_integral_once(asm, comp, studies,
                                               monkeypatch):
-    # with every kernel in the cache, compile_integral walks each integral
-    # of the residual and the Jacobian once (forms.analyze, which keeps its
-    # analysis on the integral) and _plans walks none: linear plans read
-    # their kernels' kept degree, the Jacobian's pattern its sources' kept
-    # analyses
+    # with every kernel in the cache, each integral of the residual and the
+    # Jacobian is walked once (forms.analyze, which keeps its analysis on
+    # the integral): the residual's by derivative's argument check, the
+    # Jacobian's inside compile_integral, and _plans walks none: linear
+    # plans read their kernels' kept degree, the Jacobian's pattern its
+    # sources' kept analyses
     warm = studies.build_problem("quad-tri", 1, 1)
     asm.assemble(warm.residual)
     asm.assemble(forms.derivative(warm.residual, warm.u), warm.bcs)
     problem = studies.build_problem("quad-tri", 1, 1)
-    J = forms.derivative(problem.residual, problem.u)
     walks, compiling = [], []
     analyze, compile_integral = forms.analyze, asm.compile_integral
 
@@ -254,12 +254,14 @@ def test_a_warm_plan_walks_each_integral_once(asm, comp, studies,
     monkeypatch.setattr(forms, "analyze", counted)
     monkeypatch.setattr(asm, "compile_integral", compiled)
     monkeypatch.setattr(comp, "_compile", missed)
+    J = forms.derivative(problem.residual, problem.u)
     asm.assemble(problem.residual)
     asm.assemble(J, problem.bcs)
-    integrals = problem.residual.integrals + J.integrals
-    assert len(walks) == len(integrals)
-    assert all(walked is integral and in_compile for (walked, in_compile),
-               integral in zip(walks, integrals))
+    walked = [(integral, False) for integral in problem.residual.integrals]
+    walked += [(integral, True) for integral in J.integrals]
+    assert len(walks) == len(walked)
+    assert all(a is b and in_a == in_b
+               for (a, in_a), (b, in_b) in zip(walks, walked))
 
 
 def _contents(value):
