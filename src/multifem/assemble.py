@@ -306,7 +306,7 @@ def _scatter(form, space, shape, bcs):
 
 
 def assemble(form, bcs=()):
-    """Assemble a form into a float, a vector, or a CSR matrix.
+    """Assemble a non-empty form into a float, a vector, or a CSR matrix.
 
     Dirichlet conditions: matrix rows and columns of constrained dofs are
     zeroed with a unit diagonal (a symmetric application), which needs the
@@ -317,11 +317,15 @@ def assemble(form, bcs=()):
     coefficient u add one matvec by forms.derivative(form, u)'s static sum.
     A static matrix shares cached read-only arrays: copy before editing.
     """
+    if not form.integrals:
+        raise ValueError("the form has no integrals, so its arity is "
+                         "unknown; forms.derivative(F, w) is empty if F "
+                         "does not read w")
     plans, empty = _plans(form)
     for measure in empty:
         warnings.warn(f"measure {measure!r} matched no entities; "
                       f"contribution is zero", stacklevel=2)
-    args = plans[0].kernel.arguments if plans else {}
+    args = plans[0].kernel.arguments
     arity = len(args)
     if arity == 2 and bcs and args[1].space is not args[0].space:
         raise ValueError("Dirichlet conditions on a bilinear form need its "
@@ -429,37 +433,29 @@ def dirichlet_dofs(space, bcs):
 
 
 def _jacobi_cg(A, b):
-    """Jacobi-preconditioned conjugate gradients for SPD systems."""
+    """Jacobi-preconditioned CG for SPD systems: scipy's cg, with M the
+    inverse diagonal, which stops at the first non-finite r·z."""
     diag = A.diagonal()
     if not np.all(np.isfinite(diag) & (diag > 0)):
         raise ValueError("Jacobi-CG needs a positive finite diagonal; the "
                          "matrix is not SPD")
     n = len(b)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
+    if np.linalg.norm(b) == 0.0:  # cg would return b itself
         return np.zeros(n)
     dinv = 1.0 / diag
-    x = np.zeros(n)
-    r = b.copy()
-    z = dinv * r
-    p = z.copy()
-    rz = r @ z
-    for _ in range(10 * n):
-        if np.linalg.norm(r) <= SOLVE_TOL * norm_b:
-            return x
-        Ap = A.dot(p)
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
+
+    def jacobi(r):
         z = dinv * r
-        rz_next = r @ z
-        if not np.isfinite(rz_next):
+        if not np.isfinite(r @ z):
             raise ConvergenceError("CG broke down: non-finite residual")
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    if np.linalg.norm(r) <= SOLVE_TOL * norm_b:
-        return x
-    raise ConvergenceError(f"CG did not converge within {10 * n} iterations")
+        return z
+
+    op, M = (scipy.sparse.linalg.LinearOperator(A.shape, f, dtype=float)
+             for f in (A.dot, jacobi))
+    x, info = scipy.sparse.linalg.cg(op, b, rtol=SOLVE_TOL, atol=0.0, M=M)
+    if info:
+        raise ConvergenceError(f"CG did not converge within {10 * n} iterations")
+    return x
 
 
 def _factor(A):

@@ -370,7 +370,8 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
             ref = ref - (Jinv @ residual[..., None])[..., 0]
         else:
             raise CompileError("non-conforming or degenerate geometry: point "
-                               "pullback did not converge")
+                               f"pullback did not converge in {_NEWTON_MAXIT} "
+                               "Newton steps")
     else:
         # affine: the Jacobian is constant; take it at the reference origin
         J = fe.geometry_jacobian(cell_type, verts, np.zeros(
@@ -387,8 +388,9 @@ def align_interface_quadrature(phys_points, cell_type, cell_vertices):
     gaps = verts[..., :, None, :] - verts[..., None, :, :]  # for diameters
     diameter = np.sqrt(np.max(np.sum(gaps * gaps, axis=-1), axis=(-2, -1)))
     if np.any(np.abs(check - phys) > GEOMETRY_TOL * diameter[..., None, None]):
-        raise CompileError("non-conforming or degenerate geometry: point "
-                           "pullback did not converge")
+        raise CompileError("non-conforming or degenerate geometry: "
+                           "pulled-back point does not map back onto its "
+                           "physical point")
     if cell_type is CellType.TRIANGLE:
         inside = (ref.min() >= -GEOMETRY_TOL
                   and ref.sum(axis=-1).max() <= 1.0 + GEOMETRY_TOL)

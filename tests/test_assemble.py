@@ -62,6 +62,16 @@ class TestAssembleBasics:
             b = asm.assemble(form)
         assert np.all(b == 0.0)
 
+    @pytest.mark.parametrize("with_bcs", [False, True])
+    def test_an_empty_form_raises(self, asm, with_bcs):
+        V = left_half_space()
+        u, w = forms.Coefficient(V), forms.Coefficient(V)
+        (u0,), (v0,) = forms.split(u), forms.split(forms.TestFunction(V))
+        J = forms.derivative(u0 * v0 * forms.Measure("dx", V.meshes[0]), w)
+        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)] if with_bcs else []
+        with pytest.raises(ValueError, match="no integrals.*derivative"):
+            asm.assemble(J, bcs)
+
     def test_unrelated_meshes_rejected(self, asm):
         parent_a = mm.build_split_unit_square(0)
         parent_b = mm.build_split_unit_square(0)
@@ -248,6 +258,12 @@ class TestLinearSolvers:
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         x = asm.solve_linear(A, np.zeros(2), spd=True)
         assert x.tolist() == [0.0, 0.0]
+
+    def test_a_zero_right_hand_side_gives_fresh_positive_zeros(self, asm):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        b = -np.zeros(2)
+        x = asm.solve_linear(A, b, spd=True)
+        assert x is not b and not np.any(np.signbit(x))
 
     def test_cg_gives_up_after_ten_n_iterations(self, asm):
         # not symmetric, but a positive diagonal: CG's recurrences cycle

@@ -188,6 +188,21 @@ class TestQuadratureAlignment:
                            match="non-conforming or degenerate"):
             align_interface_quadrature(np.array([[5.0, 5.0]]), QUAD, verts)
 
+    def test_newton_that_stops_short_names_its_step_cap(self, comp,
+                                                         monkeypatch):
+        monkeypatch.setattr(comp, "_NEWTON_MAXIT", 1)
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 1.1], [0.0, 1.0]])
+        with pytest.raises(CompileError,
+                           match="did not converge in 1 Newton steps"):
+            align_interface_quadrature(np.array([[0.3, 0.2]]), QUAD, verts)
+
+    def test_a_point_off_its_segment_does_not_map_back(self):
+        with pytest.raises(CompileError, match="does not map back onto its "
+                           "physical point"):
+            align_interface_quadrature(np.array([[0.5, 0.1]]),
+                                       mm.CellType.INTERVAL,
+                                       np.array([[0.0, 0.0], [1.0, 0.0]]))
+
     @pytest.mark.parametrize("cell,verts", [
         (TRI, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         (QUAD, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
