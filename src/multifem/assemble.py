@@ -125,22 +125,21 @@ class _IntegralPlan:
     linear: object = None  # u, if it is J u: applied, never run
 
 
-def _measure_geometry(measure, kernel):
+def _measure_geometry(measure, rule):
     """The measure's geometry, built once per measure and rule, kept in a
     dict on the root mesh and shared by every plan on them.  Rules of one
     cell type and point count are identical."""
     cache = measure.mesh.root().__dict__.setdefault("_geometry", {})
-    rule = kernel.quadrature
     key = (measure.key(), rule.cell, len(rule))
     if key not in cache:
-        cache[key] = MeasureGeometry(kernel.participants, kernel.primal_kind,
-                                     rule, _entities(measure))
+        cache[key] = MeasureGeometry(measure.participants(), rule,
+                                     _entities(measure))
     return cache[key]
 
 
 def _plan_for(integral):
     kernel = compile_integral(integral)
-    geometry = _measure_geometry(integral.measure, kernel)
+    geometry = _measure_geometry(integral.measure, kernel.quadrature)
 
     def dofs(space, component, pidx, side):
         cells = geometry.side(pidx, side_index(side)).cells

@@ -30,9 +30,9 @@ the final quadrature degree and the measure's participant kinds, dims and
 cell types.  _compile builds a kernel from its signature alone, so no key
 can leave out a fact the builder reads: integrals of one signature compile
 to one tape and a new C/h compiles anew.  compile_integral binds a kept
-kernel to its integral's meshes, terminals and degree: the cache holds no
-mesh or form terminal.  Sides at a rule's own points share basis tables
-per element and rule.
+kernel to its integral's terminals and degree, and the assembler to its
+measure: the cache holds no mesh or form terminal.  Sides at a rule's own
+points share basis tables per element and rule.
 """
 
 from __future__ import annotations
@@ -74,14 +74,12 @@ class ArgBlock:
     participant: int
     side: object  # None, '+', or '-'
     offset: int
-    ndofs: int
-    element: object
+    element: object  # holds the block's width, num_dofs
 
 
 @dataclass
 class LocalKernel:
-    participants: list  # the measure's (integral type, mesh) pairs
-    primal_kind: str  # 'cell2d', 'cell1d', or 'facet'
+    # a kernel names no measure; MeasureGeometry places its rule
     quadrature: fe.QuadratureRule
     tape: list
     reg_vshapes: list
@@ -100,7 +98,8 @@ class LocalKernel:
     def __post_init__(self):
         self.arity = len(self.arguments)
         self.test_size, self.trial_size = (
-            sum(b.ndofs for b in self.arg_blocks.get(n, [])) for n in (0, 1))
+            sum(b.element.num_dofs for b in self.arg_blocks.get(n, []))
+            for n in (0, 1))
         # entities per tape pass, so that no register exceeds _BLOCK_VALUES
         widest = max(math.prod(v) for v in self.reg_vshapes)
         footprint = len(self.quadrature) * widest * (
@@ -160,8 +159,7 @@ class _Builder:
                 element, pidx = row[5:7]
                 sides = ("+", "-") if self.kinds[pidx][0] == "dS" else (None,)
                 for side in sides:
-                    block = ArgBlock(k, pidx, side, offset,
-                                     element.num_dofs, element)
+                    block = ArgBlock(k, pidx, side, offset, element)
                     layout.append(block)
                     self._blocks[(number, k, side)] = block
                     offset += element.num_dofs
@@ -264,7 +262,7 @@ class _Builder:
 def compile_integral(integral):
     """Compile one integral into a LocalKernel.  The integral is read by
     forms.analyze, whose first fault raises; its key's kept kernel is bound
-    here to its participants, terminals, components and degree."""
+    here to its terminals, components and degree."""
     analysis = forms.analyze(integral)
     measure = integral.measure
     if analysis.problems:
@@ -281,14 +279,13 @@ def compile_integral(integral):
         del _kernels[next(iter(_kernels))]
     terminals, firsts = analysis.terminals, analysis.firsts
     bound = copy.copy(kernel)
-    bound.participants = measure.participants()
     bound.terminals = terminals
     bound.coeff_slots = [(terminals[t], firsts[t] + k, *rest)
                          for t, k, *rest in kernel.coeff_slots]
     bound.arguments = analysis.arguments
     bound.arg_blocks = {n: [ArgBlock(
         firsts[t] + b.component, b.participant, b.side, b.offset,
-        b.ndofs, b.element) for b in kernel.arg_blocks[n]]
+        b.element) for b in kernel.arg_blocks[n]]
         for n, t in kernel.arguments.items()}
     bound.degree = analysis.degree
     return bound
@@ -300,9 +297,7 @@ def _compile(key):
     entities, of the key's quadrature degree."""
     degree, kinds, rows = key
     itype, dim, cells = kinds[0]
-    primal_kind = ("facet" if itype != "dx" else
-                   "cell2d" if dim == 2 else "cell1d")
-    if primal_kind != "cell2d":
+    if itype != "dx" or dim != 2:
         cells = {CellType.INTERVAL}
     if len(cells) != 1:
         raise ValueError("mesh is hybrid, no unique cell type")
@@ -310,8 +305,7 @@ def _compile(key):
     builder = _Builder(kinds, rows)
     out = builder.visit(len(rows) - 1)
     terms = builder.contraction_terms(out) if builder.factored else None
-    return LocalKernel(participants=None, primal_kind=primal_kind,
-                       quadrature=rule, tape=builder.tape,
+    return LocalKernel(quadrature=rule, tape=builder.tape,
                        reg_vshapes=builder.vshapes,
                        out_reg=None if terms else out,
                        coeff_slots=builder.coeff_slots,
@@ -406,9 +400,9 @@ class _Side:
     """One participant side over all entities of a measure: its cells and,
     computed on first use, reference points, basis tables, inverse
     Jacobians (a triangle's once per cell, a zero stride over the points),
-    argument tables pushed forward and padded into their dof axis, basis
-    planes, and outward facet normals.  Arrays carry a leading entity axis
-    of length E, or 1 where they are the same for every entity."""
+    argument gradients pushed forward, basis planes, and outward facet
+    normals.  Arrays carry a leading entity axis of length E, or 1 where
+    they are the same for every entity."""
 
     def __init__(self, mesh, cells, facets, X, rule, primal_vertices,
                  primal_jinv):
@@ -429,7 +423,7 @@ class _Side:
         # an identity side's tables are kept on its rule, per element
         self._tables = (rule.__dict__.setdefault("_tables", {})
                         if self._identity else {})
-        self._built = {}  # argument tables and planes, by key
+        self._built = {}  # gradient tables by element; planes by (element, op)
 
     @cached_property
     def ref(self):
@@ -455,24 +449,17 @@ class _Side:
     def jinv(self):
         return _cell_inverse(self.cell_type, self.vertices, self.ref)[0]
 
-    def argument(self, element, op, offset, size):
+    def argument(self, element, op):
         """Basis values ('aval') or physical gradients ('agrad') of an
-        argument block, placed at dofs offset.. of a dof axis of length
-        size and zero elsewhere: (E|1, nq, size, ...).  Computed once and
-        read-only."""
-        key = (element, op, offset, size)
-        table = self._built.get(key)
+        element, (E|1, nq, ndofs, ...): the tape pads them into a wider dof
+        axis.  Computed once, read-only."""
+        vals, grads = self.tables(element)
+        if op == "aval":
+            return vals
+        table = self._built.get(element)
         if table is None:
-            if size == element.num_dofs:
-                vals, grads = self.tables(element)
-                table = (vals if op == "aval"
-                         else push_forward(grads, self.jinv))
-            else:
-                own = self.argument(element, op, 0, element.num_dofs)
-                table = np.zeros(own.shape[:2] + (size,) + own.shape[3:])
-                table[:, :, offset:offset + element.num_dofs] = own
+            table = self._built[element] = push_forward(grads, self.jinv)
             table.setflags(write=False)
-            self._built[key] = table
         return table
 
     def planes(self, element, op):
@@ -483,8 +470,8 @@ class _Side:
         key = (element, "cval" if op == "aval" else op)
         planes = self._built.get(key)
         if planes is None:
-            table = (self.argument(element, op, 0, element.num_dofs)
-                     if op == "agrad" else self.tables(element)[op == "cgrad"])
+            table = (self.argument(element, op) if op == "agrad"
+                     else self.tables(element)[op == "cgrad"])
             planes = self._built[key] = np.ascontiguousarray(np.moveaxis(
                 table, 2, -1)).reshape(len(table), -1, element.num_dofs)
             planes.setflags(write=False)
@@ -505,21 +492,21 @@ class _Side:
 class MeasureGeometry:
     """Quadrature geometry of one measure over all its iteration entities.
 
+    participants are the measure's: the rule lies on 2-D primal cells,
+    else (an interval rule) on codim-1 primal cells ('dx') or facets.
     entities is (E, P): row k holds the k-th primal entity and, per
-    participant, its resolved cell ('dx') or facet ('ds', 'dS').  The
-    physical points X (E, nq, 2) and scaled weights wq (E, nq) live on the
-    primal entities; side(p, s) is participant p's side s (0 is '+' or the
-    only side, 1 is '-').  Holds arrays only, no meshes.  Jacobians and
-    their inverses are computed entry by entry, on (E, nq) planes; an
-    affine (triangle) map's once per cell, broadcast over the points.
+    participant, its cell ('dx') or facet ('ds', 'dS').  X (E, nq, 2) and
+    wq (E, nq), the points and scaled weights, lie on primal entities;
+    side(p, s) is participant p's side s (0: '+' or the only side, 1: '-').
+    Holds arrays only, no meshes; an affine map is inverted once per cell.
     """
 
-    def __init__(self, participants, primal_kind, rule, entities):
+    def __init__(self, participants, rule, entities):
         self.entities = entities
-        primal = participants[0][1]
+        itype, primal = participants[0]
         first = entities[:, 0]
         primal_vertices = jinv = None
-        if primal_kind == "cell2d":
+        if rule.cell is not CellType.INTERVAL:  # on 2-D primal cells
             primal_vertices = primal.coords_of_cells(first)
             self.X = fe.geometry_map(primal.cell_type, primal_vertices,
                                      rule.points)
@@ -527,7 +514,7 @@ class MeasureGeometry:
                                       rule.points[None])
             self.wq = np.abs(det) * rule.weights
         else:
-            if primal_kind == "cell1d":
+            if itype == "dx":  # codim-1 primal cells
                 primal_vertices = ends = primal.coords_of_cells(first)
             else:
                 ends = primal.coords_of_facets(first)
@@ -596,7 +583,7 @@ def _contract(kernel, geometry, regs, lo, hi):
         block = instr[2]
         planes = _block(geometry.side(*instr[3:]).planes(block.element,
                                                          instr[0]), lo, hi)
-        out[:, block.offset:block.offset + block.ndofs] += (
+        out[:, block.offset:block.offset + block.element.num_dofs] += (
             m.reshape(B, -1) @ planes[0] if len(planes) == 1
             else (m.reshape(B, 1, -1) @ planes)[:, 0])
     return out
@@ -652,25 +639,26 @@ def _run_tape(kernel, geometry, w, lo, hi):
             val = out.reshape(out.shape[:2] + (1, 1) + vshape)
         elif op in ("aval", "agrad"):
             _, number, block, pidx, sidx = instr
-            size = test if number == 0 else trial
+            size, n = test if number == 0 else trial, block.element.num_dofs
             table = _block(geometry.side(pidx, sidx).argument(
-                block.element, op, block.offset, size), lo, hi)
+                block.element, op), lo, hi)
+            if size > n:  # padded into the block's place on the dof axis
+                own = table
+                table = np.zeros(own.shape[:2] + (size,) + own.shape[3:])
+                table[:, :, block.offset:block.offset + n] = own
             axes = (size, 1) if number == 0 else (1, size)
             val = table.reshape(table.shape[:2] + axes + vshape)
         elif op in ("add", "mul"):
             a, b = _align_ndim(regs[instr[1]], regs[instr[2]])
             val = a + b if op == "add" else a * b
-        elif op == "inner":
-            # a sum of component products: summing a tiny trailing axis of
-            # the full product is several times slower
+        else:  # inner: a sum of component products; summing a tiny
+            # trailing axis of the full product is several times slower
             a, b = (regs[r] for r in instr[1:])
             a = a.reshape(a.shape[:4] + (-1,))
             b = b.reshape(b.shape[:4] + (-1,))
             val = a[..., 0] * b[..., 0]
             for i in range(1, a.shape[-1]):
                 val = val + a[..., i] * b[..., i]
-        else:
-            raise CompileError(f"unknown tape instruction {op!r}")
         regs.append(val)
     if kernel.terms is not None:
         return _contract(kernel, geometry, regs, lo, hi)

@@ -536,8 +536,7 @@ class Form:
         return NotImplemented
 
     def __neg__(self):
-        return Form([Integral(Product(Constant(-1.0), i.integrand), i.measure)
-                     for i in self.integrals])
+        return -1.0 * self
 
     def __rmul__(self, scalar):
         return Form([Integral(Product(Constant(float(scalar)), i.integrand),
@@ -583,15 +582,13 @@ class Analysis(NamedTuple):
     pure sources; ({u}, 1) is its u-derivative times u."""
 
     problems: list  # (path, message) of each fault (validate_form's order)
-    # the kernel signature, the compiler's only input: (quadrature_degree,
-    # per participant (integral type, dim, cell types), the rows)
+    # the kernel signature, the compiler's only input: (quadrature degree,
+    # its one copy; per participant (type, dim, cell types); the rows)
     key: tuple
     terminals: list  # Coefficients, Arguments and Analytics by first use
     firsts: list  # per terminal, the component it is first read at
     arguments: dict  # argument number -> Argument
     degree: tuple
-    # the measure's, else 2 * the largest element degree, + 2 on quadrilaterals
-    quadrature_degree: int
 
 
 # the kinds of node analyze knows, and those whose rows are a function's
@@ -724,7 +721,7 @@ def analyze(integral):
         problems.append((f"/{type(root).__name__}{side}",
                          "integral has a trial function but no test function"))
     quadrature_degree = measure.quadrature_degree
-    if quadrature_degree is None:  # Analysis.quadrature_degree
+    if quadrature_degree is None:  # 2 * the top element degree, + 2 on quads
         quadrature_degree = 2 * max([1] + [
             row[5].degree for row in rows if row[0] in _FUNCTIONS]) + 2 * any(
             dim == 2 and CellType.QUADRILATERAL in cells
@@ -733,7 +730,7 @@ def analyze(integral):
         problems, (quadrature_degree, kinds, tuple(rows)), terminals,
         [entry[2] for entry in found.values()], arguments,
         ({f for f in terminals if isinstance(f, Coefficient)},
-         degrees[seen[root, None]]), quadrature_degree)
+         degrees[seen[root, None]]))
     return integral._analysis
 
 

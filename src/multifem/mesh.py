@@ -95,7 +95,7 @@ class Mesh:
     Parameters
     ----------
     dim : topological dimension (1 or 2); the geometric dimension is always 2.
-    vertices : (nv, 2) float array of coordinates.
+    vertices : (nv, 2) float array of finite coordinates.
     cells : a pair of numpy integer arrays (type codes (ncells,), vertex
         ids (ncells, k)), code t standing for CELL_TYPES[t]; a row holds
         its cell's vertex ids, padded with -1 to k.
@@ -122,6 +122,8 @@ class Mesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         self._set_cells(*_int_arrays(
             cells, (1, 2), "cells must be a pair of integer arrays "
             "(cell_type_codes (ncells,), cell_vertex_ids (ncells, k))"))

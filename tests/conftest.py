@@ -225,7 +225,8 @@ def materialized_element_tensors(integral):
     sizes = (max(kernel.test_size, 1), max(kernel.trial_size, 1))
     blocks = {(number, b.component, b.side): b
               for number, group in kernel.arg_blocks.items() for b in group}
-    pindex = {mesh.id: k for k, (_, mesh) in enumerate(kernel.participants)}
+    pindex = {mesh.id: k for k, (_, mesh)
+              in enumerate(integral.measure.participants())}
 
     def function(expr, side, grad):
         while isinstance(expr, forms.Restricted):
@@ -242,7 +243,8 @@ def materialized_element_tensors(integral):
         if isinstance(func, forms.Argument):
             block = blocks[(func.number, k, side)]
             out = np.zeros((E, nq, sizes[func.number]) + table.shape[3:])
-            out[:, :, block.offset:block.offset + block.ndofs] = table
+            n = block.element.num_dofs
+            out[:, :, block.offset:block.offset + n] = table
             # the other argument's axis stays of length 1
             return np.expand_dims(out, 3 - func.number)
         w = func.values[func.space.offsets[k]

@@ -240,7 +240,7 @@ class TestCompileContracts:
         v = forms.TestFunction(V2)
         (v0,) = forms.split(v)
         itg = (v0 * forms.Measure("dx", ml)).integrals[0]
-        assert forms.analyze(itg).quadrature_degree == 6  # 2p + 2 on quads
+        assert forms.analyze(itg).key[0] == 6  # 2p + 2 on quads
 
         tri_parent = mm.build_hybrid_unit_square(0)
         mt, _ = mm.extract_codim0_submesh(tri_parent, 2)
@@ -248,7 +248,7 @@ class TestCompileContracts:
         w = forms.TestFunction(V3)
         (w0,) = forms.split(w)
         itg = (w0 * forms.Measure("dx", mt)).integrals[0]
-        assert forms.analyze(itg).quadrature_degree == 6  # 2p on affine cells
+        assert forms.analyze(itg).key[0] == 6  # 2p on affine cells
 
     def test_quadrature_degree_override_changes_the_result(self, asm):
         # x^8 needs degree 8; a degree-2 rule must visibly disagree
@@ -355,7 +355,7 @@ def test_a_kernel_takes_its_measures_rule(comp, studies, primal, given):
     # the primal entities' reference cell; rules are shared per (cell,
     # degree), so the kernel holds the very rule
     cell, integral = study_integral(studies, primal)
-    default = forms.analyze(integral).quadrature_degree
+    default = forms.analyze(integral).key[0]
     assert default != 7
     kernel = comp.compile_integral(with_degree(integral, given))
     degree = default if given is None else given

@@ -200,8 +200,8 @@ def test_component_quadrature_degree_ignores_other_components():
     v_left, v_right = forms.split(forms.TestFunction(V))
     low = (v_left * forms.Measure("dx", left)).integrals[0]
     high = (v_right * forms.Measure("dx", right)).integrals[0]
-    assert forms.analyze(low).quadrature_degree == 4  # 2 * 1 + 2 on quads
-    assert forms.analyze(high).quadrature_degree == 8  # 2 * 3 + 2 on quads
+    assert forms.analyze(low).key[0] == 4  # 2 * 1 + 2 on quads
+    assert forms.analyze(high).key[0] == 8  # 2 * 3 + 2 on quads
 
 
 class Opaque(forms.Expr):

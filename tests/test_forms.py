@@ -484,3 +484,36 @@ def test_negation_and_subtraction_from_a_number_by_value(asm):
     assert asm.assemble(-x * dx) == pytest.approx(-0.5, abs=1e-15)
     assert asm.assemble((3.0 - x) * dx) == pytest.approx(2.5, abs=1e-15)
     assert asm.assemble(-(1.0 - x) * dx) == pytest.approx(-0.5, abs=1e-15)
+
+
+def test_reprs_diagnostics_and_form_arithmetic_read_as_their_text():
+    m, _, V, W = checks_setting()
+    u, v = forms.Coefficient(V), forms.TestFunction(V)
+    w = forms.Coefficient(W)
+    U, A = f"Coefficient#{u.count}", f"Argument#{v.count}(number=0)"
+    expected = {
+        forms.Zero((2,)): "Zero(shape=(2,))",
+        forms.Constant(2.5): "Constant(2.5)",
+        u: U,
+        v: A,
+        forms.split(w)[0]: f"Coefficient#{w.count}[0]",
+        forms.FacetNormal(m): f"n({m.id})",
+        forms.grad(u): f"grad({U})",
+        u + 2.0: f"({U} + Constant(2.0))",
+        u * v: f"({U} * {A})",
+        forms.inner(forms.grad(u), forms.grad(v)): f"inner(grad({U}), "
+                                                   f"grad({A}))",
+        forms.restrict(u, "+"): f"({U})('+')",
+    }
+    for expr, text in expected.items():
+        assert repr(expr) == text
+    form = u * v * forms.Measure("dx", m)
+    assert repr(form.integrals[0]) == f"Integral(({U} * {A}), dx({m.id}))"
+    assert repr(form) == "Form(1 integrals)"
+    bad = forms.restrict(u, "+") * v * forms.Measure("dx", m)
+    assert str(forms.validate_form(bad)[0]) == (
+        "integrals[0] at /Product.0/Restricted[+]/Coefficient: "
+        "restriction on cell participant")
+    for combine in (lambda f: f + 1, lambda f: f - 1):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine(form)

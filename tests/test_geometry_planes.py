@@ -124,11 +124,13 @@ def test_a_pulled_back_triangle_side_inverts_once_per_cell(asm, studies):
     problem = studies.build_quad_tri_problem(2, 1)
     asm.assemble(problem.residual)
     plans, _ = problem.residual._plans
-    interfaces = [p for p in plans if len(p.kernel.participants) > 1]
+    # one plan per integral, in form order
+    interfaces = [(p, itg.measure.participants()) for p, itg
+                  in zip(plans, problem.residual.integrals)
+                  if len(itg.measure.participants()) > 1]
     assert len(interfaces) == 3  # ds(q)^ds(t) twice, ds(t)^ds(q) once
-    for interface in interfaces:
-        pidx = [mesh.cell_type for _, mesh in
-                interface.kernel.participants].index(TRI)
+    for interface, parts in interfaces:
+        pidx = [mesh.cell_type for _, mesh in parts].index(TRI)
         side = interface.geometry.side(pidx, 0)
         assert side.ref.shape[0] == len(interface.geometry) > 1
         assert_one_inverse_per_cell(side, side.vertices, side.ref)

@@ -68,7 +68,10 @@ class TestSharing:
             assert len(cold) == before + 1
             assert plans[0].kernel.tape is plans[1].kernel.tape
             kernel = plans[1].kernel
-            assert kernel.participants == [("dx", problem.space.meshes[2])]
+            mesh = problem.space.meshes[2]  # the right plan's geometry
+            assert np.array_equal(plans[1].geometry.X, fe.geometry_map(
+                mesh.cell_type, mesh.coords_of_cells(np.arange(
+                    mesh.num_cells)), kernel.quadrature.points))
             assert [b.component for b in kernel.arg_blocks[0]] == [2]
             assert all(coeff is problem.u and component == 2
                        for coeff, component, *_ in kernel.coeff_slots)

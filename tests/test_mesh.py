@@ -289,6 +289,13 @@ def marked(rows):
     return unit_quad_mesh_with(facet_markers=(rows, np.ones(len(rows), int)))
 
 
+def unit_quad_mesh_moving(vertex, to):
+    m = unit_quad_mesh()
+    vertices = m.vertices.copy()
+    vertices[vertex] = to
+    return mm.Mesh(2, vertices, (m.cell_type_codes, m.cell_vertex_ids))
+
+
 def entity_map(table):
     return mm.EntityMap(0, 1, "cell->cell", np.array(table))
 
@@ -306,6 +313,12 @@ INPUT_CHECKS = {
         lambda: mm.Mesh(True, np.zeros((2, 2)), conftest.cells_of(
             mm.CellType.INTERVAL, [(0, 1)])),
         TypeError, "a mesh's dimension is an integer, got True"),
+    # a NaN vertex would fail a pullback as non-conforming; an infinite
+    # one would give a NaN matrix
+    "vertex-nan": (lambda: unit_quad_mesh_moving(2, (np.nan, 1.0)),
+                   ValueError, "vertex coordinates must be finite"),
+    "vertex-inf": (lambda: unit_quad_mesh_moving(3, (0.0, np.inf)),
+                   ValueError, "vertex coordinates must be finite"),
     "cell-markers-length": (
         lambda: unit_quad_mesh_with(cell_markers=np.array([1, 2])),
         ValueError, "cell_markers length mismatch"),

@@ -246,11 +246,10 @@ class TestArgumentTables:
         jacobian = forms.derivative(problem.residual, problem.u)
         asm.assemble(jacobian)
         seen = 0
-        for side, (op, _, block, *_), size in self.argument_instructions(
+        for side, (op, _, block, *_), _ in self.argument_instructions(
                 (jacobian,)):
-            table = side.argument(block.element, op, block.offset, size)
-            assert side.argument(block.element, op, block.offset,
-                                 size) is table
+            table = side.argument(block.element, op)
+            assert side.argument(block.element, op) is table
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0.0
             # entities 3:7 as one tape block sees them; entity-independent
@@ -259,10 +258,36 @@ class TestArgumentTables:
                            for t in side.tables(block.element))
             part = (vals if op == "aval"
                     else push_forward(grads, side.jinv[3:7]))
-            expected = np.zeros(part.shape[:2] + (size,) + part.shape[3:])
-            expected[:, :, block.offset:block.offset + block.ndofs] = part
             assert np.array_equal(table if len(part) == 1 else table[3:7],
-                                  expected)
+                                  part)
+            seen += 1
+        assert seen
+
+    def test_a_gradient_table_and_its_planes_are_two_cached_arrays(
+            self, asm, studies):
+        """One side keeps an element's 'agrad' table and its planes
+        apart, whichever is asked for first: under one cache key the second
+        read would return the first array."""
+        problem = studies.build_quad_tri_problem(1, 1)
+        jacobian = forms.derivative(problem.residual, problem.u)
+        asm.assemble(jacobian)
+        seen = 0
+        for side, (op, _, block, *_), _ in self.argument_instructions(
+                (jacobian,)):
+            if op != "agrad":
+                continue
+            element, nq = block.element, side.ref.shape[1]
+            for planes_first in (False, True):
+                side._built = {}
+                if planes_first:
+                    side.planes(element, op)
+                table, planes = (side.argument(element, op),
+                                 side.planes(element, op))
+                assert table.shape == (len(table), nq, element.num_dofs, 2)
+                assert planes.shape == (len(table), 2 * nq,
+                                        element.num_dofs)
+                assert side.argument(element, op) is table
+                assert side.planes(element, op) is planes
             seen += 1
         assert seen
 
