@@ -3,8 +3,10 @@
 Assembly works on plans built on a form's first assembly, cached on it and
 reused by every later one: one per integral, in form order, whatever the
 form's arity.  Iteration sets are resolved once per measure as integer
-arrays through the common root mesh (Mesh.root_entities).  A plan holds the
-dof indices of every argument block and coefficient slot and the measure's
+arrays through the common root mesh (Mesh.root_entities).  A plan holds
+its signature's shared kernel; its integral's forms.Analysis, which binds
+the terminals and components the kernel numbers and gives the degree; the
+dof indices of every argument block and coefficient slot; and the measure's
 batched quadrature geometry (compile.MeasureGeometry), shared by every plan
 on the same measure and rule and cached on the root mesh.  Static kernels,
 which read no coefficient and no impure Analytic source, run once per form,
@@ -113,16 +115,21 @@ def _entities(measure):
 
 @dataclass
 class _IntegralPlan:
-    """What every assembly of an integral reuses: its kernel, the measure
-    geometry, and (E, ndofs) global dof indices of the test (rows) and
-    trial (cols) blocks and coefficients."""
+    """What every assembly of an integral reuses: its kernel, its
+    forms.Analysis, the measure geometry, and (E, ndofs) global dof indices
+    of the test (rows) and trial (cols) blocks and coefficients."""
 
     kernel: object
+    analysis: forms.Analysis
     geometry: MeasureGeometry
     rows: np.ndarray
     cols: np.ndarray
     coeff_dofs: list
     linear: object = None  # u, if it is J u: applied, never run
+
+    @property
+    def static(self):  # reads no coefficient and no impure Analytic
+        return self.analysis.degree == (set(), 0)
 
 
 def _measure_geometry(measure, rule):
@@ -138,24 +145,24 @@ def _measure_geometry(measure, rule):
 
 
 def _plan_for(integral):
-    kernel = compile_integral(integral)
+    kernel, analysis = compile_integral(integral), forms.analyze(integral)
     geometry = _measure_geometry(integral.measure, kernel.quadrature)
 
-    def dofs(space, component, pidx, side):
+    def dofs(t, k, pidx, side):  # terminal t's component firsts[t] + k
+        space, component = analysis.terminals[t].space, analysis.firsts[t] + k
         cells = geometry.side(pidx, side_index(side)).cells
         return space.offsets[component] + space.dofmaps[component][cells]
 
     def arg_dofs(number):  # a functional's rows are its one entry, 0
         if number not in kernel.arguments:
             return None if number else np.zeros((len(geometry), 1), int)
-        space = kernel.arguments[number].space
-        return np.concatenate([dofs(space, b.component, b.participant, b.side)
+        t = kernel.arguments[number]
+        return np.concatenate([dofs(t, b.component, b.participant, b.side)
                                for b in kernel.arg_blocks[number]], axis=1)
 
-    coeff_dofs = [dofs(coeff.space, component, pidx, side)
-                  for coeff, component, pidx, side in kernel.coeff_slots]
-    return _IntegralPlan(kernel, geometry, arg_dofs(0), arg_dofs(1),
-                         coeff_dofs)
+    coeff_dofs = [dofs(*slot) for slot in kernel.coeff_slots]
+    return _IntegralPlan(kernel, analysis, geometry, arg_dofs(0),
+                         arg_dofs(1), coeff_dofs)
 
 
 def _plans(form):
@@ -166,10 +173,11 @@ def _plans(form):
     if "_plans" in form.__dict__:
         return form._plans
     plans = [_plan_for(integral) for integral in form.integrals]
-    if any(p.kernel.arguments != plans[0].kernel.arguments for p in plans):
+    if any(p.analysis.arguments != plans[0].analysis.arguments
+           for p in plans):
         raise ValueError("every integral must use the form's arguments")
     for plan in plans:
-        found, degree = plan.kernel.degree
+        found, degree = plan.analysis.degree
         if plan.kernel.arity == 1 and degree == 1 == len(found):
             (plan.linear,) = found
             plan.rows = plan.coeff_dofs = None  # nothing reads them
@@ -185,9 +193,10 @@ def iteration_set(integral):
 
 
 def _element_tensors(plan):
-    w = [coeff.values[dofs] for (coeff, *_), dofs
+    terminals = plan.analysis.terminals
+    w = [terminals[t].values[dofs] for (t, *_), dofs
          in zip(plan.kernel.coeff_slots, plan.coeff_dofs)]
-    return execute_kernel(plan.kernel, plan.geometry, w).ravel()
+    return execute_kernel(plan.kernel, plan.geometry, w, terminals).ravel()
 
 
 def _static_pass(plans):
@@ -195,8 +204,7 @@ def _static_pass(plans):
     tables and planes built for them then go; dynamic kernels keep theirs."""
     sides = [side for p in plans for side in p.geometry._sides.values()]
     before = [dict(side._built) for side in sides]
-    values = [_element_tensors(p) if p.kernel.static else None
-              for p in plans]
+    values = [_element_tensors(p) if p.static else None for p in plans]
     for side, built in zip(sides, before):
         side._built = built
     return values
@@ -226,7 +234,7 @@ def _pattern(form, plans):
     the diagonal's slots and where entries hit; L sums the entries whose
     source (forms.derivative) is of degree one in its coefficient u alone,
     so L u sums those (S if all are, None if none is)."""
-    args = plans[0].kernel.arguments if plans else {}
+    args = plans[0].analysis.arguments if plans else {}
     shape = [args[k].space.num_dofs for k in range(len(args))]
     matvecs = []  # first: they plan J and run its static pass
     for u in dict.fromkeys(p.linear for p in plans if p.linear):
@@ -249,7 +257,7 @@ def _pattern(form, plans):
         indices = indptr = diagonal = None
     size = len(indices) if matrix else (shape or [1])[0]
     values = _static_pass(plans)
-    static = [p.kernel.static for p in plans]
+    static = [p.static for p in plans]
 
     def summed(chosen):  # read-only
         S = np.bincount(slot[np.repeat(np.array(chosen, bool), sizes)],
@@ -324,7 +332,7 @@ def assemble(form, bcs=()):
     for measure in empty:
         warnings.warn(f"measure {measure!r} matched no entities; "
                       f"contribution is zero", stacklevel=2)
-    args = plans[0].kernel.arguments
+    args = plans[0].analysis.arguments
     arity = len(args)
     if arity == 2 and bcs and args[1].space is not args[0].space:
         raise ValueError("Dirichlet conditions on a bilinear form need its "
@@ -338,7 +346,7 @@ def assemble(form, bcs=()):
         return copy.copy(static)
     data = static.copy()
     dynamic = [_element_tensors(p) for p in plans
-               if not (p.kernel.static or p.linear)]
+               if not (p.static or p.linear)]
     if dynamic:
         data += np.bincount(slot, weights=np.concatenate(dynamic),
                             minlength=len(data))[:len(data)]

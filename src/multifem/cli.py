@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .assemble import dump_matrix
-from .studies import (PROBLEMS, StudyConfig, emit_report, run_study,
+from .studies import (PROBLEMS, SOLVERS, StudyConfig, emit_report, run_study,
                       tabulate_report)
 
 
@@ -45,8 +45,7 @@ def build_parser():
     study.add_argument("--dump-matrix", dest="dump_matrix", default=None,
                        help="write the last solved system's matrix "
                             "(MatrixMarket)")
-    study.add_argument("--solver", default="lu",
-                       choices=("lu", "cg-fieldsplit"))
+    study.add_argument("--solver", default="lu", choices=SOLVERS)
     return parser
 
 

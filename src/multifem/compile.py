@@ -29,15 +29,16 @@ elements, each Constant's bits and each Analytic's function and purity),
 the final quadrature degree and the measure's participant kinds, dims and
 cell types.  _compile builds a kernel from its signature alone, so no key
 can leave out a fact the builder reads: integrals of one signature compile
-to one tape and a new C/h compiles anew.  compile_integral binds a kept
-kernel to its integral's terminals and degree, and the assembler to its
-measure: the cache holds no mesh or form terminal.  Sides at a rule's own
-points share basis tables per element and rule.
+to one tape and a new C/h compiles anew.  compile_integral returns the
+kept kernel itself, which nothing may mutate: it names terminals by number,
+components by offset and no measure, and the assembler's plan binds it
+through its integral's forms.Analysis, so the cache holds no mesh or form
+terminal.  Sides at a rule's own points share basis tables per element
+and rule.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,7 +71,7 @@ class CompileError(ValueError):
 
 @dataclass(frozen=True)
 class ArgBlock:
-    component: int
+    component: int  # offset from its argument's first component
     participant: int
     side: object  # None, '+', or '-'
     offset: int
@@ -79,21 +80,17 @@ class ArgBlock:
 
 @dataclass
 class LocalKernel:
-    # a kernel names no measure; MeasureGeometry places its rule
+    # one per signature, naming no measure: MeasureGeometry places its rule
     quadrature: fe.QuadratureRule
     tape: list
     reg_vshapes: list
     out_reg: int
-    coeff_slots: list  # (coefficient, component, participant, side)
-    arguments: dict  # argument number -> Argument
+    coeff_slots: list  # (terminal, component offset, participant, side)
+    arguments: dict  # argument number -> terminal
     arg_blocks: dict  # argument number -> list of ArgBlock
     # arity <= 1: (register, argument instruction or None) pairs whose
     # contractions sum to the output; else None
     terms: list = None
-    # analysis terminals, which 'analytic' instructions and a kept kernel's
-    # slots and arguments give by number, components by Analysis.firsts + k
-    terminals: list = None
-    degree: tuple = None  # bound only: its integral's Analysis.degree
 
     def __post_init__(self):
         self.arity = len(self.arguments)
@@ -105,10 +102,6 @@ class LocalKernel:
         footprint = len(self.quadrature) * widest * (
             1 if self.terms is not None else self.test_size * self.trial_size)
         self.block_size = max(1, _BLOCK_VALUES // footprint)
-
-    @property
-    def static(self):  # reads no coefficient and no impure Analytic
-        return self.degree == (set(), 0)
 
 
 def side_index(side):
@@ -260,9 +253,9 @@ class _Builder:
 
 
 def compile_integral(integral):
-    """Compile one integral into a LocalKernel.  The integral is read by
-    forms.analyze, whose first fault raises; its key's kept kernel is bound
-    here to its terminals, components and degree."""
+    """The kept LocalKernel of one integral's signature, compiled on a
+    miss.  The integral is read by forms.analyze, whose first fault raises;
+    every integral of one signature gets the identical object."""
     analysis = forms.analyze(integral)
     measure = integral.measure
     if analysis.problems:
@@ -277,18 +270,7 @@ def compile_integral(integral):
     _kernels[analysis.key] = kernel
     if len(_kernels) > KERNEL_CACHE_SIZE:
         del _kernels[next(iter(_kernels))]
-    terminals, firsts = analysis.terminals, analysis.firsts
-    bound = copy.copy(kernel)
-    bound.terminals = terminals
-    bound.coeff_slots = [(terminals[t], firsts[t] + k, *rest)
-                         for t, k, *rest in kernel.coeff_slots]
-    bound.arguments = analysis.arguments
-    bound.arg_blocks = {n: [ArgBlock(
-        firsts[t] + b.component, b.participant, b.side, b.offset,
-        b.element) for b in kernel.arg_blocks[n]]
-        for n, t in kernel.arguments.items()}
-    bound.degree = analysis.degree
-    return bound
+    return kernel
 
 
 def _compile(key):
@@ -609,7 +591,7 @@ def _analytic(expr, X):
     return np.stack(parts, axis=-1) if expr.shape else parts[0]
 
 
-def _run_tape(kernel, geometry, w, lo, hi):
+def _run_tape(kernel, geometry, w, terminals, lo, hi):
     """Element tensors (B, test|1, trial|1) of entities lo:hi, through
     _contract unless the tape is materialized."""
     nq, test, trial = (len(kernel.quadrature), kernel.test_size,
@@ -620,8 +602,7 @@ def _run_tape(kernel, geometry, w, lo, hi):
         if op == "const":
             val = instr[2]
         elif op == "analytic":
-            val = _analytic(kernel.terminals[instr[1]],
-                            geometry.X[lo:hi])
+            val = _analytic(terminals[instr[1]], geometry.X[lo:hi])
         elif op == "normal":
             _, pidx, sidx = instr
             nrm = geometry.side(pidx, sidx).normal[lo:hi]
@@ -666,18 +647,19 @@ def _run_tape(kernel, geometry, w, lo, hi):
     return np.einsum("bq,bqvu->bvu", geometry.wq[lo:hi], out)
 
 
-def execute_kernel(kernel, geometry, w):
+def execute_kernel(kernel, geometry, w, terminals):
     """Element tensors of a kernel on every entity of its measure.
 
-    w holds one (E, ndofs) array of coefficient dof values per kernel slot.
-    Returns (E, test, trial), (E, test) or (E,) by arity.  The tape runs
-    over blocks of kernel.block_size entities in ascending order; results
-    are bitwise reproducible for identical inputs.
+    w holds one (E, ndofs) array of coefficient dof values per kernel slot;
+    terminals is the integral's Analysis.terminals, of which the tape
+    evaluates the Analytics.  Returns (E, test, trial), (E, test) or (E,)
+    by arity.  The tape runs over blocks of kernel.block_size entities in
+    ascending order; results are bitwise reproducible for identical inputs.
     """
     E = len(geometry)
     out = np.empty((E, kernel.test_size, kernel.trial_size)[:1 + kernel.arity])
     for lo in range(0, E, kernel.block_size):
         hi = min(lo + kernel.block_size, E)
-        out[lo:hi] = _run_tape(kernel, geometry, w, lo,
+        out[lo:hi] = _run_tape(kernel, geometry, w, terminals, lo,
                                hi).reshape((hi - lo,) + out.shape[1:])
     return out

@@ -34,6 +34,7 @@ from .mesh import (BOUNDARY_MARKER, INTERFACE_MARKER, CellType,
                    extract_codim0_submesh, extract_codim1_submesh)
 
 PROBLEMS = ("quad-tri", "split-interface")
+SOLVERS = ("lu", "cg-fieldsplit")
 DEFAULT_PENALTY = 100.0
 COARSE_MESH_SIZE = 0.10  # edge length at refinement level 0
 
@@ -196,7 +197,7 @@ def solve_problem(problem, solver="lu"):
     """
     if solver == "lu":
         solve = None
-    elif solver != "cg-fieldsplit":
+    elif solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     elif problem.aux_component is None:
         def solve(A, b):
@@ -238,6 +239,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
         if not self.degrees or not set(self.degrees) <= {1, 2, 3}:
             raise ValueError("degrees must be a non-empty subset of {1, 2, 3}")
         if not self.refinements or not set(self.refinements) <= {0, 1, 2, 3}:

@@ -218,12 +218,15 @@ def materialized_element_tensors(integral):
     weighted quadrature points last: the contraction the tape did before
     the test function was factored out of its kernels, and still does for
     bilinear ones.  Reads the integral's plan for the geometry and the
-    argument blocks' offsets only."""
+    argument blocks' offsets only, placing a block by its component through
+    the plan's analysis."""
     plan = assemble_mod._plan_for(integral)
     kernel, geometry = plan.kernel, plan.geometry
     E, nq = geometry.wq.shape
     sizes = (max(kernel.test_size, 1), max(kernel.trial_size, 1))
-    blocks = {(number, b.component, b.side): b
+    firsts = plan.analysis.firsts
+    blocks = {(number, firsts[kernel.arguments[number]] + b.component,
+               b.side): b
               for number, group in kernel.arg_blocks.items() for b in group}
     pindex = {mesh.id: k for k, (_, mesh)
               in enumerate(integral.measure.participants())}

@@ -2,7 +2,7 @@
 
 A linear form is planned one integral at a time.  An integral homogeneous of
 degree one in one coefficient u alone (the degree forms.analyze finds, which
-its kernel carries) equals its Gateaux derivative J applied to u.  Its
+its plan carries) equals its Gateaux derivative J applied to u.  Its
 assembly adds L u, L the sum of J's static kernels whose source integral is
 such an integral, on J's unconstrained CSR pattern; its own kernel is
 compiled but never run.  These tests check that path against the integrals'
@@ -26,15 +26,16 @@ from multifem import mesh as mm
 import conftest
 
 
-def no_linear_plans(compile_integral):
-    """compile.compile_integral, but its kernel's degree None where it is
-    1: no integral counts as linear in u, so every dynamic one runs its
-    kernel."""
+def no_linear_plans(plan_for):
+    """assemble._plan_for, but its analysis's degree None where it is 1:
+    no integral counts as linear in u, so every dynamic one runs its
+    kernel.  The plan's analysis is replaced, never the shared kernel."""
     def patched(integral):
-        kernel = compile_integral(integral)
-        found, d = kernel.degree
-        kernel.degree = found, None if d == 1 else d
-        return kernel
+        plan = plan_for(integral)
+        found, d = plan.analysis.degree
+        plan.analysis = plan.analysis._replace(
+            degree=(found, None if d == 1 else d))
+        return plan
     return patched
 
 
@@ -49,8 +50,7 @@ def test_linear_integrals_match_their_own_kernels(asm, studies, monkeypatch,
                                                   name, degree):
     for level in (0, 1, 2):
         with monkeypatch.context() as patched:
-            patched.setattr(asm, "compile_integral",
-                            no_linear_plans(asm.compile_integral))
+            patched.setattr(asm, "_plan_for", no_linear_plans(asm._plan_for))
             kernels = studies.build_problem(name, degree, level)
             asm.assemble(kernels.residual)
         problem = studies.build_problem(name, degree, level)
@@ -61,7 +61,7 @@ def test_linear_integrals_match_their_own_kernels(asm, studies, monkeypatch,
             assert np.abs(r - want).max() <= 1e-15 * np.abs(want).max()
         plans, _ = problem.residual._plans
         assert [p.linear is not None for p in plans] == [
-            not p.kernel.static for p in plans]
+            not p.static for p in plans]
         assert not any(p.linear for p in kernels.residual._plans[0])
 
 
@@ -82,9 +82,9 @@ def counting(asm, monkeypatch):
     runs = []
     execute = asm.execute_kernel
 
-    def counted(kernel, geometry, w):
+    def counted(kernel, geometry, w, terminals):
         runs.append(kernel.arity)
-        return execute(kernel, geometry, w)
+        return execute(kernel, geometry, w, terminals)
 
     monkeypatch.setattr(asm, "execute_kernel", counted)
     return runs
@@ -147,8 +147,8 @@ class TestDetection:
 
 def test_one_kernel_is_bound_to_each_integrals_coefficient(asm, monkeypatch,
                                                            square):
-    # u0 v0 and w0 v0 have one signature, so one kept kernel, whose degree
-    # each integral binds to its own coefficient: each is applied as the
+    # u0 v0 and w0 v0 have one signature, so one kept kernel, which each
+    # integral's plan binds to its own coefficient: each is applied as the
     # matvec of its own, as the kernel path computes it
     V, u, u0, v0 = square
     w = forms.Coefficient(V)
@@ -161,8 +161,7 @@ def test_one_kernel_is_bound_to_each_integrals_coefficient(asm, monkeypatch,
     assert plans[0].kernel.tape is plans[1].kernel.tape
     assert [p.linear for p in plans] == [u, w]
     with monkeypatch.context() as patched:
-        patched.setattr(asm, "compile_integral",
-                        no_linear_plans(asm.compile_integral))
+        patched.setattr(asm, "_plan_for", no_linear_plans(asm._plan_for))
         kernels = u0 * v0 * dx + w0 * v0 * dx
         want = asm.assemble(kernels)
     assert not any(p.linear for p in kernels._plans[0])
@@ -192,8 +191,7 @@ def test_mixed_degrees_match_their_own_kernels(asm, monkeypatch):
     V = conftest.scalar_space(quads, "Q", 2)
     u = forms.Coefficient(V)
     with monkeypatch.context() as patched:
-        patched.setattr(asm, "compile_integral",
-                        no_linear_plans(asm.compile_integral))
+        patched.setattr(asm, "_plan_for", no_linear_plans(asm._plan_for))
         kernels = mixed(V, u)
         asm.assemble(kernels)
     F = mixed(V, u)

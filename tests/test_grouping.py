@@ -114,15 +114,15 @@ def warm_kernel_runs(asm, monkeypatch, split_left, nonlinear):
     first = asm.assemble(form)
     plans, _ = form._plans
     # u0 v0 is linear in u, as the stiffness is; u0 u0 v0 is not
-    assert [p.kernel.static for p in plans] == [False, True, False]
+    assert [p.static for p in plans] == [False, True, False]
     assert [p.linear is u for p in plans] == [True, False, not nonlinear]
     assert calls == [1]
     runs = []
     execute = asm.execute_kernel
 
-    def counted(kernel, geometry, w):
-        runs.append(kernel.static)
-        return execute(kernel, geometry, w)
+    def counted(kernel, geometry, w, terminals):
+        runs.append(next(p.static for p in plans if p.kernel is kernel))
+        return execute(kernel, geometry, w, terminals)
 
     monkeypatch.setattr(asm, "execute_kernel", counted)
     assert np.array_equal(asm.assemble(form), first)

@@ -4,13 +4,16 @@ forms.analyze keys an integral by its integrand DAG with meshes numbered
 by participant and Coefficients, Arguments and Analytics by first use,
 plus its elements, Constant bits, Analytic functions and the
 measure's participant kinds, cell types and quadrature degree.
-compile_integral keeps one kernel per key and binds it to each integral.
-Checked here: structurally equal integrals share one tape and give the
-element tensors of an uncached compile bit for bit; what must miss does;
-every integral is still checked; an Analytic's error names the integral's
-own; and the cache is bounded and holds no mesh or form terminal.
+compile_integral keeps one kernel per key and hands out that object;
+each integral's plan binds it through the integral's forms.Analysis.
+Checked here: structurally equal integrals share one kernel object and
+give the element tensors of an uncached compile bit for bit; what must miss
+does; every integral is still checked; an Analytic's error names the
+integral's own; no study cell changes a kept kernel; and the cache is
+bounded and holds no mesh or form terminal.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -58,7 +61,7 @@ def seeded(problem, seed=3):
 class TestSharing:
     def test_left_and_right_stiffness_share_one_kernel(
             self, asm, comp, studies, cold, monkeypatch):
-        # components 0 and 2 on two meshes: one kernel, bound to each
+        # components 0 and 2 on two meshes: one kernel, bound by each plan
         problem = seeded(studies.build_split_interface_problem(2, 1))
         J = forms.derivative(problem.residual, problem.u)
         for form in (problem.residual, J):
@@ -72,9 +75,13 @@ class TestSharing:
             assert np.array_equal(plans[1].geometry.X, fe.geometry_map(
                 mesh.cell_type, mesh.coords_of_cells(np.arange(
                     mesh.num_cells)), kernel.quadrature.points))
-            assert [b.component for b in kernel.arg_blocks[0]] == [2]
-            assert all(coeff is problem.u and component == 2
-                       for coeff, component, *_ in kernel.coeff_slots)
+            terminals, firsts = (plans[1].analysis.terminals,
+                                 plans[1].analysis.firsts)
+            t = kernel.arguments[0]
+            assert [firsts[t] + b.component
+                    for b in kernel.arg_blocks[0]] == [2]
+            assert all(terminals[c] is problem.u and firsts[c] + k == 2
+                       for c, k, *_ in kernel.coeff_slots)
             assert np.array_equal(asm._element_tensors(plans[1]),
                                   uncached(asm, comp, monkeypatch, right))
 
@@ -113,6 +120,77 @@ class TestSharing:
         assert np.array_equal(r, r0)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(A, part), getattr(A0, part))
+
+
+def fields(kernel):
+    """A kernel's fields, containers as tuples, arrays and its rule's
+    points and weights as bytes, all else as it is."""
+    def frozen(value):
+        if isinstance(value, fe.QuadratureRule):
+            value = [value.cell, value.points, value.weights]
+        if isinstance(value, dict):
+            value = list(value.items())
+        if isinstance(value, (list, tuple)):
+            return tuple(frozen(v) for v in value)
+        if isinstance(value, np.ndarray):
+            return value.shape, value.dtype, value.tobytes()
+        return value
+    return {name: frozen(value) for name, value in vars(kernel).items()}
+
+
+class TestOneObject:
+    # compile_integral hands out the kept kernel itself, and each plan
+    # binds it: nothing copies a kernel, so nothing may change one
+
+    def test_one_signature_is_one_object(self, comp, studies, cold):
+        # the left and right cell stiffness (two meshes, components 0 and
+        # 2), and the left one of levels 0 and 1
+        (left, right), (finer, _) = (
+            studies.build_split_interface_problem(2, level).residual
+            .integrals[:2] for level in (0, 1))
+        kernel = comp.compile_integral(left)
+        assert comp.compile_integral(right) is kernel
+        assert comp.compile_integral(finer) is kernel
+        assert len(cold) == 1
+
+    def test_a_study_cell_changes_no_kept_kernel(self, comp, studies, cold,
+                                                 monkeypatch):
+        # each kernel's fields as compiled, against them after a cold and
+        # a warm quad-tri p=1, n=0 cell: build, LU solve and error norms
+        compile_, compiled = comp._compile, {}
+
+        def snapshot(key):
+            kernel = compile_(key)
+            compiled[key] = fields(kernel)
+            return kernel
+
+        monkeypatch.setattr(comp, "_compile", snapshot)
+        for _ in range(2):
+            problem = studies.build_problem("quad-tri", 1, 0)
+            studies.solve_problem(problem, "lu")
+            studies.solution_errors(problem)
+        assert len(compiled) == len(cold) == len(comp._kernels) > 0
+        assert {key: fields(kernel)
+                for key, kernel in comp._kernels.items()} == compiled
+
+    @pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
+    def test_a_cold_compile_gives_the_plans_tensors(self, asm, comp,
+                                                    studies, monkeypatch,
+                                                    name):
+        # cached equals cold: each planned integral's kernel, compiled
+        # anew after the cache is cleared, gives its tensors bit for bit
+        problem = seeded(studies.build_problem(name, 2, 1))
+        J = forms.derivative(problem.residual, problem.u)
+        integrals = problem.residual.integrals + J.integrals
+        plans = [asm._plan_for(integral) for integral in integrals]
+        monkeypatch.setattr(comp, "_kernels", {})
+        for integral, plan in zip(integrals, plans):
+            kernel = comp.compile_integral(integral)
+            assert kernel is not plan.kernel
+            assert np.array_equal(
+                asm._element_tensors(dataclasses.replace(plan,
+                                                         kernel=kernel)),
+                asm._element_tensors(plan))
 
 
 class TestMisses:
@@ -217,19 +295,19 @@ class TestBinding:
             asm.assemble(invalid)
         assert len(cold) == 1
 
-    def test_a_static_kernel_from_the_cache_is_static(self, comp, cold):
-        # the second integral's kernel is a hit on the first's, bound to
-        # the second's own degree: no coefficient, so static
+    def test_a_static_kernel_from_the_cache_is_static(self, asm, cold):
+        # the second integral's kernel is a hit on the first's, its plan
+        # bound to the second's own degree: no coefficient, so static
         m = left_half()
         (v,) = forms.split(forms.TestFunction(conftest.scalar_space(m, "Q",
                                                                     1)))
         first, second = ((forms.Constant(2.0) * v
                           * forms.Measure("dx", m)).integrals[0]
                          for _ in range(2))
-        assert comp.compile_integral(first).static is True
-        kernel = comp.compile_integral(second)
+        assert asm._plan_for(first).static is True
+        plan = asm._plan_for(second)
         assert len(cold) == 1
-        assert kernel.static is True and kernel.degree == (set(), 0)
+        assert plan.static is True and plan.analysis.degree == (set(), 0)
 
     def test_a_wrong_shape_names_the_integrals_own_analytic(
             self, asm, comp, cold):

@@ -58,7 +58,7 @@ class TestPureSources:
         assert counts == ([first] * 4 if pure
                           else [first, 2 * first, 3 * first, 4 * first])
 
-    def test_static_is_decided_from_the_tape(self):
+    def test_static_is_decided_from_the_tape(self, asm):
         m, V = left_half()
         (u,) = forms.split(forms.Coefficient(V))
         (v,) = forms.split(forms.TestFunction(V))
@@ -67,7 +67,7 @@ class TestPureSources:
         for form, static in ((source * v * dx, True),
                              (source * u * v * dx, False)):
             (integral,) = form.integrals
-            assert compile_integral(integral).static is static
+            assert asm._plan_for(integral).static is static
 
     def test_attributes_are_read_only(self):
         m, _ = left_half()
@@ -96,7 +96,7 @@ class TestPureSources:
         impure_sources(monkeypatch, studies)
         impure = studies.build_problem(name, degree, 1)
         for problem, static in ((pure, 2), (impure, 0)):
-            assert sum(compile_integral(i).static
+            assert sum(asm._plan_for(i).static
                        for i in problem.residual.integrals) == static
         rng = np.random.default_rng(6)
         for _ in range(2):

@@ -53,7 +53,7 @@ class TestStaticKernels:
         assert c.value == 1.0
         assert asm.assemble(form).sum() == pytest.approx(0.5, abs=1e-14)
 
-    def test_static_is_decided_from_the_tape(self, comp):
+    def test_static_is_decided_from_the_tape(self, asm):
         V, m, dx = left_half(1)
         u = forms.Coefficient(V)
         (u0,) = forms.split(u)
@@ -67,7 +67,7 @@ class TestStaticKernels:
                  (forms.derivative(u0 * u0 * v0 * dx, u), False)]
         for form, static in cases:
             (integral,) = form.integrals
-            assert comp.compile_integral(integral).static is static
+            assert asm._plan_for(integral).static is static
 
     def test_jacobian_follows_the_coefficient(self, asm):
         V, _, dx = left_half()

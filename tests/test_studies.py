@@ -52,6 +52,10 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="unknown problem"):
             studies.StudyConfig(problem="helmholtz")
 
+    def test_unknown_solver_rejected(self, studies):
+        with pytest.raises(ValueError, match="unknown solver 'bogus'"):
+            studies.StudyConfig(problem="quad-tri", solver="bogus")
+
     def test_degree_four_rejected(self, studies):
         with pytest.raises(ValueError, match="degrees"):
             studies.StudyConfig(problem="quad-tri", degrees=(1, 4))

@@ -12,6 +12,7 @@ package exports nothing only tests run.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from multifem import forms
+from multifem import fe, forms
 from multifem import mesh as mm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -306,6 +307,35 @@ def test_a_kernel_is_compiled_from_its_key_alone(comp, studies, monkeypatch):
                         assert getattr(fresh, part) == getattr(cached, part)
                     compared += 1
     assert compared
+
+
+def _opened(value):
+    """value with dicts as lists of items and dataclasses as lists of
+    their fields, for _contents."""
+    if isinstance(value, dict):
+        value = list(value.items())
+    elif dataclasses.is_dataclass(value):
+        value = list(vars(value).values())
+    if isinstance(value, (tuple, list)):
+        return [_opened(item) for item in value]
+    return value
+
+
+def test_a_kept_kernel_holds_no_mesh_space_or_terminal(comp, studies,
+                                                       monkeypatch):
+    # compile_integral hands out the kept kernel itself, which names its
+    # terminals by number: the plan binds them (Coefficients, Arguments and
+    # Analytics are Exprs)
+    monkeypatch.setattr(comp, "_kernels", {})
+    for name in studies.PROBLEMS:
+        problem = studies.build_problem(name, 1, 1)
+        studies.solve_problem(problem)
+        studies.solution_errors(problem)
+    held = list(_contents(_opened(list(comp._kernels.values()))))
+    for kind in (fe.ReferenceElement, np.ndarray):  # opened all the way
+        assert any(isinstance(x, kind) for x in held)
+    assert not [x for x in held if isinstance(
+        x, (forms.Expr, mm.Mesh, forms.FunctionSpace))]
 
 
 PARENT_CHAIN = {"parent", "parent_map", "facet_to_parent"}

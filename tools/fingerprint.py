@@ -62,7 +62,7 @@ def cell_fingerprints(name, degree, level):
         A = assemble(J, bcs)
         for part in ("data", "indices", "indptr"):
             out[f"{label} {part}"] = record(getattr(A, part))
-    for solver in ("lu", "cg-fieldsplit"):
+    for solver in studies.SOLVERS:
         problem = studies.build_problem(name, degree, level)
         studies.solve_problem(problem, solver)
         out[f"u {solver}"] = record(problem.u.values)
