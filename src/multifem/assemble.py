@@ -439,9 +439,11 @@ def dirichlet_dofs(space, bcs):
 # linear and nonlinear solvers
 
 
-def _jacobi_cg(A, b):
+def _jacobi_cg(A, b, coarse=None):
     """Jacobi-preconditioned CG for SPD systems: scipy's cg, with M the
-    inverse diagonal, which stops at the first non-finite r·z."""
+    inverse diagonal, which stops at the first non-finite r·z.  A sparse
+    coarse space P adds P Ac⁻¹ Pᵀr to M r, Ac the factored symmetric part
+    of PᵀKP, K a ReducedSystem's A_kk (never its Schur matvec) or A."""
     diag = A.diagonal()
     if not np.all(np.isfinite(diag) & (diag > 0)):
         raise ValueError("Jacobi-CG needs a positive finite diagonal; the "
@@ -450,9 +452,15 @@ def _jacobi_cg(A, b):
     if np.linalg.norm(b) == 0.0:  # cg would return b itself
         return np.zeros(n)
     dinv = 1.0 / diag
+    if coarse is not None:
+        restrict = coarse.T.tocsr()
+        Ac = restrict @ getattr(A, "A_kk", A) @ coarse
+        coarse_lu = _factor(0.5 * (Ac + Ac.T))
 
     def jacobi(r):
         z = dinv * r
+        if coarse is not None:
+            z += coarse @ coarse_lu.solve(restrict @ r)
         if not np.isfinite(r @ z):
             raise ConvergenceError("CG broke down: non-finite residual")
         return z
@@ -474,8 +482,8 @@ def _factor(A):
                                     options=dict(SymmetricMode=True))
 
 
-def solve_linear(A, b, spd=False):
-    """Solve A x = b by sparse LU, or Jacobi-CG when flagged SPD.
+def solve_linear(A, b, spd=False, coarse=None):
+    """Solve A x = b by sparse LU, or by _jacobi_cg when flagged SPD.
 
     b must be finite, and the residual is verified: |A x - b| <= 1e-10 |b|.
     """
@@ -483,7 +491,7 @@ def solve_linear(A, b, spd=False):
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side is not finite")
     if spd:
-        x = _jacobi_cg(A, b)
+        x = _jacobi_cg(A, b, coarse)
     else:
         try:
             lu = _factor(A)

@@ -182,6 +182,15 @@ def make_element(cell, family, degree, value_shape=()):
 _element = functools.lru_cache(maxsize=None)(ReferenceElement)
 
 
+def vertex_interpolation(element):
+    """The degree-1 basis of a scalar element's cell and family at its
+    nodes, (nodes, vertices), and the element's local node at each vertex."""
+    linear = make_element(element.cell, element.family, 1)
+    values, _ = linear.tabulate_scalar(element.node_points)
+    return values, np.array([element.node_tags.index(t)
+                             for t in linear.node_tags])
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     cell: CellType

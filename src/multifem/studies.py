@@ -21,8 +21,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from . import forms
+from . import fe, forms
 from .assemble import (DirichletBC, assemble, eliminate_component,
                        error_norms, newton_solve, solve_linear)
 from .fe import make_element
@@ -187,27 +188,49 @@ def build_problem(problem, degree, level, penalty=DEFAULT_PENALTY):
 # solving
 
 
+def coarse_space(problem):
+    """P, the degree-1 fields of each kept component's mesh at its dofs:
+    (kept dofs, their vertex dofs in ascending order), kept components in
+    order, the identity at degree 1.  A dof reads its first cell."""
+    data, cols, widths, ncoarse = [], [], [], 0
+    for k, (dofmap, elem) in enumerate(zip(problem.space.dofmaps,
+                                           problem.space.element.sub_elements)):
+        if k != problem.aux_component:
+            values, vertex_nodes = fe.vertex_interpolation(elem)
+            _, coarse = np.unique(dofmap[:, vertex_nodes], return_inverse=True)
+            _, first = np.unique(dofmap, return_index=True)
+            data.append(values[first % len(values)].ravel())
+            cols.append(ncoarse + coarse[first // len(values)].ravel())
+            widths.append(np.full(first.size, len(vertex_nodes)))
+            ncoarse += coarse.max() + 1
+    P = scipy.sparse.csr_matrix((np.concatenate(data), np.concatenate(cols),
+                                 np.concatenate([[0], *widths]).cumsum()))
+    P.eliminate_zeros()
+    return P
+
+
 def solve_problem(problem, solver="lu"):
     """Solve a Problem in place; returns the number of update steps.
 
-    'lu' solves each Newton update by sparse LU.  'cg-fieldsplit' uses
-    Jacobi-CG; when the problem has an auxiliary block, the update first
-    eliminates that block (Schur complement), runs CG on the symmetric
-    reduced system and back-substitutes.
+    'lu' solves each Newton update by sparse LU.  'cg-fieldsplit' runs CG
+    with _jacobi_cg's two-level M on coarse_space(problem); an auxiliary
+    block, if any, is first eliminated (Schur complement), CG runs on the
+    symmetric reduced system, and the update is back-substituted.
     """
     if solver == "lu":
         solve = None
     elif solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    elif problem.aux_component is None:
-        def solve(A, b):
-            return solve_linear(A, b, spd=True)
     else:
+        P = coarse_space(problem)
+
         def solve(A, b):
+            if problem.aux_component is None:
+                return solve_linear(A, b, spd=True, coarse=P)
             reduced = eliminate_component(A, problem.space.offsets,
                                           problem.aux_component, b=b)
             return reduced.expand(solve_linear(reduced, reduced.rhs,
-                                               spd=True))
+                                               spd=True, coarse=P))
     return newton_solve(problem.residual, problem.u, problem.bcs,
                         solve=solve)
 

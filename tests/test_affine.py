@@ -312,6 +312,7 @@ def test_tables_only_static_kernels_read_are_dropped(asm, studies):
 
 
 @pytest.mark.parametrize("name, solver", [("quad-tri", "lu"),
+                                          ("quad-tri", "cg-fieldsplit"),
                                           ("split-interface", "cg-fieldsplit")])
 def test_a_solved_problem_is_freed_without_the_cycle_collector(
         studies, comp, monkeypatch, name, solver):
