@@ -441,10 +441,12 @@ def dirichlet_dofs(space, bcs):
 
 def _jacobi_cg(A, b, coarse=None):
     """Jacobi-preconditioned CG for SPD systems: scipy's cg, with M the
-    inverse diagonal, which stops at the first non-finite r·z.  A sparse
-    coarse space P adds P Ac⁻¹ Pᵀr to M r, Ac the factored symmetric part
-    of PᵀKP, K a ReducedSystem's A_kk (never its Schur matvec) or A."""
-    diag = A.diagonal()
+    inverse diagonal of K, which stops at the first non-finite r·z.  A
+    sparse coarse space P adds P Ac⁻¹ Pᵀr to M r, Ac the factored
+    symmetric part of PᵀKP.  K is the kept block, read once: a
+    ReducedSystem's A_kk (M never applies its Schur matvec) or A itself."""
+    K = getattr(A, "A_kk", A)
+    diag = K.diagonal()
     if not np.all(np.isfinite(diag) & (diag > 0)):
         raise ValueError("Jacobi-CG needs a positive finite diagonal; the "
                          "matrix is not SPD")
@@ -454,8 +456,8 @@ def _jacobi_cg(A, b, coarse=None):
     dinv = 1.0 / diag
     if coarse is not None:
         restrict = coarse.T.tocsr()
-        Ac = restrict @ getattr(A, "A_kk", A) @ coarse
-        coarse_lu = _factor(0.5 * (Ac + Ac.T))
+        Ac = restrict @ K @ coarse
+        coarse_lu = _factor(0.5 * (Ac + Ac.T), "coarse operator")
 
     def jacobi(r):
         z = dinv * r
@@ -473,31 +475,32 @@ def _jacobi_cg(A, b, coarse=None):
     return x
 
 
-def _factor(A):
+def _factor(A, what):
     """Sparse LU of A in SuperLU's symmetric mode: minimum-degree ordering
     on the pattern of A^T + A and diagonal pivots preferred, with partial
     pivoting kept at the default threshold.  Roughly halves the fill of
-    the structurally symmetric interior-penalty Jacobians."""
-    return scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                    options=dict(SymmetricMode=True))
+    the structurally symmetric interior-penalty Jacobians.  The one place
+    that factors: a singular A raises ValueError naming its system, what."""
+    try:
+        return scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                        options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise ValueError(f"{what} is singular: {exc}") from exc
 
 
 def solve_linear(A, b, spd=False, coarse=None):
-    """Solve A x = b by sparse LU, or by _jacobi_cg when flagged SPD.
+    """Solve A x = b by sparse LU, or by _jacobi_cg when flagged SPD or
+    given a coarse space, which implies CG.
 
     b must be finite, and the residual is verified: |A x - b| <= 1e-10 |b|.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side is not finite")
-    if spd:
+    if spd or coarse is not None:
         x = _jacobi_cg(A, b, coarse)
     else:
-        try:
-            lu = _factor(A)
-        except RuntimeError as exc:
-            raise ValueError(f"linear system is singular: {exc}") from exc
-        x = lu.solve(b)
+        x = _factor(A, "linear system").solve(b)
     residual = np.linalg.norm(A.dot(x) - b)
     if not residual <= SOLVE_TOL * max(np.linalg.norm(b), 1e-300):  # or NaN
         raise ConvergenceError(
@@ -518,9 +521,7 @@ def newton_solve(F, u, bcs=(), solve=None):
     non-finite residual raises ConvergenceError at once.
     """
     solve = solve or solve_linear
-    dofs, values = (np.empty(0, dtype=int), np.empty(0))
-    if bcs:
-        dofs, values = dirichlet_dofs(u.space, bcs)
+    dofs, values = dirichlet_dofs(u.space, bcs)
     u.values[dofs] = values
     J = forms.derivative(F, u)
 
@@ -585,43 +586,34 @@ class ReducedSystem:
 
     Provides matvec access (dot) for iterative solves, an explicit dense()
     for small systems, the reduced right-hand side, and expand() to recover
-    the eliminated component.
+    the eliminated component.  The kept block A_kk is what _jacobi_cg's M
+    reads; the eliminated block is factored once, by _factor.
     """
 
     def __init__(self, A, offsets, component, b=None):
         n = A.shape[0]
         if A.shape[0] != A.shape[1] or offsets[-1] != n:
             raise ValueError("offsets do not match the matrix")
+        if not 0 <= component < len(offsets) - 1:
+            raise ValueError(f"component {component} out of range for "
+                             f"{len(offsets) - 1} blocks")
         lo, hi = offsets[component], offsets[component + 1]
         self.keep = np.concatenate([np.arange(0, lo), np.arange(hi, n)])
         self.eliminated = np.arange(lo, hi)
+        self.shape = (len(self.keep),) * 2
         A = A.tocsr()
-        self.A_kk = A[self.keep][:, self.keep].tocsr()
-        self.A_km = A[self.keep][:, self.eliminated].tocsr()
-        self.A_mk = A[self.eliminated][:, self.keep].tocsr()
-        A_mm = A[self.eliminated][:, self.eliminated]
-        try:
-            self._lu = _factor(A_mm)
-        except RuntimeError as exc:
-            raise ValueError(f"eliminated block is singular: {exc}") from exc
+        kept, eliminated = A[self.keep], A[self.eliminated]  # row sets
+        self.A_kk = kept[:, self.keep].tocsr()
+        self.A_km = kept[:, self.eliminated].tocsr()
+        self.A_mk = eliminated[:, self.keep].tocsr()
+        self._lu = _factor(eliminated[:, self.eliminated], "eliminated block")
         self.b = None if b is None else np.asarray(b, dtype=float)
-        if self.b is not None:
-            self.rhs = (self.b[self.keep]
-                        - self.A_km @ self._lu.solve(self.b[self.eliminated]))
-        else:
-            self.rhs = None
-
-    @property
-    def shape(self):
-        n = len(self.keep)
-        return (n, n)
+        self.rhs = None if b is None else (
+            self.b[self.keep]
+            - self.A_km @ self._lu.solve(self.b[self.eliminated]))
 
     def dot(self, v):
         return self.A_kk @ v - self.A_km @ self._lu.solve(self.A_mk @ v)
-
-    def diagonal(self):
-        # Jacobi preconditioning uses the kept block's diagonal
-        return self.A_kk.diagonal()
 
     def dense(self):
         """The Schur complement as a dense array.  No src/ code calls it: it

@@ -105,6 +105,8 @@ class FunctionSpace:
         return self.domain.meshes
 
     def component_slice(self, k):
+        if not 0 <= k < self.num_components:
+            raise IndexError(f"component {k} out of range")
         return slice(self.offsets[k], self.offsets[k + 1])
 
 

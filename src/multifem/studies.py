@@ -226,11 +226,10 @@ def solve_problem(problem, solver="lu"):
 
         def solve(A, b):
             if problem.aux_component is None:
-                return solve_linear(A, b, spd=True, coarse=P)
+                return solve_linear(A, b, coarse=P)
             reduced = eliminate_component(A, problem.space.offsets,
                                           problem.aux_component, b=b)
-            return reduced.expand(solve_linear(reduced, reduced.rhs,
-                                               spd=True, coarse=P))
+            return reduced.expand(solve_linear(reduced, reduced.rhs, coarse=P))
     return newton_solve(problem.residual, problem.u, problem.bcs,
                         solve=solve)
 
@@ -344,21 +343,18 @@ def _log2_or_nan(value):
 def tabulate_report(report):
     """Rows of (p, n, log2_L2, rate_L2, log2_H1, rate_H1, seconds).
 
-    Rates compare adjacent rows of the same degree:
-    rate = log2(error_previous / error_current).
+    Rates compare adjacent rows of the same degree, per level between them:
+    rate = log2(error_previous / error_current) / (n - n_previous), nan at
+    a degree's first row and at a repeated level.
     """
-    out = []
-    previous = {}
+    out, previous, nan = [], {}, float("nan")
     for row in report.rows:
         l2, h1 = _log2_or_nan(row.l2), _log2_or_nan(row.h1)
-        rate_l2 = rate_h1 = float("nan")
-        prev = previous.get(row.degree)
-        if prev is not None:
-            rate_l2 = prev[0] - l2
-            rate_h1 = prev[1] - h1
-        previous[row.degree] = (l2, h1)
-        out.append((row.degree, row.level, l2, rate_l2, h1, rate_h1,
-                    row.seconds))
+        l2_0, h1_0, n_0 = previous.get(row.degree, (nan, nan, row.level))
+        gap = (row.level - n_0) or nan
+        previous[row.degree] = (l2, h1, row.level)
+        out.append((row.degree, row.level, l2, (l2_0 - l2) / gap, h1,
+                    (h1_0 - h1) / gap, row.seconds))
     return out
 
 

@@ -491,6 +491,14 @@ class TestEliminateComponent:
         with pytest.raises(ValueError, match="offsets do not match"):
             asm.eliminate_component(A, offsets, 0)
 
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_a_component_out_of_range_raises(self, asm, component):
+        # unchecked, -1 would make keep list every row twice (14 x 14)
+        A = sp.identity(7, format="csr")
+        with pytest.raises(ValueError, match=f"component {component} out "
+                                             f"of range for 2 blocks"):
+            asm.eliminate_component(A, [0, 4, 7], component)
+
     def test_expand_needs_a_right_hand_side(self, asm):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
         reduced = asm.eliminate_component(A, [0, 1, 2], 1)
@@ -519,9 +527,14 @@ class TestEliminateComponent:
         rng = np.random.default_rng(31)
         x = rng.normal(size=reduced.shape[1])
         assert np.allclose(reduced.dot(x), S @ x, atol=1e-11)
-        # diagonal() is the Jacobi preconditioner: the kept block's diagonal.
-        assert np.allclose(reduced.diagonal(),
-                           reduced.A_kk.diagonal(), atol=1e-14)
+        # Jacobi's M reads its diagonal from the kept block A_kk
+        k = reduced.keep[0]
+        A = A.tolil()
+        A[k, k] = 0.0
+        zeroed = asm.eliminate_component(A.tocsr(), problem.space.offsets,
+                                         problem.aux_component)
+        with pytest.raises(ValueError, match="positive finite diagonal"):
+            asm._jacobi_cg(zeroed, np.ones(zeroed.shape[0]))
 
 
 class TestMatrixDump:

@@ -133,3 +133,26 @@ def test_quad_tri_cg_iterations_stay_bounded(studies, cg_calls):
     studies.solve_problem(problem, "cg-fieldsplit")
     (_, iterations), = cg_calls
     assert iterations <= 100
+
+
+def laplacian_1d(n):
+    off = -np.ones(n - 1)
+    return scipy.sparse.diags([off, 2 * np.ones(n), off], [-1, 0, 1],
+                              format="csr")
+
+
+def test_a_coarse_space_implies_cg(asm, cg_calls):
+    # only CG reads a coarse space, so spd=True is not needed
+    A = laplacian_1d(6)
+    P = scipy.sparse.csr_matrix(np.repeat(np.eye(3), 2, axis=0))
+    x = asm.solve_linear(A, np.ones(6), coarse=P)
+    assert len(cg_calls) == 1
+    assert np.abs(A @ x - 1.0).max() <= 1e-9
+
+
+def test_a_singular_coarse_operator_names_itself(asm):
+    # a zero column of P makes Ac singular; the error names Ac, and is
+    # not SuperLU's bare RuntimeError
+    P = scipy.sparse.csr_matrix(np.array([[1.0, 0.0]] * 4))
+    with pytest.raises(ValueError, match="coarse operator is singular"):
+        asm.solve_linear(laplacian_1d(4), np.ones(4), spd=True, coarse=P)

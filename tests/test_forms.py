@@ -41,6 +41,15 @@ class TestFunctionSpace:
         assert V.component_slice(0) == slice(0, 66)
         assert V.component_slice(1) == slice(66, 132)
 
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_a_component_out_of_range_raises(self, asm, hybrid_spaces,
+                                             component):
+        # unchecked, -1 is an empty slice and interpolate would set nothing
+        _, _, _, V = hybrid_spaces
+        with pytest.raises(IndexError, match=f"component {component} out "
+                                             f"of range"):
+            asm.interpolate(lambda x, y: x, forms.Coefficient(V), component)
+
     def test_component_dof_count_matches_submesh_vertices(self,
                                                           hybrid_spaces):
         _, mq, mt, V = hybrid_spaces

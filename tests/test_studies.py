@@ -172,6 +172,21 @@ class TestTabulateReport:
         assert table[3][3] == pytest.approx(3.0, abs=1e-12)   # 1/8 -> 1/64
         assert table[3][5] == pytest.approx(2.0, abs=1e-12)   # 1 -> 1/4
 
+    def test_rates_divide_by_the_level_gap(self, studies):
+        report = studies.StudyReport(problem="quad-tri", penalty=100.0,
+                                     solver="lu")
+        report.rows = [
+            studies.StudyRow(1, 0, 1.0, 0.5, 0.1),
+            studies.StudyRow(1, 2, 1 / 16, 1 / 8, 0.2),  # two levels
+            studies.StudyRow(2, 1, 0.25, 0.5, 0.3),
+            studies.StudyRow(2, 0, 1.0, 1.0, 0.4),  # descending
+            studies.StudyRow(2, 0, 0.5, 1.0, 0.5),  # repeated
+        ]
+        rates = [(t[3], t[5]) for t in studies.tabulate_report(report)]
+        assert rates[1] == (2.0, 1.0)
+        assert rates[3] == (2.0, 1.0)
+        assert all(math.isnan(r) for k in (0, 2, 4) for r in rates[k])
+
     def test_failed_cells_tabulate_as_nan(self, studies):
         report = studies.StudyReport(problem="quad-tri", penalty=100.0,
                                      solver="lu")

@@ -338,6 +338,23 @@ def test_a_kept_kernel_holds_no_mesh_space_or_terminal(comp, studies,
         x, (forms.Expr, mm.Mesh, forms.FunctionSpace))]
 
 
+def test_only_the_factor_helper_names_splu():
+    # every sparse LU goes through assemble._factor, whose singular error
+    # names the system it factors; a second splu would leak SuperLU's bare
+    # RuntimeError
+    offenders = []
+    for path in sorted((ROOT / "src" / "multifem").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) == ("assemble.py",
+                                                          "_factor"):
+                continue
+            for node in ast.walk(top):
+                if "splu" in {getattr(node, field, None)
+                              for field in ("id", "attr", "name")}:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
 PARENT_CHAIN = {"parent", "parent_map", "facet_to_parent"}
 
 
