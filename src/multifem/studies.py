@@ -191,18 +191,21 @@ def build_problem(problem, degree, level, penalty=DEFAULT_PENALTY):
 def coarse_space(problem):
     """P, the degree-1 fields of each kept component's mesh at its dofs:
     (kept dofs, their vertex dofs in ascending order), kept components in
-    order, the identity at degree 1.  A dof reads its first cell."""
+    order, the identity at degree 1.  A dof reads its first (cell, node)."""
     data, cols, widths, ncoarse = [], [], [], 0
     for k, (dofmap, elem) in enumerate(zip(problem.space.dofmaps,
                                            problem.space.element.sub_elements)):
         if k != problem.aux_component:
             values, vertex_nodes = fe.vertex_interpolation(elem)
-            _, coarse = np.unique(dofmap[:, vertex_nodes], return_inverse=True)
-            _, first = np.unique(dofmap, return_index=True)
+            first = np.flatnonzero(np.diff(np.maximum.accumulate(
+                dofmap.ravel()), prepend=-1))  # dofs number by first use
+            vertex = np.zeros(first.size, dtype=bool)
+            vertex[dofmap[:, vertex_nodes]] = True
+            coarse = np.cumsum(vertex)[dofmap[:, vertex_nodes]] - 1
             data.append(values[first % len(values)].ravel())
             cols.append(ncoarse + coarse[first // len(values)].ravel())
             widths.append(np.full(first.size, len(vertex_nodes)))
-            ncoarse += coarse.max() + 1
+            ncoarse += vertex.sum()
     P = scipy.sparse.csr_matrix((np.concatenate(data), np.concatenate(cols),
                                  np.concatenate([[0], *widths]).cumsum()))
     P.eliminate_zeros()
