@@ -442,12 +442,12 @@ def dirichlet_dofs(space, bcs):
 # linear and nonlinear solvers
 
 
-def _jacobi_cg(A, b, coarse=None):
-    """Jacobi-preconditioned CG for SPD systems: scipy's cg, with M = D⁻¹, D
-    the diagonal of K, stopping at the first non-finite r·z.  Given a sparse
-    coarse space P, M is a symmetric V(1,1) cycle: z = ωD⁻¹r, z += P Ac⁻¹
-    Pᵀ(r - Az), z += ωD⁻¹(r - Az), ω = OMEGA, Ac the factored symmetric part
-    of PᵀKP.  K is the kept block, read once: a ReducedSystem's A_kk or A."""
+def _jacobi_cg(A, b, coarse):
+    """CG for SPD systems: scipy's cg, with M a symmetric V(1,1) cycle on
+    the sparse coarse space P = coarse: z = ωD⁻¹r, z += P Ac⁻¹ Pᵀ(r - Az),
+    z += ωD⁻¹(r - Az), ω = OMEGA, D the diagonal of K and Ac the factored
+    symmetric part of PᵀKP, stopping at the first non-finite r·z.  K is the
+    kept block, read once: a ReducedSystem's A_kk or A."""
     K = getattr(A, "A_kk", A)
     diag = K.diagonal()
     if not np.all(np.isfinite(diag) & (diag > 0)):
@@ -456,17 +456,15 @@ def _jacobi_cg(A, b, coarse=None):
     n = len(b)
     if np.linalg.norm(b) == 0.0:  # cg would return b itself
         return np.zeros(n)
-    dinv = (1.0 if coarse is None else OMEGA) / diag
-    if coarse is not None:
-        restrict = coarse.T.tocsr()
-        Ac = restrict @ K @ coarse
-        coarse_lu = _factor(0.5 * (Ac + Ac.T), "coarse operator")
+    dinv = OMEGA / diag
+    restrict = coarse.T.tocsr()
+    Ac = restrict @ K @ coarse
+    coarse_lu = _factor(0.5 * (Ac + Ac.T), "coarse operator")
 
     def jacobi(r):
         z = dinv * r
-        if coarse is not None:
-            z += coarse @ coarse_lu.solve(restrict @ (r - A.dot(z)))
-            z += dinv * (r - A.dot(z))
+        z += coarse @ coarse_lu.solve(restrict @ (r - A.dot(z)))
+        z += dinv * (r - A.dot(z))
         if not np.isfinite(r @ z):
             raise ConvergenceError("CG broke down: non-finite residual")
         return z
@@ -492,16 +490,16 @@ def _factor(A, what):
         raise ValueError(f"{what} is singular: {exc}") from exc
 
 
-def solve_linear(A, b, spd=False, coarse=None):
-    """Solve A x = b by sparse LU, or by _jacobi_cg when flagged SPD or
-    given a coarse space, which implies CG with a V-cycle as its M.
+def solve_linear(A, b, coarse=None):
+    """Solve A x = b by sparse LU, or, given a coarse space P = coarse, by
+    _jacobi_cg: CG with the two-level V-cycle on P as its M.
 
     b must be finite, and the residual is verified: |A x - b| <= 1e-10 |b|.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side is not finite")
-    if spd or coarse is not None:
+    if coarse is not None:
         x = _jacobi_cg(A, b, coarse)
     else:
         x = _factor(A, "linear system").solve(b)
@@ -586,15 +584,15 @@ def error_norms(u, component, exact, exact_grad):
 
 
 class ReducedSystem:
-    """Schur complement after eliminating one component block.
+    """Schur complement after eliminating one component block of A x = b.
 
-    Provides matvec access (dot) for iterative solves, an explicit dense()
-    for small systems, the reduced right-hand side, and expand() to recover
-    the eliminated component.  _jacobi_cg's D and Ac come from the kept
-    block A_kk, its V-cycle applies dot; the eliminated block is factored once.
+    Provides matvec access (dot) for iterative solves, the reduced
+    right-hand side rhs, and expand() to recover the eliminated component
+    by back-substitution.  _jacobi_cg's D and Ac come from the kept block
+    A_kk, its V-cycle applies dot; the eliminated block is factored once.
     """
 
-    def __init__(self, A, offsets, component, b=None):
+    def __init__(self, A, offsets, component, b):
         n = A.shape[0]
         if A.shape[0] != A.shape[1] or offsets[-1] != n:
             raise ValueError("offsets do not match the matrix")
@@ -611,25 +609,15 @@ class ReducedSystem:
         self.A_km = kept[:, self.eliminated].tocsr()
         self.A_mk = eliminated[:, self.keep].tocsr()
         self._lu = _factor(eliminated[:, self.eliminated], "eliminated block")
-        self.b = None if b is None else np.asarray(b, dtype=float)
-        self.rhs = None if b is None else (
-            self.b[self.keep]
-            - self.A_km @ self._lu.solve(self.b[self.eliminated]))
+        self.b = np.asarray(b, dtype=float)
+        self.rhs = (self.b[self.keep]
+                    - self.A_km @ self._lu.solve(self.b[self.eliminated]))
 
     def dot(self, v):
         return self.A_kk @ v - self.A_km @ self._lu.solve(self.A_mk @ v)
 
-    def dense(self):
-        """The Schur complement as a dense array.  No src/ code calls it: it
-        serves acceptance criterion 3, the Schur complement equals the
-        interior-penalty operator."""
-        return (self.A_kk.toarray()
-                - self.A_km @ self._lu.solve(self.A_mk.toarray()))
-
     def expand(self, x_keep):
-        """Full-length solution from the reduced one (needs the rhs)."""
-        if self.b is None:
-            raise ValueError("reduced system was built without a rhs")
+        """Full-length solution from the reduced one."""
         n = len(self.keep) + len(self.eliminated)
         x = np.empty(n)
         x[self.keep] = x_keep
@@ -638,8 +626,8 @@ class ReducedSystem:
         return x
 
 
-def eliminate_component(A, offsets, component, b=None):
-    """Eliminate one contiguous component block from a block system."""
+def eliminate_component(A, offsets, component, b):
+    """Eliminate one contiguous component block from A x = b."""
     return ReducedSystem(A, offsets, component, b)
 
 

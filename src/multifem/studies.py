@@ -215,8 +215,8 @@ def coarse_space(problem):
 def solve_problem(problem, solver="lu"):
     """Solve a Problem in place; returns the number of update steps.
 
-    'lu' solves each Newton update by sparse LU.  'cg-fieldsplit' runs CG
-    with _jacobi_cg's two-level M on coarse_space(problem); an auxiliary
+    'lu' solves each Newton update by sparse LU.  'cg-fieldsplit' gives
+    solve_linear coarse_space(problem), so it runs two-level CG; an auxiliary
     block, if any, is first eliminated (Schur complement), CG runs on the
     symmetric reduced system, and the update is back-substituted.
     """
@@ -231,7 +231,7 @@ def solve_problem(problem, solver="lu"):
             if problem.aux_component is None:
                 return solve_linear(A, b, coarse=P)
             reduced = eliminate_component(A, problem.space.offsets,
-                                          problem.aux_component, b=b)
+                                          problem.aux_component, b)
             return reduced.expand(solve_linear(reduced, reduced.rhs, coarse=P))
     return newton_solve(problem.residual, problem.u, problem.bcs,
                         solve=solve)

@@ -286,6 +286,14 @@ def materialized_element_tensors(integral):
     return out[(slice(None),) * (1 + kernel.arity) + (0,) * (2 - kernel.arity)]
 
 
+def dense_schur_complement(reduced):
+    """A ReducedSystem's Schur complement as a dense array: the oracle of
+    acceptance criterion 3, the Schur complement equals the interior-penalty
+    operator."""
+    return (reduced.A_kk.toarray()
+            - reduced.A_km @ reduced._lu.solve(reduced.A_mk.toarray()))
+
+
 # ---------------------------------------------------------------------------
 # restriction-validator catalog
 # ---------------------------------------------------------------------------

@@ -160,12 +160,13 @@ def laplacian_1d(n):
 
 
 def test_a_coarse_space_implies_cg(asm, cg_calls):
-    # only CG reads a coarse space, so spd=True is not needed
     A = laplacian_1d(6)
     P = scipy.sparse.csr_matrix(np.repeat(np.eye(3), 2, axis=0))
     x = asm.solve_linear(A, np.ones(6), coarse=P)
     assert len(cg_calls) == 1
     assert np.abs(A @ x - 1.0).max() <= 1e-9
+    asm.solve_linear(A, np.ones(6))  # no coarse space: LU, no CG
+    assert len(cg_calls) == 1
 
 
 def test_a_singular_coarse_operator_names_itself(asm):
@@ -173,4 +174,4 @@ def test_a_singular_coarse_operator_names_itself(asm):
     # not SuperLU's bare RuntimeError
     P = scipy.sparse.csr_matrix(np.array([[1.0, 0.0]] * 4))
     with pytest.raises(ValueError, match="coarse operator is singular"):
-        asm.solve_linear(laplacian_1d(4), np.ones(4), spd=True, coarse=P)
+        asm.solve_linear(laplacian_1d(4), np.ones(4), coarse=P)

@@ -338,18 +338,21 @@ def test_a_kept_kernel_holds_no_mesh_space_or_terminal(comp, studies,
         x, (forms.Expr, mm.Mesh, forms.FunctionSpace))]
 
 
-def test_only_the_factor_helper_names_splu():
+@pytest.mark.parametrize("solver, helper", [("splu", "_factor"),
+                                            ("cg", "_jacobi_cg")])
+def test_only_one_helper_names_each_solver(solver, helper):
     # every sparse LU goes through assemble._factor, whose singular error
     # names the system it factors; a second splu would leak SuperLU's bare
-    # RuntimeError
+    # RuntimeError.  Every CG goes through assemble._jacobi_cg, whose M is
+    # the two-level V-cycle; a second cg would be a second preconditioner
     offenders = []
     for path in sorted((ROOT / "src" / "multifem").glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             if (path.name, getattr(top, "name", None)) == ("assemble.py",
-                                                          "_factor"):
+                                                          helper):
                 continue
             for node in ast.walk(top):
-                if "splu" in {getattr(node, field, None)
+                if solver in {getattr(node, field, None)
                               for field in ("id", "attr", "name")}:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
