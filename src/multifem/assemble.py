@@ -44,8 +44,10 @@ from .compile import (MeasureGeometry, compile_integral, execute_kernel,
 from .mesh import as_int
 
 SOLVE_TOL = 1e-10
-# damped-Jacobi weight of _jacobi_cg's V-cycle: lambda_max(D^-1 A) < 2.9 at
-# n=0 for p <= 3 in both studies, so OMEGA lambda_max < 2 keeps M SPD
+# damped-Jacobi weight of _jacobi_cg's V-cycle: M stays SPD while OMEGA
+# lambda_max(D^-1 A) < 2.  In both studies at p <= 3, lambda_max reached
+# 2.805 at the default penalty 100 (n=1) and about 2.95 at penalties 1e4
+# (n=1) and 1e6 (n=0), where OMEGA lambda_max = 1.967
 OMEGA = 2.0 / 3.0
 # newton_solve stops once the residual norm is at most NEWTON_ABS_TOL or
 # NEWTON_REL_TOL times the first one, and fails after NEWTON_MAX_ITERS steps
@@ -380,7 +382,7 @@ class DirichletBC:
 
     component: int
     marker: int
-    value: object  # callable (x, y) -> values
+    value: object  # a float, or callable (x, y) -> one float per point
 
     def __post_init__(self):
         object.__setattr__(self, "marker", as_int(self.marker))
@@ -426,9 +428,15 @@ def dirichlet_dofs(space, bcs):
             closures[k, bc.marker] = dofs
         dofs = closures[k, bc.marker]
         xs, ys = space.dof_coords[dofs, 0], space.dof_coords[dofs, 1]
-        raw = bc.value(xs, ys) if callable(bc.value) else bc.value
+        value = np.asarray(bc.value(xs, ys) if callable(bc.value)
+                           else bc.value, dtype=float)
+        if value.shape not in ((), xs.shape) or not np.isfinite(value).all():
+            raise ValueError(
+                f"Dirichlet values of component {k}, marker {bc.marker} are "
+                f"not one finite float per dof ({len(dofs)} dofs, got shape "
+                f"{value.shape})")
         found.append(dofs)
-        given.append(np.broadcast_to(np.asarray(raw, dtype=float), xs.shape))
+        given.append(np.broadcast_to(value, xs.shape))
     if not found:
         return np.empty(0, dtype=int), np.empty(0)
     # the last occurrence of each dof wins

@@ -81,18 +81,13 @@ def _node_lattice(cell, degree):
 
 
 class ReferenceElement:
-    """Nodal Lagrange element; value_shape () for scalars, (2,) for vectors.
+    """Scalar nodal Lagrange element.  Its arrays are read-only, as
+    make_element shares one per (cell, family, degree)."""
 
-    Vector elements are blocked scalars: basis function 2*i + c is the scalar
-    basis function i placed in component c.  Its arrays are read-only, as
-    make_element shares one per (cell, family, degree, value shape).
-    """
-
-    def __init__(self, cell, family, degree, value_shape=()):
+    def __init__(self, cell, family, degree):
         self.cell = cell
         self.family = family
         self.degree = degree
-        self.value_shape = tuple(value_shape)
         self.exponents = tuple(_monomial_exponents(cell, degree))
         self.node_points, tags = _node_lattice(cell, degree)
         self.node_tags = tuple(tags)
@@ -102,16 +97,11 @@ class ReferenceElement:
             array.setflags(write=False)
 
     @property
-    def num_scalar_dofs(self):
+    def num_dofs(self):
         return len(self.node_points)
 
-    @property
-    def num_dofs(self):
-        block = int(np.prod(self.value_shape, dtype=int)) if self.value_shape else 1
-        return self.num_scalar_dofs * block
-
-    def tabulate_scalar(self, points):
-        """Scalar basis values and reference gradients at points.
+    def tabulate(self, points):
+        """Basis values and reference gradients at points.
 
         Returns (values (npts, n), grads (npts, n, dim)).
         """
@@ -119,44 +109,21 @@ class ReferenceElement:
         return vals @ self.coefficients, np.einsum(
             "pmd,mn->pnd", grads, self.coefficients)
 
-    def tabulate(self, points):
-        """Basis values and reference gradients, including the block structure.
-
-        Scalar elements: (npts, n), (npts, n, dim).  Vector elements:
-        (npts, 2n, 2), (npts, 2n, 2, dim).
-        """
-        vals, grads = self.tabulate_scalar(points)
-        if not self.value_shape:
-            return vals, grads
-        npts, n = vals.shape
-        dim = grads.shape[2]
-        bvals = np.zeros((npts, 2 * n, 2))
-        bgrads = np.zeros((npts, 2 * n, 2, dim))
-        for c in range(2):
-            bvals[:, c::2, c] = vals
-            bgrads[:, c::2, c, :] = grads
-        return bvals, bgrads
-
     def facet_closure(self, local_facet):
         """Local dof indices of the nodes on a local facet's closure: the
-        vertex nodes of its vertices and its edge nodes (both blocked
-        columns of each node for vector elements)."""
+        vertex nodes of its vertices and its edge nodes."""
         verts = self.cell.local_facets[local_facet]
-        nodes = [ln for ln, tag in enumerate(self.node_tags)
-                 if (tag[0] == "vertex" and tag[1] in verts)
-                 or (tag[0] == "edge" and tag[1] == local_facet)]
-        if self.value_shape:
-            nodes = [2 * ln + c for ln in nodes for c in range(2)]
-        return np.array(nodes, dtype=int)
+        return np.array([ln for ln, tag in enumerate(self.node_tags)
+                         if (tag[0] == "vertex" and tag[1] in verts)
+                         or (tag[0] == "edge" and tag[1] == local_facet)],
+                        dtype=int)
 
     def __repr__(self):
-        shape = f", shape={self.value_shape}" if self.value_shape else ""
-        return f"{self.family}{self.degree}({self.cell.value}{shape})"
+        return f"{self.family}{self.degree}({self.cell.value})"
 
 
-def make_element(cell, family, degree, value_shape=()):
-    """The shared, read-only Lagrange element of a (cell, family, degree,
-    value shape).
+def make_element(cell, family, degree):
+    """The shared, read-only Lagrange element of a (cell, family, degree).
 
     family 'P' lives on intervals and triangles, 'Q' on quadrilaterals;
     degrees 1 through 4.
@@ -174,19 +141,17 @@ def make_element(cell, family, degree, value_shape=()):
             raise ValueError("family Q only defined on quadrilaterals")
     else:
         raise ValueError(f"unknown element family {family!r}")
-    if tuple(value_shape) not in ((), (2,)):
-        raise ValueError(f"unsupported value shape {value_shape!r}")
-    return _element(cell, family, degree, tuple(value_shape))
+    return _element(cell, family, degree)
 
 
 _element = functools.lru_cache(maxsize=None)(ReferenceElement)
 
 
 def vertex_interpolation(element):
-    """The degree-1 basis of a scalar element's cell and family at its
-    nodes, (nodes, vertices), and the element's local node at each vertex."""
+    """The degree-1 basis of an element's cell and family at its nodes,
+    (nodes, vertices), and the element's local node at each vertex."""
     linear = make_element(element.cell, element.family, 1)
-    values, _ = linear.tabulate_scalar(element.node_points)
+    values, _ = linear.tabulate(element.node_points)
     return values, np.array([element.node_tags.index(t)
                              for t in linear.node_tags])
 

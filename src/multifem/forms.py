@@ -121,7 +121,7 @@ def _number_dofs(mesh, element):
     (ncells, num_dofs), dof_coords).
     """
     ctype = mesh.cell_type
-    ncells, nnodes = mesh.num_cells, element.num_scalar_dofs
+    ncells, nnodes = mesh.num_cells, element.num_dofs
     verts = mesh.cell_vertex_ids
     per_edge = element.degree - 1
     edge_base = mesh.num_vertices
@@ -138,17 +138,9 @@ def _number_dofs(mesh, element):
         else:
             keys[:, ln] = interior_base + np.arange(ncells) * nnodes + ln
     labels, first = first_use_labels(keys.ravel())
-    scalar_map = labels.reshape(ncells, nnodes)
     nodes = fe.geometry_map(ctype, mesh.coords_of_cells(np.arange(ncells)),
                             element.node_points)
-    coords = nodes.reshape(-1, 2)[first]
-
-    if element.value_shape:
-        blocked = np.empty((ncells, element.num_dofs), dtype=int)
-        for comp in range(2):
-            blocked[:, comp::2] = 2 * scalar_map + comp
-        return blocked, np.repeat(coords, 2, axis=0)
-    return scalar_map, coords
+    return labels.reshape(ncells, nnodes), nodes.reshape(-1, 2)[first]
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +219,7 @@ class _Function(Expr):
     def __init__(self, space):
         self.space = space
         self.count = next(_function_counter)
-        if space.num_components == 1:
-            self.shape = space.element[0].value_shape
-        else:
+        if space.num_components > 1:
             self.shape = None  # must be split before use in integrands
 
 
@@ -277,7 +267,6 @@ class Indexed(Expr):
             raise IndexError(f"component {component} out of range")
         self.function = function
         self.component = int(component)
-        self.shape = function.space.element[component].value_shape
 
     def __repr__(self):
         return f"{self.function!r}[{self.component}]"

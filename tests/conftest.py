@@ -314,10 +314,8 @@ def validator_cases():
     right, _ = meshmod.extract_codim0_submesh(bg, 2)
     interface, _ = meshmod.extract_codim1_submesh(bg, 999)
 
-    quad = meshmod.CellType.QUADRILATERAL
     scalar = lambda m: forms.Coefficient(scalar_space(m, "Q", 1))
-    vector = lambda m: forms.Coefficient(make_space(
-        [m], [fe.make_element(quad, "Q", 1, value_shape=(2,))]))
+    vector = lambda m: forms.grad(scalar(m))
     interface_scalar = forms.Coefficient(make_space(
         [interface], [fe.make_element(meshmod.CellType.INTERVAL, "P", 1)]))
 

@@ -6,7 +6,7 @@ import scipy.io
 import scipy.sparse as sp
 
 import conftest
-from multifem import fe, forms
+from multifem import forms
 from multifem import mesh as mm
 
 QUAD = mm.CellType.QUADRILATERAL
@@ -127,16 +127,6 @@ class TestDirichletBC:
             x, y = V.dof_coords[d]
             assert value == pytest.approx(x + 2 * y, abs=1e-14)
 
-    def test_vector_closure_fixes_both_components(self, asm):
-        mesh = mm.build_split_unit_square(0)
-        spaces = [conftest.make_space([mesh], [fe.make_element(
-            QUAD, "Q", 2, value_shape=shape)]) for shape in ((), (2,))]
-        scalar, vector = (asm.dirichlet_dofs(V, [asm.DirichletBC(
-            0, mm.BOUNDARY_MARKER, 0.0)])[0] for V in spaces)
-        assert len(scalar) == 80 and len(vector) == 160
-        assert np.array_equal(vector, np.sort(np.concatenate(
-            [2 * scalar, 2 * scalar + 1])))
-
     def test_unmatched_marker_raises(self, asm):
         V = left_half_space()
         with pytest.raises(ValueError, match="no entities matched marker"):
@@ -166,6 +156,23 @@ class TestDirichletBC:
         bc = asm.DirichletBC(0, mm.BOUNDARY_MARKER, 3.5)
         _, values = asm.dirichlet_dofs(V, [bc])
         assert len(values) > 0 and np.all(values == 3.5)
+
+    @pytest.mark.parametrize("value", [
+        np.nan, lambda x, y: np.where(x > 0.25, np.inf, x),
+        lambda x, y: (x, y), lambda x, y: np.zeros(len(x) + 1)],
+        ids=["nan", "inf", "pair", "wrong-length"])
+    def test_values_not_one_finite_float_per_dof_raise(self, asm, value):
+        V = left_half_space()
+        u, v = forms.Coefficient(V), forms.TestFunction(V)
+        (u0,), (v0,) = forms.split(u), forms.split(v)
+        F = u0 * v0 * forms.Measure("dx", V.meshes[0])
+        bc = asm.DirichletBC(0, mm.BOUNDARY_MARKER, value)
+        rule = (f"Dirichlet values of component 0, marker "
+                f"{mm.BOUNDARY_MARKER} are not one finite float per dof")
+        with pytest.raises(ValueError, match=rule):
+            asm.dirichlet_dofs(V, [bc])
+        with pytest.raises(ValueError, match=rule):
+            asm.assemble(F, bcs=[bc])
 
     @pytest.mark.parametrize("component", [1, -1])
     def test_component_out_of_range_raises(self, asm, component):

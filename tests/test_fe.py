@@ -60,15 +60,12 @@ class TestMakeElement:
         with pytest.raises(TypeError, match="element's degree is an integer"):
             fe.make_element(QUAD, "Q", degree)
 
-    @pytest.mark.parametrize("cell,family,shape,message", [
-        (TRI, "X", (), "unknown element family 'X'"),
-        (TRI, "p", (), "unknown element family 'p'"),
-        (QUAD, "Q", (3,), r"unsupported value shape \(3,\)"),
-        (TRI, "P", (2, 2), r"unsupported value shape \(2, 2\)")])
-    def test_input_checks_raise_with_their_rule(self, cell, family, shape,
-                                                message):
+    @pytest.mark.parametrize("cell,family,message", [
+        (TRI, "X", "unknown element family 'X'"),
+        (TRI, "p", "unknown element family 'p'")])
+    def test_input_checks_raise_with_their_rule(self, cell, family, message):
         with pytest.raises(ValueError, match=message):
-            fe.make_element(cell, family, 1, value_shape=shape)
+            fe.make_element(cell, family, 1)
 
     def test_numpy_integer_degree_is_stored_as_an_int(self):
         for degree in (np.int64(2), np.int32(2), np.uint8(2)):
@@ -76,11 +73,27 @@ class TestMakeElement:
             assert type(elem.degree) is int and elem.degree == 2
             assert repr(elem) == "Q2(quadrilateral)" and elem.num_dofs == 9
 
-    def test_vector_element_blocks_scalars(self):
-        elem = fe.make_element(QUAD, "Q", 1, value_shape=(2,))
-        assert elem.value_shape == (2,)
-        assert elem.num_dofs == 8
-        assert elem.num_scalar_dofs == 4
+    @pytest.mark.parametrize("cell,family,degree,local_facet", [
+        (cell, family, degree, lf) for cell, family, degree in ALL_ELEMENTS
+        for lf in range(len(cell.local_facets))])
+    def test_facet_closure_is_the_nodes_on_the_facet(self, cell, family,
+                                                     degree, local_facet):
+        # geometric oracle: a node is on the facet when it lies on the
+        # segment between the facet's reference vertices (on an interval,
+        # when it is the facet's end point)
+        elem = fe.make_element(cell, family, degree)
+        ends = fe.reference_vertices(cell)[list(
+            cell.local_facets[local_facet])]
+        rel = elem.node_points - ends[0]
+        if cell is INTERVAL:
+            on = np.abs(rel[:, 0]) <= 1e-12
+        else:
+            edge = ends[1] - ends[0]
+            t = rel @ edge / (edge @ edge)
+            cross = rel[:, 0] * edge[1] - rel[:, 1] * edge[0]
+            on = (np.abs(cross) <= 1e-12) & (t >= -1e-12) & (t <= 1 + 1e-12)
+        assert sorted(elem.facet_closure(local_facet).tolist()) == (
+            np.flatnonzero(on).tolist())
 
 
 class TestTabulate:

@@ -68,8 +68,8 @@ def test_jacobian_integrals_match_the_materialized_oracle(asm, studies,
 def extra_forms():
     """Integrands beyond the residuals': products of scalars and vectors on
     both sides of the argument, facet normals, +/- restrictions on interior
-    facets, Constant and Analytic factors, a codim-1 participant, a vector
-    element and functionals."""
+    facets, Constant and Analytic factors, a codim-1 participant and
+    functionals."""
     bg = mm.build_split_unit_square(1)
     ml, _ = mm.extract_codim0_submesh(bg, 1)
     mr, _ = mm.extract_codim0_submesh(bg, 2)
@@ -79,16 +79,10 @@ def extra_forms():
     V = conftest.make_space(
         [ml, mi, mr, full],
         [q2, fe.make_element(mm.CellType.INTERVAL, "P", 2), q2, q2])
-    W = conftest.make_space(
-        [ml], [fe.make_element(QUAD, "Q", 2, value_shape=(2,))])
-    u, w = forms.Coefficient(V), forms.Coefficient(W)
-    rng = np.random.default_rng(5)
-    u.values[:] = rng.standard_normal(V.num_dofs)
-    w.values[:] = rng.standard_normal(W.num_dofs)
+    u = forms.Coefficient(V)
+    u.values[:] = np.random.default_rng(5).standard_normal(V.num_dofs)
     ul, ui, ur, uf = forms.split(u)
     vl, vi, vr, vf = forms.split(forms.TestFunction(V))
-    (w0,) = forms.split(w)
-    (vw,) = forms.split(forms.TestFunction(W))
     nl, nr, nf = (forms.FacetNormal(m) for m in (ml, mr, full))
     dxl = forms.Measure("dx", ml)
     dsl = forms.Measure("ds", ml)
@@ -124,10 +118,6 @@ def extra_forms():
         ui * (vl - vr) * dz,
         inner(grad(ul), nl) * vi * dz + ui * inner(grad(vr), nr) * dz,
         c * ui * ui * vi * dz,
-        # a vector element
-        inner(w0, vw) * dxl,
-        inner(grad(w0), grad(vw)) * f * dxl,
-        inner(vw, nl) * inner(w0, nl) * dsl,
         # functionals
         ul * ul * f * dxl,
         plus(uf) * minus(uf) * dSf,
@@ -150,15 +140,14 @@ def coefficients(form):
 
 def test_extra_bilinear_integrands_match_the_materialized_oracle(asm):
     # the derivatives of the extra linear forms: trial functions beside
-    # coefficients, +/- restrictions on dS, a vector element and facet
-    # normal products
+    # coefficients, +/- restrictions on dS and facet normal products
     integrals = []
     for form in extra_forms():
         if 0 not in form.arguments():
             continue  # a functional
         for coeff in coefficients(form):
             integrals += forms.derivative(form, coeff).integrals
-    assert len(integrals) == 20
+    assert len(integrals) == 17
     kinds = {itg.measure.integral_type for itg in integrals}
     assert kinds == {"dx", "ds", "dS"}
     for integral in integrals:

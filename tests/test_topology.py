@@ -108,7 +108,7 @@ def ref_dofs(mesh, element):
     nodes = fe.geometry_map(ctype, mesh.coords_of_cells(
         np.arange(mesh.num_cells)), element.node_points)
     vertex_dof, edge_dofs, coords = {}, {}, []
-    dofmap = np.empty((mesh.num_cells, element.num_scalar_dofs), dtype=int)
+    dofmap = np.empty((mesh.num_cells, element.num_dofs), dtype=int)
 
     def fresh(point):
         coords.append(point)
@@ -134,13 +134,7 @@ def ref_dofs(mesh, element):
             else:
                 dof = fresh(nodes[c, ln])
             dofmap[c, ln] = dof
-    coords = np.array(coords)
-    if element.value_shape:
-        blocked = np.empty((mesh.num_cells, element.num_dofs), dtype=int)
-        for comp in range(2):
-            blocked[:, comp::2] = 2 * dofmap + comp
-        return blocked, np.repeat(coords, 2, axis=0)
-    return dofmap, coords
+    return dofmap, np.array(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +291,9 @@ def test_codim1_extraction_matches_reference(seed, marker):
     assert_topology_matches(sub)
 
 
-ELEMENTS = [(cell, family, degree, shape)
+ELEMENTS = [(cell, family, degree)
             for cell, family in ((QUAD, "Q"), (TRI, "P"), (INTERVAL, "P"))
-            for degree in range(1, fe.MAX_DEGREE + 1)
-            for shape in ((), (2,))]
+            for degree in range(1, fe.MAX_DEGREE + 1)]
 
 
 def _single_type_meshes(seed):
@@ -316,10 +309,10 @@ def _single_type_meshes(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_dofmaps_match_reference(seed):
     meshes = _single_type_meshes(seed)
-    for cell, family, degree, shape in ELEMENTS:
+    for cell, family, degree in ELEMENTS:
         if cell not in meshes:
             continue
-        element = fe.make_element(cell, family, degree, shape)
+        element = fe.make_element(cell, family, degree)
         V = forms.FunctionSpace(meshes[cell], element)
         dofmap, coords = ref_dofs(meshes[cell], element)
         assert np.array_equal(V.dofmaps[0], dofmap)
