@@ -20,17 +20,17 @@ coefficient u alone add one sparse matvec, L u, L from J =
 forms.derivative(form, u), and never run their kernels.  Each assembly runs
 every other dynamic kernel once over all its entities, so impure Analytic
 sources are evaluated afresh, scatters their entries with one np.bincount
-and adds the static sum.  Dirichlet dofs are the closure of the marked
-facets through the dofmap, cached per space; their values are evaluated on
-every call.  Entities are scattered in ascending order and plans in form
-order, so results are bitwise reproducible.  newton_solve's Jacobian is
-forms.derivative's, memoized per form.  error_norms is two functionals
-through assemble.
+and adds the static sum.  A call runs one step kept per form (a matrix's
+per bcs key), so a warm call decides nothing.  Dirichlet dofs are the
+closure of the marked facets through the dofmap, cached per space; their
+values are evaluated on every call.  Entities are scattered in ascending
+order and plans in form order, so results are bitwise reproducible.
+newton_solve's Jacobian is forms.derivative's, memoized per form.
+error_norms is two functionals through assemble.
 """
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass
 
@@ -174,9 +174,13 @@ def _plans(form):
     """(plans, measures that matched no entities under a subdomain id) of a
     form, cached on it: one plan per integral, in form order.  A linear
     form's integral of degree one in one coefficient u alone is linear (J u,
-    J = forms.derivative(form, u)).  The form's _pattern is built here."""
+    J = forms.derivative(form, u)).  Its _pattern and _step are built here."""
     if "_plans" in form.__dict__:
         return form._plans
+    if not form.integrals:
+        raise ValueError("the form has no integrals, so its arity is "
+                         "unknown; forms.derivative(F, w) is empty if F "
+                         "does not read w")
     plans = [_plan_for(integral) for integral in form.integrals]
     if any(p.analysis.arguments != plans[0].analysis.arguments
            for p in plans):
@@ -187,6 +191,7 @@ def _plans(form):
             (plan.linear,) = found
             plan.rows = plan.coeff_dofs = None  # nothing reads them
     form._pattern = _pattern(form, plans)
+    form._step = _step(form, plans[0].analysis.arguments, plans)
     form._plans = plans, [i.measure for i in form.integrals if not len(
         _entities(i.measure)) and i.measure.subdomain_id != forms.EVERYWHERE]
     return form._plans
@@ -239,7 +244,7 @@ def _pattern(form, plans):
     the diagonal's slots and where entries hit; L sums the entries whose
     source (forms.derivative) is of degree one in its coefficient u alone,
     so L u sums those (S if all are, None if none is)."""
-    args = plans[0].analysis.arguments if plans else {}
+    args = plans[0].analysis.arguments
     shape = [args[k].space.num_dofs for k in range(len(args))]
     matvecs = []  # first: they plan J and run its static pass
     for u in dict.fromkeys(p.linear for p in plans if p.linear):
@@ -283,17 +288,55 @@ def _pattern(form, plans):
             np.bincount(slot, minlength=size) > 0, matvecs)
 
 
-def _scatter(form, space, shape, bcs):
-    """(static, slot, indices, indptr) of a matrix under bcs, cached on the
-    form per bcs (component, marker) pairs: its _pattern masked.  Dirichlet
-    dofs' rows and columns go but for a unit diagonal; every kept slot sums
-    the same entries in the same order, and a dropped entry's slot is past
-    the end.  static is read-only, a csr_matrix if every kernel is static."""
-    scatters = form.__dict__.setdefault("_scatters", {})
+def _summed(static, plans, slot, matvecs=()):
+    """A new array: static, the plans' kernels' entries summed on their
+    slots by one np.bincount (past the end: dropped), then each L u."""
+    data = static.copy()
+    if plans:
+        data += np.bincount(slot, weights=np.concatenate(
+            [_element_tensors(p) for p in plans]),
+            minlength=len(data))[:len(data)]
+    for u, L in matvecs:
+        data += L @ u.values
+    return data
+
+
+def _step(form, args, plans):
+    """What every assembly of a form runs, given its bcs: a matrix's is
+    _scatter's per bcs key, a functional's or a vector's _summed."""
+    static, _, slot, *_, matvecs = pattern = form._pattern
+    plans = [p for p in plans if not (p.static or p.linear)]  # dynamic
+    if len(args) == 2:  # _scatters holds no reference to the form
+        scatters = form._scatters = {}
+        return lambda bcs: _scatter(scatters, pattern, args, plans, bcs)()
+    if not args:
+        return lambda bcs: float(_summed(static, plans, slot, matvecs)[0])
+
+    def step(bcs):  # Dirichlet entries take the bcs' values
+        data = _summed(static, plans, slot, matvecs)
+        if bcs:
+            dofs, values = dirichlet_dofs(args[0].space, bcs)
+            data[dofs] = values
+        return data
+    return step
+
+
+def _scatter(scatters, pattern, args, plans, bcs):
+    """The step of a matrix under bcs, cached in scatters per bcs
+    (component, marker) pairs: its pattern masked.  Dirichlet dofs' rows
+    and columns go but for a unit diagonal; every kept slot sums the same
+    entries in the same order, and a dropped entry's slot is past the end.
+    With no dynamic kernel the step makes new objects on one read-only
+    CSR's arrays."""
     key = tuple((bc.component, bc.marker) for bc in bcs)
     if key in scatters:
         return scatters[key]
-    static, _, slot, indices, indptr, diagonal, hit, _ = form._pattern
+    space = args[0].space
+    if bcs and args[1].space is not space:
+        raise ValueError("Dirichlet conditions on a bilinear form need its "
+                         "trial space to be its test space")
+    shape = (space.num_dofs, args[1].space.num_dofs)
+    static, _, slot, indices, indptr, diagonal, hit, _ = pattern
     dofs = dirichlet_dofs(space, bcs)[0]
     free = np.ones(shape[0], dtype=bool)
     free[dofs] = False
@@ -308,13 +351,26 @@ def _scatter(form, space, shape, bcs):
     static.setflags(write=False)
     slot = np.where(live[slot], at[slot] - 1, len(static))
     indices, indptr = indices[keep], np.insert(at, 0, 0)[indptr]
-    if not len(slot):  # no dynamic kernel: one matrix, read-only
+    if len(slot):
+        def step():
+            A = scipy.sparse.csr_matrix((_summed(static, plans, slot),
+                                         indices.copy(), indptr.copy()), shape)
+            A.has_canonical_format = True
+            if bcs:  # assembled zeros go, as rows and columns do
+                A.eliminate_zeros()
+            return A
+    else:  # no dynamic kernel: new objects on one matrix's arrays
         indices.setflags(write=False)
         indptr.setflags(write=False)
-        static = scipy.sparse.csr_matrix((static, indices, indptr), shape)
-        static.has_canonical_format = True
-    scatters[key] = static, slot, indices, indptr
-    return scatters[key]
+        A = scipy.sparse.csr_matrix((static, indices, indptr), shape)
+        A.has_canonical_format = True
+
+        def step(kind=type(A), shared=vars(A)):
+            B = object.__new__(kind)
+            B.__dict__.update(shared)
+            return B
+    scatters[key] = step
+    return step
 
 
 def assemble(form, bcs=()):
@@ -323,53 +379,17 @@ def assemble(form, bcs=()):
     Dirichlet conditions: matrix rows and columns of constrained dofs are
     zeroed with a unit diagonal (a symmetric application), which needs the
     trial space to be the test space; vector entries are set to the
-    boundary values.  The form's plans are built, and their integrals
-    checked (compile_integral), on its first assembly; its integrals must
-    all use the same arguments.  A linear form's integrals linear in a
+    boundary values.  The form's plans and the _step every call runs are
+    built, and its integrals checked (compile_integral), on its first
+    assembly; they must all use the same arguments.  Integrals linear in a
     coefficient u add one matvec by forms.derivative(form, u)'s static sum.
     A static matrix shares cached read-only arrays: copy before editing.
     """
-    if not form.integrals:
-        raise ValueError("the form has no integrals, so its arity is "
-                         "unknown; forms.derivative(F, w) is empty if F "
-                         "does not read w")
-    plans, empty = _plans(form)
+    _, empty = _plans(form)
     for measure in empty:
         warnings.warn(f"measure {measure!r} matched no entities; "
                       f"contribution is zero", stacklevel=2)
-    args = plans[0].analysis.arguments
-    arity = len(args)
-    if arity == 2 and bcs and args[1].space is not args[0].space:
-        raise ValueError("Dirichlet conditions on a bilinear form need its "
-                         "trial space to be its test space")
-    shape = tuple(args[k].space.num_dofs for k in range(arity))
-    static, _, slot, indices, indptr, *_, matvecs = form._pattern
-    if arity == 2:
-        static, slot, indices, indptr = _scatter(form, args[0].space, shape,
-                                                 bcs)
-    if scipy.sparse.issparse(static):  # a new object on the shared arrays
-        return copy.copy(static)
-    data = static.copy()
-    dynamic = [_element_tensors(p) for p in plans
-               if not (p.static or p.linear)]
-    if dynamic:
-        data += np.bincount(slot, weights=np.concatenate(dynamic),
-                            minlength=len(data))[:len(data)]
-    for u, L in matvecs:
-        data += L @ u.values
-    if arity == 0:
-        return float(data[0])
-    if arity == 1:
-        if bcs:
-            dofs, bc_values = dirichlet_dofs(args[0].space, bcs)
-            data[dofs] = bc_values
-        return data
-    A = scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
-                                shape=shape)
-    A.has_canonical_format = True
-    if bcs and dynamic:  # assembled zeros go, as rows and columns do
-        A.eliminate_zeros()
-    return A
+    return form._step(bcs)
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +522,22 @@ def solve_linear(A, b, coarse=None):
     """Solve A x = b by sparse LU, or, given a coarse space P = coarse, by
     _jacobi_cg: CG with the two-level V-cycle on P as its M.
 
-    b must be finite, and the residual is verified: |A x - b| <= 1e-10 |b|.
+    b must be finite, and the residual is verified: |A x - b| <= 1e-10 |b|,
+    so |b| must not overflow.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side is not finite")
+    with np.errstate(over="ignore"):  # raised below, by name
+        scale = np.linalg.norm(b)
+    if not np.isfinite(scale):
+        raise ConvergenceError(f"right-hand side norm is {scale}")
     if coarse is not None:
         x = _jacobi_cg(A, b, coarse)
     else:
         x = _factor(A, "linear system").solve(b)
     residual = np.linalg.norm(A.dot(x) - b)
-    if not residual <= SOLVE_TOL * max(np.linalg.norm(b), 1e-300):  # or NaN
+    if not residual <= SOLVE_TOL * max(scale, 1e-300):  # or NaN
         raise ConvergenceError(
             f"linear solve residual {residual:.3e} exceeds tolerance")
     return x
@@ -528,7 +553,8 @@ def newton_solve(F, u, bcs=(), solve=None):
     sum also applies F's integrals linear in u as one matvec.  Each update is
     solve(A, b) on the constrained Jacobian A and the negated residual b;
     the default is solve_linear (sparse LU), looked up at call time.  A
-    non-finite residual raises ConvergenceError at once.
+    residual whose norm is not finite, even of finite entries, raises
+    ConvergenceError at once.
     """
     solve = solve or solve_linear
     dofs, values = dirichlet_dofs(u.space, bcs)
@@ -538,9 +564,12 @@ def newton_solve(F, u, bcs=(), solve=None):
     def residual_norm():
         r = assemble(F)
         r[dofs] = 0.0
-        if not np.all(np.isfinite(r)):
-            raise ConvergenceError("Newton residual is not finite")
-        return r, np.linalg.norm(r)
+        with np.errstate(over="ignore"):  # raised below, by name
+            norm = np.linalg.norm(r)
+        if not np.isfinite(norm):
+            raise ConvergenceError(f"Newton residual is not finite: its "
+                                   f"norm is {norm}")
+        return r, norm
 
     r, norm = residual_norm()
     tol = max(NEWTON_ABS_TOL, NEWTON_REL_TOL * norm)

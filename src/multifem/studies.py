@@ -266,15 +266,16 @@ class StudyConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if not self.degrees or not set(self.degrees) <= {1, 2, 3}:
-            raise ValueError("degrees must be a non-empty subset of {1, 2, 3}")
-        if not self.refinements or not set(self.refinements) <= {0, 1, 2, 3}:
-            raise ValueError(
-                "refinements must be a non-empty subset of {0, 1, 2, 3}")
-        if not self.penalty > 0:
-            raise ValueError("penalty must be positive")
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        object.__setattr__(self, "refinements", tuple(self.refinements))
+        for name, allowed in (("degrees", {1, 2, 3}),
+                              ("refinements", {0, 1, 2, 3})):
+            given = tuple(getattr(self, name))  # an iterator is read once
+            if not given or not set(given) <= allowed or any(
+                    type(k) is not int for k in given):  # 1.0 == True == 1
+                raise ValueError(f"{name} must be a non-empty subset of "
+                                 f"{allowed}, given as ints")
+            object.__setattr__(self, name, given)
+        if isinstance(self.penalty, bool) or not 0 < self.penalty < math.inf:
+            raise ValueError("penalty must be a positive finite number")
 
 
 @dataclass

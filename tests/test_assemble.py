@@ -405,6 +405,16 @@ class TestNonFiniteInput:
             asm.solve_linear(sp.identity(4, format="csr") * 2.0, b,
                              coarse=ones_column(4) if cg else None)
 
+    @pytest.mark.parametrize("cg", [False, True])
+    def test_a_right_hand_side_whose_norm_overflows_raises(self, asm, cg):
+        # its entries are finite, but |A x - b| <= 1e-10 |b| would hold
+        # for any x
+        b = np.full(4, 1e300)
+        with pytest.raises(asm.ConvergenceError,
+                           match="right-hand side norm is inf"):
+            asm.solve_linear(sp.identity(4, format="csr") * 2.0, b,
+                             coarse=ones_column(4) if cg else None)
+
     @pytest.mark.parametrize("case", ["nan-coupling", "inf-coupling",
                                       "nan-rhs"])
     def test_cg_stops_at_the_first_non_finite_residual(self, asm, case):

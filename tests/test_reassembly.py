@@ -11,6 +11,7 @@ caller does with a returned matrix or vector.
 """
 
 import contextlib
+import sys
 import warnings
 
 import numpy as np
@@ -345,3 +346,83 @@ class TestDerivativeMemo:
             counts.append(len(compiled) - before)
         assert steps == [1, 1]
         assert counts == [12, 0]
+
+
+def bits(result):
+    """The bytes of a float, a vector, or a CSR matrix's three arrays."""
+    if scipy.sparse.issparse(result):
+        return tuple(getattr(result, name).tobytes()
+                     for name in ("data", "indices", "indptr"))
+    return np.asarray(result, dtype=float).tobytes()
+
+
+class TestWarmStep:
+    """A warm assembly runs the step kept on the form (per bcs key for a
+    matrix): bitwise what a cold one gives, and nothing else."""
+
+    @staticmethod
+    def calls(problem):
+        J = forms.derivative(problem.residual, problem.u)
+        return [(problem.residual, ()), (problem.residual, problem.bcs),
+                (J, problem.bcs)]
+
+    @pytest.mark.parametrize("name", ["quad-tri", "split-interface"])
+    @pytest.mark.parametrize("degree, level", [(1, 0), (1, 1), (2, 0),
+                                               (2, 1)])
+    def test_a_warm_assembly_is_bitwise_a_cold_one(self, asm, studies, name,
+                                                   degree, level):
+        warm = studies.build_problem(name, degree, level)
+        for seed in (7, 8):  # steps built and run at other iterates
+            warm.u.values[:] = np.random.default_rng(seed).standard_normal(
+                warm.space.num_dofs)
+            for form, bcs in self.calls(warm):
+                asm.assemble(form, bcs)
+        cold = studies.build_problem(name, degree, level)
+        u = np.random.default_rng(9).standard_normal(cold.space.num_dofs)
+        warm.u.values[:] = cold.u.values[:] = u
+        for (form, bcs), (first, first_bcs) in zip(self.calls(warm),
+                                                   self.calls(cold)):
+            assert bits(asm.assemble(form, bcs)) == bits(
+                asm.assemble(first, first_bcs))
+
+    def test_a_warm_linear_residual_runs_no_kernel_and_builds_nothing(
+            self, asm, studies, monkeypatch):
+        # every integral of the quad-tri residual is static or linear in u:
+        # a warm call is the static sum plus one matvec, bcs set after it
+        problem = studies.build_problem("quad-tri", 2, 1)
+        F, bcs = problem.residual, problem.bcs
+        first = [asm.assemble(F), asm.assemble(F, bcs)]
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("execute_kernel", "_plan_for", "_pattern", "_scatter"):
+            counted(asm, name)
+        counted(np, "bincount")
+        for _ in range(2):
+            again = [asm.assemble(F), asm.assemble(F, bcs)]
+            assert list(map(bits, again)) == list(map(bits, first))
+        assert calls == []
+        assert "_scatters" not in vars(F)
+
+    def test_the_empty_measure_warning_points_at_each_caller(self, asm):
+        V, m, dx = left_half(1)
+        (v0,) = forms.split(forms.TestFunction(V))
+        (t0,) = forms.split(forms.TrialFunction(V))
+        empty = forms.Measure("ds", m, 4321)
+        bcs = [asm.DirichletBC(0, mm.BOUNDARY_MARKER, 0.0)]
+        for form in (v0 * dx + v0 * empty, t0 * v0 * dx + t0 * v0 * empty):
+            for given in ((), (), bcs, bcs):  # cold, then warm calls
+                with pytest.warns(UserWarning,
+                                  match="matched no entities") as caught:
+                    line = sys._getframe().f_lineno + 1
+                    asm.assemble(form, given)
+                (warning,) = caught
+                assert warning.filename == __file__
+                assert warning.lineno == line

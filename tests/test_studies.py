@@ -72,10 +72,30 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="penalty"):
             studies.StudyConfig(problem="quad-tri", penalty=0.0)
 
+    @pytest.mark.parametrize("given, rule", [
+        ({"penalty": math.inf}, "penalty must be a positive finite number"),
+        ({"penalty": math.nan}, "penalty must be a positive finite number"),
+        ({"penalty": True}, "penalty must be a positive finite number"),
+        ({"degrees": (1.0,)}, "degrees must .* given as ints"),
+        ({"degrees": (True, 2)}, "degrees must .* given as ints"),
+        ({"refinements": (0.0,)}, "refinements must .* given as ints"),
+        ({"refinements": (True,)}, "refinements must .* given as ints"),
+        ({"degrees": iter(())}, "degrees must be a non-empty subset")])
+    def test_inputs_that_could_only_fail_later_are_rejected(self, studies,
+                                                           given, rule):
+        # 1.0 == True == 1 passed the subset test: a float failed every
+        # cell, and True ran as 1 but was reported as true
+        with pytest.raises(ValueError, match=rule):
+            studies.StudyConfig(problem="quad-tri", **given)
+
     def test_list_inputs_become_tuples(self, studies):
         cfg = studies.StudyConfig(problem="quad-tri", degrees=[1],
                                   refinements=[0, 1])
         assert cfg.degrees == (1,) and cfg.refinements == (0, 1)
+        # an iterator is read once: the config keeps the values checked
+        cfg = studies.StudyConfig(problem="quad-tri", degrees=iter([1, 2]),
+                                  refinements=(k for k in [0, 1]))
+        assert cfg.degrees == (1, 2) and cfg.refinements == (0, 1)
 
     def test_unknown_problem_in_builder(self, studies):
         with pytest.raises(ValueError, match="unknown problem"):
@@ -125,6 +145,20 @@ class TestRunStudy:
         for row_s, row_f in zip(short.rows, full.rows):
             assert (row_s.degree, row_s.level) == (row_f.degree, row_f.level)
             assert row_s.l2 == row_f.l2 and row_s.h1 == row_f.h1
+
+    def test_an_overflowing_residual_norm_fails_its_cell(self, studies, asm):
+        # at penalty 1e300 the first residual's entries are finite but its
+        # norm overflows: that used to count as converged after 0 steps
+        problem = studies.build_problem("quad-tri", 1, 0, penalty=1e300)
+        with pytest.raises(asm.ConvergenceError,
+                           match="Newton residual is not finite: its norm "
+                                 "is inf"):
+            studies.solve_problem(problem)
+        report = studies.run_study(studies.StudyConfig(
+            problem="quad-tri", degrees=(1,), refinements=(0,),
+            penalty=1e300))
+        (row,) = report.rows
+        assert math.isnan(row.l2) and "norm is inf" in row.error
 
     def test_failed_cell_is_recorded_and_the_study_continues(
             self, studies, monkeypatch):
@@ -346,6 +380,21 @@ class TestCli:
         assert code == 2
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+    def test_an_infinite_penalty_exits_with_error(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, "--penalty", "inf")
+        assert code == 2 and not out.exists()
+        assert ("error: penalty must be a positive finite number"
+                in capsys.readouterr().err)
+
+    def test_an_overflowing_cell_exits_with_error(self, tmp_path, capsys):
+        json_path = tmp_path / "report.json"
+        code, _ = self.run(tmp_path, "--penalty", "1e300", "--json",
+                           str(json_path))
+        assert code == 2
+        (row,) = json.loads(json_path.read_text())["rows"]
+        assert row["l2"] is None and "norm is inf" in row["error"]
+        assert "FAILED p=1 n=0" in capsys.readouterr().err
 
     def test_failed_cell_exits_with_error_but_writes_reports(
             self, tmp_path, studies, monkeypatch, capsys):
